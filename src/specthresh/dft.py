@@ -86,7 +86,9 @@ def periodogram_all(x: TimeSeriesMatrix, center: bool = True) -> np.ndarray:
     # columns e^{-i t w_j} / sqrt(n) are exactly C_j - i S_j
     phase = np.exp(-2j * np.pi * np.outer(t, grid.indices) / grid.n) / np.sqrt(grid.n)
     d = data.T @ phase  # (p, n)
-    return np.einsum("pj,qj->jpq", d, d.conj())
+    # C order keeps each I(w_j) contiguous, so window averages and
+    # split halves read whole matrices rather than strided columns
+    return np.einsum("pj,qj->jpq", d, d.conj(), order="C")
 
 
 def stacked_trig_matrix(grid: FourierGrid) -> np.ndarray:
@@ -105,7 +107,3 @@ def dft_matrix_norm_check(grid: FourierGrid) -> float:
         raise ParameterError("dense norm check limited to n <= 512")
     return float(np.linalg.norm(stacked_trig_matrix(grid), 2))
 
-
-def is_hermitian(mat: np.ndarray, rtol: float = 1e-10) -> bool:
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    return bool(np.max(np.abs(mat - mat.conj().T)) <= rtol * scale)

@@ -8,7 +8,7 @@ method, per-frequency thresholds).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -37,6 +37,8 @@ class ThresholdOperator:
             raise ParameterError("eta must be positive")
 
     def __call__(self, z: np.ndarray, lam: float) -> np.ndarray:
+        if np.isnan(lam):
+            raise ParameterError("threshold must not be NaN")
         if lam < 0:
             raise ParameterError("threshold must be nonnegative")
         z = np.asarray(z, dtype=complex)
@@ -46,7 +48,7 @@ class ThresholdOperator:
         if self.kind == "lasso":
             shrunk = np.maximum(mod - lam, 0.0)
         else:
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore"):
                 penalty = np.where(mod > 0, lam ** (self.eta + 1) * mod ** (-self.eta), np.inf)
             shrunk = np.maximum(mod - penalty, 0.0)
         with np.errstate(invalid="ignore"):
@@ -121,13 +123,47 @@ def averaged_periodogram(
     return periodograms[idx].mean(axis=0) / (2.0 * np.pi)
 
 
-def _mirror(grid: FourierGrid, matrices: Dict[int, np.ndarray]) -> Dict[int, np.ndarray]:
-    """Fill negative indices by conjugation of the computed j >= 0 half."""
-    out = dict(matrices)
+_BLOCK_ROWS = 16
+
+
+def _smoothed_half(periodograms: np.ndarray, m: int) -> np.ndarray:
+    """Window averages f_hat(w_j; m) for j = 0..floor(n/2), as a (n//2+1, p, p) array.
+
+    Row j equals averaged_periodogram(x, m, j) bit for bit: the 2m+1
+    shifted copies are added in the window's order, as `mean` adds them,
+    and the sum is divided by 2m+1 and then by 2 pi.  Rows are summed
+    _BLOCK_ROWS at a time so that the rows being summed stay in cache.
+    """
+    n = periodograms.shape[0]
+    if m < 0 or 2 * m + 1 > n:
+        raise ParameterError(f"invalid half-span m={m} for n={n}")
+    n_half = n // 2 + 1
+    out = np.empty((n_half,) + periodograms.shape[1:], dtype=periodograms.dtype)
+    for j0 in range(0, n_half, _BLOCK_ROWS):
+        rows = out[j0:j0 + _BLOCK_ROWS]
+        for i, k in enumerate(range(-m, m + 1)):
+            # rows j0.. of window offset k start at array position
+            # (j0 + k + half) mod n and wrap past the end at most once
+            start = (j0 + k + (n - 1) // 2) % n
+            head = min(len(rows), n - start)
+            if i == 0:
+                rows[:head] = periodograms[start:start + head]
+                rows[head:] = periodograms[:len(rows) - head]
+            else:
+                rows[:head] += periodograms[start:start + head]
+                rows[head:] += periodograms[:len(rows) - head]
+    out /= 2 * m + 1
+    out /= 2.0 * np.pi
+    return out
+
+
+def _mirror(grid: FourierGrid, half: np.ndarray) -> Dict[int, np.ndarray]:
+    """Per-frequency matrices: rows of the j >= 0 half, conjugates for j < 0."""
+    out = dict(enumerate(half))
     for j in grid.indices:
         j = int(j)
-        if j < 0 and j not in out:
-            out[j] = out[-j].conj()
+        if j < 0:
+            out[j] = half[-j].conj()
     return out
 
 
@@ -138,17 +174,34 @@ def smoothed_estimate(
     center: bool = True,
 ) -> SpectralEstimate:
     """Averaged periodogram at every Fourier frequency."""
-    grid = FourierGrid(x.n)
     if periodograms is None:
         periodograms = periodogram_all(x, center=center)
-    mats = {}
+    mats = _mirror(FourierGrid(x.n), _smoothed_half(periodograms, m))
+    return SpectralEstimate(x.n, x.p, m, "smoothed", mats, channel_names=x.channel_names)
+
+
+def _thresholded(
+    x: TimeSeriesMatrix,
+    m: int,
+    op: ThresholdOperator,
+    lambdas: Sequence[float],
+    smoothed: np.ndarray,
+    preserve_diagonal: bool,
+) -> SpectralEstimate:
+    """Threshold row j of the smoothed half-spectrum at lambdas[j], in place."""
+    for j, lam in enumerate(lambdas):
+        smoothed[j] = apply_threshold(smoothed[j], op, lam, preserve_diagonal=preserve_diagonal)
+    grid = FourierGrid(x.n)
+    lams = {j: float(lam) for j, lam in enumerate(lambdas)}
     for j in grid.indices:
         j = int(j)
         if j < 0:
-            continue
-        mats[j] = averaged_periodogram(x, m, j, periodograms=periodograms)
-    mats = _mirror(grid, mats)
-    return SpectralEstimate(x.n, x.p, m, "smoothed", mats, channel_names=x.channel_names)
+            lams[j] = lams[-j]
+    return SpectralEstimate(
+        x.n, x.p, m, op.kind, _mirror(grid, smoothed), lambdas=lams,
+        eta=op.eta if op.kind == "adaptive_lasso" else None,
+        channel_names=x.channel_names,
+    )
 
 
 def threshold_estimate(
@@ -165,35 +218,17 @@ def threshold_estimate(
     Thresholds are required for j >= 0 (or all j); lambda_{-j} defaults to
     lambda_j, and negative frequencies are filled by conjugation.
     """
-    grid = FourierGrid(x.n)
-    if periodograms is None:
-        periodograms = periodogram_all(x, center=center)
-    mats: Dict[int, np.ndarray] = {}
-    lams: Dict[int, float] = {}
-    for j in grid.indices:
-        j = int(j)
-        if j < 0:
-            continue
+    lams = []
+    for j in range(x.n // 2 + 1):
         if j in lambdas:
-            lam = lambdas[j]
+            lams.append(lambdas[j])
         elif -j in lambdas:
-            lam = lambdas[-j]
+            lams.append(lambdas[-j])
         else:
             raise ParameterError(f"no threshold provided for frequency index {j}")
-        f_hat = averaged_periodogram(x, m, j, periodograms=periodograms)
-        mats[j] = apply_threshold(f_hat, op, lam, preserve_diagonal=preserve_diagonal)
-        lams[j] = float(lam)
-    mats = _mirror(grid, mats)
-    for j in grid.indices:
-        j = int(j)
-        if j < 0:
-            lams[j] = lams[-j]
-    method = "adaptive_lasso" if op.kind == "adaptive_lasso" else op.kind
-    return SpectralEstimate(
-        x.n, x.p, m, method, mats, lambdas=lams,
-        eta=op.eta if op.kind == "adaptive_lasso" else None,
-        channel_names=x.channel_names,
-    )
+    if periodograms is None:
+        periodograms = periodogram_all(x, center=center)
+    return _thresholded(x, m, op, lams, _smoothed_half(periodograms, m), preserve_diagonal)
 
 
 def shrinkage_estimate(
@@ -238,12 +273,8 @@ def shrinkage_all(
     grid = FourierGrid(x.n)
     if periodograms is None:
         periodograms = periodogram_all(x, center=center)
-    mats = {
-        int(j): shrinkage_estimate(x, m, int(j), periodograms=periodograms)
-        for j in grid.indices
-        if j >= 0
-    }
-    mats = _mirror(grid, mats)
+    half = [shrinkage_estimate(x, m, j, periodograms=periodograms) for j in range(x.n // 2 + 1)]
+    mats = _mirror(grid, half)
     return SpectralEstimate(x.n, x.p, m, "shrinkage", mats, channel_names=x.channel_names)
 
 

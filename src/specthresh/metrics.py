@@ -105,7 +105,9 @@ def roc_points(weighted_graph: np.ndarray, truth_support: np.ndarray) -> RocCurv
     """ROC of edge scores against the true support, strict upper triangle.
 
     Sweeps a cut over the unique edge weights in descending order and adds
-    the trapezoid endpoints (0,0) and (1,1).
+    the trapezoid endpoints (0,0) and (1,1).  One descending sort gives
+    every cut's counts: the edges predicted at cut c are a prefix of the
+    sorted scores, ending at the last score equal to c.
     """
     g = np.asarray(weighted_graph, dtype=float)
     if not np.allclose(g, g.T, atol=1e-10):
@@ -116,13 +118,15 @@ def roc_points(weighted_graph: np.ndarray, truth_support: np.ndarray) -> RocCurv
     labels = np.asarray(truth_support, dtype=bool)[iu]
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
-    points = [(0.0, 0.0)]
-    for cut in np.unique(scores)[::-1]:
-        pred = scores >= cut
-        tpr = float(np.sum(pred & labels)) / n_pos if n_pos else 1.0
-        fpr = float(np.sum(pred & ~labels)) / n_neg if n_neg else 0.0
-        points.append((fpr, tpr))
-    points.append((1.0, 1.0))
+    order = np.argsort(-scores, kind="stable")
+    ranked = scores[order]
+    # the last position of each distinct score closes that cut's prefix
+    last = np.append(ranked[1:] != ranked[:-1], True)[: ranked.size]
+    tp = np.cumsum(labels[order])[last]
+    fp = np.cumsum(~labels[order])[last]
+    tpr = tp / n_pos if n_pos else np.ones(tp.size)
+    fpr = fp / n_neg if n_neg else np.zeros(fp.size)
+    points = [(0.0, 0.0), *zip(fpr.tolist(), tpr.tolist()), (1.0, 1.0)]
     points = sorted(set(points))
     xs = np.array([pt[0] for pt in points])
     ys = np.array([pt[1] for pt in points])

@@ -7,8 +7,8 @@ import pytest
 from specthresh import FourierGrid, SpectralEstimate, periodogram_all
 from specthresh.bench import truth_spectra
 from specthresh.cli import main
-from specthresh.fileio import read_estimate, read_series, write_estimate, write_model
-from specthresh.model import block_varma_model
+from specthresh.fileio import read_estimate, read_series, write_estimate, write_model, write_series
+from specthresh.model import TimeSeriesMatrix, block_varma_model
 
 
 @pytest.fixture
@@ -90,6 +90,24 @@ class TestEstimate:
             return sum(int(np.sum(est.matrices[j][mask] == 0)) for j in est.frequencies())
 
         assert zeros(e1) > zeros(e2)
+
+    def test_nan_lambda_rejected(self, tmp_path, series_file, capsys):
+        code = run("estimate", "--series", series_file, "--method", "hard", "--m", 4,
+                   "--lambda", "nan", "--out", tmp_path / "o.json")
+        assert code == 3
+        assert "NaN" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_single_channel_tuned_equals_smoothed(self, tmp_path, rng):
+        series = tmp_path / "one.csv"
+        write_series(TimeSeriesMatrix(rng.standard_normal((64, 1))), series)
+        e1, e2 = tmp_path / "lasso.json", tmp_path / "smooth.json"
+        assert run("estimate", "--series", series, "--method", "lasso", "--out", e1) == 0
+        assert run("estimate", "--series", series, "--method", "smoothed", "--out", e2) == 0
+        lasso, smooth = read_estimate(e1), read_estimate(e2)
+        assert lasso.p == 1
+        for j in smooth.frequencies():
+            assert np.array_equal(lasso.matrices[j], smooth.matrices[j])
 
     def test_oversized_span_rejected(self, tmp_path, series_file, capsys):
         code = run("estimate", "--series", series_file, "--method", "smoothed", "--m", 40,

@@ -126,6 +126,7 @@ class TestPeriodogramAll:
         x = TimeSeriesMatrix(rng.standard_normal((11, 3)))
         grid = FourierGrid(11)
         stack = periodogram_all(x)
+        assert stack.flags["C_CONTIGUOUS"]  # one frequency's matrix is one block
         for pos, j in enumerate(grid.indices):
             assert np.allclose(stack[pos], periodogram(x, grid, int(j)), atol=1e-12)
 

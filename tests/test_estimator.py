@@ -17,7 +17,10 @@ from specthresh import (
     smoothed_estimate,
     threshold_estimate,
 )
+from specthresh.dft import periodogram_all
+from specthresh.estimator import _smoothed_half
 from specthresh.model import TimeSeriesMatrix
+from specthresh.tuning import default_span
 
 
 def white_series(rng, n, p):
@@ -65,6 +68,16 @@ class TestAveragedPeriodogram:
         f3 = averaged_periodogram(TimeSeriesMatrix(3.0 * data), 2, 4)
         assert np.allclose(f3, 9.0 * f1, atol=1e-10)
 
+    @pytest.mark.parametrize("n", [33, 40])
+    def test_shared_smoothing_bit_identical(self, rng, n):
+        x = white_series(rng, n, 4)
+        periodograms = periodogram_all(x)
+        for m in (1, default_span(n, "ma_like"), (n - 1) // 2):
+            half = _smoothed_half(periodograms, m)
+            assert half.shape == (n // 2 + 1, 4, 4)
+            for j in range(n // 2 + 1):
+                assert np.array_equal(half[j], averaged_periodogram(x, m, j, periodograms=periodograms))
+
     def test_invalid_span(self, rng):
         x = white_series(rng, 10, 2)
         with pytest.raises(ParameterError):
@@ -96,6 +109,11 @@ class TestThresholdOperators:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ParameterError):
             ThresholdOperator("lasso")(1.0, -0.1)
+
+    @pytest.mark.parametrize("kind", ["hard", "lasso", "adaptive_lasso"])
+    def test_nan_lambda_rejected(self, kind):
+        with pytest.raises(ParameterError):
+            ThresholdOperator(kind)(np.ones((2, 2)), float("nan"))
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):

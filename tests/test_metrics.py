@@ -10,6 +10,7 @@ from specthresh import (
     roc_points,
     support_scores,
 )
+from specthresh.metrics import RocCurve
 
 
 def make_estimate(n, mats, method="lasso"):
@@ -111,7 +112,42 @@ class TestSupportScores:
         assert scores.recall == 1.0
 
 
+def roc_by_cut_sweep(weighted_graph, truth_support):
+    """Quadratic oracle: one full mask per unique cut, descending."""
+    iu = np.triu_indices(weighted_graph.shape[0], k=1)
+    scores = weighted_graph[iu]
+    labels = np.asarray(truth_support, dtype=bool)[iu]
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    points = [(0.0, 0.0)]
+    for cut in np.unique(scores)[::-1]:
+        pred = scores >= cut
+        tpr = float(np.sum(pred & labels)) / n_pos if n_pos else 1.0
+        fpr = float(np.sum(pred & ~labels)) / n_neg if n_neg else 0.0
+        points.append((fpr, tpr))
+    points.append((1.0, 1.0))
+    points = sorted(set(points))
+    xs = np.array([pt[0] for pt in points])
+    ys = np.array([pt[1] for pt in points])
+    return RocCurve(points, float(np.trapezoid(ys, xs)))
+
+
 class TestRocPoints:
+    @pytest.mark.parametrize("p", [1, 2, 7, 20])
+    @pytest.mark.parametrize("density", [0.0, 0.3, 1.0])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_matches_cut_sweep_oracle(self, rng, p, density, tied):
+        w = rng.uniform(0, 1, (p, p))
+        if tied:
+            w = np.round(4 * w) / 4  # many equal scores
+        w = w + w.T
+        truth = rng.uniform(0, 1, (p, p)) < density
+        truth = truth | truth.T
+        curve = roc_points(w, truth)
+        ref = roc_by_cut_sweep(w, truth)
+        assert curve.points == ref.points
+        assert curve.auc == ref.auc
+
     def test_oracle_weights_give_unit_auc(self):
         truth = np.zeros((4, 4), dtype=bool)
         truth[0, 1] = truth[1, 0] = truth[2, 3] = truth[3, 2] = True

@@ -14,7 +14,30 @@ from specthresh import (
     tuned_threshold_estimate,
 )
 from specthresh.dft import periodogram_all
+from specthresh.estimator import apply_threshold, averaged_periodogram, threshold_estimate
 from specthresh.model import TimeSeriesMatrix
+from specthresh.tuning import _freq_rng
+
+
+def split_halves(periodograms, j, m, n, rng):
+    half = FourierGrid(n).half
+    j1, j2 = split_frequencies(j, m, n, rng=rng)
+    f1 = periodograms[[k + half for k in j1]].mean(axis=0) / (2 * np.pi)
+    f2 = periodograms[[k + half for k in j2]].mean(axis=0) / (2 * np.pi)
+    return f1, f2
+
+
+def risk_by_threshold_loop(x, j, cfg, op, preserve_diagonal):
+    """Oracle: threshold f1 once per grid value and sum the squared error."""
+    periodograms = periodogram_all(x)
+    rng = _freq_rng(cfg.seed, j)
+    risks = np.zeros(len(cfg.lambda_grid))
+    for _ in range(cfg.n_splits):
+        f1, f2 = split_halves(periodograms, j, cfg.m, x.n, rng)
+        for i, lam in enumerate(cfg.lambda_grid):
+            out = apply_threshold(f1, op, lam, preserve_diagonal=preserve_diagonal)
+            risks[i] += float(np.sum(np.abs(out - f2) ** 2))
+    return risks / cfg.n_splits
 
 
 class TestSplitFrequencies:
@@ -98,6 +121,49 @@ class TestSelectThreshold:
         assert out.chosen == 1e8
 
 
+OPERATORS = [
+    ThresholdOperator("hard"),
+    ThresholdOperator("lasso"),
+    ThresholdOperator("adaptive_lasso"),
+    ThresholdOperator("adaptive_lasso", eta=0.5),
+]
+
+
+class TestClosedFormRisk:
+    @staticmethod
+    def _series(rng):
+        data = rng.standard_normal((48, 5)) @ rng.standard_normal((5, 5))
+        data[:, 4] = 2.5  # constant channel: exact zero entries after centering
+        return TimeSeriesMatrix(data)
+
+    @pytest.mark.parametrize("op", OPERATORS, ids=lambda op: f"{op.kind}-{op.eta}")
+    @pytest.mark.parametrize("preserve_diagonal", [True, False])
+    @pytest.mark.parametrize("n_splits", [1, 3])
+    def test_matches_threshold_loop(self, rng, op, preserve_diagonal, n_splits):
+        x = self._series(rng)
+        periodograms = periodogram_all(x)
+        for j in (0, 5, 24):
+            # grid points exactly at entry moduli of the first split's f1
+            f1, _ = split_halves(periodograms, j, 6, x.n, _freq_rng(11, j))
+            moduli = np.unique(np.abs(f1))
+            grid = np.unique(np.concatenate([[0.0], moduli[::3], [2.0 * moduli[-1]]]))
+            cfg = TuningConfig(m=6, lambda_grid=tuple(grid), n_splits=n_splits, seed=11)
+            got = np.array(select_threshold(x, j, cfg, op, preserve_diagonal=preserve_diagonal).risk)
+            ref = risk_by_threshold_loop(x, j, cfg, op, preserve_diagonal)
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - ref) / ref) <= 1e-10
+            assert int(np.argmin(got)) == int(np.argmin(ref))
+
+    @pytest.mark.parametrize("op", OPERATORS[:3], ids=lambda op: op.kind)
+    def test_equal_risks_tie_toward_smaller_lambda(self, rng, op):
+        x = self._series(rng)
+        # every grid value zeroes all off-diagonal entries: equal risks
+        cfg = TuningConfig(m=6, lambda_grid=(1e3, 2e3, 1e200), seed=3)
+        out = select_threshold(x, 7, cfg, op)
+        assert out.risk[0] == out.risk[1] == out.risk[2]
+        assert out.chosen == 1e3
+
+
 class TestTuningConfig:
     def test_rejects_bad_grids(self):
         with pytest.raises(ParameterError):
@@ -108,6 +174,11 @@ class TestTuningConfig:
             TuningConfig(m=2, lambda_grid=(-0.1, 0.2))
         with pytest.raises(ParameterError):
             TuningConfig(m=2, lambda_grid=(0.1,), n_splits=0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_grid_values(self, bad):
+        with pytest.raises(ParameterError):
+            TuningConfig(m=2, lambda_grid=(0.1, bad))
 
 
 class TestDefaultLambdaGrid:
@@ -120,12 +191,29 @@ class TestDefaultLambdaGrid:
         steps = np.diff(grid)
         assert np.allclose(steps, steps[0], atol=1e-12)
 
+    def test_single_channel_has_no_off_diagonal(self):
+        assert default_lambda_grid(np.array([[2.0 + 0.0j]])) == (0.0,)
+
     def test_constant_moduli_degenerate(self):
         f = np.full((2, 2), 0.3 + 0.0j)
         assert default_lambda_grid(f) == (0.3,)
 
 
 class TestTunedThresholdEstimate:
+    @pytest.mark.parametrize("op", OPERATORS[:3], ids=lambda op: op.kind)
+    def test_matches_per_frequency_loop_pipeline(self, rng, op):
+        x = TimeSeriesMatrix(rng.standard_normal((40, 4)) @ rng.standard_normal((4, 4)))
+        lambdas = {}
+        for j in range(21):
+            grid = default_lambda_grid(averaged_periodogram(x, 5, j))
+            cfg = TuningConfig(m=5, lambda_grid=grid, n_splits=2, seed=6)
+            lambdas[j] = grid[int(np.argmin(risk_by_threshold_loop(x, j, cfg, op, True)))]
+        ref = threshold_estimate(x, 5, op, lambdas)
+        est = tuned_threshold_estimate(x, 5, op, n_splits=2, seed=6)
+        assert est.lambdas == ref.lambdas
+        for j in ref.frequencies():
+            assert np.array_equal(est.matrices[j], ref.matrices[j])
+
     def test_pipeline_metadata(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
         est = tuned_threshold_estimate(x, 4, ThresholdOperator("lasso"), seed=2)
