@@ -16,12 +16,13 @@ from .errors import DataError, ParameterError
 from .estimator import (
     SpectralEstimate,
     ThresholdOperator,
+    _mirror,
     aggregate_coherence_graph,
     shrinkage_all,
     smoothed_estimate,
 )
 from .metrics import EvaluationReport, RocCurve, replicate_summary, rmise, roc_points, support_scores
-from .model import VarmaModel, block_varma_model, simulate, true_spectral_density
+from .model import VarmaModel, _spectral_density_half, block_varma_model, simulate
 from .tuning import default_span, tuned_threshold_estimate
 
 METHOD_ALIASES = {"alasso": "adaptive_lasso"}
@@ -90,8 +91,11 @@ class BenchmarkSpec:
 
 
 def truth_spectra(model: VarmaModel, n: int) -> Dict[int, np.ndarray]:
-    grid = FourierGrid(n)
-    return {int(j): true_spectral_density(model, grid.frequency(int(j))) for j in grid.indices}
+    """Population spectral density at every j in F_n, keyed by j.
+
+    Computed on j >= 0 only; f(omega_{-j}) is the conjugate of f(omega_j).
+    """
+    return _mirror(FourierGrid(n), _spectral_density_half(model, n))
 
 
 def truth_graph_support(truth: Dict[int, np.ndarray]) -> np.ndarray:
@@ -167,8 +171,18 @@ def run_replicate(
     return out
 
 
-def _worker(args):
-    return run_replicate(*args)
+# A pool worker's truth and truth support, set once per worker by
+# `_init_worker` so that replicate tasks need not carry them.
+_worker_truth: tuple = ()
+
+
+def _init_worker(truth: Dict[int, np.ndarray], truth_support_graph: np.ndarray) -> None:
+    global _worker_truth
+    _worker_truth = (truth, truth_support_graph)
+
+
+def _worker(task):
+    return run_replicate(*task, *_worker_truth)
 
 
 @dataclass
@@ -184,14 +198,16 @@ def run_cell(spec: BenchmarkSpec, cell_index: int, p: int, n: int, jobs: int = 1
     model = block_varma_model(p, spec.family)
     truth = truth_spectra(model, n)
     support = truth_graph_support(truth)
-    args = [
-        (spec, cell_index, p, n, r, truth, support) for r in range(spec.replicates)
-    ]
+    tasks = [(spec, cell_index, p, n, r) for r in range(spec.replicates)]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_worker, args))
+        # the truth reaches each worker once, through the initializer: a
+        # forked worker inherits it, a spawned one unpickles it once
+        with ProcessPoolExecutor(
+            max_workers=jobs, initializer=_init_worker, initargs=(truth, support)
+        ) as pool:
+            results = list(pool.map(_worker, tasks))
     else:
-        results = [run_replicate(*a) for a in args]
+        results = [run_replicate(*t, truth, support) for t in tasks]
     summaries = {}
     rocs: Dict[str, List[RocCurve]] = {}
     for method in spec.methods:

@@ -264,18 +264,57 @@ def shrinkage_estimate(
     return rho * mu * np.eye(p) + (1.0 - rho) * f_hat
 
 
+def _sq_norms(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a stack."""
+    flat = np.ascontiguousarray(stack, dtype=complex).reshape(len(stack), -1).view(np.float64)
+    return np.einsum("ji,ji->j", flat, flat)
+
+
 def shrinkage_all(
     x: TimeSeriesMatrix,
     m: int,
     periodograms: Optional[np.ndarray] = None,
     center: bool = True,
 ) -> SpectralEstimate:
-    grid = FourierGrid(x.n)
+    """`shrinkage_estimate` at every Fourier frequency, from one smoothing pass.
+
+    With w = 2m+1 window members W_k = I(w_{j+k}) / (2 pi), |k| <= m, and
+    their mean f_hat, the within-window dispersion needs only the window
+    sum of the squared periodogram norms:
+
+        sum_k ||W_k - f_hat||_F^2 = sum_k ||W_k||_F^2 - w ||f_hat||_F^2,
+
+    so beta^2 = (sum_k ||I_{j+k}||_F^2 / (2 pi)^2 - w ||f_hat||_F^2) / (p w (w-1)).
+    The difference can come out slightly negative by cancellation when the
+    window members are (nearly) equal, so beta^2 is clamped at 0.  delta^2
+    is summed from the deviations f_hat - mu I themselves, so a scaled
+    identity (in particular p = 1) gives delta^2 = 0, rho = 0 and f_hat
+    unchanged.
+    """
+    if 2 * m + 1 < 2:
+        raise ParameterError("shrinkage needs a window of at least 2 periodograms")
     if periodograms is None:
         periodograms = periodogram_all(x, center=center)
-    half = [shrinkage_estimate(x, m, j, periodograms=periodograms) for j in range(x.n // 2 + 1)]
-    mats = _mirror(grid, half)
-    return SpectralEstimate(x.n, x.p, m, "shrinkage", mats, channel_names=x.channel_names)
+    f_hat = _smoothed_half(periodograms, m)
+    n, p, w = x.n, x.p, 2 * m + 1
+    diag = np.arange(p)
+    re_diag = f_hat.real[:, diag, diag]  # a copy, restored below
+    mu = re_diag.sum(axis=1) / p
+    f_hat.real[:, diag, diag] -= mu[:, None]
+    delta2 = _sq_norms(f_hat) / p
+    f_hat.real[:, diag, diag] = re_diag
+    member_sq = _sq_norms(periodograms)
+    # array position of window member k of row j, as in _smoothed_half
+    pos = (np.arange(n // 2 + 1)[:, None] + np.arange(-m, m + 1) + (n - 1) // 2) % n
+    spread = member_sq[pos].sum(axis=1) / (2.0 * np.pi) ** 2 - w * _sq_norms(f_hat)
+    beta2 = np.maximum(spread, 0.0) / (p * w * (w - 1))
+    rho = np.zeros_like(delta2)
+    np.divide(beta2, delta2, out=rho, where=delta2 > 0.0)
+    np.minimum(rho, 1.0, out=rho)
+    f_hat *= (1.0 - rho)[:, None, None]
+    f_hat.real[:, diag, diag] += (rho * mu)[:, None]
+    mats = _mirror(FourierGrid(n), f_hat)
+    return SpectralEstimate(n, p, m, "shrinkage", mats, channel_names=x.channel_names)
 
 
 def coherence(matrix: np.ndarray, tau_floor: float = 1e-12) -> np.ndarray:

@@ -109,35 +109,49 @@ def read_model(path) -> VarmaModel:
 
 # ------------------------------------------------------------- estimate JSON
 
+def _fmt_rows(part: np.ndarray) -> list:
+    """`_fmt` of every entry of a real matrix, as nested lists."""
+    return [[format(v, ".17g") for v in row] for row in part.tolist()]
+
+
 def write_estimate(est: SpectralEstimate, path) -> None:
-    grid = est.grid
-    freqs = []
-    for j in est.frequencies():
-        mat = est.matrices[j]
-        entry = {
-            "j": int(j),
-            "omega": _fmt(grid.frequency(j)),
-            "re": [[_fmt(v) for v in row] for row in mat.real],
-            "im": [[_fmt(v) for v in row] for row in mat.imag],
-        }
-        if est.lambdas is not None:
-            entry["lambda"] = _fmt(est.lambdas[j])
-        freqs.append(entry)
+    """Write the text json.dump(obj, sort_keys=True) would write, one
+    frequency at a time.
+
+    json.dump streams through the pure-Python encoder; json.dumps uses the
+    C encoder but builds the whole text in memory.  So the top-level object
+    is dumped with a placeholder for "frequencies", and each frequency entry
+    is dumped and written on its own, in the list's place.
+    """
     obj = {
         "schema_version": SCHEMA_VERSION,
         "n": est.n,
         "p": est.p,
         "m": est.m,
         "method": est.method,
-        "frequencies": freqs,
+        "frequencies": None,
     }
     if est.eta is not None:
         obj["eta"] = _fmt(est.eta)
     if est.channel_names is not None:
         obj["channels"] = list(est.channel_names)
+    # inside a JSON string every '"' is escaped, so this occurs once, as the key
+    head, _, tail = json.dumps(obj, sort_keys=True).partition('"frequencies": null')
+    grid = est.grid
     with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(head + '"frequencies": [')
+        for i, j in enumerate(est.frequencies()):
+            mat = est.matrices[j]
+            entry = {
+                "j": int(j),
+                "omega": _fmt(grid.frequency(j)),
+                "re": _fmt_rows(mat.real),
+                "im": _fmt_rows(mat.imag),
+            }
+            if est.lambdas is not None:
+                entry["lambda"] = _fmt(est.lambdas[j])
+            fh.write((", " if i else "") + json.dumps(entry, sort_keys=True))
+        fh.write("]" + tail + "\n")
 
 
 def read_estimate(path) -> SpectralEstimate:

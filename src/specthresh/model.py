@@ -258,6 +258,44 @@ def true_spectral_density(model: VarmaModel, omega: float) -> np.ndarray:
     return 0.5 * (f + f.conj().T)
 
 
+# Frequencies evaluated together by `_spectral_density_half`: enough to
+# batch the LAPACK calls, few enough that the block's temporaries stay small.
+_BLOCK_ROWS = 16
+
+
+def _stacked_poly(coeffs: Sequence[np.ndarray], z: np.ndarray, p: int, sign: float) -> np.ndarray:
+    out = np.broadcast_to(np.eye(p, dtype=complex), (len(z), p, p)).copy()
+    for l, c in enumerate(coeffs, start=1):
+        out += (sign * c) * (z**l)[:, None, None]
+    return out
+
+
+def _spectral_density_half(model: VarmaModel, n: int) -> np.ndarray:
+    """`true_spectral_density` at omega_j = 2 pi j / n for j = 0..floor(n/2).
+
+    Returns a (n//2+1, p, p) array; f(omega_{-j}) is the conjugate of row j.
+    Frequencies are evaluated _BLOCK_ROWS at a time, each block with one
+    batched condition check and one batched solve.
+    """
+    p = model.dim
+    omegas = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+    out = np.empty((len(omegas), p, p), dtype=complex)
+    for j0 in range(0, len(omegas), _BLOCK_ROWS):
+        w = omegas[j0:j0 + _BLOCK_ROWS]
+        z = np.exp(-1j * w)
+        h = _stacked_poly(model.ma_coeffs, z, p, +1.0)
+        if model.ar_order:
+            a = _stacked_poly(model.ar_coeffs, z, p, -1.0)
+            cond = np.linalg.cond(a)
+            bad = np.nonzero(~(np.isfinite(cond) & (cond <= 1e12)))[0]
+            if bad.size:
+                raise NumericalError(f"AR polynomial nearly singular at omega={float(w[bad[0]])}")
+            h = np.linalg.solve(a, h)
+        f = (h @ model.noise_cov @ h.conj().transpose(0, 2, 1)) / (2.0 * np.pi)
+        out[j0:j0 + len(w)] = 0.5 * (f + f.conj().transpose(0, 2, 1))
+    return out
+
+
 def ma_infinity_weights(model: VarmaModel, l_max: int) -> np.ndarray:
     """MA(infinity) weights Psi_0..Psi_{l_max} of the VARMA recursion."""
     p, d, q = model.dim, model.ar_order, model.ma_order

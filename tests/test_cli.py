@@ -8,7 +8,7 @@ from specthresh import FourierGrid, SpectralEstimate, periodogram_all
 from specthresh.bench import truth_spectra
 from specthresh.cli import main
 from specthresh.fileio import read_estimate, read_series, write_estimate, write_model, write_series
-from specthresh.model import TimeSeriesMatrix, block_varma_model
+from specthresh.model import TimeSeriesMatrix, VarmaModel, block_varma_model
 
 
 @pytest.fixture
@@ -153,6 +153,19 @@ class TestEvaluate:
         code = run("evaluate", "--model", tmp_path / "none.json", "--out", tmp_path / "o",
                    tmp_path / "est.json")
         assert code == 3
+
+    def test_near_singular_model_exits_numerical(self, tmp_path, capsys):
+        # stable, but cond(A(1)) is about 5e12 at omega = 0
+        model = VarmaModel(dim=2, ar_coeffs=(np.diag([1.0 - 1e-13, 0.5]),))
+        model_path = tmp_path / "near.json"
+        write_model(model, model_path)
+        n = 16
+        mats = {int(j): np.eye(2, dtype=complex) for j in FourierGrid(n).indices}
+        est_path = tmp_path / "est.json"
+        write_estimate(SpectralEstimate(n=n, p=2, m=0, method="smoothed", matrices=mats), est_path)
+        code = run("evaluate", "--model", model_path, "--out", tmp_path / "r.csv", est_path)
+        assert code == 4
+        assert "nearly singular" in capsys.readouterr().err
 
 
 class TestBench:

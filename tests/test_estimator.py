@@ -13,6 +13,7 @@ from specthresh import (
     coherence,
     coherence_threshold,
     periodogram,
+    shrinkage_all,
     shrinkage_estimate,
     smoothed_estimate,
     threshold_estimate,
@@ -201,6 +202,66 @@ class TestShrinkage:
     def test_needs_window(self, rng):
         with pytest.raises(ParameterError):
             shrinkage_estimate(white_series(rng, 16, 2), 0, 1)
+        with pytest.raises(ParameterError):
+            shrinkage_all(white_series(rng, 16, 2), 0)
+
+    @pytest.mark.parametrize("n", [33, 40])
+    @pytest.mark.parametrize("span", ["one", "default", "widest"])
+    def test_all_matches_per_frequency_oracle(self, rng, n, span):
+        m = {"one": 1, "default": default_span(n, "ma_like"), "widest": (n - 1) // 2}[span]
+        x = TimeSeriesMatrix(rng.standard_normal((n, 5)) @ rng.standard_normal((5, 5)))
+        est = shrinkage_all(x, m)
+        assert est.method == "shrinkage" and sorted(est.matrices) == list(FourierGrid(n).indices)
+        for j in range(n // 2 + 1):
+            want = shrinkage_estimate(x, m, j)
+            assert np.linalg.norm(est.matrices[j] - want) <= 1e-12 * np.linalg.norm(want)
+            if 0 < j <= (n - 1) // 2:
+                assert np.array_equal(est.matrices[-j], est.matrices[j].conj())
+
+    def test_one_channel_equals_smoothed(self, rng):
+        x = white_series(rng, 41, 1)
+        est = shrinkage_all(x, 4)
+        smooth = smoothed_estimate(x, 4)
+        for j in est.frequencies():
+            assert np.array_equal(est.matrices[j], smooth.matrices[j])
+
+    def test_constant_channel(self, rng):
+        data = rng.standard_normal((48, 4))
+        data[:, 2] = 3.5  # zero after centring
+        x = TimeSeriesMatrix(data)
+        est = shrinkage_all(x, 3)
+        for j in range(25):
+            want = shrinkage_estimate(x, 3, j)
+            assert np.linalg.norm(est.matrices[j] - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.all(np.isfinite(est.matrices[j]))
+
+    def test_identical_window_members_keep_f_hat(self, rng):
+        # beta^2 is 0 up to cancellation, which here leaves the window sum
+        # slightly negative; with f_hat near a scaled identity delta^2 is
+        # tiny too, so without the clamp rho would come out near -3e-5
+        gen = np.random.default_rng(0)
+        h = gen.standard_normal((3, 3)) + 1j * gen.standard_normal((3, 3))
+        mat = gen.uniform(0.5, 3) * np.eye(3) + 1e-6 * (h + h.conj().T)
+        stack = np.tile(mat, (16, 1, 1))
+        x = white_series(rng, 16, 3)
+        est = shrinkage_all(x, 2, periodograms=stack)
+        smooth = smoothed_estimate(x, 2, periodograms=stack)
+        off = ~np.eye(3, dtype=bool)
+        for j in est.frequencies():
+            assert np.all(np.isfinite(est.matrices[j]))
+            rho = 1.0 - (est.matrices[j][off] / smooth.matrices[j][off]).real
+            assert np.all((rho >= -1e-12) & (rho <= 1.0 + 1e-12))
+            target = mat if j >= 0 else mat.conj()
+            assert np.allclose(est.matrices[j], target / (2 * np.pi), rtol=0, atol=1e-12)
+
+    def test_scaled_identity_f_hat_is_not_shrunk(self, rng):
+        # delta^2 = 0 exactly while beta^2 > 0: rho must be 0, not beta^2 / 0
+        x = white_series(rng, 18, 2)
+        stack = np.array([(k % 3 + 1.0) * np.eye(2) for k in range(18)], dtype=complex)
+        est = shrinkage_all(x, 2, periodograms=stack)
+        smooth = smoothed_estimate(x, 2, periodograms=stack)
+        for j in est.frequencies():
+            assert np.array_equal(est.matrices[j], smooth.matrices[j])
 
 
 class TestCoherence:

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -129,6 +130,33 @@ class TestEstimateJson:
         write_estimate(est, p1)
         write_estimate(est, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("channels", [("u", "v", "w"), ('"frequencies": null', "[", "\\")])
+    def test_bytes_match_streamed_json(self, tmp_path, rng, channels):
+        # the bytes json.dump writes for the estimate, each float as _fmt
+        est = self._estimate(rng)
+        est.channel_names = channels
+        assert est.lambdas is not None and est.eta is not None
+        freqs = []
+        for j in est.frequencies():
+            mat = est.matrices[j]
+            freqs.append({
+                "j": j,
+                "omega": _fmt(est.grid.frequency(j)),
+                "re": [[_fmt(v) for v in row] for row in mat.real],
+                "im": [[_fmt(v) for v in row] for row in mat.imag],
+                "lambda": _fmt(est.lambdas[j]),
+            })
+        obj = {
+            "schema_version": "1", "n": est.n, "p": est.p, "m": est.m, "method": est.method,
+            "frequencies": freqs, "eta": _fmt(est.eta), "channels": list(est.channel_names),
+        }
+        buf = io.StringIO()
+        json.dump(obj, buf, sort_keys=True)
+        buf.write("\n")
+        path = tmp_path / "est.json"
+        write_estimate(est, path)
+        assert path.read_bytes() == buf.getvalue().encode()
 
     def test_truncated_file(self, tmp_path, rng):
         est = self._estimate(rng)
