@@ -55,6 +55,7 @@ from .tuning import (
     split_frequencies,
     theoretical_threshold,
     tuned_threshold_estimate,
+    tuned_threshold_estimates,
 )
 
 __version__ = "0.1.0"

@@ -17,13 +17,14 @@ from .estimator import (
     SpectralEstimate,
     ThresholdOperator,
     _mirror,
+    _shrunk,
+    _smoothed,
+    _smoothed_half,
     aggregate_coherence_graph,
-    shrinkage_all,
-    smoothed_estimate,
 )
 from .metrics import EvaluationReport, RocCurve, replicate_summary, rmise, roc_points, support_scores
 from .model import VarmaModel, _spectral_density_half, block_varma_model, simulate
-from .tuning import default_span, tuned_threshold_estimate
+from .tuning import default_span, tuned_threshold_estimates
 
 METHOD_ALIASES = {"alasso": "adaptive_lasso"}
 THRESHOLD_METHODS = ("hard", "lasso", "adaptive_lasso")
@@ -99,38 +100,56 @@ def truth_spectra(model: VarmaModel, n: int) -> Dict[int, np.ndarray]:
 
 
 def truth_graph_support(truth: Dict[int, np.ndarray]) -> np.ndarray:
-    """Edge (r, s) is true when f_rs is nonzero at some Fourier frequency."""
-    peak = max(float(np.max(np.abs(f))) for f in truth.values())
-    tol = 1e-12 * peak
-    support = None
-    for f in truth.values():
-        nz = np.abs(f) > tol
-        support = nz if support is None else (support | nz)
+    """Edge (r, s) is true when f_rs is nonzero at some Fourier frequency.
+
+    Reads only j >= 0: f(omega_{-j}) is the conjugate of f(omega_j), and
+    conjugation keeps every modulus.
+    """
+    peak_mod = None
+    for j, f in truth.items():
+        if j >= 0:
+            mod = np.abs(f)
+            peak_mod = mod if peak_mod is None else np.maximum(peak_mod, mod, out=peak_mod)
+    # |f_rs| exceeds the tolerance at some j exactly when its largest modulus does
+    support = peak_mod > 1e-12 * float(np.max(peak_mod))
     np.fill_diagonal(support, False)
     return support
 
 
-def estimate_by_method(
-    method: str,
+def estimate_methods(
+    methods: Sequence[str],
     x,
     m: int,
     grid_size: int = 20,
     n_splits: int = 1,
     seed: int = 0,
     periodograms: Optional[np.ndarray] = None,
-) -> SpectralEstimate:
-    method = canonical_method(method)
+) -> Dict[str, SpectralEstimate]:
+    """The estimate of each listed method, keyed by canonical method name.
+
+    All methods share one periodogram array.  The baselines share one
+    smoothing pass, and the threshold methods one tuning pass
+    (`tuned_threshold_estimates`), which is skipped when none is listed.
+    """
+    methods = list(dict.fromkeys(canonical_method(name) for name in methods))
     if periodograms is None:
         periodograms = periodogram_all(x)
-    if method == "smoothed":
-        return smoothed_estimate(x, m, periodograms=periodograms)
-    if method == "shrinkage":
-        return shrinkage_all(x, m, periodograms=periodograms)
-    op = ThresholdOperator(method if method != "adaptive_lasso" else "adaptive_lasso")
-    return tuned_threshold_estimate(
-        x, m, op, grid_size=grid_size, n_splits=n_splits, seed=seed,
-        periodograms=periodograms,
-    )
+    out: Dict[str, SpectralEstimate] = {}
+    if "smoothed" in methods or "shrinkage" in methods:
+        half = _smoothed_half(periodograms, m)
+        if "smoothed" in methods:
+            out["smoothed"] = _smoothed(x, m, half)
+        if "shrinkage" in methods:
+            # shrinkage works in place, so it copies the half the smoothed estimate holds
+            out["shrinkage"] = _shrunk(x, m, periodograms, half.copy() if out else half)
+    thresholded = [name for name in methods if name in THRESHOLD_METHODS]
+    if thresholded:
+        ests = tuned_threshold_estimates(
+            x, m, [ThresholdOperator(name) for name in thresholded], grid_size=grid_size,
+            n_splits=n_splits, seed=seed, periodograms=periodograms,
+        )
+        out.update(zip(thresholded, ests))
+    return {name: out[name] for name in methods}
 
 
 def _replicate_seed(master: int, cell_index: int, replicate: int) -> np.random.SeedSequence:
@@ -153,11 +172,29 @@ def run_replicate(
     periodograms = periodogram_all(x)
     tuning_seed = int(seed.generate_state(1)[0])
     out = {}
-    for method in spec.methods:
-        est = estimate_by_method(
-            method, x, m, grid_size=spec.grid_size, n_splits=spec.n_splits,
-            seed=tuning_seed, periodograms=periodograms,
-        )
+    # The baselines and the threshold methods are estimated and scored one
+    # group at a time, so that at most three estimates are held at once.
+    for group in (
+        [name for name in spec.methods if name not in THRESHOLD_METHODS],
+        [name for name in spec.methods if name in THRESHOLD_METHODS],
+    ):
+        if group:
+            out.update(_scored(spec, estimate_methods(
+                group, x, m, grid_size=spec.grid_size, n_splits=spec.n_splits,
+                seed=tuning_seed, periodograms=periodograms,
+            ), truth, truth_support_graph))
+    return out
+
+
+def _scored(
+    spec: BenchmarkSpec,
+    estimates: Dict[str, SpectralEstimate],
+    truth: Dict[int, np.ndarray],
+    truth_support_graph: np.ndarray,
+) -> Dict[str, dict]:
+    """Report and ROC curve of each estimate."""
+    out = {}
+    for method, est in estimates.items():
         report = EvaluationReport(method=method, rmise=rmise(est, truth))
         graph = aggregate_coherence_graph(est)
         roc = roc_points(graph, truth_support_graph)

@@ -60,9 +60,9 @@ def cmd_estimate(args) -> int:
         lambdas = {j: args.fixed_lambda for j in range(0, x.n // 2 + 1)}
         est = threshold_estimate(x, m, op, lambdas)
     else:
-        est = bench_mod.estimate_by_method(
-            method, x, m, grid_size=args.grid_size, n_splits=args.n_splits, seed=args.seed
-        )
+        est = bench_mod.estimate_methods(
+            [method], x, m, grid_size=args.grid_size, n_splits=args.n_splits, seed=args.seed
+        )[method]
     fileio.write_estimate(est, args.out)
     return EXIT_OK
 

@@ -176,7 +176,12 @@ def smoothed_estimate(
     """Averaged periodogram at every Fourier frequency."""
     if periodograms is None:
         periodograms = periodogram_all(x, center=center)
-    mats = _mirror(FourierGrid(x.n), _smoothed_half(periodograms, m))
+    return _smoothed(x, m, _smoothed_half(periodograms, m))
+
+
+def _smoothed(x: TimeSeriesMatrix, m: int, half: np.ndarray) -> SpectralEstimate:
+    """The smoothed estimate whose j >= 0 rows are the rows of `half` (views, not copies)."""
+    mats = _mirror(FourierGrid(x.n), half)
     return SpectralEstimate(x.n, x.p, m, "smoothed", mats, channel_names=x.channel_names)
 
 
@@ -291,11 +296,17 @@ def shrinkage_all(
     identity (in particular p = 1) gives delta^2 = 0, rho = 0 and f_hat
     unchanged.
     """
-    if 2 * m + 1 < 2:
-        raise ParameterError("shrinkage needs a window of at least 2 periodograms")
     if periodograms is None:
         periodograms = periodogram_all(x, center=center)
-    f_hat = _smoothed_half(periodograms, m)
+    return _shrunk(x, m, periodograms, _smoothed_half(periodograms, m))
+
+
+def _shrunk(
+    x: TimeSeriesMatrix, m: int, periodograms: np.ndarray, f_hat: np.ndarray
+) -> SpectralEstimate:
+    """The shrinkage estimate from the smoothed half `f_hat`, which it shrinks in place."""
+    if 2 * m + 1 < 2:
+        raise ParameterError("shrinkage needs a window of at least 2 periodograms")
     n, p, w = x.n, x.p, 2 * m + 1
     diag = np.arange(p)
     re_diag = f_hat.real[:, diag, diag]  # a copy, restored below

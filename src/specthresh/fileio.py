@@ -13,7 +13,7 @@ import numpy as np
 from .dft import FourierGrid
 from .errors import DataError
 from .estimator import SpectralEstimate
-from .metrics import EvaluationReport, RocCurve
+from .metrics import EvaluationReport
 from .model import VarmaModel, TimeSeriesMatrix
 from .tuning import SplitRisk
 
@@ -230,16 +230,6 @@ def report_rows(report: EvaluationReport, p: int, n: int, m: int) -> list:
             }
         )
     return rows
-
-
-def write_roc_json(curve: RocCurve, path) -> None:
-    obj = {
-        "auc": _fmt(curve.auc),
-        "points": [{"fpr": _fmt(f), "tpr": _fmt(t)} for f, t in curve.points],
-    }
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")
 
 
 def write_tuning_report(risk: SplitRisk, path) -> None:

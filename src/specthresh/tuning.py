@@ -24,16 +24,23 @@ where s is the thresholded modulus, so
 (the adaptive lasso keeps an entry exactly when a^(eta+1) > lam^(eta+1),
 i.e. a > lam).  After one sort of a, every sum is a suffix sum, and
 `np.searchsorted` finds each grid value's suffix.
+
+The work per split is in two parts.  The preparation (`_Split`) does not
+depend on the operator: the entry mask, the sort of a, z1, z2, b, |f2|^2
+and C.  The risk step (`_Split.risk`) is per operator: its suffix sums and
+`np.searchsorted`.  `tuned_threshold_estimates` walks the frequencies once
+for several operators, drawing and preparing each split once and running
+only the risk step per operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dft import FourierGrid, periodogram_all
+from .dft import periodogram_all
 from .errors import ParameterError
 from .estimator import SpectralEstimate, ThresholdOperator, _smoothed_half, _thresholded
 from .model import TimeSeriesMatrix
@@ -92,19 +99,21 @@ def split_frequencies(
     """
     if 2 * m + 1 < 2:
         raise ParameterError("window must contain at least 2 frequencies")
-    grid = FourierGrid(n)
     if 2 * m + 1 > n:
         raise ParameterError(f"window 2m+1={2 * m + 1} exceeds n={n}")
     if rng is None:
         rng = _freq_rng(seed, j)
-    window = [grid.wrap(k) for k in range(j - m, j + m + 1)]
+    half = (n - 1) // 2
+    # (k + half) % n - half is FourierGrid(n).wrap(k), inlined: this runs
+    # once per frequency and split of every tuned estimate
+    window = [(k + half) % n - half for k in range(j - m, j + m + 1)]
     members = set(window)
     units = []
     seen = set()
     for k in window:
         if k in seen:
             continue
-        mirror = grid.wrap(-k)
+        mirror = (half - k) % n - half
         if mirror in members and mirror != k:
             units.append((k, mirror))
             seen.update((k, mirror))
@@ -143,19 +152,37 @@ def select_threshold(
     Frobenius comparison.  Ties in the argmin break toward the smaller
     threshold.  Deterministic given (cfg.seed, j).
     """
-    grid = FourierGrid(x.n)
     if periodograms is None:
         periodograms = periodogram_all(x, center=center)
-    rng = _freq_rng(cfg.seed, j)
-    risks = np.zeros(len(cfg.lambda_grid))
-    for _ in range(cfg.n_splits):
-        j1, j2 = split_frequencies(j, cfg.m, x.n, rng=rng)
-        f1 = _half_window_mean(periodograms, [k + grid.half for k in j1])
-        f2 = _half_window_mean(periodograms, [k + grid.half for k in j2])
-        risks += _split_risk(f1, f2, op, cfg.lambda_grid, preserve_diagonal)
-    risks /= cfg.n_splits
+    risks = _split_risks(periodograms, x.n, j, cfg, (op,), preserve_diagonal)[0]
     chosen = cfg.lambda_grid[int(np.argmin(risks))]
     return SplitRisk(j, cfg.lambda_grid, tuple(risks), chosen, cfg.n_splits, cfg.seed)
+
+
+def _split_risks(
+    periodograms: np.ndarray, n: int, j: int, cfg: TuningConfig, ops: Sequence[ThresholdOperator],
+    preserve_diagonal: bool,
+) -> np.ndarray:
+    """Split risk at frequency j averaged over cfg.n_splits splits, one row per operator.
+
+    Each split is drawn, averaged and prepared once, whatever the number of
+    operators scored from it.
+    """
+    half = (n - 1) // 2
+    lam = np.asarray(cfg.lambda_grid)
+    rng = _freq_rng(cfg.seed, j)
+    risks = np.zeros((len(ops), lam.size))
+    for _ in range(cfg.n_splits):
+        j1, j2 = split_frequencies(j, cfg.m, n, rng=rng)
+        split = _Split(
+            _half_window_mean(periodograms, [k + half for k in j1]),
+            _half_window_mean(periodograms, [k + half for k in j2]),
+            preserve_diagonal,
+        )
+        for row, op in zip(risks, ops):
+            row += split.risk(op, lam)
+    risks /= cfg.n_splits
+    return risks
 
 
 def _half_window_mean(periodograms: np.ndarray, positions: list) -> np.ndarray:
@@ -180,44 +207,51 @@ def _suffix_sums(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _split_risk(
-    f1: np.ndarray, f2: np.ndarray, op: ThresholdOperator, lambda_grid: tuple,
-    preserve_diagonal: bool,
-) -> np.ndarray:
-    """||apply_threshold(f1, op, lam) - f2||_F^2 at every lam of the grid."""
-    lam = np.asarray(lambda_grid)
-    if preserve_diagonal:
-        on_e = ~np.eye(f1.shape[0], dtype=bool)
-        const = float(np.sum(np.abs(np.diag(f1) - np.diag(f2)) ** 2))
-    else:
-        on_e = np.ones(f1.shape, dtype=bool)
-        const = 0.0
-    z1, z2 = f1[on_e], f2[on_e]
-    a = np.abs(z1)
-    order = np.argsort(a)
-    a, z1, z2 = a[order], z1[order], z2[order]
-    f2_sq = np.abs(z2) ** 2
-    const += float(np.sum(f2_sq))
-    if op.kind == "hard":
-        kept = _suffix_sums(np.abs(z1 - z2) ** 2 - f2_sq)
-        return const + kept[np.searchsorted(a, lam, side="left")]
-    nonzero = a > 0
-    b = np.zeros_like(a)
-    b[nonzero] = (np.conj(z1[nonzero] / a[nonzero]) * z2[nonzero]).real
-    # lasso is the eta = 0 case of the adaptive-lasso formula
-    eta = op.eta if op.kind == "adaptive_lasso" else 0.0
-    weight = np.zeros_like(a)
-    weight[nonzero] = a[nonzero] ** -eta
-    idx = np.searchsorted(a, lam, side="right")
-    quad = _suffix_sums(a * a - 2.0 * a * b)[idx]
-    lin = _suffix_sums(weight * (a - b))[idx]
-    sq = _suffix_sums(weight * weight)[idx]
-    # t only matters where some entry survives; elsewhere a huge lam could
-    # overflow t and turn t * 0 into NaN
-    live = idx < a.size
-    t = np.zeros_like(lam)
-    t[live] = lam[live] ** (eta + 1.0)
-    return const + quad - 2.0 * t * lin + t * t * sq
+class _Split:
+    """The operator-independent part of one split's closed-form risk.
+
+    Holds the entries of E sorted by a = |f1| (z1, z2 and |f2|^2 in the
+    same order), b and the constant C; `risk` adds one operator's suffix
+    sums.
+    """
+
+    def __init__(self, f1: np.ndarray, f2: np.ndarray, preserve_diagonal: bool):
+        if preserve_diagonal:
+            on_e = ~np.eye(f1.shape[0], dtype=bool)
+            const = float(np.sum(np.abs(np.diag(f1) - np.diag(f2)) ** 2))
+        else:
+            on_e = np.ones(f1.shape, dtype=bool)
+            const = 0.0
+        z1, z2 = f1[on_e], f2[on_e]
+        a = np.abs(z1)
+        order = np.argsort(a)
+        self.a, self.z1, self.z2 = a[order], z1[order], z2[order]
+        self.f2_sq = np.abs(self.z2) ** 2
+        self.const = const + float(np.sum(self.f2_sq))
+        self.nonzero = nz = self.a > 0
+        self.b = np.zeros_like(self.a)
+        self.b[nz] = (np.conj(self.z1[nz] / self.a[nz]) * self.z2[nz]).real
+
+    def risk(self, op: ThresholdOperator, lam: np.ndarray) -> np.ndarray:
+        """||apply_threshold(f1, op, l) - f2||_F^2 at every l of lam."""
+        a = self.a
+        if op.kind == "hard":
+            kept = _suffix_sums(np.abs(self.z1 - self.z2) ** 2 - self.f2_sq)
+            return self.const + kept[np.searchsorted(a, lam, side="left")]
+        # lasso is the eta = 0 case of the adaptive-lasso formula
+        eta = op.eta if op.kind == "adaptive_lasso" else 0.0
+        weight = np.zeros_like(a)
+        weight[self.nonzero] = a[self.nonzero] ** -eta
+        idx = np.searchsorted(a, lam, side="right")
+        quad = _suffix_sums(a * a - 2.0 * a * self.b)[idx]
+        lin = _suffix_sums(weight * (a - self.b))[idx]
+        sq = _suffix_sums(weight * weight)[idx]
+        # t only matters where some entry survives; elsewhere a huge lam could
+        # overflow t and turn t * 0 into NaN
+        live = idx < a.size
+        t = np.zeros_like(lam)
+        t[live] = lam[live] ** (eta + 1.0)
+        return self.const + quad - 2.0 * t * lin + t * t * sq
 
 
 def default_lambda_grid(f_hat: np.ndarray, size: int = 20) -> tuple:
@@ -254,20 +288,55 @@ def tuned_threshold_estimate(
     estimate, for callers who want to correct for the halved effective
     window during tuning; the default applies the tuned value as is.
     """
+    return tuned_threshold_estimates(
+        x, m, (op,), grid_size=grid_size, n_splits=n_splits, seed=seed,
+        preserve_diagonal=preserve_diagonal, periodograms=periodograms, center=center,
+        lambda_scale=lambda_scale,
+    )[0]
+
+
+def tuned_threshold_estimates(
+    x: TimeSeriesMatrix,
+    m: int,
+    ops: Sequence[ThresholdOperator],
+    grid_size: int = 20,
+    n_splits: int = 1,
+    seed: int = 0,
+    preserve_diagonal: bool = True,
+    periodograms: Optional[np.ndarray] = None,
+    center: bool = True,
+    lambda_scale: float = 1.0,
+) -> List[SpectralEstimate]:
+    """`tuned_threshold_estimate` for each operator of `ops`, in one pass.
+
+    At each frequency the lambda grid, the splits, their half-window means
+    and the operator-independent part of the split risk are computed once
+    and every operator is scored from them.  Split draws depend only on
+    (seed, j), so each estimate equals its own `tuned_threshold_estimate`
+    call bit for bit.
+    """
+    ops = tuple(ops)
+    if not ops:
+        raise ParameterError("no threshold operators given")
     if lambda_scale <= 0:
         raise ParameterError("lambda_scale must be positive")
     if periodograms is None:
         periodograms = periodogram_all(x, center=center)
     smoothed = _smoothed_half(periodograms, m)
-    lambdas = []
+    lambdas: List[list] = [[] for _ in ops]
     for j, f_hat in enumerate(smoothed):
         cfg = TuningConfig(m=m, lambda_grid=default_lambda_grid(f_hat, grid_size),
                            n_splits=n_splits, seed=seed)
-        chosen = select_threshold(
-            x, j, cfg, op, preserve_diagonal=preserve_diagonal, periodograms=periodograms
-        ).chosen
-        lambdas.append(lambda_scale * chosen)
-    return _thresholded(x, m, op, lambdas, smoothed, preserve_diagonal)
+        risks = _split_risks(periodograms, x.n, j, cfg, ops, preserve_diagonal)
+        for lams, row in zip(lambdas, risks):
+            lams.append(lambda_scale * cfg.lambda_grid[int(np.argmin(row))])
+    # thresholding works in place: the last operator takes the smoothed
+    # half itself, after the others have taken their copies
+    last = len(ops) - 1
+    return [
+        _thresholded(x, m, op, lams, smoothed if i == last else smoothed.copy(), preserve_diagonal)
+        for i, (op, lams) in enumerate(zip(ops, lambdas))
+    ]
 
 
 def theoretical_threshold(

@@ -1,8 +1,29 @@
 import numpy as np
 import pytest
 
-from specthresh import FourierGrid, NumericalError, VarmaModel, block_varma_model, true_spectral_density
-from specthresh.bench import BenchmarkSpec, run_cell, truth_spectra
+from specthresh import (
+    FourierGrid,
+    NumericalError,
+    ThresholdOperator,
+    TimeSeriesMatrix,
+    VarmaModel,
+    block_varma_model,
+    shrinkage_all,
+    simulate,
+    smoothed_estimate,
+    true_spectral_density,
+    tuned_threshold_estimate,
+)
+from specthresh import tuning
+from specthresh.bench import (
+    ALL_METHODS,
+    BenchmarkSpec,
+    estimate_methods,
+    run_cell,
+    truth_graph_support,
+    truth_spectra,
+)
+from specthresh.dft import periodogram_all
 
 
 def varma21(rng):
@@ -54,3 +75,85 @@ class TestRunCell:
         for method in spec.methods:
             assert pooled.summaries[method] == serial.summaries[method]
             assert pooled.rocs[method] == serial.rocs[method]
+
+
+def full_grid_support(truth):
+    """Oracle: the support over every frequency of both halves."""
+    peak = max(float(np.max(np.abs(truth[j]))) for j in truth)
+    support = np.zeros(truth[0].shape, dtype=bool)
+    for j in truth:
+        support |= np.abs(truth[j]) > 1e-12 * peak
+    np.fill_diagonal(support, False)
+    return support
+
+
+class TestTruthGraphSupport:
+    @pytest.mark.parametrize("family", ["var", "vma", "varma21"])
+    @pytest.mark.parametrize("n", [33, 40])
+    def test_equals_full_grid_support(self, rng, family, n):
+        model = varma21(rng) if family == "varma21" else block_varma_model(9, family)
+        truth = truth_spectra(model, n)
+        got = truth_graph_support(truth)
+        assert np.array_equal(got, full_grid_support(truth))
+        assert got.any()
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_edges_seen_at_single_frequencies(self, n):
+        # a conjugate-symmetric plain dict whose edges (0, 1), (2, 3) and
+        # (4, 5) are nonzero only at j = 0, j = +-1 and j = floor(n/2)
+        grid = FourierGrid(n)
+        half = np.zeros((n // 2 + 1, 6, 6), dtype=complex)
+        half[:, range(6), range(6)] = 1.0
+        half[0, 0, 1] = half[0, 1, 0] = 0.5
+        half[1, 2, 3] = 0.3j
+        half[1, 3, 2] = -0.3j
+        half[n // 2, 4, 5] = half[n // 2, 5, 4] = 0.2
+        truth = {j: half[j] if j >= 0 else half[-j].conj() for j in map(int, grid.indices)}
+        got = truth_graph_support(truth)
+        assert np.array_equal(got, full_grid_support(truth))
+        assert sorted(zip(*np.nonzero(np.triu(got)))) == [(0, 1), (2, 3), (4, 5)]
+
+
+class TestEstimateMethods:
+    @pytest.mark.parametrize("n", [41, 48])
+    @pytest.mark.parametrize("n_splits", [1, 3])
+    def test_equals_separate_estimates(self, n, n_splits):
+        x = simulate(block_varma_model(6, "vma"), n, seed=n)
+        got = estimate_methods(ALL_METHODS, x, 4, grid_size=8, n_splits=n_splits, seed=3)
+        assert list(got) == list(ALL_METHODS)
+        want = {"smoothed": smoothed_estimate(x, 4), "shrinkage": shrinkage_all(x, 4)}
+        for name in ("hard", "lasso", "adaptive_lasso"):
+            want[name] = tuned_threshold_estimate(
+                x, 4, ThresholdOperator(name), grid_size=8, n_splits=n_splits, seed=3
+            )
+        for name, ref in want.items():
+            est = got[name]
+            assert (est.method, est.m, est.eta, est.lambdas) == (ref.method, ref.m, ref.eta, ref.lambdas)
+            assert est.frequencies() == ref.frequencies()
+            for j in ref.frequencies():
+                assert np.array_equal(est.matrices[j], ref.matrices[j])
+
+    def test_aliases_and_order(self, rng):
+        x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
+        got = estimate_methods(["alasso", "smoothed", "alasso"], x, 3)
+        assert list(got) == ["adaptive_lasso", "smoothed"]
+        assert got["adaptive_lasso"].method == "adaptive_lasso"
+
+    def test_baselines_skip_tuning(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tuning pass run")
+
+        x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
+        periodograms = periodogram_all(x)
+        monkeypatch.setattr(tuning, "split_frequencies", refuse)
+        got = estimate_methods(["smoothed", "shrinkage"], x, 3, periodograms=periodograms)
+        assert list(got) == ["smoothed", "shrinkage"]
+        with pytest.raises(AssertionError, match="tuning pass run"):
+            estimate_methods(["smoothed", "lasso"], x, 3, periodograms=periodograms)
+
+    def test_baseline_halves_do_not_share_storage(self, rng):
+        x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
+        got = estimate_methods(["smoothed", "shrinkage"], x, 3)
+        ref = smoothed_estimate(x, 3)
+        got["shrinkage"].matrices[2][...] = 0.0
+        assert np.array_equal(got["smoothed"].matrices[2], ref.matrices[2])

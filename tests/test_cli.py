@@ -4,7 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from specthresh import FourierGrid, SpectralEstimate, periodogram_all
+from specthresh import (
+    FourierGrid,
+    SpectralEstimate,
+    ThresholdOperator,
+    periodogram_all,
+    tuned_threshold_estimate,
+)
 from specthresh.bench import truth_spectra
 from specthresh.cli import main
 from specthresh.fileio import read_estimate, read_series, write_estimate, write_model, write_series
@@ -108,6 +114,15 @@ class TestEstimate:
         assert lasso.p == 1
         for j in smooth.frequencies():
             assert np.array_equal(lasso.matrices[j], smooth.matrices[j])
+
+    def test_tuned_lasso_writes_tuned_estimate_bytes(self, tmp_path, series_file):
+        out, ref = tmp_path / "lasso.json", tmp_path / "ref.json"
+        assert run("estimate", "--series", series_file, "--method", "lasso", "--m", 4,
+                   "--grid-size", 7, "--n-splits", 2, "--seed", 5, "--out", out) == 0
+        est = tuned_threshold_estimate(read_series(series_file), 4, ThresholdOperator("lasso"),
+                                       grid_size=7, n_splits=2, seed=5)
+        write_estimate(est, ref)
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_oversized_span_rejected(self, tmp_path, series_file, capsys):
         code = run("estimate", "--series", series_file, "--method", "smoothed", "--m", 40,

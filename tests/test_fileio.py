@@ -14,11 +14,9 @@ from specthresh.fileio import (
     write_estimate,
     write_model,
     write_report_csv,
-    write_roc_json,
     write_series,
     write_tuning_report,
 )
-from specthresh.metrics import RocCurve
 from specthresh.model import TimeSeriesMatrix, VarmaModel, block_varma_model
 from specthresh.tuning import SplitRisk, select_threshold, TuningConfig
 
@@ -183,14 +181,6 @@ class TestReports:
         lines = path.read_text().splitlines()
         assert lines[0] == "method,p,n,m,metric,mean,sd"
         assert lines[1] == "lasso,3,64,4,rmise,12,"
-
-    def test_roc_json_round_trips_floats(self, tmp_path):
-        curve = RocCurve(points=[(0.0, 0.0), (0.25, 0.75), (1.0, 1.0)], auc=0.875)
-        path = tmp_path / "roc.json"
-        write_roc_json(curve, path)
-        obj = json.loads(path.read_text())
-        assert float(obj["auc"]) == 0.875
-        assert float(obj["points"][1]["tpr"]) == 0.75
 
     def test_tuning_report(self, tmp_path, rng):
         x = TimeSeriesMatrix(rng.standard_normal((16, 2)))

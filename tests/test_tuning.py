@@ -12,6 +12,7 @@ from specthresh import (
     split_frequencies,
     theoretical_threshold,
     tuned_threshold_estimate,
+    tuned_threshold_estimates,
 )
 from specthresh.dft import periodogram_all
 from specthresh.estimator import apply_threshold, averaged_periodogram, threshold_estimate
@@ -40,7 +41,46 @@ def risk_by_threshold_loop(x, j, cfg, op, preserve_diagonal):
     return risks / cfg.n_splits
 
 
+def split_by_wrap(j, m, n, seed):
+    """Oracle: the window and its mirror pairs built with FourierGrid.wrap."""
+    grid = FourierGrid(n)
+    rng = _freq_rng(seed, j)
+    window = [grid.wrap(k) for k in range(j - m, j + m + 1)]
+    members = set(window)
+    units, seen = [], set()
+    for k in window:
+        if k in seen:
+            continue
+        mirror = grid.wrap(-k)
+        if mirror in members and mirror != k:
+            units.append((k, mirror))
+            seen.update((k, mirror))
+        else:
+            units.append((k,))
+            seen.add(k)
+    j1, j2 = [], []
+    for idx in rng.permutation(len(units)):
+        if len(j1) < len(j2):
+            j1.extend(units[idx])
+        elif len(j2) < len(j1):
+            j2.extend(units[idx])
+        elif rng.integers(2) == 0:
+            j1.extend(units[idx])
+        else:
+            j2.extend(units[idx])
+    return sorted(j1), sorted(j2)
+
+
 class TestSplitFrequencies:
+    @pytest.mark.parametrize("n", [7, 8, 33, 40])
+    def test_matches_wrap_construction(self, n):
+        for m in sorted({1, 2, (n - 1) // 2}):  # (n - 1) // 2 gives 2m+1 = n for odd n
+            for j in (0, 1, n // 2, -((n - 1) // 2), 3 * n + 2):
+                for seed in range(4):
+                    got = split_frequencies(j, m, n, seed=seed)
+                    assert got == split_by_wrap(j, m, n, seed)
+                    assert all(type(k) is int for k in got[0] + got[1])
+
     def test_mirror_pair_stays_together_at_zero(self):
         for seed in range(20):
             j1, j2 = split_frequencies(0, 1, 16, seed=seed)
@@ -239,6 +279,38 @@ class TestTunedThresholdEstimate:
         assert e1.lambdas == e2.lambdas
         for j in e1.frequencies():
             assert np.array_equal(e1.matrices[j], e2.matrices[j])
+
+
+class TestTunedThresholdEstimates:
+    @pytest.mark.parametrize("n", [41, 48])
+    @pytest.mark.parametrize("n_splits", [1, 3])
+    @pytest.mark.parametrize("preserve_diagonal", [True, False])
+    @pytest.mark.parametrize("lambda_scale", [1.0, 0.6])
+    def test_each_equals_its_own_tuned_estimate(self, rng, n, n_splits, preserve_diagonal,
+                                                lambda_scale):
+        x = TimeSeriesMatrix(rng.standard_normal((n, 5)) @ rng.standard_normal((5, 5)))
+        kwargs = dict(grid_size=8, n_splits=n_splits, seed=9,
+                      preserve_diagonal=preserve_diagonal, lambda_scale=lambda_scale)
+        ests = tuned_threshold_estimates(x, 4, OPERATORS, **kwargs)
+        assert len(ests) == len(OPERATORS)
+        for op, est in zip(OPERATORS, ests):
+            ref = tuned_threshold_estimate(x, 4, op, **kwargs)
+            assert (est.method, est.eta) == (ref.method, ref.eta)
+            assert est.lambdas == ref.lambdas
+            for j in ref.frequencies():
+                assert np.array_equal(est.matrices[j], ref.matrices[j])
+
+    def test_operators_do_not_share_storage(self, rng):
+        x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
+        hard, lasso = tuned_threshold_estimates(x, 4, OPERATORS[:2], seed=1)
+        ref = tuned_threshold_estimate(x, 4, OPERATORS[0], seed=1)
+        lasso.matrices[3][...] = 0.0
+        assert np.array_equal(hard.matrices[3], ref.matrices[3])
+
+    def test_rejects_no_operators(self, rng):
+        x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
+        with pytest.raises(ParameterError):
+            tuned_threshold_estimates(x, 4, [])
 
 
 class TestTheoreticalThreshold:
