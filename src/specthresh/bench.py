@@ -16,13 +16,13 @@ from .errors import DataError, ParameterError
 from .estimator import (
     SpectralEstimate,
     ThresholdOperator,
+    _coherence_graph,
     _mirror,
     _shrunk,
     _smoothed,
     _smoothed_half,
-    aggregate_coherence_graph,
 )
-from .metrics import EvaluationReport, RocCurve, replicate_summary, rmise, roc_points, support_scores
+from .metrics import EvaluationReport, RocCurve, _rmise, _support, replicate_summary, roc_points
 from .model import VarmaModel, _spectral_density_half, block_varma_model, simulate
 from .tuning import default_span, tuned_threshold_estimates
 
@@ -61,6 +61,10 @@ class BenchmarkSpec:
         if self.replicates < 1:
             raise ParameterError("replicates must be at least 1")
         object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
+        for p in self.p_list:
+            if p < 3 or p % 3 != 0:
+                # the block models are made of 3 x 3 blocks
+                raise ParameterError(f"p must be a positive multiple of 3, got p={p}")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(
             self, "methods", tuple(canonical_method(m) for m in self.methods)
@@ -162,9 +166,10 @@ def run_replicate(
     p: int,
     n: int,
     replicate: int,
-    truth: Dict[int, np.ndarray],
+    truth: np.ndarray,
     truth_support_graph: np.ndarray,
 ) -> Dict[str, dict]:
+    """Estimate and score one replicate; `truth` holds f(omega_j) for j = 0..n//2."""
     model = block_varma_model(p, spec.family)
     m = default_span(n, spec.span_rule)
     seed = _replicate_seed(spec.seed, cell_index, replicate)
@@ -186,24 +191,39 @@ def run_replicate(
     return out
 
 
+def _half_weights(n: int) -> np.ndarray:
+    """How often each j = 0..n//2 occurs in F_n up to conjugation: 1 at j = 0
+    and at n/2 (n even), 2 elsewhere, since j and -j both occur."""
+    weights = np.full(n // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    return weights
+
+
 def _scored(
     spec: BenchmarkSpec,
     estimates: Dict[str, SpectralEstimate],
-    truth: Dict[int, np.ndarray],
+    truth: np.ndarray,
     truth_support_graph: np.ndarray,
 ) -> Dict[str, dict]:
-    """Report and ROC curve of each estimate."""
+    """Report and ROC curve of each estimate.
+
+    Scores the j >= 0 rows only, each weighted by its count in F_n: the
+    spectra at -j are the conjugates of those at j, and every metric reads
+    moduli only.  The sums equal the full-grid `rmise`,
+    `aggregate_coherence_graph` and `support_scores` up to roundoff.
+    """
     out = {}
     for method, est in estimates.items():
-        report = EvaluationReport(method=method, rmise=rmise(est, truth))
-        graph = aggregate_coherence_graph(est)
-        roc = roc_points(graph, truth_support_graph)
+        rows = [est.matrices[j] for j in range(len(truth))]
+        weights = _half_weights(est.n)
+        report = EvaluationReport(method=method, rmise=_rmise(rows, truth, weights))
+        roc = roc_points(_coherence_graph(rows, weights), truth_support_graph)
         report.auc = roc.auc
         if method in THRESHOLD_METHODS:
-            scores = support_scores(est, truth, include_diagonal=spec.include_diagonal)
-            report.precision = scores.precision
-            report.recall = scores.recall
-            report.f1 = scores.f1
+            _, means = _support(rows, truth, weights, None, spec.include_diagonal)
+            report.precision, report.recall, report.f1 = means.tolist()
         out[method] = {"report": report, "roc": roc}
     return out
 
@@ -213,7 +233,7 @@ def _scored(
 _worker_truth: tuple = ()
 
 
-def _init_worker(truth: Dict[int, np.ndarray], truth_support_graph: np.ndarray) -> None:
+def _init_worker(truth: np.ndarray, truth_support_graph: np.ndarray) -> None:
     global _worker_truth
     _worker_truth = (truth, truth_support_graph)
 
@@ -233,8 +253,8 @@ class CellResult:
 
 def run_cell(spec: BenchmarkSpec, cell_index: int, p: int, n: int, jobs: int = 1) -> CellResult:
     model = block_varma_model(p, spec.family)
-    truth = truth_spectra(model, n)
-    support = truth_graph_support(truth)
+    truth = _spectral_density_half(model, n)
+    support = truth_graph_support(dict(enumerate(truth)))
     tasks = [(spec, cell_index, p, n, r) for r in range(spec.replicates)]
     if jobs > 1:
         # the truth reaches each worker once, through the initializer: a
@@ -254,9 +274,13 @@ def run_cell(spec: BenchmarkSpec, cell_index: int, p: int, n: int, jobs: int = 1
     return CellResult(p, n, default_span(n, spec.span_rule), summaries, rocs)
 
 
-def run_benchmark(spec: BenchmarkSpec, out_dir, jobs: int = 1, log=sys.stderr) -> List[CellResult]:
-    """Run every cell; a failing cell is logged and skipped, others proceed."""
+def run_benchmark(spec: BenchmarkSpec, out_dir, jobs: int = 1, log=None) -> List[CellResult]:
+    """Run every cell; a failing cell is logged (to stderr by default) and
+    skipped, others proceed."""
     from .fileio import report_rows, write_report_csv
+
+    if log is None:
+        log = sys.stderr
 
     os.makedirs(out_dir, exist_ok=True)
     cells = []

@@ -91,7 +91,12 @@ def cmd_bench(args) -> int:
         except json.JSONDecodeError as exc:
             raise DataError(f"{args.spec}: {exc}") from None
     spec = bench_mod.BenchmarkSpec.from_dict(obj)
-    bench_mod.run_benchmark(spec, args.out, jobs=args.jobs)
+    cells = bench_mod.run_benchmark(spec, args.out, jobs=args.jobs)
+    failed = len(spec.p_list) * len(spec.n_list) - len(cells)
+    if failed:
+        print(f"error: {failed} benchmark cell(s) failed; the tables hold the others",
+              file=sys.stderr)
+        return EXIT_DATA
     return EXIT_OK
 
 

@@ -37,11 +37,14 @@ class ThresholdOperator:
             raise ParameterError("eta must be positive")
 
     def __call__(self, z: np.ndarray, lam: float) -> np.ndarray:
-        if np.isnan(lam):
-            raise ParameterError("threshold must not be NaN")
-        if lam < 0:
-            raise ParameterError("threshold must be nonnegative")
-        z = np.asarray(z, dtype=complex)
+        _check_thresholds(np.array([lam], dtype=float))
+        t = lam ** (self.eta + 1) if self.kind == "adaptive_lasso" else None
+        return self._apply(np.asarray(z, dtype=complex), lam, t)
+
+    def _apply(self, z: np.ndarray, lam, t) -> np.ndarray:
+        """S(z) at thresholds lam that broadcast against the complex array z:
+        one float, or a (rows, 1, 1) array for a (rows, p, p) stack.  The
+        adaptive lasso takes t = lam^(eta+1), formed by the caller."""
         mod = np.abs(z)
         if self.kind == "hard":
             return np.where(mod >= lam, z, 0.0)
@@ -49,11 +52,19 @@ class ThresholdOperator:
             shrunk = np.maximum(mod - lam, 0.0)
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
-                penalty = np.where(mod > 0, lam ** (self.eta + 1) * mod ** (-self.eta), np.inf)
+                penalty = np.where(mod > 0, t * mod ** (-self.eta), np.inf)
             shrunk = np.maximum(mod - penalty, 0.0)
         with np.errstate(invalid="ignore"):
             phase = np.where(mod > 0, z / np.where(mod > 0, mod, 1.0), 0.0)
         return phase * shrunk
+
+
+def _check_thresholds(lams: np.ndarray) -> None:
+    """Raise if a threshold of `lams` is NaN or negative."""
+    if np.isnan(lams).any():
+        raise ParameterError("threshold must not be NaN")
+    if (lams < 0).any():
+        raise ParameterError("threshold must be nonnegative")
 
 
 def apply_threshold(
@@ -157,6 +168,24 @@ def _smoothed_half(periodograms: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
+_BLOCK_BYTES = 1 << 20
+
+
+def _row_blocks(*seqs):
+    """Blocks of consecutive rows of equally long sequences of p x p
+    matrices, as (rows slice, one stack per sequence).
+
+    A block has _BLOCK_ROWS rows, or fewer when that many would take more
+    than _BLOCK_BYTES, so the temporaries of the work on a block stay small
+    at large p.  A block of an array is a view of it; a block of a list is
+    stacked.
+    """
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // np.asarray(seqs[0][0]).nbytes))
+    for j0 in range(0, len(seqs[0]), step):
+        rows = slice(j0, j0 + step)
+        yield (rows, *(np.asarray(seq[rows]) for seq in seqs))
+
+
 def _mirror(grid: FourierGrid, half: np.ndarray) -> Dict[int, np.ndarray]:
     """Per-frequency matrices: rows of the j >= 0 half, conjugates for j < 0."""
     out = dict(enumerate(half))
@@ -193,11 +222,27 @@ def _thresholded(
     smoothed: np.ndarray,
     preserve_diagonal: bool,
 ) -> SpectralEstimate:
-    """Threshold row j of the smoothed half-spectrum at lambdas[j], in place."""
-    for j, lam in enumerate(lambdas):
-        smoothed[j] = apply_threshold(smoothed[j], op, lam, preserve_diagonal=preserve_diagonal)
+    """Threshold row j of the smoothed half-spectrum at lambdas[j], in place.
+
+    Rows are thresholded a block at a time (`_row_blocks`), each row equal
+    bit for bit to its `apply_threshold` call.
+    """
+    lam_rows = np.asarray(lambdas, dtype=float)
+    _check_thresholds(lam_rows)
+    t_rows = None
+    if op.kind == "adaptive_lasso":
+        # lam^(eta+1) by Python's float power, as the operator forms it for
+        # one threshold: numpy's array power can differ in the last bit
+        t_rows = np.array([lam ** (op.eta + 1) for lam in lam_rows.tolist()])
+    diag = np.arange(x.p)
+    for rows, block in _row_blocks(smoothed):
+        t = None if t_rows is None else t_rows[rows, None, None]
+        out = op._apply(block, lam_rows[rows, None, None], t)
+        if preserve_diagonal:
+            out[:, diag, diag] = block[:, diag, diag]
+        block[...] = out
     grid = FourierGrid(x.n)
-    lams = {j: float(lam) for j, lam in enumerate(lambdas)}
+    lams = dict(enumerate(lam_rows.tolist()))
     for j in grid.indices:
         j = int(j)
         if j < 0:
@@ -330,14 +375,21 @@ def _shrunk(
 
 def coherence(matrix: np.ndarray, tau_floor: float = 1e-12) -> np.ndarray:
     """Coherence g_rs = f_rs / sqrt(f_rr f_ss); unit diagonal."""
-    diag = np.diag(matrix).real
-    bad = np.nonzero(diag < tau_floor)[0]
-    if bad.size:
-        raise DataError(f"degenerate channel {int(bad[0])}: diagonal below {tau_floor}")
-    scale = 1.0 / np.sqrt(diag)
+    scale = _channel_scales(np.asarray(matrix)[None], tau_floor)[0]
     g = matrix * np.outer(scale, scale)
     g[np.diag_indices_from(g)] = 1.0
     return g
+
+
+def _channel_scales(f: np.ndarray, tau_floor: float) -> np.ndarray:
+    """1 / sqrt(f_rr) of each matrix of a (rows, p, p) stack, as a (rows, p)
+    array.  Raises for the first channel, in row order, whose diagonal is
+    below tau_floor."""
+    diag = np.diagonal(f, axis1=1, axis2=2).real
+    bad = np.argwhere(diag < tau_floor)
+    if bad.size:
+        raise DataError(f"degenerate channel {int(bad[0, 1])}: diagonal below {tau_floor}")
+    return 1.0 / np.sqrt(diag)
 
 
 def coherence_threshold(g_hat: np.ndarray, lam: float, tau: float) -> np.ndarray:
@@ -358,9 +410,20 @@ def aggregate_coherence_graph(est: SpectralEstimate, tau_floor: float = 1e-12) -
     freqs = est.frequencies()
     if not freqs:
         raise ParameterError("estimate holds no frequencies")
-    acc = np.zeros((est.p, est.p))
-    for j in freqs:
-        acc += np.abs(coherence(est.matrices[j], tau_floor=tau_floor))
-    acc /= len(freqs)
+    return _coherence_graph([est.matrices[j] for j in freqs], np.ones(len(freqs)), tau_floor)
+
+
+def _coherence_graph(rows, weights: np.ndarray, tau_floor: float = 1e-12) -> np.ndarray:
+    """Mean of |coherence| over a sequence of p x p matrices, row r weighted
+    by weights[r]; zero diagonal, symmetrized."""
+    acc = np.zeros(np.shape(rows[0]))
+    for block, f in _row_blocks(rows):
+        scale = _channel_scales(f, tau_floor)
+        # |g_rs| = |f_rs| / sqrt(f_rr f_ss); the diagonal is zeroed below
+        mod = np.abs(f)
+        mod *= scale[:, :, None]
+        mod *= scale[:, None, :]
+        acc += np.einsum("j,jrs->rs", weights[block], mod)
+    acc /= weights.sum()
     np.fill_diagonal(acc, 0.0)
     return 0.5 * (acc + acc.T)

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ParameterError
-from .estimator import SpectralEstimate
+from .estimator import SpectralEstimate, _row_blocks, _sq_norms
 
 
 @dataclass
@@ -30,8 +30,16 @@ def rmise(est: SpectralEstimate, truth: Dict[int, np.ndarray]) -> float:
     freqs = est.frequencies()
     if set(freqs) != set(truth):
         raise ParameterError("estimate and truth cover different frequency sets")
-    num = sum(float(np.sum(np.abs(est.matrices[j] - truth[j]) ** 2)) for j in freqs)
-    den = sum(float(np.sum(np.abs(truth[j]) ** 2)) for j in freqs)
+    return _rmise([est.matrices[j] for j in freqs], [truth[j] for j in freqs], np.ones(len(freqs)))
+
+
+def _rmise(est_rows, truth_rows, weights: np.ndarray) -> float:
+    """`rmise` over two equally long sequences of p x p matrices, row r
+    weighted by weights[r] in both sums."""
+    num = den = 0.0
+    for rows, est, truth in _row_blocks(est_rows, truth_rows):
+        num += float(weights[rows] @ _sq_norms(est - truth))
+        den += float(weights[rows] @ _sq_norms(truth))
     if den == 0:
         raise ParameterError("truth is identically zero")
     return 100.0 * num / den
@@ -42,18 +50,6 @@ def _pair_mask(p: int, include_diagonal: bool) -> np.ndarray:
     if not include_diagonal:
         np.fill_diagonal(mask, False)
     return mask
-
-
-def _prf(est_nz: np.ndarray, true_nz: np.ndarray) -> Tuple[float, float, float]:
-    hits = int(np.sum(est_nz & true_nz))
-    n_est = int(np.sum(est_nz))
-    n_true = int(np.sum(true_nz))
-    # empty-denominator conventions: no predictions -> precision 1,
-    # empty truth -> recall 1
-    precision = hits / n_est if n_est else 1.0
-    recall = hits / n_true if n_true else 1.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return precision, recall, f1
 
 
 @dataclass
@@ -81,18 +77,37 @@ def support_scores(
     freqs = est.frequencies()
     if set(freqs) != set(truth):
         raise ParameterError("estimate and truth cover different frequency sets")
-    mask = _pair_mask(est.p, include_diagonal)
+    per, means = _support(
+        [est.matrices[j] for j in freqs], [truth[j] for j in freqs], np.ones(len(freqs)),
+        zero_tol, include_diagonal,
+    )
+    per_frequency = {j: tuple(row) for j, row in zip(freqs, per.tolist())}
+    return SupportScores(per_frequency, *means.tolist())
+
+
+def _support(
+    est_rows, truth_rows, weights: np.ndarray, zero_tol: Optional[float], include_diagonal: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Precision, recall and F1 of each row of two equally long sequences of
+    p x p matrices, as a (rows, 3) array, and their means with row r
+    weighted by weights[r]."""
     if zero_tol is None:
-        peak = max(float(np.max(np.abs(truth[j]))) for j in freqs)
-        zero_tol = 1e-12 * peak
-    per = {}
-    for j in freqs:
-        est_nz = (np.abs(est.matrices[j]) > 0) & mask
-        true_nz = (np.abs(truth[j]) > zero_tol) & mask
-        per[j] = _prf(est_nz, true_nz)
-    arr = np.array([per[j] for j in freqs])
-    means = arr.mean(axis=0)
-    return SupportScores(per, float(means[0]), float(means[1]), float(means[2]))
+        zero_tol = 1e-12 * max(float(np.max(np.abs(truth))) for _, truth in _row_blocks(truth_rows))
+    mask = _pair_mask(np.shape(truth_rows[0])[-1], include_diagonal)
+    counts = np.empty((len(weights), 3))
+    for rows, est, truth in _row_blocks(est_rows, truth_rows):
+        est_nz = (np.abs(est) > 0) & mask
+        true_nz = (np.abs(truth) > zero_tol) & mask
+        counts[rows] = np.stack([est_nz & true_nz, est_nz, true_nz], axis=1).sum(axis=(2, 3))
+    hits, n_est, n_true = counts.T
+    # empty-denominator conventions: no predictions -> precision 1,
+    # empty truth -> recall 1, and F1 0 when both are 0
+    precision = np.divide(hits, n_est, out=np.ones_like(hits), where=n_est > 0)
+    recall = np.divide(hits, n_true, out=np.ones_like(hits), where=n_true > 0)
+    total = precision + recall
+    f1 = np.divide(2 * precision * recall, total, out=np.zeros_like(total), where=total > 0)
+    per = np.stack([precision, recall, f1], axis=1)
+    return per, weights @ per / weights.sum()
 
 
 @dataclass

@@ -31,6 +31,26 @@ and C.  The risk step (`_Split.risk`) is per operator: its suffix sums and
 `np.searchsorted`.  `tuned_threshold_estimates` walks the frequencies once
 for several operators, drawing and preparing each split once and running
 only the risk step per operator.
+
+Block layout.  Frequencies j = 0..floor(n/2) are tuned in blocks of
+`_BLOCK_ROWS` (16) consecutive rows, the blocks `_smoothed_half` sums, so
+that no array larger than a block is added.  Per block:
+
+- the lambda grids are one (rows, grid size) array, spaced by one
+  `np.linspace(lo, hi, size, axis=1)` call and validated at once;
+- each frequency draws its splits from its own stream `_freq_rng(seed, j)`,
+  in the per-frequency order, so a row never depends on its block;
+- the half-window means are (rows, p, p) arrays, and the preparation and
+  risk step work on (rows, E) arrays: a row-wise sort, row-wise sums and
+  cumulative sums, and a `np.searchsorted` per row, the same operations
+  on the same values as for one frequency, so every row is bit for bit
+  what a one-frequency block gives;
+- the risks are one (operators, rows, grid size) array, and each row's
+  argmin picks its threshold.
+
+`select_threshold` is the one-row block.  Thresholding then runs on the
+same blocks of the smoothed half-spectrum, one operator call per block
+with one threshold per row (`estimator._thresholded`).
 """
 
 from __future__ import annotations
@@ -42,7 +62,13 @@ import numpy as np
 
 from .dft import periodogram_all
 from .errors import ParameterError
-from .estimator import SpectralEstimate, ThresholdOperator, _smoothed_half, _thresholded
+from .estimator import (
+    _BLOCK_ROWS,
+    SpectralEstimate,
+    ThresholdOperator,
+    _smoothed_half,
+    _thresholded,
+)
 from .model import TimeSeriesMatrix
 
 
@@ -59,12 +85,7 @@ class TuningConfig:
         grid = tuple(float(v) for v in self.lambda_grid)
         if not grid:
             raise ParameterError("lambda grid must be nonempty")
-        if not all(np.isfinite(grid)):
-            raise ParameterError("thresholds must be finite")
-        if any(v < 0 for v in grid):
-            raise ParameterError("thresholds must be nonnegative")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ParameterError("lambda grid must be strictly increasing")
+        _check_grids(np.array([grid]), np.zeros(1, dtype=bool))
         if self.n_splits < 1:
             raise ParameterError("n_splits must be at least 1")
         object.__setattr__(self, "lambda_grid", grid)
@@ -154,119 +175,179 @@ def select_threshold(
     """
     if periodograms is None:
         periodograms = periodogram_all(x, center=center)
-    risks = _split_risks(periodograms, x.n, j, cfg, (op,), preserve_diagonal)[0]
+    risks = _split_risks(
+        periodograms, x.n, [j], np.array([cfg.lambda_grid]), cfg.m, cfg.n_splits, cfg.seed,
+        (op,), preserve_diagonal,
+    )[0, 0]
     chosen = cfg.lambda_grid[int(np.argmin(risks))]
     return SplitRisk(j, cfg.lambda_grid, tuple(risks), chosen, cfg.n_splits, cfg.seed)
 
 
 def _split_risks(
-    periodograms: np.ndarray, n: int, j: int, cfg: TuningConfig, ops: Sequence[ThresholdOperator],
-    preserve_diagonal: bool,
+    periodograms: np.ndarray, n: int, js: Sequence[int], grids: np.ndarray, m: int,
+    n_splits: int, seed: int, ops: Sequence[ThresholdOperator], preserve_diagonal: bool,
 ) -> np.ndarray:
-    """Split risk at frequency j averaged over cfg.n_splits splits, one row per operator.
+    """Split risk of frequency js[r] at each value of grids[r], averaged over
+    n_splits splits, as a (len(ops), len(js), grid size) array.
 
-    Each split is drawn, averaged and prepared once, whatever the number of
+    Frequency j draws its splits in order from its own stream
+    `_freq_rng(seed, j)`, so a row does not depend on the other rows.  Each
+    split is drawn, averaged and prepared once, whatever the number of
     operators scored from it.
     """
     half = (n - 1) // 2
-    lam = np.asarray(cfg.lambda_grid)
-    rng = _freq_rng(cfg.seed, j)
-    risks = np.zeros((len(ops), lam.size))
-    for _ in range(cfg.n_splits):
-        j1, j2 = split_frequencies(j, cfg.m, n, rng=rng)
+    rngs = [_freq_rng(seed, j) for j in js]
+    risks = np.zeros((len(ops),) + grids.shape)
+    for _ in range(n_splits):
+        draws = [split_frequencies(j, m, n, rng=rng) for j, rng in zip(js, rngs)]
         split = _Split(
-            _half_window_mean(periodograms, [k + half for k in j1]),
-            _half_window_mean(periodograms, [k + half for k in j2]),
+            _half_window_means(periodograms, [[k + half for k in j1] for j1, _ in draws]),
+            _half_window_means(periodograms, [[k + half for k in j2] for _, j2 in draws]),
             preserve_diagonal,
         )
         for row, op in zip(risks, ops):
-            row += split.risk(op, lam)
-    risks /= cfg.n_splits
+            row += split.risk(op, grids)
+    risks /= n_splits
     return risks
 
 
-def _half_window_mean(periodograms: np.ndarray, positions: list) -> np.ndarray:
-    """sum I(w_k) / (2 pi |J|) over the listed array positions.
+def _half_window_means(periodograms: np.ndarray, positions: Sequence[list]) -> np.ndarray:
+    """sum I(w_k) / (2 pi |J|) over each row's listed array positions, as a
+    (rows, p, p) array.
 
-    Adds in list order, as `periodograms[positions].mean(axis=0)` would, so
-    the result is the same bit for bit, without gathering a copy of the
-    half window first.
+    Each row adds its periodograms in list order, as
+    `periodograms[positions[r]].mean(axis=0)` would, so it is the same bit
+    for bit.  Step i adds the i-th listed periodogram of every row that has
+    one, so the largest temporary is one (rows, p, p) layer, not a copy of
+    each half window.
     """
-    out = periodograms[positions[0]].copy()
-    for pos in positions[1:]:
-        out += periodograms[pos]
-    out /= len(positions)
+    sizes = np.array([len(pos) for pos in positions])
+    width = sizes.max()
+    # padded with each row's last position, which step i skips for rows of size <= i
+    table = np.array([pos + pos[-1:] * (width - len(pos)) for pos in positions])
+    out = periodograms[table[:, 0]]
+    for i in range(1, width):
+        rows = slice(None) if sizes.min() > i else np.flatnonzero(sizes > i)
+        out[rows] += periodograms[table[rows, i]]
+    out /= sizes[:, None, None]
     out /= 2.0 * np.pi
     return out
 
 
 def _suffix_sums(v: np.ndarray) -> np.ndarray:
-    """out[i] = sum(v[i:]) for i = 0..len(v); out[len(v)] = 0."""
-    out = np.zeros(v.size + 1)
-    out[:-1] = np.cumsum(v[::-1])[::-1]
+    """out[r, i] = sum(v[r, i:]) for i = 0..E, row by row; out[:, E] = 0."""
+    out = np.zeros((v.shape[0], v.shape[1] + 1))
+    out[:, :-1] = np.cumsum(v[:, ::-1], axis=1)[:, ::-1]
     return out
 
 
-class _Split:
-    """The operator-independent part of one split's closed-form risk.
+def _searchsorted_rows(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
+    """`np.searchsorted` of each row of v in the same row of a (numpy has no row-wise form)."""
+    return np.array([np.searchsorted(a_row, v_row, side=side) for a_row, v_row in zip(a, v)])
 
-    Holds the entries of E sorted by a = |f1| (z1, z2 and |f2|^2 in the
-    same order), b and the constant C; `risk` adds one operator's suffix
-    sums.
+
+class _Split:
+    """The operator-independent part of the closed-form risk of one split of
+    each row of a block of frequencies.
+
+    Holds each row's entries of E sorted by a = |f1| (z1, z2 and |f2|^2 in
+    the same order), b and the constant C, as (rows, E) arrays; `risk` adds
+    one operator's suffix sums.  Row r holds what a one-row split of row r
+    would hold, bit for bit: sorts, sums and cumulative sums run along each
+    row, as they would on that row alone.
     """
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray, preserve_diagonal: bool):
+        rows, p = f1.shape[0], f1.shape[-1]
         if preserve_diagonal:
-            on_e = ~np.eye(f1.shape[0], dtype=bool)
-            const = float(np.sum(np.abs(np.diag(f1) - np.diag(f2)) ** 2))
+            on_e = ~np.eye(p, dtype=bool)
+            diag = np.arange(p)
+            const = np.sum(np.abs(f1[:, diag, diag] - f2[:, diag, diag]) ** 2, axis=1)
         else:
-            on_e = np.ones(f1.shape, dtype=bool)
-            const = 0.0
-        z1, z2 = f1[on_e], f2[on_e]
+            on_e = np.ones((p, p), dtype=bool)
+            const = np.zeros(rows)
+        z1, z2 = f1[:, on_e], f2[:, on_e]
         a = np.abs(z1)
-        order = np.argsort(a)
-        self.a, self.z1, self.z2 = a[order], z1[order], z2[order]
+        order = np.argsort(a, axis=1)
+        self.a = np.take_along_axis(a, order, axis=1)
+        self.z1 = np.take_along_axis(z1, order, axis=1)
+        self.z2 = np.take_along_axis(z2, order, axis=1)
         self.f2_sq = np.abs(self.z2) ** 2
-        self.const = const + float(np.sum(self.f2_sq))
+        self.const = const + np.sum(self.f2_sq, axis=1)
         self.nonzero = nz = self.a > 0
         self.b = np.zeros_like(self.a)
         self.b[nz] = (np.conj(self.z1[nz] / self.a[nz]) * self.z2[nz]).real
 
     def risk(self, op: ThresholdOperator, lam: np.ndarray) -> np.ndarray:
-        """||apply_threshold(f1, op, l) - f2||_F^2 at every l of lam."""
+        """||apply_threshold(f1, op, l) - f2||_F^2 at every l of each row of
+        the (rows, grid size) array lam, for the same row of f1 and f2."""
         a = self.a
         if op.kind == "hard":
             kept = _suffix_sums(np.abs(self.z1 - self.z2) ** 2 - self.f2_sq)
-            return self.const + kept[np.searchsorted(a, lam, side="left")]
+            idx = _searchsorted_rows(a, lam, "left")
+            return self.const[:, None] + np.take_along_axis(kept, idx, axis=1)
         # lasso is the eta = 0 case of the adaptive-lasso formula
         eta = op.eta if op.kind == "adaptive_lasso" else 0.0
         weight = np.zeros_like(a)
         weight[self.nonzero] = a[self.nonzero] ** -eta
-        idx = np.searchsorted(a, lam, side="right")
-        quad = _suffix_sums(a * a - 2.0 * a * self.b)[idx]
-        lin = _suffix_sums(weight * (a - self.b))[idx]
-        sq = _suffix_sums(weight * weight)[idx]
+        idx = _searchsorted_rows(a, lam, "right")
+        quad = np.take_along_axis(_suffix_sums(a * a - 2.0 * a * self.b), idx, axis=1)
+        lin = np.take_along_axis(_suffix_sums(weight * (a - self.b)), idx, axis=1)
+        sq = np.take_along_axis(_suffix_sums(weight * weight), idx, axis=1)
         # t only matters where some entry survives; elsewhere a huge lam could
         # overflow t and turn t * 0 into NaN
-        live = idx < a.size
+        live = idx < a.shape[1]
         t = np.zeros_like(lam)
         t[live] = lam[live] ** (eta + 1.0)
-        return self.const + quad - 2.0 * t * lin + t * t * sq
+        return self.const[:, None] + quad - 2.0 * t * lin + t * t * sq
+
+
+def _check_grids(grids: np.ndarray, single: np.ndarray) -> None:
+    """Raise `TuningConfig`'s errors for a (rows, size) array of lambda grids.
+
+    Rows flagged in `single` repeat one value and stand for that one-point
+    grid, so they are not checked for increase.
+    """
+    if not np.isfinite(grids).all():
+        raise ParameterError("thresholds must be finite")
+    if (grids < 0).any():
+        raise ParameterError("thresholds must be nonnegative")
+    if (np.diff(grids[~single], axis=1) <= 0).any():
+        raise ParameterError("lambda grid must be strictly increasing")
+
+
+def _lambda_grids(f_hat: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """`default_lambda_grid` of each matrix of a (rows, p, p) stack.
+
+    Returns a (rows, size) array and the mask of rows whose off-diagonal
+    moduli are all equal; such a row repeats its one value lo, and stands
+    for the grid (lo,).  With p = 1 every grid is (0.0,), one column.
+    """
+    if size < 1:
+        raise ParameterError("grid size must be positive")
+    rows, p = f_hat.shape[0], f_hat.shape[-1]
+    if p < 2:
+        # no off-diagonal entries: the threshold acts on nothing
+        return np.zeros((rows, 1)), np.ones(rows, dtype=bool)
+    off = np.abs(f_hat[:, ~np.eye(p, dtype=bool)])
+    lo, hi = off.min(axis=1), off.max(axis=1)
+    single = hi <= lo
+    grids = np.repeat(lo[:, None], size, axis=1)
+    # np.linspace switches every row to another formula once one row has a
+    # zero step (hi - lo subnormal), so such rows are spaced on their own and
+    # every row equals its own 1-D linspace
+    with np.errstate(invalid="ignore"):  # inf - inf on a single row
+        zero_step = (hi - lo) / max(size - 1, 1) == 0
+    for group in (~single & zero_step, ~single & ~zero_step):
+        if group.any():
+            grids[group] = np.linspace(lo[group], hi[group], size, axis=1)
+    return grids, single
 
 
 def default_lambda_grid(f_hat: np.ndarray, size: int = 20) -> tuple:
     """Equispaced grid between min and max off-diagonal moduli of f_hat."""
-    if size < 1:
-        raise ParameterError("grid size must be positive")
-    p = f_hat.shape[0]
-    if p < 2:
-        # no off-diagonal entries: the threshold acts on nothing
-        return (0.0,)
-    off = np.abs(f_hat[~np.eye(p, dtype=bool)])
-    lo, hi = float(off.min()), float(off.max())
-    if hi <= lo:
-        return (lo,)
-    return tuple(np.linspace(lo, hi, size))
+    grids, single = _lambda_grids(np.asarray(f_hat)[None], size)
+    return tuple(grids[0, :1] if single[0] else grids[0])
 
 
 def tuned_threshold_estimate(
@@ -309,27 +390,32 @@ def tuned_threshold_estimates(
 ) -> List[SpectralEstimate]:
     """`tuned_threshold_estimate` for each operator of `ops`, in one pass.
 
-    At each frequency the lambda grid, the splits, their half-window means
-    and the operator-independent part of the split risk are computed once
-    and every operator is scored from them.  Split draws depend only on
-    (seed, j), so each estimate equals its own `tuned_threshold_estimate`
-    call bit for bit.
+    Frequencies are tuned a block of rows at a time.  The lambda grids, the
+    splits, their half-window means and the operator-independent part of
+    the split risk are computed once per block and every operator is scored
+    from them.  Split draws depend only on (seed, j), so each estimate
+    equals its own `tuned_threshold_estimate` call bit for bit.
     """
     ops = tuple(ops)
     if not ops:
         raise ParameterError("no threshold operators given")
     if lambda_scale <= 0:
         raise ParameterError("lambda_scale must be positive")
+    if n_splits < 1:
+        raise ParameterError("n_splits must be at least 1")
     if periodograms is None:
         periodograms = periodogram_all(x, center=center)
     smoothed = _smoothed_half(periodograms, m)
-    lambdas: List[list] = [[] for _ in ops]
-    for j, f_hat in enumerate(smoothed):
-        cfg = TuningConfig(m=m, lambda_grid=default_lambda_grid(f_hat, grid_size),
-                           n_splits=n_splits, seed=seed)
-        risks = _split_risks(periodograms, x.n, j, cfg, ops, preserve_diagonal)
-        for lams, row in zip(lambdas, risks):
-            lams.append(lambda_scale * cfg.lambda_grid[int(np.argmin(row))])
+    lambdas = np.empty((len(ops), len(smoothed)))
+    for j0 in range(0, len(smoothed), _BLOCK_ROWS):
+        grids, single = _lambda_grids(smoothed[j0:j0 + _BLOCK_ROWS], grid_size)
+        _check_grids(grids, single)
+        rows = range(j0, j0 + len(grids))
+        risks = _split_risks(periodograms, x.n, rows, grids, m, n_splits, seed, ops,
+                             preserve_diagonal)
+        # argmin ties break toward the smaller threshold
+        lambdas[:, rows.start:rows.stop] = grids[np.arange(len(grids)), risks.argmin(axis=2)]
+    lambdas *= lambda_scale
     # thresholding works in place: the last operator takes the smoothed
     # half itself, after the others have taken their copies
     last = len(ops) - 1

@@ -165,7 +165,8 @@ class TestBiasBound:
             bound = (m + 1 / (2 * np.pi)) / n * omega_n(acov, n) + l_n(acov, n) / (2 * np.pi)
 
             x = simulate_ensemble(model, n, reps, burn_in=150, seed=rng.integers(2**63))
-            d = np.einsum("rtp,tk->rkp", x, phase)
+            # the matmul form of einsum("rtp,tk->rkp", x, phase): same values, far faster
+            d = (x.transpose(0, 2, 1) @ phase).transpose(0, 2, 1)
             f_hat = np.einsum("rkp,rkq->rpq", d, d.conj()) / (2 * np.pi * (2 * m + 1))
             mean = f_hat.mean(axis=0)
             se = np.sqrt(np.var(f_hat, axis=0).real / reps)

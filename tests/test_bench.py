@@ -14,7 +14,15 @@ from specthresh import (
     true_spectral_density,
     tuned_threshold_estimate,
 )
-from specthresh import tuning
+from specthresh import (
+    ParameterError,
+    aggregate_coherence_graph,
+    bench,
+    rmise,
+    roc_points,
+    support_scores,
+    tuning,
+)
 from specthresh.bench import (
     ALL_METHODS,
     BenchmarkSpec,
@@ -24,6 +32,8 @@ from specthresh.bench import (
     truth_spectra,
 )
 from specthresh.dft import periodogram_all
+from specthresh.estimator import _coherence_graph
+from specthresh.metrics import _rmise, _support
 
 
 def varma21(rng):
@@ -112,6 +122,57 @@ class TestTruthGraphSupport:
         got = truth_graph_support(truth)
         assert np.array_equal(got, full_grid_support(truth))
         assert sorted(zip(*np.nonzero(np.triu(got)))) == [(0, 1), (2, 3), (4, 5)]
+
+
+class TestHalfSpectrumScoring:
+    """The bench scores the j >= 0 rows with conjugate-symmetry weights; the
+    results must equal the public metrics over all of F_n."""
+
+    @pytest.mark.parametrize("family", ["var", "vma", "varma21"])
+    @pytest.mark.parametrize("n", [33, 40])  # even n: j = n/2 has weight 1
+    def test_equal_full_grid_metrics(self, rng, family, n):
+        model = varma21(rng) if family == "varma21" else block_varma_model(6, family)
+        truth = truth_spectra(model, n)
+        half = np.array([truth[j] for j in range(n // 2 + 1)])
+        est = tuned_threshold_estimate(simulate(model, n, seed=4), 4, ThresholdOperator("lasso"))
+        rows = [est.matrices[j] for j in range(n // 2 + 1)]
+        weights = bench._half_weights(n)
+
+        want = rmise(est, truth)
+        assert abs(_rmise(rows, half, weights) - want) <= 1e-12 * want
+        want = aggregate_coherence_graph(est)
+        got = _coherence_graph(rows, weights)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        for include_diagonal in (True, False):
+            want = support_scores(est, truth, include_diagonal=include_diagonal)
+            _, got = _support(rows, half, weights, None, include_diagonal)
+            assert np.allclose(got, [want.precision, want.recall, want.f1], rtol=1e-12, atol=0)
+
+    def test_replicate_scores_equal_public_metrics(self):
+        spec = BenchmarkSpec(family="vma", p_list=(6,), n_list=(40,), methods=("smoothed", "lasso"),
+                             replicates=1, seed=2, grid_size=6)
+        model = block_varma_model(6, "vma")
+        truth = truth_spectra(model, 40)
+        half = np.array([truth[j] for j in range(21)])
+        support = truth_graph_support(truth)
+        got = bench.run_replicate(spec, 0, 6, 40, 0, half, support)
+        seed = bench._replicate_seed(2, 0, 0)
+        ests = estimate_methods(spec.methods, simulate(model, 40, seed=seed), 6, grid_size=6,
+                                seed=int(seed.generate_state(1)[0]))
+        for method, est in ests.items():
+            report = got[method]["report"]
+            assert abs(report.rmise - rmise(est, truth)) <= 1e-12 * report.rmise
+            assert report.auc == roc_points(aggregate_coherence_graph(est), support).auc
+        scores = support_scores(ests["lasso"], truth, include_diagonal=True)
+        assert np.allclose([report.precision, report.recall, report.f1],
+                           [scores.precision, scores.recall, scores.f1], rtol=1e-12, atol=0)
+
+
+class TestBenchmarkSpec:
+    @pytest.mark.parametrize("p", [1, 4, 0])
+    def test_p_not_a_multiple_of_three_rejected(self, p):
+        with pytest.raises(ParameterError, match="multiple of 3"):
+            BenchmarkSpec(family="var", p_list=(6, p), n_list=(16,), methods=("smoothed",))
 
 
 class TestEstimateMethods:

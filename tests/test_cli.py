@@ -11,7 +11,9 @@ from specthresh import (
     periodogram_all,
     tuned_threshold_estimate,
 )
+from specthresh import bench as bench_mod
 from specthresh.bench import truth_spectra
+from specthresh.errors import NumericalError
 from specthresh.cli import main
 from specthresh.fileio import read_estimate, read_series, write_estimate, write_model, write_series
 from specthresh.model import TimeSeriesMatrix, VarmaModel, block_varma_model
@@ -215,6 +217,33 @@ class TestBench:
         with open(out / "rmise.csv", newline="") as fh:
             for row in csv.DictReader(fh):
                 assert row["sd"] == ""
+
+    def test_p_not_a_multiple_of_three_exits_data(self, tmp_path, capsys):
+        spec = self._spec(tmp_path, family="var", p=[1], n=[16])
+        out = tmp_path / "bench"
+        assert run("bench", "--spec", spec, "--out", out) == 3
+        assert "multiple of 3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_cell_exits_data_after_writing_the_others(self, tmp_path, capfd, monkeypatch):
+        real_run_cell = bench_mod.run_cell
+
+        def run_cell(spec, cell_index, p, n, jobs=1):
+            if p == 9:
+                raise NumericalError("simulated cell failure")
+            return real_run_cell(spec, cell_index, p, n, jobs=jobs)
+
+        monkeypatch.setattr(bench_mod, "run_cell", run_cell)
+        spec = self._spec(tmp_path, p=[6, 9], replicates=1)
+        out = tmp_path / "bench"
+        assert run("bench", "--spec", spec, "--out", out) == 3
+        err = capfd.readouterr().err
+        assert "cell (p=9, n=64) failed: simulated cell failure" in err
+        assert "1 benchmark cell(s) failed" in err
+        with open(out / "rmise.csv", newline="") as fh:
+            assert {r["p"] for r in csv.DictReader(fh)} == {"6"}
+        assert (out / "roc_p6_n64_lasso.csv").exists()
+        assert not (out / "roc_p9_n64_lasso.csv").exists()
 
     def test_bad_spec_file(self, tmp_path):
         bad = tmp_path / "spec.json"

@@ -141,6 +141,40 @@ class TestThresholdOperators:
             assert np.max(np.abs(out - f)) <= 0.7 + 1e-12
 
 
+class TestBatchedThresholding:
+    @pytest.mark.parametrize("op", [ThresholdOperator("hard"), ThresholdOperator("lasso"),
+                                    ThresholdOperator("adaptive_lasso"),
+                                    ThresholdOperator("adaptive_lasso", eta=0.5)],
+                             ids=lambda op: f"{op.kind}-{op.eta}")
+    @pytest.mark.parametrize("preserve_diagonal", [True, False])
+    def test_rows_equal_apply_threshold(self, rng, op, preserve_diagonal):
+        # 102 rows: six blocks of 16 and a partial one.  Thresholds inside
+        # the range of the moduli shrink most entries.  numpy's array power
+        # differs from Python's float power in the last bit on about 5 % of
+        # values, so forming lam^(eta+1) with it changes some entries at
+        # eta = 0.5.
+        n, m = 203, 5
+        x = TimeSeriesMatrix(rng.standard_normal((n, 4)) @ rng.standard_normal((4, 4)))
+        periodograms = periodogram_all(x)
+        smoothed = [averaged_periodogram(x, m, j, periodograms) for j in range(n // 2 + 1)]
+        lambdas = {j: float(rng.uniform(0.05, 0.5) * np.median(np.abs(f)))
+                   for j, f in enumerate(smoothed)}
+        est = threshold_estimate(x, m, op, lambdas, preserve_diagonal=preserve_diagonal,
+                                 periodograms=periodograms)
+        for j, f in enumerate(smoothed):
+            want = apply_threshold(f, op, lambdas[j], preserve_diagonal=preserve_diagonal)
+            assert np.array_equal(est.matrices[j], want)
+            assert np.array_equal(est.matrices[-j], want.conj()) or j == 0
+
+    @pytest.mark.parametrize("bad, message", [(float("nan"), "NaN"), (-0.1, "nonnegative")])
+    def test_bad_threshold_rejected(self, rng, bad, message):
+        x = white_series(rng, 40, 3)
+        lambdas = {j: 0.1 for j in range(21)}
+        lambdas[17] = bad
+        with pytest.raises(ParameterError, match=message):
+            threshold_estimate(x, 3, ThresholdOperator("lasso"), lambdas)
+
+
 class TestThresholdEstimate:
     def test_zero_lambda_equals_smoothed(self, rng):
         x = white_series(rng, 20, 3)
@@ -329,6 +363,31 @@ class TestAggregateCoherenceGraph:
         assert np.allclose(graph, graph.T)
         assert np.all(np.diag(graph) == 0.0)
         assert np.all(graph >= 0.0)
+
+    @pytest.mark.parametrize("p", [5, 96])  # 16 and 7 rows per block
+    def test_many_frequencies_equal_loop(self, rng, p):
+        # more frequencies than one block of rows, and no conjugate pairs
+        mats = {}
+        for j in range(-7, 30):
+            b = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+            mats[j] = b @ b.conj().T + 0.1 * np.eye(p)
+        est = self._estimate(64, mats)
+        want = np.zeros((p, p))
+        for j in sorted(mats):
+            want += np.abs(coherence(mats[j]))
+        want /= len(mats)
+        np.fill_diagonal(want, 0.0)
+        want = 0.5 * (want + want.T)
+        got = aggregate_coherence_graph(est)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    def test_first_degenerate_channel_named(self):
+        # the first frequency with a degenerate channel, in a later block of rows
+        mats = {j: np.eye(3, dtype=complex) for j in range(40)}
+        mats[18] = np.diag([1.0, 0.0, 0.0]).astype(complex)
+        mats[30] = np.diag([0.0, 1.0, 1.0]).astype(complex)
+        with pytest.raises(DataError, match="degenerate channel 1"):
+            aggregate_coherence_graph(self._estimate(40, mats))
 
     def test_scale_invariance(self, rng):
         data = rng.standard_normal((16, 3))

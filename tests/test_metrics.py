@@ -112,6 +112,62 @@ class TestSupportScores:
         assert scores.recall == 1.0
 
 
+def rmise_loop(est, truth):
+    """Oracle: one frequency at a time."""
+    num = sum(float(np.sum(np.abs(est.matrices[j] - truth[j]) ** 2)) for j in est.frequencies())
+    den = sum(float(np.sum(np.abs(truth[j]) ** 2)) for j in est.frequencies())
+    return 100.0 * num / den
+
+
+def support_loop(est, truth, include_diagonal):
+    """Oracle: precision, recall and F1 one frequency at a time, then their means."""
+    mask = np.ones((est.p, est.p), dtype=bool)
+    if not include_diagonal:
+        np.fill_diagonal(mask, False)
+    zero_tol = 1e-12 * max(float(np.max(np.abs(truth[j]))) for j in truth)
+    per = {}
+    for j in est.frequencies():
+        est_nz = (np.abs(est.matrices[j]) > 0) & mask
+        true_nz = (np.abs(truth[j]) > zero_tol) & mask
+        hits, n_est, n_true = int(np.sum(est_nz & true_nz)), int(np.sum(est_nz)), int(np.sum(true_nz))
+        precision = hits / n_est if n_est else 1.0
+        recall = hits / n_true if n_true else 1.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        per[j] = (precision, recall, f1)
+    return per, np.array(list(per.values())).mean(axis=0)
+
+
+class TestManyFrequencies:
+    """The public metrics over more frequencies than one block of rows, on a
+    dict with no conjugate pairs, against one-frequency-at-a-time loops.
+    At p = 96 a block holds 7 rows rather than 16."""
+
+    @staticmethod
+    def _pair(rng, p):
+        truth, mats = {}, {}
+        for j in range(-5, 36):
+            truth[j] = hermitian(rng, p)
+            truth[j][np.abs(truth[j]) < 0.8] = 0.0
+            mats[j] = truth[j] + 0.3 * hermitian(rng, p)
+            mats[j][np.abs(mats[j]) < 1.0] = 0.0
+        return make_estimate(80, mats), truth
+
+    @pytest.mark.parametrize("p", [6, 96])
+    def test_rmise_equals_loop(self, rng, p):
+        est, truth = self._pair(rng, p)
+        assert abs(rmise(est, truth) - rmise_loop(est, truth)) <= 1e-12 * rmise_loop(est, truth)
+
+    @pytest.mark.parametrize("p", [6, 96])
+    @pytest.mark.parametrize("include_diagonal", [True, False])
+    def test_support_scores_equal_loop(self, rng, p, include_diagonal):
+        est, truth = self._pair(rng, p)
+        got = support_scores(est, truth, include_diagonal=include_diagonal)
+        per, means = support_loop(est, truth, include_diagonal)
+        assert got.per_frequency == per
+        assert np.allclose([got.precision, got.recall, got.f1], means, rtol=1e-12, atol=0)
+        assert 0 < got.precision < 1 and 0 < got.recall < 1
+
+
 def roc_by_cut_sweep(weighted_graph, truth_support):
     """Quadratic oracle: one full mask per unique cut, descending."""
     iu = np.triu_indices(weighted_graph.shape[0], k=1)

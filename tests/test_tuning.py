@@ -17,7 +17,8 @@ from specthresh import (
 from specthresh.dft import periodogram_all
 from specthresh.estimator import apply_threshold, averaged_periodogram, threshold_estimate
 from specthresh.model import TimeSeriesMatrix
-from specthresh.tuning import _freq_rng
+from specthresh.estimator import _smoothed_half
+from specthresh.tuning import _check_grids, _freq_rng, _lambda_grids
 
 
 def split_halves(periodograms, j, m, n, rng):
@@ -311,6 +312,49 @@ class TestTunedThresholdEstimates:
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
         with pytest.raises(ParameterError):
             tuned_threshold_estimates(x, 4, [])
+
+
+class TestBatchedTuning:
+    """Frequencies are tuned in blocks of 16 rows; each row must equal its
+    own one-frequency `select_threshold` call."""
+
+    @pytest.mark.parametrize("n", [21, 30, 31, 41, 62])  # n//2+1 = 11, 16, 16, 21, 32 rows
+    @pytest.mark.parametrize("p", [1, 2, 5])  # p = 2: both off-diagonal moduli equal, grid (lo,)
+    @pytest.mark.parametrize("n_splits", [1, 3])
+    @pytest.mark.parametrize("preserve_diagonal", [True, False])
+    def test_lambdas_equal_select_threshold(self, rng, n, p, n_splits, preserve_diagonal):
+        x = TimeSeriesMatrix(rng.standard_normal((n, p)) @ rng.standard_normal((p, p)))
+        periodograms = periodogram_all(x)
+        ests = tuned_threshold_estimates(x, 4, OPERATORS, grid_size=6, n_splits=n_splits, seed=5,
+                                         preserve_diagonal=preserve_diagonal)
+        for j in range(n // 2 + 1):
+            grid = default_lambda_grid(averaged_periodogram(x, 4, j, periodograms), 6)
+            assert len(grid) == (6 if p > 2 else 1)
+            cfg = TuningConfig(m=4, lambda_grid=grid, n_splits=n_splits, seed=5)
+            for op, est in zip(OPERATORS, ests):
+                want = select_threshold(x, j, cfg, op, preserve_diagonal=preserve_diagonal,
+                                        periodograms=periodograms)
+                assert est.lambdas[j] == want.chosen
+                if p == 1:
+                    assert want.chosen == 0.0
+
+    def test_grid_rows_equal_default_lambda_grid(self, rng):
+        x = TimeSeriesMatrix(rng.standard_normal((70, 4)) @ rng.standard_normal((4, 4)))
+        half = _smoothed_half(periodogram_all(x), 3)
+        half[5] = np.full((4, 4), 0.25)  # one row with equal moduli: grid (0.25,)
+        grids, single = _lambda_grids(half, 20)
+        for row, repeated, f_hat in zip(grids, single, half):
+            want = default_lambda_grid(f_hat, 20)
+            assert tuple(row[:1] if repeated else row) == want
+        assert default_lambda_grid(half[5], 20) == (0.25,)
+
+    def test_grid_checks_exempt_single_value_rows_from_increase(self):
+        grids = np.array([[0.1, 0.2], [0.3, 0.3]])
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            _check_grids(grids, np.zeros(2, dtype=bool))
+        _check_grids(grids, np.array([False, True]))  # the one-point grid (0.3,)
+        with pytest.raises(ParameterError, match="finite"):
+            _check_grids(np.array([[0.1, np.inf], [0.3, 0.3]]), np.array([False, True]))
 
 
 class TestTheoreticalThreshold:
