@@ -3,28 +3,29 @@ smoothing, shrinkage and thresholding estimators on block VARMA models."""
 
 from __future__ import annotations
 
+import functools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dft import FourierGrid, periodogram_all
-from .errors import DataError, ParameterError
+from .dft import periodogram_all
+from .errors import DataError, ParameterError, SpecthreshError
 from .estimator import (
+    HalfSpectrum,
     SpectralEstimate,
     ThresholdOperator,
     _coherence_graph,
-    _mirror,
     _shrunk,
     _smoothed,
     _smoothed_half,
 )
 from .metrics import EvaluationReport, RocCurve, _rmise, _support, replicate_summary, roc_points
 from .model import VarmaModel, _spectral_density_half, block_varma_model, simulate
-from .tuning import default_span, tuned_threshold_estimates
+from .tuning import _tuned, default_span
 
 METHOD_ALIASES = {"alasso": "adaptive_lasso"}
 THRESHOLD_METHODS = ("hard", "lasso", "adaptive_lasso")
@@ -91,29 +92,27 @@ class BenchmarkSpec:
                 n_splits=int(obj.get("n_splits", 1)),
                 include_diagonal=bool(obj.get("include_diagonal", True)),
             )
-        except (KeyError, TypeError) as exc:
+        except SpecthreshError:
+            raise
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise DataError(f"bad benchmark spec: {exc}") from None
 
 
-def truth_spectra(model: VarmaModel, n: int) -> Dict[int, np.ndarray]:
+def truth_spectra(model: VarmaModel, n: int) -> HalfSpectrum:
     """Population spectral density at every j in F_n, keyed by j.
 
     Computed on j >= 0 only; f(omega_{-j}) is the conjugate of f(omega_j).
     """
-    return _mirror(FourierGrid(n), _spectral_density_half(model, n))
+    return HalfSpectrum(n, _spectral_density_half(model, n))
 
 
-def truth_graph_support(truth: Dict[int, np.ndarray]) -> np.ndarray:
+def truth_graph_support(truth: Mapping[int, np.ndarray]) -> np.ndarray:
     """Edge (r, s) is true when f_rs is nonzero at some Fourier frequency.
 
     Reads only j >= 0: f(omega_{-j}) is the conjugate of f(omega_j), and
     conjugation keeps every modulus.
     """
-    peak_mod = None
-    for j, f in truth.items():
-        if j >= 0:
-            mod = np.abs(f)
-            peak_mod = mod if peak_mod is None else np.maximum(peak_mod, mod, out=peak_mod)
+    peak_mod = functools.reduce(np.maximum, (np.abs(truth[j]) for j in truth if j >= 0))
     # |f_rs| exceeds the tolerance at some j exactly when its largest modulus does
     support = peak_mod > 1e-12 * float(np.max(peak_mod))
     np.fill_diagonal(support, False)
@@ -131,28 +130,26 @@ def estimate_methods(
 ) -> Dict[str, SpectralEstimate]:
     """The estimate of each listed method, keyed by canonical method name.
 
-    All methods share one periodogram array.  The baselines share one
-    smoothing pass, and the threshold methods one tuning pass
-    (`tuned_threshold_estimates`), which is skipped when none is listed.
+    All methods share one periodogram array and one smoothing pass, which
+    every estimate but the last to take it copies; the threshold methods
+    share one tuning pass, skipped when none is listed.
     """
     methods = list(dict.fromkeys(canonical_method(name) for name in methods))
     if periodograms is None:
         periodograms = periodogram_all(x)
-    out: Dict[str, SpectralEstimate] = {}
-    if "smoothed" in methods or "shrinkage" in methods:
-        half = _smoothed_half(periodograms, m)
-        if "smoothed" in methods:
-            out["smoothed"] = _smoothed(x, m, half)
-        if "shrinkage" in methods:
-            # shrinkage works in place, so it copies the half the smoothed estimate holds
-            out["shrinkage"] = _shrunk(x, m, periodograms, half.copy() if out else half)
+    half = _smoothed_half(periodograms, m)
     thresholded = [name for name in methods if name in THRESHOLD_METHODS]
+    out: Dict[str, SpectralEstimate] = {}
     if thresholded:
-        ests = tuned_threshold_estimates(
-            x, m, [ThresholdOperator(name) for name in thresholded], grid_size=grid_size,
-            n_splits=n_splits, seed=seed, periodograms=periodograms,
-        )
-        out.update(zip(thresholded, ests))
+        out.update(zip(thresholded, _tuned(
+            x, m, [ThresholdOperator(name) for name in thresholded], periodograms,
+            half.copy() if len(thresholded) < len(methods) else half, grid_size, n_splits, seed,
+            preserve_diagonal=True, lambda_scale=1.0,
+        )))
+    if "smoothed" in methods:
+        out["smoothed"] = _smoothed(x, m, half)
+    if "shrinkage" in methods:
+        out["shrinkage"] = _shrunk(x, m, periodograms, half.copy() if "smoothed" in out else half)
     return {name: out[name] for name in methods}
 
 
@@ -174,21 +171,9 @@ def run_replicate(
     m = default_span(n, spec.span_rule)
     seed = _replicate_seed(spec.seed, cell_index, replicate)
     x = simulate(model, n, seed=seed)
-    periodograms = periodogram_all(x)
-    tuning_seed = int(seed.generate_state(1)[0])
-    out = {}
-    # The baselines and the threshold methods are estimated and scored one
-    # group at a time, so that at most three estimates are held at once.
-    for group in (
-        [name for name in spec.methods if name not in THRESHOLD_METHODS],
-        [name for name in spec.methods if name in THRESHOLD_METHODS],
-    ):
-        if group:
-            out.update(_scored(spec, estimate_methods(
-                group, x, m, grid_size=spec.grid_size, n_splits=spec.n_splits,
-                seed=tuning_seed, periodograms=periodograms,
-            ), truth, truth_support_graph))
-    return out
+    estimates = estimate_methods(spec.methods, x, m, grid_size=spec.grid_size,
+                                 n_splits=spec.n_splits, seed=int(seed.generate_state(1)[0]))
+    return _scored(spec, estimates, truth, truth_support_graph)
 
 
 def _half_weights(n: int) -> np.ndarray:
@@ -216,7 +201,7 @@ def _scored(
     """
     out = {}
     for method, est in estimates.items():
-        rows = [est.matrices[j] for j in range(len(truth))]
+        rows = est.matrices.half
         weights = _half_weights(est.n)
         report = EvaluationReport(method=method, rmise=_rmise(rows, truth, weights))
         roc = roc_points(_coherence_graph(rows, weights), truth_support_graph)
@@ -254,7 +239,7 @@ class CellResult:
 def run_cell(spec: BenchmarkSpec, cell_index: int, p: int, n: int, jobs: int = 1) -> CellResult:
     model = block_varma_model(p, spec.family)
     truth = _spectral_density_half(model, n)
-    support = truth_graph_support(dict(enumerate(truth)))
+    support = truth_graph_support(HalfSpectrum(n, truth))
     tasks = [(spec, cell_index, p, n, r) for r in range(spec.replicates)]
     if jobs > 1:
         # the truth reaches each worker once, through the initializer: a

@@ -7,7 +7,8 @@ method, per-frequency thresholds).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -80,20 +81,47 @@ def apply_threshold(
     return out
 
 
+class HalfSpectrum(Mapping):
+    """Read-only map over F_n, in order, of the rows j = 0..floor(n/2) of the
+    array `half`: j >= 0 reads row j (a view), and j < 0 the conjugate of
+    row -j, since f(-omega) = conj f(omega) for a real series."""
+
+    def __init__(self, n: int, half: np.ndarray):
+        self.n = n
+        self.half = half
+
+    def __getitem__(self, j):
+        if isinstance(j, (int, np.integer)) and -((self.n - 1) // 2) <= j <= self.n // 2:
+            return self.half[j] if j >= 0 else self.half[-j].conj()
+        raise KeyError(j)
+
+    def __iter__(self):
+        return iter(range(-((self.n - 1) // 2), self.n // 2 + 1))
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __eq__(self, other):
+        if not isinstance(other, HalfSpectrum):
+            return NotImplemented
+        return self.n == other.n and np.array_equal(self.half, other.half)
+
+
 @dataclass
 class SpectralEstimate:
     """Per-frequency spectral matrices plus estimator metadata.
 
-    `matrices[j]` is the p x p estimate at Fourier index j; conjugate
-    symmetry matrices[-j] = conj(matrices[j]) holds for representable pairs.
+    `matrices[j]` is the p x p estimate at Fourier index j.  The estimates
+    the package builds are `HalfSpectrum`s, for which conjugate symmetry
+    matrices[-j] = conj(matrices[j]) holds exactly.
     """
 
     n: int
     p: int
     m: int
     method: str
-    matrices: Dict[int, np.ndarray]
-    lambdas: Optional[Dict[int, float]] = None
+    matrices: Mapping[int, np.ndarray]
+    lambdas: Optional[Mapping[int, float]] = None
     eta: Optional[float] = None
     channel_names: Optional[tuple] = None
 
@@ -124,12 +152,11 @@ def averaged_periodogram(
     m: int,
     j: int,
     periodograms: Optional[np.ndarray] = None,
-    center: bool = True,
 ) -> np.ndarray:
     """Flat average f_hat(w_j; m) = sum_{|k|<=m} I(w_{j+k}) / (2 pi (2m+1))."""
     grid = FourierGrid(x.n)
     if periodograms is None:
-        periodograms = periodogram_all(x, center=center)
+        periodograms = periodogram_all(x)
     idx = _window_indices(grid, grid.wrap(j), m)
     return periodograms[idx].mean(axis=0) / (2.0 * np.pi)
 
@@ -186,32 +213,21 @@ def _row_blocks(*seqs):
         yield (rows, *(np.asarray(seq[rows]) for seq in seqs))
 
 
-def _mirror(grid: FourierGrid, half: np.ndarray) -> Dict[int, np.ndarray]:
-    """Per-frequency matrices: rows of the j >= 0 half, conjugates for j < 0."""
-    out = dict(enumerate(half))
-    for j in grid.indices:
-        j = int(j)
-        if j < 0:
-            out[j] = half[-j].conj()
-    return out
-
-
 def smoothed_estimate(
     x: TimeSeriesMatrix,
     m: int,
     periodograms: Optional[np.ndarray] = None,
-    center: bool = True,
 ) -> SpectralEstimate:
     """Averaged periodogram at every Fourier frequency."""
     if periodograms is None:
-        periodograms = periodogram_all(x, center=center)
+        periodograms = periodogram_all(x)
     return _smoothed(x, m, _smoothed_half(periodograms, m))
 
 
 def _smoothed(x: TimeSeriesMatrix, m: int, half: np.ndarray) -> SpectralEstimate:
-    """The smoothed estimate whose j >= 0 rows are the rows of `half` (views, not copies)."""
-    mats = _mirror(FourierGrid(x.n), half)
-    return SpectralEstimate(x.n, x.p, m, "smoothed", mats, channel_names=x.channel_names)
+    """The smoothed estimate over `half` itself, not a copy."""
+    return SpectralEstimate(x.n, x.p, m, "smoothed", HalfSpectrum(x.n, half),
+                            channel_names=x.channel_names)
 
 
 def _thresholded(
@@ -241,14 +257,8 @@ def _thresholded(
         if preserve_diagonal:
             out[:, diag, diag] = block[:, diag, diag]
         block[...] = out
-    grid = FourierGrid(x.n)
-    lams = dict(enumerate(lam_rows.tolist()))
-    for j in grid.indices:
-        j = int(j)
-        if j < 0:
-            lams[j] = lams[-j]
     return SpectralEstimate(
-        x.n, x.p, m, op.kind, _mirror(grid, smoothed), lambdas=lams,
+        x.n, x.p, m, op.kind, HalfSpectrum(x.n, smoothed), lambdas=HalfSpectrum(x.n, lam_rows),
         eta=op.eta if op.kind == "adaptive_lasso" else None,
         channel_names=x.channel_names,
     )
@@ -258,10 +268,9 @@ def threshold_estimate(
     x: TimeSeriesMatrix,
     m: int,
     op: ThresholdOperator,
-    lambdas: Dict[int, float],
+    lambdas: Mapping[int, float],
     preserve_diagonal: bool = True,
     periodograms: Optional[np.ndarray] = None,
-    center: bool = True,
 ) -> SpectralEstimate:
     """Thresholded averaged periodogram with per-frequency thresholds.
 
@@ -277,7 +286,7 @@ def threshold_estimate(
         else:
             raise ParameterError(f"no threshold provided for frequency index {j}")
     if periodograms is None:
-        periodograms = periodogram_all(x, center=center)
+        periodograms = periodogram_all(x)
     return _thresholded(x, m, op, lams, _smoothed_half(periodograms, m), preserve_diagonal)
 
 
@@ -286,7 +295,6 @@ def shrinkage_estimate(
     m: int,
     j: int,
     periodograms: Optional[np.ndarray] = None,
-    center: bool = True,
 ) -> np.ndarray:
     """Shrink the averaged periodogram toward its scaled-identity target.
 
@@ -299,7 +307,7 @@ def shrinkage_estimate(
     if 2 * m + 1 < 2:
         raise ParameterError("shrinkage needs a window of at least 2 periodograms")
     if periodograms is None:
-        periodograms = periodogram_all(x, center=center)
+        periodograms = periodogram_all(x)
     idx = _window_indices(grid, grid.wrap(j), m)
     window = periodograms[idx] / (2.0 * np.pi)
     f_hat = window.mean(axis=0)
@@ -324,7 +332,6 @@ def shrinkage_all(
     x: TimeSeriesMatrix,
     m: int,
     periodograms: Optional[np.ndarray] = None,
-    center: bool = True,
 ) -> SpectralEstimate:
     """`shrinkage_estimate` at every Fourier frequency, from one smoothing pass.
 
@@ -342,7 +349,7 @@ def shrinkage_all(
     unchanged.
     """
     if periodograms is None:
-        periodograms = periodogram_all(x, center=center)
+        periodograms = periodogram_all(x)
     return _shrunk(x, m, periodograms, _smoothed_half(periodograms, m))
 
 
@@ -369,8 +376,8 @@ def _shrunk(
     np.minimum(rho, 1.0, out=rho)
     f_hat *= (1.0 - rho)[:, None, None]
     f_hat.real[:, diag, diag] += (rho * mu)[:, None]
-    mats = _mirror(FourierGrid(n), f_hat)
-    return SpectralEstimate(n, p, m, "shrinkage", mats, channel_names=x.channel_names)
+    return SpectralEstimate(n, p, m, "shrinkage", HalfSpectrum(n, f_hat),
+                            channel_names=x.channel_names)
 
 
 def coherence(matrix: np.ndarray, tau_floor: float = 1e-12) -> np.ndarray:

@@ -6,13 +6,13 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Dict, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dft import FourierGrid
-from .errors import DataError
-from .estimator import SpectralEstimate
+from .errors import DataError, SpecthreshError
+from .estimator import HalfSpectrum, SpectralEstimate
 from .metrics import EvaluationReport
 from .model import VarmaModel, TimeSeriesMatrix
 from .tuning import SplitRisk
@@ -78,6 +78,8 @@ def model_to_dict(model: VarmaModel) -> dict:
 
 
 def model_from_dict(obj: dict) -> VarmaModel:
+    if not isinstance(obj, dict) or not isinstance(obj.get("noise", {}), dict):
+        raise DataError("bad model specification: the model and its noise must be JSON objects")
     try:
         noise = obj.get("noise", {})
         return VarmaModel(
@@ -88,7 +90,9 @@ def model_from_dict(obj: dict) -> VarmaModel:
             noise_family=noise.get("family", "gaussian"),
             noise_df=noise.get("df"),
         )
-    except (KeyError, TypeError) as exc:
+    except SpecthreshError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"bad model specification: {exc}") from None
 
 
@@ -155,38 +159,71 @@ def write_estimate(est: SpectralEstimate, path) -> None:
 
 
 def read_estimate(path) -> SpectralEstimate:
+    """Read an estimate file into `HalfSpectrum`s.
+
+    The file lists every j in F_n once.  Entries are parsed one at a time
+    into arrays of the rows j >= 0 and, in row -j - 1, of the conjugates of
+    the rows j < 0; each j < 0 matrix and threshold must be exactly the
+    conjugate of its j > 0 partner's.
+    """
     with open(path) as fh:
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(obj).__name__}")
     version = obj.get("schema_version")
     if version != SCHEMA_VERSION:
         raise DataError(f"{path}: schema version {version!r}, expected {SCHEMA_VERSION!r}")
     try:
-        matrices: Dict[int, np.ndarray] = {}
-        lambdas: Dict[int, float] = {}
-        has_lambda = False
-        for entry in obj["frequencies"]:
+        n, p = int(obj["n"]), int(obj["p"])
+        entries = obj["frequencies"]
+        if len(entries) != n:
+            raise ValueError(f"{len(entries)} frequency entries for n = {n}")
+        grid = FourierGrid(n)
+        has_lambda = "lambda" in entries[0]
+        half = neg = lam_half = lam_neg = None
+        seen = set()
+        for entry in entries:
             j = int(entry["j"])
             re = np.array(entry["re"], dtype=float)
             im = np.array(entry["im"], dtype=float)
-            matrices[j] = re + 1j * im
-            if "lambda" in entry:
-                has_lambda = True
-                lambdas[j] = float(entry["lambda"])
+            if re.shape != (p, p) or im.shape != (p, p):
+                raise ValueError(f"matrix of shape {re.shape} at j = {j}, expected ({p}, {p})")
+            if not grid.contains(j) or j in seen:
+                raise ValueError(f"frequency index {j} repeated or outside F_n")
+            seen.add(j)
+            if half is None:  # allocated once the header's p is confirmed
+                half = np.empty((n // 2 + 1, p, p), dtype=complex)
+                neg = np.empty((grid.half, p, p), dtype=complex)
+                lam_half, lam_neg = np.zeros(len(half)), np.zeros(grid.half)
+            rows, lams, k = (half, lam_half, j) if j >= 0 else (neg, lam_neg, -j - 1)
+            rows[k].real = re
+            rows[k].imag = im if j >= 0 else -im
+            if ("lambda" in entry) != has_lambda:
+                raise ValueError(f"threshold missing or extra at j = {j}")
+            if has_lambda:
+                lams[k] = float(entry["lambda"])
+        if not (np.isfinite(half).all() and np.isfinite(lam_half).all()):
+            raise ValueError("non-finite matrix entry or threshold")
+        partners = slice(1, grid.half + 1)
+        if not (np.array_equal(neg, half[partners]) and np.array_equal(lam_neg, lam_half[partners])):
+            raise ValueError("an entry at j < 0 is not the conjugate of the one at -j")
         channels = tuple(obj["channels"]) if "channels" in obj else None
+        if channels is not None and len(channels) != p:
+            raise ValueError(f"{len(channels)} channel names for p = {p}")
         return SpectralEstimate(
-            n=int(obj["n"]),
-            p=int(obj["p"]),
+            n=n,
+            p=p,
             m=int(obj["m"]),
             method=obj["method"],
-            matrices=matrices,
-            lambdas=lambdas if has_lambda else None,
+            matrices=HalfSpectrum(n, half),
+            lambdas=HalfSpectrum(n, lam_half) if has_lambda else None,
             eta=float(obj["eta"]) if "eta" in obj else None,
             channel_names=channels,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"{path}: malformed estimate file ({exc})") from None
 
 

@@ -164,7 +164,6 @@ def select_threshold(
     op: ThresholdOperator,
     preserve_diagonal: bool = True,
     periodograms: Optional[np.ndarray] = None,
-    center: bool = True,
 ) -> SplitRisk:
     """Split-risk threshold selection at frequency index j.
 
@@ -174,7 +173,7 @@ def select_threshold(
     threshold.  Deterministic given (cfg.seed, j).
     """
     if periodograms is None:
-        periodograms = periodogram_all(x, center=center)
+        periodograms = periodogram_all(x)
     risks = _split_risks(
         periodograms, x.n, [j], np.array([cfg.lambda_grid]), cfg.m, cfg.n_splits, cfg.seed,
         (op,), preserve_diagonal,
@@ -359,7 +358,6 @@ def tuned_threshold_estimate(
     seed: int = 0,
     preserve_diagonal: bool = True,
     periodograms: Optional[np.ndarray] = None,
-    center: bool = True,
     lambda_scale: float = 1.0,
 ) -> SpectralEstimate:
     """Full pipeline: per-frequency split tuning, then thresholding.
@@ -371,7 +369,7 @@ def tuned_threshold_estimate(
     """
     return tuned_threshold_estimates(
         x, m, (op,), grid_size=grid_size, n_splits=n_splits, seed=seed,
-        preserve_diagonal=preserve_diagonal, periodograms=periodograms, center=center,
+        preserve_diagonal=preserve_diagonal, periodograms=periodograms,
         lambda_scale=lambda_scale,
     )[0]
 
@@ -385,7 +383,6 @@ def tuned_threshold_estimates(
     seed: int = 0,
     preserve_diagonal: bool = True,
     periodograms: Optional[np.ndarray] = None,
-    center: bool = True,
     lambda_scale: float = 1.0,
 ) -> List[SpectralEstimate]:
     """`tuned_threshold_estimate` for each operator of `ops`, in one pass.
@@ -396,6 +393,19 @@ def tuned_threshold_estimates(
     from them.  Split draws depend only on (seed, j), so each estimate
     equals its own `tuned_threshold_estimate` call bit for bit.
     """
+    if periodograms is None:
+        periodograms = periodogram_all(x)
+    return _tuned(x, m, ops, periodograms, _smoothed_half(periodograms, m), grid_size, n_splits,
+                  seed, preserve_diagonal, lambda_scale)
+
+
+def _tuned(
+    x: TimeSeriesMatrix, m: int, ops: Sequence[ThresholdOperator], periodograms: np.ndarray,
+    smoothed: np.ndarray, grid_size: int, n_splits: int, seed: int, preserve_diagonal: bool,
+    lambda_scale: float,
+) -> List[SpectralEstimate]:
+    """`tuned_threshold_estimates` from the smoothed half `smoothed` of
+    `periodograms`, which the last estimate thresholds in place."""
     ops = tuple(ops)
     if not ops:
         raise ParameterError("no threshold operators given")
@@ -403,9 +413,6 @@ def tuned_threshold_estimates(
         raise ParameterError("lambda_scale must be positive")
     if n_splits < 1:
         raise ParameterError("n_splits must be at least 1")
-    if periodograms is None:
-        periodograms = periodogram_all(x, center=center)
-    smoothed = _smoothed_half(periodograms, m)
     lambdas = np.empty((len(ops), len(smoothed)))
     for j0 in range(0, len(smoothed), _BLOCK_ROWS):
         grids, single = _lambda_grids(smoothed[j0:j0 + _BLOCK_ROWS], grid_size)

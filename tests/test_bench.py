@@ -18,6 +18,7 @@ from specthresh import (
     ParameterError,
     aggregate_coherence_graph,
     bench,
+    estimator,
     rmise,
     roc_points,
     support_scores,
@@ -211,6 +212,29 @@ class TestEstimateMethods:
         assert list(got) == ["smoothed", "shrinkage"]
         with pytest.raises(AssertionError, match="tuning pass run"):
             estimate_methods(["smoothed", "lasso"], x, 3, periodograms=periodograms)
+
+    def test_one_smoothing_pass(self, rng, monkeypatch):
+        calls = []
+        real = estimator._smoothed_half
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        for module in (estimator, tuning, bench):
+            monkeypatch.setattr(module, "_smoothed_half", counted)
+        x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
+        estimate_methods(ALL_METHODS, x, 3, grid_size=6)
+        assert len(calls) == 1
+
+    def test_estimates_do_not_share_storage(self, rng):
+        x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
+        got = list(estimate_methods(ALL_METHODS, x, 3, grid_size=6).values())
+        arrays = [est.matrices.half for est in got]
+        arrays += [est.lambdas.half for est in got if est.lambdas is not None]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
 
     def test_baseline_halves_do_not_share_storage(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((40, 3)))

@@ -9,6 +9,7 @@ from specthresh import (
     SpectralEstimate,
     ThresholdOperator,
     periodogram_all,
+    threshold_estimate,
     tuned_threshold_estimate,
 )
 from specthresh import bench as bench_mod
@@ -55,6 +56,18 @@ class TestSimulate:
     def test_missing_model_file(self, tmp_path):
         code = run("simulate", "--model", tmp_path / "none.json", "--n", 32, "--out", tmp_path / "o")
         assert code == 3
+
+    @pytest.mark.parametrize("obj", [
+        [{"p": 1, "ma": []}],
+        {"p": 1, "noise": []},
+        {"p": 1, "ma": [[["a"]]]},
+    ], ids=["top-level-list", "noise-list", "coefficient-string"])
+    def test_malformed_model_exits_data(self, tmp_path, capsys, obj):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code = run("simulate", "--model", path, "--n", 32, "--out", tmp_path / "s.csv")
+        assert code == 3
+        assert "bad model specification" in capsys.readouterr().err
 
 
 class TestEstimate:
@@ -245,6 +258,11 @@ class TestBench:
         assert (out / "roc_p6_n64_lasso.csv").exists()
         assert not (out / "roc_p9_n64_lasso.csv").exists()
 
+    def test_non_integer_replicates_exit_data(self, tmp_path, capsys):
+        spec = self._spec(tmp_path, replicates="x")
+        assert run("bench", "--spec", spec, "--out", tmp_path / "o") == 3
+        assert "bad benchmark spec" in capsys.readouterr().err
+
     def test_bad_spec_file(self, tmp_path):
         bad = tmp_path / "spec.json"
         bad.write_text("{]")
@@ -264,3 +282,74 @@ class TestCoherence:
         body = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
         assert np.allclose(body, body.T)
         assert np.all(np.diag(body) == 0.0)
+
+
+def _bad_matrix_size(obj):
+    entry = obj["frequencies"][5]
+    entry["re"] = [row[:2] for row in entry["re"][:2]]
+    entry["im"] = [row[:2] for row in entry["im"][:2]]
+
+
+def _header_p(obj):
+    obj["p"] = 5
+
+
+def _duplicated_j(obj):
+    obj["frequencies"][20] = obj["frequencies"][21]
+
+
+def _nan_entry(obj):
+    obj["frequencies"][18]["re"][0][1] = "nan"
+
+
+def _missing_j(obj):
+    del obj["frequencies"][20]
+
+
+def _not_conjugate_matrix(obj):
+    entry = obj["frequencies"][3]  # j = -12
+    entry["im"][0][1] = repr(float(entry["im"][0][1]) + 1e-3)
+
+
+def _not_conjugate_lambda(obj):
+    entry = obj["frequencies"][3]
+    entry["lambda"] = repr(float(entry["lambda"]) + 1e-3)
+
+
+class TestMalformedEstimateFile:
+    """Every malformed estimate file makes `evaluate` and `coherence` exit 3."""
+
+    @pytest.mark.parametrize("mutate, message", [
+        (_bad_matrix_size, "shape (2, 2)"),
+        (_header_p, "expected (5, 5)"),
+        (_duplicated_j, "repeated"),
+        (_nan_entry, "non-finite"),
+        (_missing_j, "31 frequency entries"),
+        (_not_conjugate_matrix, "not the conjugate"),
+        (_not_conjugate_lambda, "not the conjugate"),
+        (lambda obj: [obj], "expected a JSON object"),
+    ], ids=["2x2-matrix", "header-p", "duplicated-j", "nan-entry", "missing-j",
+            "not-conjugate-matrix", "not-conjugate-lambda", "top-level-list"])
+    def test_exits_data(self, tmp_path, rng, capsys, vma_model_file, mutate, message):
+        n = 32
+        x = TimeSeriesMatrix(rng.standard_normal((n, 3)))
+        lambdas = {j: 0.01 * (j + 1) for j in range(n // 2 + 1)}
+        est = threshold_estimate(x, 3, ThresholdOperator("hard"), lambdas)
+        path = tmp_path / "est.json"
+        write_estimate(est, path)
+        obj = json.loads(path.read_text())
+        assert obj["frequencies"][3]["j"] == -12
+        obj = mutate(obj) or obj
+        path.write_text(json.dumps(obj))
+        for argv in (("evaluate", "--model", vma_model_file, "--out", tmp_path / "r.csv", path),
+                     ("coherence", "--estimate", path, "--out", tmp_path / "g.csv")):
+            assert run(*argv) == 3
+            assert message in capsys.readouterr().err
+
+    def test_unmodified_file_reads(self, tmp_path, rng, vma_model_file):
+        x = TimeSeriesMatrix(rng.standard_normal((32, 3)))
+        est = threshold_estimate(x, 3, ThresholdOperator("hard"), {j: 0.1 for j in range(17)})
+        path = tmp_path / "est.json"
+        write_estimate(est, path)
+        assert run("evaluate", "--model", vma_model_file, "--out", tmp_path / "r.csv", path) == 0
+        assert run("coherence", "--estimate", path, "--out", tmp_path / "g.csv") == 0

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from specthresh import (
     threshold_estimate,
 )
 from specthresh.dft import periodogram_all
-from specthresh.estimator import _smoothed_half
+from specthresh.estimator import HalfSpectrum, _smoothed_half
 from specthresh.model import TimeSeriesMatrix
 from specthresh.tuning import default_span
 
@@ -403,3 +405,54 @@ class TestHermitianNormBound:
             mat = b + b.conj().T
             col_sum = float(np.max(np.sum(np.abs(mat), axis=0)))
             assert np.linalg.norm(mat, 2) <= col_sum + 1e-10
+
+
+class TestHalfSpectrum:
+    @staticmethod
+    def _half(rng, n, p=3):
+        rows = n // 2 + 1
+        return HalfSpectrum(n, rng.standard_normal((rows, p, p)) + 1j * rng.standard_normal((rows, p, p)))
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_negative_index_reads_exact_conjugate(self, rng, n):
+        spec = self._half(rng, n)
+        for j in range(1, (n - 1) // 2 + 1):
+            assert np.array_equal(spec[-j], spec.half[j].conj())
+            assert np.array_equal(spec[-j].imag, -spec.half[j].imag)
+        assert np.shares_memory(spec[2], spec.half)  # rows j >= 0 are writable views
+        spec[2][...] = 0.0
+        assert not spec.half[2].any()
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_key_error_just_outside_the_grid(self, rng, n):
+        spec = self._half(rng, n)
+        lo, hi = -((n - 1) // 2), n // 2
+        spec[lo], spec[hi]
+        for j in (lo - 1, hi + 1, "0", 1.0):
+            with pytest.raises(KeyError):
+                spec[j]
+            assert j not in spec
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_iterates_over_the_grid_in_order(self, rng, n):
+        spec = self._half(rng, n)
+        assert list(spec) == [int(j) for j in FourierGrid(n).indices]
+        assert len(spec) == n
+        assert [j for j, _ in spec.items()] == list(spec)
+
+    def test_equality(self, rng):
+        spec = self._half(rng, 8)
+        assert spec == HalfSpectrum(8, spec.half.copy())
+        changed = spec.half.copy()
+        changed[3, 0, 1] += 1.0
+        assert (spec == HalfSpectrum(8, changed)) is False
+        # n = 7 and n = 8 both hold 4 rows, but differ at j = 4
+        assert (spec == HalfSpectrum(7, spec.half)) is False
+        assert (spec == dict(spec)) is False
+        assert spec != HalfSpectrum(7, spec.half)
+
+    def test_pickle_round_trip(self, rng):
+        spec = self._half(rng, 9)
+        back = pickle.loads(pickle.dumps(spec))
+        assert type(back) is HalfSpectrum and back == spec
+        assert back.half.dtype == spec.half.dtype

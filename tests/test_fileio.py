@@ -1,10 +1,11 @@
+import dataclasses
 import io
 import json
 
 import numpy as np
 import pytest
 
-from specthresh import DataError, ThresholdOperator, tuned_threshold_estimate
+from specthresh import DataError, ThresholdOperator, threshold_estimate, tuned_threshold_estimate
 from specthresh.fileio import (
     _fmt,
     model_from_dict,
@@ -121,6 +122,30 @@ class TestEstimateJson:
         assert back.lambdas == est.lambdas
         for j in est.frequencies():
             assert np.array_equal(back.matrices[j], est.matrices[j])
+
+    @staticmethod
+    def _same(a, b) -> bool:
+        """Equality as the benchmark's round-trip check applies it: dicts key
+        by key, arrays by value and dtype, anything else by type and ==."""
+        if isinstance(a, dict):
+            return isinstance(b, dict) and a.keys() == b.keys() and all(
+                TestEstimateJson._same(a[k], b[k]) for k in a)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            return np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
+        return type(a) is type(b) and a == b
+
+    @pytest.mark.parametrize("kind", ["tuned", "fixed"])
+    def test_read_back_equals_every_field(self, tmp_path, rng, kind):
+        if kind == "tuned":
+            est = self._estimate(rng)
+        else:
+            x = TimeSeriesMatrix(rng.standard_normal((17, 3)))
+            est = threshold_estimate(x, 2, ThresholdOperator("hard"), {j: 0.15 for j in range(9)})
+        path = tmp_path / "est.json"
+        write_estimate(est, path)
+        back = read_estimate(path)
+        for field in dataclasses.fields(est):
+            assert self._same(getattr(est, field.name), getattr(back, field.name)), field.name
 
     def test_write_deterministic(self, tmp_path, rng):
         est = self._estimate(rng)
