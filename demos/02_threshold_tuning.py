@@ -18,10 +18,10 @@ from specthresh import (
     default_span,
     select_threshold,
     simulate,
+    smoothed_estimate,
     split_frequencies,
     tuned_threshold_estimate,
 )
-from specthresh.estimator import averaged_periodogram
 
 P, N, SEED = 12, 200, 1
 
@@ -35,7 +35,7 @@ print(f"window around omega_{j}: {2 * m + 1} frequencies")
 print(f"  half 1 ({len(j1)}): {j1}")
 print(f"  half 2 ({len(j2)}): {j2}")
 
-f_hat = averaged_periodogram(x, m, j)
+f_hat = smoothed_estimate(x, m).matrices[j]
 grid = default_lambda_grid(f_hat, size=20)
 cfg = TuningConfig(m=m, lambda_grid=grid, n_splits=1, seed=SEED)
 risk = select_threshold(x, j, cfg, ThresholdOperator("lasso"))

@@ -2,7 +2,7 @@
 periodograms, with VARMA simulation, frequency-domain threshold tuning,
 shrinkage and coherence-network utilities."""
 
-from .dft import FourierGrid, cos_sin_vectors, dft_matrix_norm_check, periodogram, periodogram_all
+from .dft import FourierGrid, periodogram_all
 from .errors import (
     DataError,
     ModelError,
@@ -14,12 +14,8 @@ from .estimator import (
     SpectralEstimate,
     ThresholdOperator,
     aggregate_coherence_graph,
-    apply_threshold,
-    averaged_periodogram,
     coherence,
-    coherence_threshold,
     shrinkage_all,
-    shrinkage_estimate,
     smoothed_estimate,
     threshold_estimate,
 )

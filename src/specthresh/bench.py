@@ -61,6 +61,8 @@ class BenchmarkSpec:
             raise ParameterError(f"unknown family {self.family!r}")
         if self.replicates < 1:
             raise ParameterError("replicates must be at least 1")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
         object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
         for p in self.p_list:
             if p < 3 or p % 3 != 0:
@@ -70,6 +72,8 @@ class BenchmarkSpec:
         object.__setattr__(
             self, "methods", tuple(canonical_method(m) for m in self.methods)
         )
+        if not self.methods:
+            raise ParameterError("methods must list at least one method")
         rule = self.span_rule or ("ma_like" if self.family == "vma" else "ar_like")
         object.__setattr__(self, "span_rule", rule)
         for n in self.n_list:
@@ -126,7 +130,6 @@ def estimate_methods(
     grid_size: int = 20,
     n_splits: int = 1,
     seed: int = 0,
-    periodograms: Optional[np.ndarray] = None,
 ) -> Dict[str, SpectralEstimate]:
     """The estimate of each listed method, keyed by canonical method name.
 
@@ -135,8 +138,7 @@ def estimate_methods(
     share one tuning pass, skipped when none is listed.
     """
     methods = list(dict.fromkeys(canonical_method(name) for name in methods))
-    if periodograms is None:
-        periodograms = periodogram_all(x)
+    periodograms = periodogram_all(x)
     half = _smoothed_half(periodograms, m)
     thresholded = [name for name in methods if name in THRESHOLD_METHODS]
     out: Dict[str, SpectralEstimate] = {}
@@ -144,7 +146,6 @@ def estimate_methods(
         out.update(zip(thresholded, _tuned(
             x, m, [ThresholdOperator(name) for name in thresholded], periodograms,
             half.copy() if len(thresholded) < len(methods) else half, grid_size, n_splits, seed,
-            preserve_diagonal=True, lambda_scale=1.0,
         )))
     if "smoothed" in methods:
         out["smoothed"] = _smoothed(x, m, half)
@@ -207,7 +208,7 @@ def _scored(
         roc = roc_points(_coherence_graph(rows, weights), truth_support_graph)
         report.auc = roc.auc
         if method in THRESHOLD_METHODS:
-            _, means = _support(rows, truth, weights, None, spec.include_diagonal)
+            _, means = _support(rows, truth, weights, spec.include_diagonal)
             report.precision, report.recall, report.f1 = means.tolist()
         out[method] = {"report": report, "roc": roc}
     return out

@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -24,14 +23,15 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
-def _jobs_default() -> int:
-    env = os.environ.get("SPECTHRESH_JOBS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+def _int_at_least(low: int):
+    """argparse type: an int no smaller than `low`."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value: 'x'"
+    return parse
 
 
 def cmd_simulate(args) -> int:
@@ -70,9 +70,14 @@ def cmd_estimate(args) -> int:
 def cmd_evaluate(args) -> int:
     model = fileio.read_model(args.model)
     rows = []
+    truths = {}  # files of one n share the truth
     for est_path in args.estimates:
         est = fileio.read_estimate(est_path)
-        truth = bench_mod.truth_spectra(model, est.n)
+        if est.p != model.dim:
+            raise DataError(f"{est_path}: estimate has p = {est.p}, model has p = {model.dim}")
+        if est.n not in truths:
+            truths[est.n] = bench_mod.truth_spectra(model, est.n)
+        truth = truths[est.n]
         report = EvaluationReport(method=est.method, rmise=rmise(est, truth))
         if est.method in bench_mod.THRESHOLD_METHODS:
             scores = support_scores(est, truth)
@@ -123,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--model", required=True, help="model JSON file")
     sim.add_argument("--n", type=int, required=True, help="sample length")
     sim.add_argument("--burn-in", type=int, default=None)
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_int_at_least(0), default=0)
     sim.add_argument("--out", required=True, help="output series CSV")
     sim.set_defaults(func=cmd_simulate)
 
@@ -144,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     estp.add_argument("--grid-size", type=int, default=20)
     estp.add_argument("--n-splits", type=int, default=1)
-    estp.add_argument("--seed", type=int, default=0)
+    estp.add_argument("--seed", type=_int_at_least(0), default=0)
     estp.add_argument("--out", required=True, help="output estimate JSON")
     estp.set_defaults(func=cmd_estimate)
 
@@ -157,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="run the simulation benchmark grid")
     be.add_argument("--spec", required=True, help="benchmark spec JSON")
     be.add_argument("--out", required=True, help="output directory")
-    be.add_argument("--jobs", type=int, default=_jobs_default())
+    be.add_argument("--jobs", type=_int_at_least(1), default=1)
     be.set_defaults(func=cmd_bench)
 
     co = sub.add_parser("coherence", help="aggregate coherence graph of an estimate")

@@ -61,24 +61,13 @@ class ThresholdOperator:
 
 
 def _check_thresholds(lams: np.ndarray) -> None:
-    """Raise if a threshold of `lams` is NaN or negative."""
+    """Raise if a threshold of `lams` is NaN, negative or infinite."""
     if np.isnan(lams).any():
         raise ParameterError("threshold must not be NaN")
     if (lams < 0).any():
         raise ParameterError("threshold must be nonnegative")
-
-
-def apply_threshold(
-    f_hat: np.ndarray,
-    op: ThresholdOperator,
-    lam: float,
-    preserve_diagonal: bool = True,
-) -> np.ndarray:
-    """Apply the operator entrywise; diagonal kept intact by default."""
-    out = op(f_hat, lam)
-    if preserve_diagonal:
-        out[np.diag_indices_from(out)] = np.diag(f_hat)
-    return out
+    if np.isinf(lams).any():
+        raise ParameterError("threshold must be finite")
 
 
 class HalfSpectrum(Mapping):
@@ -140,37 +129,17 @@ class SpectralEstimate:
         }
 
 
-def _window_indices(grid: FourierGrid, j: int, m: int) -> np.ndarray:
-    if m < 0 or 2 * m + 1 > grid.n:
-        raise ParameterError(f"invalid half-span m={m} for n={grid.n}")
-    raw = np.arange(j - m, j + m + 1)
-    return (raw + grid.half) % grid.n  # positions into the periodogram_all array
-
-
-def averaged_periodogram(
-    x: TimeSeriesMatrix,
-    m: int,
-    j: int,
-    periodograms: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Flat average f_hat(w_j; m) = sum_{|k|<=m} I(w_{j+k}) / (2 pi (2m+1))."""
-    grid = FourierGrid(x.n)
-    if periodograms is None:
-        periodograms = periodogram_all(x)
-    idx = _window_indices(grid, grid.wrap(j), m)
-    return periodograms[idx].mean(axis=0) / (2.0 * np.pi)
-
-
 _BLOCK_ROWS = 16
 
 
 def _smoothed_half(periodograms: np.ndarray, m: int) -> np.ndarray:
-    """Window averages f_hat(w_j; m) for j = 0..floor(n/2), as a (n//2+1, p, p) array.
+    """Window averages f_hat(w_j; m) = sum_{|k|<=m} I(w_{j+k}) / (2 pi (2m+1))
+    for j = 0..floor(n/2), as a (n//2+1, p, p) array.
 
-    Row j equals averaged_periodogram(x, m, j) bit for bit: the 2m+1
-    shifted copies are added in the window's order, as `mean` adds them,
-    and the sum is divided by 2m+1 and then by 2 pi.  Rows are summed
-    _BLOCK_ROWS at a time so that the rows being summed stay in cache.
+    Row j equals the `mean` of its window's periodograms over 2 pi bit for
+    bit: the 2m+1 shifted copies are added in the window's order, as `mean`
+    adds them, and the sum is divided by 2m+1 and then by 2 pi.  Rows are
+    summed _BLOCK_ROWS at a time so that the rows being summed stay in cache.
     """
     n = periodograms.shape[0]
     if m < 0 or 2 * m + 1 > n:
@@ -213,15 +182,9 @@ def _row_blocks(*seqs):
         yield (rows, *(np.asarray(seq[rows]) for seq in seqs))
 
 
-def smoothed_estimate(
-    x: TimeSeriesMatrix,
-    m: int,
-    periodograms: Optional[np.ndarray] = None,
-) -> SpectralEstimate:
+def smoothed_estimate(x: TimeSeriesMatrix, m: int) -> SpectralEstimate:
     """Averaged periodogram at every Fourier frequency."""
-    if periodograms is None:
-        periodograms = periodogram_all(x)
-    return _smoothed(x, m, _smoothed_half(periodograms, m))
+    return _smoothed(x, m, _smoothed_half(periodogram_all(x), m))
 
 
 def _smoothed(x: TimeSeriesMatrix, m: int, half: np.ndarray) -> SpectralEstimate:
@@ -236,12 +199,12 @@ def _thresholded(
     op: ThresholdOperator,
     lambdas: Sequence[float],
     smoothed: np.ndarray,
-    preserve_diagonal: bool,
 ) -> SpectralEstimate:
-    """Threshold row j of the smoothed half-spectrum at lambdas[j], in place.
+    """Threshold the off-diagonal entries of row j of the smoothed
+    half-spectrum at lambdas[j], in place; the diagonal is kept.
 
     Rows are thresholded a block at a time (`_row_blocks`), each row equal
-    bit for bit to its `apply_threshold` call.
+    bit for bit to the operator applied to that row alone.
     """
     lam_rows = np.asarray(lambdas, dtype=float)
     _check_thresholds(lam_rows)
@@ -254,8 +217,7 @@ def _thresholded(
     for rows, block in _row_blocks(smoothed):
         t = None if t_rows is None else t_rows[rows, None, None]
         out = op._apply(block, lam_rows[rows, None, None], t)
-        if preserve_diagonal:
-            out[:, diag, diag] = block[:, diag, diag]
+        out[:, diag, diag] = block[:, diag, diag]
         block[...] = out
     return SpectralEstimate(
         x.n, x.p, m, op.kind, HalfSpectrum(x.n, smoothed), lambdas=HalfSpectrum(x.n, lam_rows),
@@ -269,8 +231,6 @@ def threshold_estimate(
     m: int,
     op: ThresholdOperator,
     lambdas: Mapping[int, float],
-    preserve_diagonal: bool = True,
-    periodograms: Optional[np.ndarray] = None,
 ) -> SpectralEstimate:
     """Thresholded averaged periodogram with per-frequency thresholds.
 
@@ -285,41 +245,7 @@ def threshold_estimate(
             lams.append(lambdas[-j])
         else:
             raise ParameterError(f"no threshold provided for frequency index {j}")
-    if periodograms is None:
-        periodograms = periodogram_all(x)
-    return _thresholded(x, m, op, lams, _smoothed_half(periodograms, m), preserve_diagonal)
-
-
-def shrinkage_estimate(
-    x: TimeSeriesMatrix,
-    m: int,
-    j: int,
-    periodograms: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Shrink the averaged periodogram toward its scaled-identity target.
-
-    Plug-ins: mu = tr(f_hat)/p; beta^2 estimates the variance of the
-    window mean from the within-window dispersion of the periodograms;
-    delta^2 = ||f_hat - mu I||_F^2 / p; the weight on the diagonal target
-    is the estimation-error fraction beta^2/delta^2, clamped to [0, 1].
-    """
-    grid = FourierGrid(x.n)
-    if 2 * m + 1 < 2:
-        raise ParameterError("shrinkage needs a window of at least 2 periodograms")
-    if periodograms is None:
-        periodograms = periodogram_all(x)
-    idx = _window_indices(grid, grid.wrap(j), m)
-    window = periodograms[idx] / (2.0 * np.pi)
-    f_hat = window.mean(axis=0)
-    p = x.p
-    mu = float(np.trace(f_hat).real) / p
-    delta2 = float(np.sum(np.abs(f_hat - mu * np.eye(p)) ** 2)) / p
-    w = 2 * m + 1
-    beta2 = float(np.sum(np.abs(window - f_hat) ** 2)) / (p * w * (w - 1))
-    if delta2 <= 0.0:
-        return f_hat
-    rho = min(1.0, beta2 / delta2)
-    return rho * mu * np.eye(p) + (1.0 - rho) * f_hat
+    return _thresholded(x, m, op, lams, _smoothed_half(periodogram_all(x), m))
 
 
 def _sq_norms(stack: np.ndarray) -> np.ndarray:
@@ -328,12 +254,13 @@ def _sq_norms(stack: np.ndarray) -> np.ndarray:
     return np.einsum("ji,ji->j", flat, flat)
 
 
-def shrinkage_all(
-    x: TimeSeriesMatrix,
-    m: int,
-    periodograms: Optional[np.ndarray] = None,
-) -> SpectralEstimate:
-    """`shrinkage_estimate` at every Fourier frequency, from one smoothing pass.
+def shrinkage_all(x: TimeSeriesMatrix, m: int) -> SpectralEstimate:
+    """Shrink the averaged periodogram toward its scaled-identity target at
+    every Fourier frequency, from one smoothing pass.
+
+    The estimate is rho mu I + (1 - rho) f_hat, with mu = tr(f_hat)/p,
+    delta^2 = ||f_hat - mu I||_F^2 / p and rho = beta^2/delta^2 clamped to
+    [0, 1]; beta^2 estimates the variance of the window mean f_hat.
 
     With w = 2m+1 window members W_k = I(w_{j+k}) / (2 pi), |k| <= m, and
     their mean f_hat, the within-window dispersion needs only the window
@@ -348,8 +275,7 @@ def shrinkage_all(
     identity (in particular p = 1) gives delta^2 = 0, rho = 0 and f_hat
     unchanged.
     """
-    if periodograms is None:
-        periodograms = periodogram_all(x)
+    periodograms = periodogram_all(x)
     return _shrunk(x, m, periodograms, _smoothed_half(periodograms, m))
 
 
@@ -380,34 +306,30 @@ def _shrunk(
                             channel_names=x.channel_names)
 
 
-def coherence(matrix: np.ndarray, tau_floor: float = 1e-12) -> np.ndarray:
+# a channel whose spectral diagonal is below this has no defined coherence
+_TAU_FLOOR = 1e-12
+
+
+def coherence(matrix: np.ndarray) -> np.ndarray:
     """Coherence g_rs = f_rs / sqrt(f_rr f_ss); unit diagonal."""
-    scale = _channel_scales(np.asarray(matrix)[None], tau_floor)[0]
+    scale = _channel_scales(np.asarray(matrix)[None])[0]
     g = matrix * np.outer(scale, scale)
     g[np.diag_indices_from(g)] = 1.0
     return g
 
 
-def _channel_scales(f: np.ndarray, tau_floor: float) -> np.ndarray:
+def _channel_scales(f: np.ndarray) -> np.ndarray:
     """1 / sqrt(f_rr) of each matrix of a (rows, p, p) stack, as a (rows, p)
     array.  Raises for the first channel, in row order, whose diagonal is
-    below tau_floor."""
+    below _TAU_FLOOR."""
     diag = np.diagonal(f, axis1=1, axis2=2).real
-    bad = np.argwhere(diag < tau_floor)
+    bad = np.argwhere(diag < _TAU_FLOOR)
     if bad.size:
-        raise DataError(f"degenerate channel {int(bad[0, 1])}: diagonal below {tau_floor}")
+        raise DataError(f"degenerate channel {int(bad[0, 1])}: diagonal below {_TAU_FLOOR}")
     return 1.0 / np.sqrt(diag)
 
 
-def coherence_threshold(g_hat: np.ndarray, lam: float, tau: float) -> np.ndarray:
-    """Hard-threshold off-diagonal coherence entries at level 2 lambda / tau."""
-    if tau <= 0:
-        raise ParameterError("tau must be positive")
-    op = ThresholdOperator("hard")
-    return apply_threshold(g_hat, op, 2.0 * lam / tau, preserve_diagonal=True)
-
-
-def aggregate_coherence_graph(est: SpectralEstimate, tau_floor: float = 1e-12) -> np.ndarray:
+def aggregate_coherence_graph(est: SpectralEstimate) -> np.ndarray:
     """Mean of |coherence| across the estimate's frequencies, zero diagonal.
 
     Produces the p x p weighted adjacency matrix used for coherence-network
@@ -417,15 +339,15 @@ def aggregate_coherence_graph(est: SpectralEstimate, tau_floor: float = 1e-12) -
     freqs = est.frequencies()
     if not freqs:
         raise ParameterError("estimate holds no frequencies")
-    return _coherence_graph([est.matrices[j] for j in freqs], np.ones(len(freqs)), tau_floor)
+    return _coherence_graph([est.matrices[j] for j in freqs], np.ones(len(freqs)))
 
 
-def _coherence_graph(rows, weights: np.ndarray, tau_floor: float = 1e-12) -> np.ndarray:
+def _coherence_graph(rows, weights: np.ndarray) -> np.ndarray:
     """Mean of |coherence| over a sequence of p x p matrices, row r weighted
     by weights[r]; zero diagonal, symmetrized."""
     acc = np.zeros(np.shape(rows[0]))
     for block, f in _row_blocks(rows):
-        scale = _channel_scales(f, tau_floor)
+        scale = _channel_scales(f)
         # |g_rs| = |f_rs| / sqrt(f_rr f_ss); the diagonal is zeroed below
         mod = np.abs(f)
         mod *= scale[:, :, None]

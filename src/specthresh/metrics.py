@@ -63,14 +63,13 @@ class SupportScores:
 def support_scores(
     est: SpectralEstimate,
     truth: Dict[int, np.ndarray],
-    zero_tol: Optional[float] = None,
     include_diagonal: bool = False,
 ) -> SupportScores:
     """Per-frequency and frequency-averaged precision/recall/F1.
 
     Estimate entries count as nonzero when exactly nonzero (thresholding
-    produces exact zeros); truth entries below `zero_tol` count as zero.
-    The default tolerance is 1e-12 relative to the largest truth modulus.
+    produces exact zeros); truth entries count as zero up to a tolerance of
+    1e-12 relative to the largest truth modulus.
     Diagonal entries are excluded by default (nonzero on both sides for
     any reasonable estimate, pure score inflation).
     """
@@ -79,20 +78,19 @@ def support_scores(
         raise ParameterError("estimate and truth cover different frequency sets")
     per, means = _support(
         [est.matrices[j] for j in freqs], [truth[j] for j in freqs], np.ones(len(freqs)),
-        zero_tol, include_diagonal,
+        include_diagonal,
     )
     per_frequency = {j: tuple(row) for j, row in zip(freqs, per.tolist())}
     return SupportScores(per_frequency, *means.tolist())
 
 
 def _support(
-    est_rows, truth_rows, weights: np.ndarray, zero_tol: Optional[float], include_diagonal: bool
+    est_rows, truth_rows, weights: np.ndarray, include_diagonal: bool
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Precision, recall and F1 of each row of two equally long sequences of
     p x p matrices, as a (rows, 3) array, and their means with row r
     weighted by weights[r]."""
-    if zero_tol is None:
-        zero_tol = 1e-12 * max(float(np.max(np.abs(truth))) for _, truth in _row_blocks(truth_rows))
+    zero_tol = 1e-12 * max(float(np.max(np.abs(truth))) for _, truth in _row_blocks(truth_rows))
     mask = _pair_mask(np.shape(truth_rows[0])[-1], include_diagonal)
     counts = np.empty((len(weights), 3))
     for rows, est, truth in _row_blocks(est_rows, truth_rows):

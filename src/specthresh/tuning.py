@@ -8,11 +8,10 @@ risk is selected.
 
 The risk of a split (f1, f2) is scored over the whole grid in closed form
 rather than by thresholding f1 once per grid value.  Let E be the entries
-the operator acts on (off-diagonal ones when the diagonal is preserved,
-otherwise all), a = |f1| on E, b = Re(conj(f1 / a) f2) (0 where a = 0) and
-C = sum_diag |f1 - f2|^2 + sum_E |f2|^2 (the diagonal term only when it is
-preserved).  Each entry contributes |S(f1) - f2|^2 = s^2 - 2 s b + |f2|^2,
-where s is the thresholded modulus, so
+the operator acts on (the off-diagonal ones: the diagonal is kept),
+a = |f1| on E, b = Re(conj(f1 / a) f2) (0 where a = 0) and
+C = sum_diag |f1 - f2|^2 + sum_E |f2|^2.  Each entry contributes
+|S(f1) - f2|^2 = s^2 - 2 s b + |f2|^2, where s is the thresholded modulus, so
 
     hard:           R(lam) = C + sum_{a >= lam} (|f1 - f2|^2 - |f2|^2)
     lasso:          R(lam) = C + sum_{a > lam} (a^2 - 2ab)
@@ -162,8 +161,6 @@ def select_threshold(
     j: int,
     cfg: TuningConfig,
     op: ThresholdOperator,
-    preserve_diagonal: bool = True,
-    periodograms: Optional[np.ndarray] = None,
 ) -> SplitRisk:
     """Split-risk threshold selection at frequency index j.
 
@@ -172,19 +169,16 @@ def select_threshold(
     Frobenius comparison.  Ties in the argmin break toward the smaller
     threshold.  Deterministic given (cfg.seed, j).
     """
-    if periodograms is None:
-        periodograms = periodogram_all(x)
     risks = _split_risks(
-        periodograms, x.n, [j], np.array([cfg.lambda_grid]), cfg.m, cfg.n_splits, cfg.seed,
-        (op,), preserve_diagonal,
-    )[0, 0]
+        periodogram_all(x), x.n, [j], np.array([cfg.lambda_grid]), cfg.m, cfg.n_splits, cfg.seed,
+        (op,))[0, 0]
     chosen = cfg.lambda_grid[int(np.argmin(risks))]
     return SplitRisk(j, cfg.lambda_grid, tuple(risks), chosen, cfg.n_splits, cfg.seed)
 
 
 def _split_risks(
     periodograms: np.ndarray, n: int, js: Sequence[int], grids: np.ndarray, m: int,
-    n_splits: int, seed: int, ops: Sequence[ThresholdOperator], preserve_diagonal: bool,
+    n_splits: int, seed: int, ops: Sequence[ThresholdOperator],
 ) -> np.ndarray:
     """Split risk of frequency js[r] at each value of grids[r], averaged over
     n_splits splits, as a (len(ops), len(js), grid size) array.
@@ -202,7 +196,6 @@ def _split_risks(
         split = _Split(
             _half_window_means(periodograms, [[k + half for k in j1] for j1, _ in draws]),
             _half_window_means(periodograms, [[k + half for k in j2] for _, j2 in draws]),
-            preserve_diagonal,
         )
         for row, op in zip(risks, ops):
             row += split.risk(op, grids)
@@ -256,15 +249,11 @@ class _Split:
     row, as they would on that row alone.
     """
 
-    def __init__(self, f1: np.ndarray, f2: np.ndarray, preserve_diagonal: bool):
-        rows, p = f1.shape[0], f1.shape[-1]
-        if preserve_diagonal:
-            on_e = ~np.eye(p, dtype=bool)
-            diag = np.arange(p)
-            const = np.sum(np.abs(f1[:, diag, diag] - f2[:, diag, diag]) ** 2, axis=1)
-        else:
-            on_e = np.ones((p, p), dtype=bool)
-            const = np.zeros(rows)
+    def __init__(self, f1: np.ndarray, f2: np.ndarray):
+        p = f1.shape[-1]
+        on_e = ~np.eye(p, dtype=bool)
+        diag = np.arange(p)
+        const = np.sum(np.abs(f1[:, diag, diag] - f2[:, diag, diag]) ** 2, axis=1)
         z1, z2 = f1[:, on_e], f2[:, on_e]
         a = np.abs(z1)
         order = np.argsort(a, axis=1)
@@ -278,8 +267,9 @@ class _Split:
         self.b[nz] = (np.conj(self.z1[nz] / self.a[nz]) * self.z2[nz]).real
 
     def risk(self, op: ThresholdOperator, lam: np.ndarray) -> np.ndarray:
-        """||apply_threshold(f1, op, l) - f2||_F^2 at every l of each row of
-        the (rows, grid size) array lam, for the same row of f1 and f2."""
+        """||S_l(f1) - f2||_F^2, with S_l the operator at l on the
+        off-diagonal entries, at every l of each row of the (rows, grid
+        size) array lam, for the same row of f1 and f2."""
         a = self.a
         if op.kind == "hard":
             kept = _suffix_sums(np.abs(self.z1 - self.z2) ** 2 - self.f2_sq)
@@ -356,22 +346,12 @@ def tuned_threshold_estimate(
     grid_size: int = 20,
     n_splits: int = 1,
     seed: int = 0,
-    preserve_diagonal: bool = True,
-    periodograms: Optional[np.ndarray] = None,
-    lambda_scale: float = 1.0,
 ) -> SpectralEstimate:
     """Full pipeline: per-frequency split tuning, then thresholding.
 
-    Thresholds are tuned for j >= 0 and mirrored to -j.  `lambda_scale`
-    rescales each tuned threshold before it is applied to the full-window
-    estimate, for callers who want to correct for the halved effective
-    window during tuning; the default applies the tuned value as is.
+    Thresholds are tuned for j >= 0 and mirrored to -j.
     """
-    return tuned_threshold_estimates(
-        x, m, (op,), grid_size=grid_size, n_splits=n_splits, seed=seed,
-        preserve_diagonal=preserve_diagonal, periodograms=periodograms,
-        lambda_scale=lambda_scale,
-    )[0]
+    return tuned_threshold_estimates(x, m, (op,), grid_size, n_splits, seed)[0]
 
 
 def tuned_threshold_estimates(
@@ -381,9 +361,6 @@ def tuned_threshold_estimates(
     grid_size: int = 20,
     n_splits: int = 1,
     seed: int = 0,
-    preserve_diagonal: bool = True,
-    periodograms: Optional[np.ndarray] = None,
-    lambda_scale: float = 1.0,
 ) -> List[SpectralEstimate]:
     """`tuned_threshold_estimate` for each operator of `ops`, in one pass.
 
@@ -393,24 +370,20 @@ def tuned_threshold_estimates(
     from them.  Split draws depend only on (seed, j), so each estimate
     equals its own `tuned_threshold_estimate` call bit for bit.
     """
-    if periodograms is None:
-        periodograms = periodogram_all(x)
-    return _tuned(x, m, ops, periodograms, _smoothed_half(periodograms, m), grid_size, n_splits,
-                  seed, preserve_diagonal, lambda_scale)
+    periodograms = periodogram_all(x)
+    half = _smoothed_half(periodograms, m)
+    return _tuned(x, m, ops, periodograms, half, grid_size, n_splits, seed)
 
 
 def _tuned(
     x: TimeSeriesMatrix, m: int, ops: Sequence[ThresholdOperator], periodograms: np.ndarray,
-    smoothed: np.ndarray, grid_size: int, n_splits: int, seed: int, preserve_diagonal: bool,
-    lambda_scale: float,
+    smoothed: np.ndarray, grid_size: int, n_splits: int, seed: int,
 ) -> List[SpectralEstimate]:
     """`tuned_threshold_estimates` from the smoothed half `smoothed` of
     `periodograms`, which the last estimate thresholds in place."""
     ops = tuple(ops)
     if not ops:
         raise ParameterError("no threshold operators given")
-    if lambda_scale <= 0:
-        raise ParameterError("lambda_scale must be positive")
     if n_splits < 1:
         raise ParameterError("n_splits must be at least 1")
     lambdas = np.empty((len(ops), len(smoothed)))
@@ -418,16 +391,14 @@ def _tuned(
         grids, single = _lambda_grids(smoothed[j0:j0 + _BLOCK_ROWS], grid_size)
         _check_grids(grids, single)
         rows = range(j0, j0 + len(grids))
-        risks = _split_risks(periodograms, x.n, rows, grids, m, n_splits, seed, ops,
-                             preserve_diagonal)
+        risks = _split_risks(periodograms, x.n, rows, grids, m, n_splits, seed, ops)
         # argmin ties break toward the smaller threshold
         lambdas[:, rows.start:rows.stop] = grids[np.arange(len(grids)), risks.argmin(axis=2)]
-    lambdas *= lambda_scale
     # thresholding works in place: the last operator takes the smoothed
     # half itself, after the others have taken their copies
     last = len(ops) - 1
     return [
-        _thresholded(x, m, op, lams, smoothed if i == last else smoothed.copy(), preserve_diagonal)
+        _thresholded(x, m, op, lams, smoothed if i == last else smoothed.copy())
         for i, (op, lams) in enumerate(zip(ops, lambdas))
     ]
 

@@ -1,0 +1,153 @@
+"""Single-frequency reference formulas that the tests compare the package's
+whole-spectrum code against.
+
+Each computes one quantity at one Fourier index the direct way: the trig
+design vectors, the periodogram d(w_j) d(w_j)^H, the window average, the
+shrinkage estimate and the thresholded matrix.  `assert_thresholded`
+checks a thresholded row against them.
+"""
+
+from typing import Optional
+
+import numpy as np
+
+from specthresh import FourierGrid, ParameterError, ThresholdOperator
+from specthresh.dft import periodogram_all
+from specthresh.model import TimeSeriesMatrix
+
+
+def cos_sin_vectors(grid: FourierGrid, j: int):
+    """Design vectors (C_j, S_j) for frequency index j in F_n."""
+    if not grid.contains(j):
+        raise ParameterError(f"index {j} outside F_n for n={grid.n}")
+    t = np.arange(grid.n)
+    w = grid.frequency(j)
+    scale = 1.0 / np.sqrt(grid.n)
+    return np.cos(t * w) * scale, np.sin(t * w) * scale
+
+
+def dft_vector(x: np.ndarray, grid: FourierGrid, j: int) -> np.ndarray:
+    """d(w_j) = X^T (C_j - i S_j), a p-dimensional complex vector."""
+    c, s = cos_sin_vectors(grid, grid.wrap(j))
+    return x.T @ (c - 1j * s)
+
+
+def periodogram(x: TimeSeriesMatrix, grid: FourierGrid, j: int) -> np.ndarray:
+    """Raw periodogram I(w_j) = d(w_j) d(w_j)^H of the centered series
+    (Hermitian PSD, rank <= 1)."""
+    if grid.n != x.n:
+        raise ParameterError("grid length does not match sample count")
+    d = dft_vector(x.center().data, grid, j)
+    return np.outer(d, d.conj())
+
+
+def stacked_trig_matrix(grid: FourierGrid) -> np.ndarray:
+    """All C_j^T and S_j^T rows stacked into a 2n x n matrix."""
+    rows = []
+    for j in grid.indices:
+        c, s = cos_sin_vectors(grid, int(j))
+        rows.append(c)
+        rows.append(s)
+    return np.vstack(rows)
+
+
+def dft_matrix_norm_check(grid: FourierGrid) -> float:
+    """Spectral norm of the stacked trig matrix; equals 1 exactly."""
+    if grid.n > 512:
+        raise ParameterError("dense norm check limited to n <= 512")
+    return float(np.linalg.norm(stacked_trig_matrix(grid), 2))
+
+
+def _window_indices(grid: FourierGrid, j: int, m: int) -> np.ndarray:
+    if m < 0 or 2 * m + 1 > grid.n:
+        raise ParameterError(f"invalid half-span m={m} for n={grid.n}")
+    raw = np.arange(j - m, j + m + 1)
+    return (raw + grid.half) % grid.n  # positions into the periodogram_all array
+
+
+def averaged_periodogram(
+    x: TimeSeriesMatrix,
+    m: int,
+    j: int,
+    periodograms: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Flat average f_hat(w_j; m) = sum_{|k|<=m} I(w_{j+k}) / (2 pi (2m+1))."""
+    grid = FourierGrid(x.n)
+    if periodograms is None:
+        periodograms = periodogram_all(x)
+    idx = _window_indices(grid, grid.wrap(j), m)
+    return periodograms[idx].mean(axis=0) / (2.0 * np.pi)
+
+
+def shrinkage_estimate(
+    x: TimeSeriesMatrix,
+    m: int,
+    j: int,
+    periodograms: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Shrink the averaged periodogram toward its scaled-identity target.
+
+    Plug-ins: mu = tr(f_hat)/p; beta^2 estimates the variance of the
+    window mean from the within-window dispersion of the periodograms;
+    delta^2 = ||f_hat - mu I||_F^2 / p; the weight on the diagonal target
+    is the estimation-error fraction beta^2/delta^2, clamped to [0, 1].
+    """
+    grid = FourierGrid(x.n)
+    if 2 * m + 1 < 2:
+        raise ParameterError("shrinkage needs a window of at least 2 periodograms")
+    if periodograms is None:
+        periodograms = periodogram_all(x)
+    idx = _window_indices(grid, grid.wrap(j), m)
+    window = periodograms[idx] / (2.0 * np.pi)
+    f_hat = window.mean(axis=0)
+    p = x.p
+    mu = float(np.trace(f_hat).real) / p
+    delta2 = float(np.sum(np.abs(f_hat - mu * np.eye(p)) ** 2)) / p
+    w = 2 * m + 1
+    beta2 = float(np.sum(np.abs(window - f_hat) ** 2)) / (p * w * (w - 1))
+    if delta2 <= 0.0:
+        return f_hat
+    rho = min(1.0, beta2 / delta2)
+    return rho * mu * np.eye(p) + (1.0 - rho) * f_hat
+
+
+def apply_threshold(
+    f_hat: np.ndarray,
+    op: ThresholdOperator,
+    lam: float,
+    preserve_diagonal: bool = True,
+) -> np.ndarray:
+    """Apply the operator entrywise; diagonal kept intact by default."""
+    out = op(f_hat, lam)
+    if preserve_diagonal:
+        out[np.diag_indices_from(out)] = np.diag(f_hat)
+    return out
+
+
+def assert_thresholded(
+    got: np.ndarray,
+    f_hat: np.ndarray,
+    op: ThresholdOperator,
+    lam: float,
+    preserve_diagonal: bool,
+) -> None:
+    """Assert that `got` is f_hat thresholded at lam off the diagonal, with
+    the diagonal of f_hat kept, bit for bit.  `preserve_diagonal` picks the
+    form of the reference: True compares with `apply_threshold` keeping the
+    diagonal; False compares with the operator on the whole matrix off the
+    diagonal, and with f_hat itself on it."""
+    if preserve_diagonal:
+        assert np.array_equal(got, apply_threshold(f_hat, op, lam))
+        return
+    whole = apply_threshold(f_hat, op, lam, preserve_diagonal=False)
+    off = ~np.eye(len(f_hat), dtype=bool)
+    assert np.array_equal(got[off], whole[off])
+    assert np.array_equal(np.diag(got), np.diag(f_hat))
+
+
+def coherence_threshold(g_hat: np.ndarray, lam: float, tau: float) -> np.ndarray:
+    """Hard-threshold off-diagonal coherence entries at level 2 lambda / tau."""
+    if tau <= 0:
+        raise ParameterError("tau must be positive")
+    op = ThresholdOperator("hard")
+    return apply_threshold(g_hat, op, 2.0 * lam / tau, preserve_diagonal=True)

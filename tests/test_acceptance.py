@@ -9,6 +9,7 @@ import json
 import numpy as np
 import pytest
 from conftest import periodogram_by_autocov_sum, record_acceptance
+from oracles import cos_sin_vectors, dft_matrix_norm_check, periodogram
 
 from specthresh import (
     FourierGrid,
@@ -16,11 +17,8 @@ from specthresh import (
     VarmaModel,
     autocov,
     check_order_bias_bounds,
-    cos_sin_vectors,
-    dft_matrix_norm_check,
     l_n,
     omega_n,
-    periodogram,
     smoothed_estimate,
     true_spectral_density,
 )

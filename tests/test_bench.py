@@ -32,7 +32,6 @@ from specthresh.bench import (
     truth_graph_support,
     truth_spectra,
 )
-from specthresh.dft import periodogram_all
 from specthresh.estimator import _coherence_graph
 from specthresh.metrics import _rmise, _support
 
@@ -146,7 +145,7 @@ class TestHalfSpectrumScoring:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
         for include_diagonal in (True, False):
             want = support_scores(est, truth, include_diagonal=include_diagonal)
-            _, got = _support(rows, half, weights, None, include_diagonal)
+            _, got = _support(rows, half, weights, include_diagonal)
             assert np.allclose(got, [want.precision, want.recall, want.f1], rtol=1e-12, atol=0)
 
     def test_replicate_scores_equal_public_metrics(self):
@@ -206,12 +205,11 @@ class TestEstimateMethods:
             raise AssertionError("tuning pass run")
 
         x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
-        periodograms = periodogram_all(x)
         monkeypatch.setattr(tuning, "split_frequencies", refuse)
-        got = estimate_methods(["smoothed", "shrinkage"], x, 3, periodograms=periodograms)
+        got = estimate_methods(["smoothed", "shrinkage"], x, 3)
         assert list(got) == ["smoothed", "shrinkage"]
         with pytest.raises(AssertionError, match="tuning pass run"):
-            estimate_methods(["smoothed", "lasso"], x, 3, periodograms=periodograms)
+            estimate_methods(["smoothed", "lasso"], x, 3)
 
     def test_one_smoothing_pass(self, rng, monkeypatch):
         calls = []

@@ -53,6 +53,13 @@ class TestSimulate:
         run("simulate", "--model", vma_model_file, "--n", 64, "--seed", 9, "--out", o2)
         assert o1.read_bytes() == o2.read_bytes()
 
+    def test_negative_seed_usage_error(self, tmp_path, vma_model_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            run("simulate", "--model", vma_model_file, "--n", 16, "--seed", -1,
+                "--out", tmp_path / "s.csv")
+        assert err.value.code == 2
+        assert "--seed: must be at least 0" in capsys.readouterr().err
+
     def test_missing_model_file(self, tmp_path):
         code = run("simulate", "--model", tmp_path / "none.json", "--n", 32, "--out", tmp_path / "o")
         assert code == 3
@@ -119,6 +126,21 @@ class TestEstimate:
         assert "NaN" in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
+    def test_infinite_lambda_rejected(self, tmp_path, series_file, capsys):
+        # the estimate reader rejects an infinite threshold, so none is written
+        code = run("estimate", "--series", series_file, "--method", "hard", "--m", 4,
+                   "--lambda", "inf", "--out", tmp_path / "o.json")
+        assert code == 3
+        assert "finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_negative_seed_usage_error(self, tmp_path, series_file, capsys):
+        with pytest.raises(SystemExit) as err:
+            run("estimate", "--series", series_file, "--method", "lasso", "--seed", -1,
+                "--out", tmp_path / "o.json")
+        assert err.value.code == 2
+        assert "--seed: must be at least 0" in capsys.readouterr().err
+
     def test_single_channel_tuned_equals_smoothed(self, tmp_path, rng):
         series = tmp_path / "one.csv"
         write_series(TimeSeriesMatrix(rng.standard_normal((64, 1))), series)
@@ -178,6 +200,42 @@ class TestEvaluate:
         with open(out, newline="") as fh:
             methods = {r["method"] for r in csv.DictReader(fh)}
         assert methods == {"smoothed", "lasso"}
+
+    def test_truth_computed_once_per_n(self, tmp_path, vma_model_file, monkeypatch):
+        series = tmp_path / "series.csv"
+        run("simulate", "--model", vma_model_file, "--n", 64, "--seed", 4, "--out", series)
+        e1, e2 = tmp_path / "sm.json", tmp_path / "la.json"
+        run("estimate", "--series", series, "--method", "smoothed", "--m", 4, "--out", e1)
+        run("estimate", "--series", series, "--method", "lasso", "--m", 4, "--out", e2)
+        singles = []
+        for est in (e1, e2):
+            out = tmp_path / f"{est.stem}.csv"
+            assert run("evaluate", "--model", vma_model_file, "--out", out, est) == 0
+            singles.append(out.read_text().splitlines(keepends=True))
+        calls = []
+        real = bench_mod.truth_spectra
+
+        def counted(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(bench_mod, "truth_spectra", counted)
+        out = tmp_path / "both.csv"
+        assert run("evaluate", "--model", vma_model_file, "--out", out, e1, e2) == 0
+        assert calls == [64]
+        # the shared truth leaves each file's rows as its own evaluation writes them
+        assert out.read_text() == "".join(singles[0] + singles[1][1:])
+
+    def test_model_of_another_p_exits_data(self, tmp_path, capsys):
+        model_path = tmp_path / "p6.json"
+        write_model(block_varma_model(6, "vma"), model_path)
+        n = 16
+        mats = {int(j): np.eye(3, dtype=complex) for j in FourierGrid(n).indices}
+        est_path = tmp_path / "est.json"
+        write_estimate(SpectralEstimate(n=n, p=3, m=0, method="smoothed", matrices=mats), est_path)
+        code = run("evaluate", "--model", model_path, "--out", tmp_path / "r.csv", est_path)
+        assert code == 3
+        assert "estimate has p = 3, model has p = 6" in capsys.readouterr().err
 
     def test_missing_model_file(self, tmp_path):
         code = run("evaluate", "--model", tmp_path / "none.json", "--out", tmp_path / "o",
@@ -262,6 +320,25 @@ class TestBench:
         spec = self._spec(tmp_path, replicates="x")
         assert run("bench", "--spec", spec, "--out", tmp_path / "o") == 3
         assert "bad benchmark spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("seed", -1, "seed must be nonnegative"),
+        ("methods", [], "methods must list at least one method"),
+    ], ids=["negative-seed", "no-methods"])
+    def test_spec_out_of_range_exits_data_before_any_cell(self, tmp_path, capsys, field, value,
+                                                           message):
+        spec = self._spec(tmp_path, **{field: value})
+        out = tmp_path / "bench"
+        assert run("bench", "--spec", spec, "--out", out) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_usage_error(self, tmp_path, capsys, jobs):
+        with pytest.raises(SystemExit) as err:
+            run("bench", "--spec", self._spec(tmp_path), "--out", tmp_path / "o", "--jobs", jobs)
+        assert err.value.code == 2
+        assert "--jobs: must be at least 1" in capsys.readouterr().err
 
     def test_bad_spec_file(self, tmp_path):
         bad = tmp_path / "spec.json"

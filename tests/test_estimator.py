@@ -2,6 +2,13 @@ import pickle
 
 import numpy as np
 import pytest
+from oracles import (
+    assert_thresholded,
+    averaged_periodogram,
+    coherence_threshold,
+    periodogram,
+    shrinkage_estimate,
+)
 
 from specthresh import (
     DataError,
@@ -10,18 +17,13 @@ from specthresh import (
     SpectralEstimate,
     ThresholdOperator,
     aggregate_coherence_graph,
-    apply_threshold,
-    averaged_periodogram,
     coherence,
-    coherence_threshold,
-    periodogram,
     shrinkage_all,
-    shrinkage_estimate,
     smoothed_estimate,
     threshold_estimate,
 )
 from specthresh.dft import periodogram_all
-from specthresh.estimator import HalfSpectrum, _smoothed_half
+from specthresh.estimator import HalfSpectrum, _shrunk, _smoothed, _smoothed_half
 from specthresh.model import TimeSeriesMatrix
 from specthresh.tuning import default_span
 
@@ -118,6 +120,11 @@ class TestThresholdOperators:
         with pytest.raises(ParameterError):
             ThresholdOperator(kind)(np.ones((2, 2)), float("nan"))
 
+    @pytest.mark.parametrize("kind", ["hard", "lasso", "adaptive_lasso"])
+    def test_infinite_lambda_rejected(self, kind):
+        with pytest.raises(ParameterError, match="finite"):
+            ThresholdOperator(kind)(np.ones((2, 2)), float("inf"))
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
             ThresholdOperator("soft")
@@ -139,7 +146,7 @@ class TestThresholdOperators:
     def test_max_norm_perturbation_bound(self, rng):
         f = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         for kind in ("hard", "lasso", "adaptive_lasso"):
-            out = apply_threshold(f.copy(), ThresholdOperator(kind), 0.7, preserve_diagonal=False)
+            out = ThresholdOperator(kind)(f, 0.7)
             assert np.max(np.abs(out - f)) <= 0.7 + 1e-12
 
 
@@ -148,6 +155,8 @@ class TestBatchedThresholding:
                                     ThresholdOperator("adaptive_lasso"),
                                     ThresholdOperator("adaptive_lasso", eta=0.5)],
                              ids=lambda op: f"{op.kind}-{op.eta}")
+    # the estimator always keeps the diagonal; preserve_diagonal picks the
+    # form of the reference it is checked against (see assert_thresholded)
     @pytest.mark.parametrize("preserve_diagonal", [True, False])
     def test_rows_equal_apply_threshold(self, rng, op, preserve_diagonal):
         # 102 rows: six blocks of 16 and a partial one.  Thresholds inside
@@ -161,14 +170,13 @@ class TestBatchedThresholding:
         smoothed = [averaged_periodogram(x, m, j, periodograms) for j in range(n // 2 + 1)]
         lambdas = {j: float(rng.uniform(0.05, 0.5) * np.median(np.abs(f)))
                    for j, f in enumerate(smoothed)}
-        est = threshold_estimate(x, m, op, lambdas, preserve_diagonal=preserve_diagonal,
-                                 periodograms=periodograms)
+        est = threshold_estimate(x, m, op, lambdas)
         for j, f in enumerate(smoothed):
-            want = apply_threshold(f, op, lambdas[j], preserve_diagonal=preserve_diagonal)
-            assert np.array_equal(est.matrices[j], want)
-            assert np.array_equal(est.matrices[-j], want.conj()) or j == 0
+            assert_thresholded(est.matrices[j], f, op, lambdas[j], preserve_diagonal)
+            assert np.array_equal(est.matrices[-j], est.matrices[j].conj()) or j == 0
 
-    @pytest.mark.parametrize("bad, message", [(float("nan"), "NaN"), (-0.1, "nonnegative")])
+    @pytest.mark.parametrize("bad, message", [(float("nan"), "NaN"), (-0.1, "nonnegative"),
+                                              (float("inf"), "finite")])
     def test_bad_threshold_rejected(self, rng, bad, message):
         x = white_series(rng, 40, 3)
         lambdas = {j: 0.1 for j in range(21)}
@@ -280,8 +288,8 @@ class TestShrinkage:
         mat = gen.uniform(0.5, 3) * np.eye(3) + 1e-6 * (h + h.conj().T)
         stack = np.tile(mat, (16, 1, 1))
         x = white_series(rng, 16, 3)
-        est = shrinkage_all(x, 2, periodograms=stack)
-        smooth = smoothed_estimate(x, 2, periodograms=stack)
+        est = _shrunk(x, 2, stack, _smoothed_half(stack, 2))
+        smooth = _smoothed(x, 2, _smoothed_half(stack, 2))
         off = ~np.eye(3, dtype=bool)
         for j in est.frequencies():
             assert np.all(np.isfinite(est.matrices[j]))
@@ -294,8 +302,8 @@ class TestShrinkage:
         # delta^2 = 0 exactly while beta^2 > 0: rho must be 0, not beta^2 / 0
         x = white_series(rng, 18, 2)
         stack = np.array([(k % 3 + 1.0) * np.eye(2) for k in range(18)], dtype=complex)
-        est = shrinkage_all(x, 2, periodograms=stack)
-        smooth = smoothed_estimate(x, 2, periodograms=stack)
+        est = _shrunk(x, 2, stack, _smoothed_half(stack, 2))
+        smooth = _smoothed(x, 2, _smoothed_half(stack, 2))
         for j in est.frequencies():
             assert np.array_equal(est.matrices[j], smooth.matrices[j])
 

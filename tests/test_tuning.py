@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import apply_threshold, assert_thresholded, averaged_periodogram
 
 from specthresh import (
     FourierGrid,
@@ -15,7 +16,7 @@ from specthresh import (
     tuned_threshold_estimates,
 )
 from specthresh.dft import periodogram_all
-from specthresh.estimator import apply_threshold, averaged_periodogram, threshold_estimate
+from specthresh.estimator import threshold_estimate
 from specthresh.model import TimeSeriesMatrix
 from specthresh.estimator import _smoothed_half
 from specthresh.tuning import _check_grids, _freq_rng, _lambda_grids
@@ -178,7 +179,8 @@ class TestClosedFormRisk:
         return TimeSeriesMatrix(data)
 
     @pytest.mark.parametrize("op", OPERATORS, ids=lambda op: f"{op.kind}-{op.eta}")
-    @pytest.mark.parametrize("preserve_diagonal", [True, False])
+    # the estimator always keeps the diagonal; the one value keeps the test ids
+    @pytest.mark.parametrize("preserve_diagonal", [True])
     @pytest.mark.parametrize("n_splits", [1, 3])
     def test_matches_threshold_loop(self, rng, op, preserve_diagonal, n_splits):
         x = self._series(rng)
@@ -189,7 +191,7 @@ class TestClosedFormRisk:
             moduli = np.unique(np.abs(f1))
             grid = np.unique(np.concatenate([[0.0], moduli[::3], [2.0 * moduli[-1]]]))
             cfg = TuningConfig(m=6, lambda_grid=tuple(grid), n_splits=n_splits, seed=11)
-            got = np.array(select_threshold(x, j, cfg, op, preserve_diagonal=preserve_diagonal).risk)
+            got = np.array(select_threshold(x, j, cfg, op).risk)
             ref = risk_by_threshold_loop(x, j, cfg, op, preserve_diagonal)
             assert np.all(np.isfinite(got))
             assert np.max(np.abs(got - ref) / ref) <= 1e-10
@@ -263,14 +265,19 @@ class TestTunedThresholdEstimate:
         assert set(est.lambdas) == set(est.frequencies())
 
     def test_lambda_scale_rescales_thresholds(self, rng):
+        # tuned thresholds are rescaled by thresholding again at the scaled
+        # values; a negative scale is a negative threshold
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
         op = ThresholdOperator("lasso")
         base = tuned_threshold_estimate(x, 4, op, seed=2)
-        scaled = tuned_threshold_estimate(x, 4, op, seed=2, lambda_scale=0.5)
-        for j in range(0, 17):
+        scaled = threshold_estimate(x, 4, op, {j: 0.5 * base.lambdas[j] for j in range(17)})
+        for j in range(-15, 17):
             assert abs(scaled.lambdas[j] - 0.5 * base.lambdas[j]) < 1e-14
+        for j in range(17):
+            want = apply_threshold(averaged_periodogram(x, 4, j), op, 0.5 * base.lambdas[j])
+            assert np.array_equal(scaled.matrices[j], want)
         with pytest.raises(ParameterError):
-            tuned_threshold_estimate(x, 4, op, lambda_scale=0.0)
+            threshold_estimate(x, 4, op, {j: -0.5 * base.lambdas[j] for j in range(17)})
 
     def test_reruns_identical(self, rng):
         data = rng.standard_normal((24, 3))
@@ -285,21 +292,30 @@ class TestTunedThresholdEstimate:
 class TestTunedThresholdEstimates:
     @pytest.mark.parametrize("n", [41, 48])
     @pytest.mark.parametrize("n_splits", [1, 3])
+    # preserve_diagonal picks the form of the reference each row is checked
+    # against (see assert_thresholded); lambda_scale scales the tuned
+    # thresholds that threshold_estimate applies again
     @pytest.mark.parametrize("preserve_diagonal", [True, False])
     @pytest.mark.parametrize("lambda_scale", [1.0, 0.6])
     def test_each_equals_its_own_tuned_estimate(self, rng, n, n_splits, preserve_diagonal,
                                                 lambda_scale):
         x = TimeSeriesMatrix(rng.standard_normal((n, 5)) @ rng.standard_normal((5, 5)))
-        kwargs = dict(grid_size=8, n_splits=n_splits, seed=9,
-                      preserve_diagonal=preserve_diagonal, lambda_scale=lambda_scale)
+        kwargs = dict(grid_size=8, n_splits=n_splits, seed=9)
         ests = tuned_threshold_estimates(x, 4, OPERATORS, **kwargs)
         assert len(ests) == len(OPERATORS)
+        smoothed = [averaged_periodogram(x, 4, j) for j in range(n // 2 + 1)]
         for op, est in zip(OPERATORS, ests):
             ref = tuned_threshold_estimate(x, 4, op, **kwargs)
             assert (est.method, est.eta) == (ref.method, ref.eta)
             assert est.lambdas == ref.lambdas
             for j in ref.frequencies():
                 assert np.array_equal(est.matrices[j], ref.matrices[j])
+            scaled = threshold_estimate(
+                x, 4, op, {j: lambda_scale * ref.lambdas[j] for j in range(n // 2 + 1)})
+            for j, f in enumerate(smoothed):
+                assert_thresholded(est.matrices[j], f, op, ref.lambdas[j], preserve_diagonal)
+                assert_thresholded(scaled.matrices[j], f, op, lambda_scale * ref.lambdas[j],
+                                   preserve_diagonal)
 
     def test_operators_do_not_share_storage(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
@@ -321,19 +337,18 @@ class TestBatchedTuning:
     @pytest.mark.parametrize("n", [21, 30, 31, 41, 62])  # n//2+1 = 11, 16, 16, 21, 32 rows
     @pytest.mark.parametrize("p", [1, 2, 5])  # p = 2: both off-diagonal moduli equal, grid (lo,)
     @pytest.mark.parametrize("n_splits", [1, 3])
-    @pytest.mark.parametrize("preserve_diagonal", [True, False])
+    # the estimator always keeps the diagonal; the one value keeps the test ids
+    @pytest.mark.parametrize("preserve_diagonal", [True])
     def test_lambdas_equal_select_threshold(self, rng, n, p, n_splits, preserve_diagonal):
         x = TimeSeriesMatrix(rng.standard_normal((n, p)) @ rng.standard_normal((p, p)))
         periodograms = periodogram_all(x)
-        ests = tuned_threshold_estimates(x, 4, OPERATORS, grid_size=6, n_splits=n_splits, seed=5,
-                                         preserve_diagonal=preserve_diagonal)
+        ests = tuned_threshold_estimates(x, 4, OPERATORS, grid_size=6, n_splits=n_splits, seed=5)
         for j in range(n // 2 + 1):
             grid = default_lambda_grid(averaged_periodogram(x, 4, j, periodograms), 6)
             assert len(grid) == (6 if p > 2 else 1)
             cfg = TuningConfig(m=4, lambda_grid=grid, n_splits=n_splits, seed=5)
             for op, est in zip(OPERATORS, ests):
-                want = select_threshold(x, j, cfg, op, preserve_diagonal=preserve_diagonal,
-                                        periodograms=periodograms)
+                want = select_threshold(x, j, cfg, op)
                 assert est.lambdas[j] == want.chosen
                 if p == 1:
                     assert want.chosen == 0.0
