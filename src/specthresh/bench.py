@@ -4,10 +4,11 @@ smoothing, shrinkage and thresholding estimators on block VARMA models."""
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -24,7 +25,14 @@ from .estimator import (
     _smoothed_half,
 )
 from .metrics import EvaluationReport, RocCurve, _rmise, _support, replicate_summary, roc_points
-from .model import VarmaModel, _spectral_density_half, block_varma_model, simulate
+from .model import (
+    _BLOCK_ROWS,
+    VarmaModel,
+    _spectral_density_half,
+    _spectral_density_rows,
+    block_varma_model,
+    simulate,
+)
 from .tuning import _tuned, default_span
 
 METHOD_ALIASES = {"alasso": "adaptive_lasso"}
@@ -63,6 +71,10 @@ class BenchmarkSpec:
             raise ParameterError("replicates must be at least 1")
         if self.seed < 0:
             raise ParameterError("seed must be nonnegative")
+        if self.grid_size < 1:
+            raise ParameterError("grid_size must be at least 1")
+        if self.n_splits < 1:
+            raise ParameterError("n_splits must be at least 1")
         object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
         for p in self.p_list:
             if p < 3 or p % 3 != 0:
@@ -214,18 +226,33 @@ def _scored(
     return out
 
 
-# A pool worker's truth and truth support, set once per worker by
-# `_init_worker` so that replicate tasks need not carry them.
-_worker_truth: tuple = ()
+# The function a pool worker applies to each task, set once per worker by
+# `_init_worker` so that tasks need not carry what it binds.
+_worker_fn = None
 
 
-def _init_worker(truth: np.ndarray, truth_support_graph: np.ndarray) -> None:
-    global _worker_truth
-    _worker_truth = (truth, truth_support_graph)
+def _init_worker(fn) -> None:
+    global _worker_fn
+    _worker_fn = fn
 
 
 def _worker(task):
-    return run_replicate(*task, *_worker_truth)
+    return _worker_fn(*task)
+
+
+def _mapped(fn, tasks, jobs: int):
+    """`fn(*task)` for each task, in order.
+
+    With jobs > 1 the calls run in a pool of `jobs` worker processes, which
+    is shut down once the last result is read or a task fails.  `fn`, with
+    the arrays it binds, reaches each worker once, through the initializer:
+    a forked worker inherits it, a spawned one unpickles it once.
+    """
+    if jobs == 1:
+        yield from itertools.starmap(fn, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(fn,)) as pool:
+        yield from pool.map(_worker, tasks)
 
 
 @dataclass
@@ -237,20 +264,30 @@ class CellResult:
     rocs: Dict[str, List[RocCurve]]
 
 
+def _pooled_truth(model: VarmaModel, n: int, jobs: int) -> np.ndarray:
+    """`_spectral_density_half(model, n)`, its row blocks computed by `jobs`
+    worker processes (in this process when jobs == 1)."""
+    truth = np.empty((n // 2 + 1, model.dim, model.dim), dtype=complex)
+    blocks = [(j0, min(j0 + _BLOCK_ROWS, len(truth))) for j0 in range(0, len(truth), _BLOCK_ROWS)]
+    rows = _mapped(functools.partial(_spectral_density_rows, model, n), blocks, jobs)
+    # strict zip reads `rows` to its end, which closes its pool
+    for (start, stop), block in zip(blocks, rows, strict=True):
+        truth[start:stop] = block
+    return truth
+
+
 def run_cell(spec: BenchmarkSpec, cell_index: int, p: int, n: int, jobs: int = 1) -> CellResult:
-    model = block_varma_model(p, spec.family)
-    truth = _spectral_density_half(model, n)
+    """Summaries and ROC curves of `spec.replicates` replicates of one cell.
+
+    With jobs > 1 the truth's row blocks and then the replicates run in two
+    successive pools: the replicate workers fork after the truth is whole,
+    so each inherits it and its support without a copy per task.
+    """
+    truth = _pooled_truth(block_varma_model(p, spec.family), n, jobs)
     support = truth_graph_support(HalfSpectrum(n, truth))
     tasks = [(spec, cell_index, p, n, r) for r in range(spec.replicates)]
-    if jobs > 1:
-        # the truth reaches each worker once, through the initializer: a
-        # forked worker inherits it, a spawned one unpickles it once
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(truth, support)
-        ) as pool:
-            results = list(pool.map(_worker, tasks))
-    else:
-        results = [run_replicate(*t, truth, support) for t in tasks]
+    replicate = functools.partial(run_replicate, truth=truth, truth_support_graph=support)
+    results = list(_mapped(replicate, tasks, jobs))
     summaries = {}
     rocs: Dict[str, List[RocCurve]] = {}
     for method in spec.methods:

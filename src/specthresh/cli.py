@@ -7,8 +7,6 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from . import bench as bench_mod
 from . import fileio
 from .errors import DataError, NumericalError, SpecthreshError

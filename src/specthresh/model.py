@@ -8,7 +8,7 @@ dependence measures that drive smoothing-bias bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -274,11 +274,20 @@ def _spectral_density_half(model: VarmaModel, n: int) -> np.ndarray:
     """`true_spectral_density` at omega_j = 2 pi j / n for j = 0..floor(n/2).
 
     Returns a (n//2+1, p, p) array; f(omega_{-j}) is the conjugate of row j.
+    """
+    return _spectral_density_rows(model, n, 0, n // 2 + 1)
+
+
+def _spectral_density_rows(model: VarmaModel, n: int, start: int, stop: int) -> np.ndarray:
+    """Rows start..stop-1 of `_spectral_density_half`, a (stop-start, p, p) array.
+
     Frequencies are evaluated _BLOCK_ROWS at a time, each block with one
-    batched condition check and one batched solve.
+    batched condition check and one batched solve.  Every matrix comes from
+    its own LAPACK and BLAS calls, so a row is bit-identical however the
+    rows are split into ranges.
     """
     p = model.dim
-    omegas = 2.0 * np.pi * np.arange(n // 2 + 1) / n
+    omegas = 2.0 * np.pi * np.arange(start, stop) / n
     out = np.empty((len(omegas), p, p), dtype=complex)
     for j0 in range(0, len(omegas), _BLOCK_ROWS):
         w = omegas[j0:j0 + _BLOCK_ROWS]

@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,7 @@ from specthresh.bench import (
 )
 from specthresh.estimator import _coherence_graph
 from specthresh.metrics import _rmise, _support
+from specthresh.model import _spectral_density_half, _spectral_density_rows
 
 
 def varma21(rng):
@@ -72,19 +75,42 @@ class TestTruthSpectra:
         with pytest.raises(NumericalError, match="nearly singular at omega=0.0"):
             truth_spectra(NEAR_SINGULAR, 32)
 
+    @pytest.mark.parametrize("family", ["var", "varma21"])
+    def test_rows_reassemble_bit_for_bit(self, rng, family):
+        # 50 is not a multiple of the 16-row blocks either range is evaluated in
+        model = varma21(rng) if family == "varma21" else block_varma_model(6, family)
+        want = _spectral_density_half(model, 200)
+        split = np.concatenate([_spectral_density_rows(model, 200, 0, 50),
+                                _spectral_density_rows(model, 200, 50, 101)])
+        assert np.array_equal(split, want)
+        assert np.array_equal(bench._pooled_truth(model, 200, jobs=2), want)
+        assert multiprocessing.active_children() == []
+
 
 class TestRunCell:
     def test_pool_matches_serial(self):
-        spec = BenchmarkSpec(
-            family="vma", p_list=(6,), n_list=(64,), methods=("smoothed", "shrinkage", "lasso"),
-            replicates=2, seed=5, grid_size=5,
-        )
-        serial = run_cell(spec, 0, 6, 64, jobs=1)
-        pooled = run_cell(spec, 0, 6, 64, jobs=2)
-        assert pooled.m == serial.m
-        for method in spec.methods:
-            assert pooled.summaries[method] == serial.summaries[method]
-            assert pooled.rocs[method] == serial.rocs[method]
+        for family in ("vma", "var"):
+            spec = BenchmarkSpec(
+                family=family, p_list=(6,), n_list=(64,),
+                methods=("smoothed", "shrinkage", "lasso"), replicates=2, seed=5, grid_size=5,
+            )
+            serial = run_cell(spec, 0, 6, 64, jobs=1)
+            pooled = run_cell(spec, 0, 6, 64, jobs=2)
+            assert pooled.m == serial.m
+            for method in spec.methods:
+                assert pooled.summaries[method] == serial.summaries[method]
+                assert pooled.rocs[method] == serial.rocs[method]
+
+    def test_pooled_truth_failure_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(bench, "block_varma_model", lambda p, family: NEAR_SINGULAR)
+        spec = BenchmarkSpec(family="var", p_list=(3,), n_list=(32,), methods=("smoothed",))
+        errors = []
+        for jobs in (1, 2):
+            with pytest.raises(NumericalError, match="nearly singular at omega=0.0") as err:
+                run_cell(spec, 0, 2, 32, jobs=jobs)
+            errors.append(str(err.value))
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1]
 
 
 def full_grid_support(truth):

@@ -324,7 +324,9 @@ class TestBench:
     @pytest.mark.parametrize("field, value, message", [
         ("seed", -1, "seed must be nonnegative"),
         ("methods", [], "methods must list at least one method"),
-    ], ids=["negative-seed", "no-methods"])
+        ("grid_size", 0, "grid_size must be at least 1"),
+        ("n_splits", 0, "n_splits must be at least 1"),
+    ], ids=["negative-seed", "no-methods", "no-grid", "no-splits"])
     def test_spec_out_of_range_exits_data_before_any_cell(self, tmp_path, capsys, field, value,
                                                            message):
         spec = self._spec(tmp_path, **{field: value})
