@@ -16,10 +16,10 @@ from specthresh import (
     rmise,
     simulate,
     smoothed_estimate,
-    true_spectral_density,
     tuned_threshold_estimate,
 )
-from specthresh.dft import FourierGrid
+from specthresh.bench import truth_spectra
+from specthresh.estimator import half_weights
 
 P, N, SEED = 12, 200, 0
 
@@ -34,18 +34,21 @@ print(f"smoothing half-span m = {m}  (window of {2 * m + 1} periodograms)")
 smoothed = smoothed_estimate(x, m)
 lasso = tuned_threshold_estimate(x, m, ThresholdOperator("lasso"), seed=SEED)
 
-grid = FourierGrid(N)
-truth = {int(j): true_spectral_density(model, grid.frequency(int(j))) for j in grid.indices}
+# every spectrum is one array of its rows j = 0..N/2: the row at -j is the
+# conjugate of the row at j, so these rows hold the whole of F_n
+truth = truth_spectra(model, N)
 
 print(f"RMISE smoothed: {rmise(smoothed, truth):6.2f} %")
 print(f"RMISE lasso:    {rmise(lasso, truth):6.2f} %")
 
 # the thresholded estimate is exactly sparse; count surviving off-diagonals
+# over F_n, weighting row j by how often +-j occurs in it
 mask = ~np.eye(P, dtype=bool)
-kept = np.mean([np.mean(np.abs(lasso.matrices[j][mask]) > 0) for j in lasso.frequencies()])
-true_frac = np.mean([np.mean(np.abs(truth[j][mask]) > 1e-12) for j in truth])
+weights = half_weights(N)
+kept = np.average(np.mean(np.abs(lasso.half[:, mask]) > 0, axis=1), weights=weights)
+true_frac = np.average(np.mean(np.abs(truth[:, mask]) > 1e-12, axis=1), weights=weights)
 print(f"off-diagonal entries kept by lasso: {100 * kept:.1f} %  (truth: {100 * true_frac:.1f} %)")
 
 # thresholding can break positive semidefiniteness; report the worst case
-worst = min(lasso.min_eigenvalues().values())
+worst = lasso.min_eigenvalues().min()
 print(f"smallest eigenvalue across frequencies after thresholding: {worst:.2e}")

@@ -35,7 +35,7 @@ print(f"window around omega_{j}: {2 * m + 1} frequencies")
 print(f"  half 1 ({len(j1)}): {j1}")
 print(f"  half 2 ({len(j2)}): {j2}")
 
-f_hat = smoothed_estimate(x, m).matrices[j]
+f_hat = smoothed_estimate(x, m).half[j]
 grid = default_lambda_grid(f_hat, size=20)
 cfg = TuningConfig(m=m, lambda_grid=grid, n_splits=1, seed=SEED)
 risk = select_threshold(x, j, cfg, ThresholdOperator("lasso"))
@@ -47,6 +47,6 @@ for lam, r in zip(risk.grid, risk.risk):
 
 # per-frequency thresholds over the whole spectrum
 est = tuned_threshold_estimate(x, m, ThresholdOperator("lasso"), seed=SEED)
-lams = np.array([est.lambdas[k] for k in range(0, N // 2 + 1)])
+lams = est.lambdas  # one threshold per row j = 0..N/2
 print(f"\ntuned thresholds over {lams.size} nonnegative frequencies:")
 print(f"  min {lams.min():.5f}   median {np.median(lams):.5f}   max {lams.max():.5f}")

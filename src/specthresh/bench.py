@@ -9,30 +9,29 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .dft import periodogram_all
 from .errors import DataError, ParameterError, SpecthreshError
 from .estimator import (
-    HalfSpectrum,
     SpectralEstimate,
     ThresholdOperator,
-    _coherence_graph,
     _shrunk,
     _smoothed,
     _smoothed_half,
+    aggregate_coherence_graph,
 )
-from .metrics import EvaluationReport, RocCurve, _rmise, _support, replicate_summary, roc_points
-from .model import (
-    _BLOCK_ROWS,
-    VarmaModel,
-    _spectral_density_half,
-    _spectral_density_rows,
-    block_varma_model,
-    simulate,
+from .metrics import (
+    EvaluationReport,
+    RocCurve,
+    replicate_summary,
+    rmise,
+    roc_points,
+    support_scores,
 )
+from .model import _BLOCK_ROWS, VarmaModel, _spectral_density_rows, block_varma_model, simulate
 from .tuning import _tuned, default_span
 
 METHOD_ALIASES = {"alasso": "adaptive_lasso"}
@@ -114,21 +113,20 @@ class BenchmarkSpec:
             raise DataError(f"bad benchmark spec: {exc}") from None
 
 
-def truth_spectra(model: VarmaModel, n: int) -> HalfSpectrum:
-    """Population spectral density at every j in F_n, keyed by j.
-
-    Computed on j >= 0 only; f(omega_{-j}) is the conjugate of f(omega_j).
-    """
-    return HalfSpectrum(n, _spectral_density_half(model, n))
+def truth_spectra(model: VarmaModel, n: int) -> np.ndarray:
+    """Population spectral density f(omega_j) for j = 0..floor(n/2), as a
+    (n//2+1, p, p) array; f(omega_{-j}) is the conjugate of row j."""
+    return _spectral_density_rows(model, n, 0, n // 2 + 1)
 
 
-def truth_graph_support(truth: Mapping[int, np.ndarray]) -> np.ndarray:
+def truth_graph_support(truth: np.ndarray) -> np.ndarray:
     """Edge (r, s) is true when f_rs is nonzero at some Fourier frequency.
 
-    Reads only j >= 0: f(omega_{-j}) is the conjugate of f(omega_j), and
-    conjugation keeps every modulus.
+    `truth` holds the rows j >= 0, as `truth_spectra` returns them:
+    f(omega_{-j}) is the conjugate of f(omega_j), and conjugation keeps
+    every modulus.
     """
-    peak_mod = functools.reduce(np.maximum, (np.abs(truth[j]) for j in truth if j >= 0))
+    peak_mod = functools.reduce(np.maximum, map(np.abs, truth))
     # |f_rs| exceeds the tolerance at some j exactly when its largest modulus does
     support = peak_mod > 1e-12 * float(np.max(peak_mod))
     np.fill_diagonal(support, False)
@@ -189,39 +187,21 @@ def run_replicate(
     return _scored(spec, estimates, truth, truth_support_graph)
 
 
-def _half_weights(n: int) -> np.ndarray:
-    """How often each j = 0..n//2 occurs in F_n up to conjugation: 1 at j = 0
-    and at n/2 (n even), 2 elsewhere, since j and -j both occur."""
-    weights = np.full(n // 2 + 1, 2.0)
-    weights[0] = 1.0
-    if n % 2 == 0:
-        weights[-1] = 1.0
-    return weights
-
-
 def _scored(
     spec: BenchmarkSpec,
     estimates: Dict[str, SpectralEstimate],
     truth: np.ndarray,
     truth_support_graph: np.ndarray,
 ) -> Dict[str, dict]:
-    """Report and ROC curve of each estimate.
-
-    Scores the j >= 0 rows only, each weighted by its count in F_n: the
-    spectra at -j are the conjugates of those at j, and every metric reads
-    moduli only.  The sums equal the full-grid `rmise`,
-    `aggregate_coherence_graph` and `support_scores` up to roundoff.
-    """
+    """Report and ROC curve of each estimate."""
     out = {}
     for method, est in estimates.items():
-        rows = est.matrices.half
-        weights = _half_weights(est.n)
-        report = EvaluationReport(method=method, rmise=_rmise(rows, truth, weights))
-        roc = roc_points(_coherence_graph(rows, weights), truth_support_graph)
+        report = EvaluationReport(method=method, rmise=rmise(est, truth))
+        roc = roc_points(aggregate_coherence_graph(est), truth_support_graph)
         report.auc = roc.auc
         if method in THRESHOLD_METHODS:
-            _, means = _support(rows, truth, weights, spec.include_diagonal)
-            report.precision, report.recall, report.f1 = means.tolist()
+            scores = support_scores(est, truth, spec.include_diagonal)
+            report.precision, report.recall, report.f1 = scores.precision, scores.recall, scores.f1
         out[method] = {"report": report, "roc": roc}
     return out
 
@@ -265,7 +245,7 @@ class CellResult:
 
 
 def _pooled_truth(model: VarmaModel, n: int, jobs: int) -> np.ndarray:
-    """`_spectral_density_half(model, n)`, its row blocks computed by `jobs`
+    """`truth_spectra(model, n)`, its row blocks computed by `jobs`
     worker processes (in this process when jobs == 1)."""
     truth = np.empty((n // 2 + 1, model.dim, model.dim), dtype=complex)
     blocks = [(j0, min(j0 + _BLOCK_ROWS, len(truth))) for j0 in range(0, len(truth), _BLOCK_ROWS)]
@@ -284,7 +264,7 @@ def run_cell(spec: BenchmarkSpec, cell_index: int, p: int, n: int, jobs: int = 1
     so each inherits it and its support without a copy per task.
     """
     truth = _pooled_truth(block_varma_model(p, spec.family), n, jobs)
-    support = truth_graph_support(HalfSpectrum(n, truth))
+    support = truth_graph_support(truth)
     tasks = [(spec, cell_index, p, n, r) for r in range(spec.replicates)]
     replicate = functools.partial(run_replicate, truth=truth, truth_support_graph=support)
     results = list(_mapped(replicate, tasks, jobs))

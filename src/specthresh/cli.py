@@ -16,7 +16,6 @@ from .model import simulate
 from .tuning import default_span
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 

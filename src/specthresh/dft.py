@@ -35,10 +35,6 @@ class FourierGrid:
     def indices(self) -> np.ndarray:
         return np.arange(-self.half, self.n // 2 + 1)
 
-    def wrap(self, j: int) -> int:
-        """Canonical representative of j in F_n (indices are mod-n periodic)."""
-        return int((j + self.half) % self.n - self.half)
-
     def contains(self, j: int) -> bool:
         return -self.half <= j <= self.n // 2
 

@@ -1,23 +1,23 @@
 """Averaged periodogram, thresholding operators, shrinkage and coherence.
 
-Spectral matrices are plain complex ndarrays; a `SpectralEstimate` bundles
-the per-frequency matrices with the estimator metadata (smoothing span,
-method, per-frequency thresholds).
+Spectral matrices are plain complex ndarrays.  A real series has
+f(-omega) = conj f(omega), so a spectrum over F_n is one (n//2+1, p, p)
+array of its rows j = 0..floor(n/2); a `SpectralEstimate` bundles that
+array with the estimator metadata (smoothing span, method, per-frequency
+thresholds).
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dft import FourierGrid, periodogram_all
+from .dft import periodogram_all
 from .errors import DataError, ParameterError
 from .model import TimeSeriesMatrix
-
-METHODS = ("smoothed", "shrinkage", "hard", "lasso", "adaptive_lasso")
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class ThresholdOperator:
 
     def __call__(self, z: np.ndarray, lam: float) -> np.ndarray:
         _check_thresholds(np.array([lam], dtype=float))
-        t = lam ** (self.eta + 1) if self.kind == "adaptive_lasso" else None
+        t = _penalty_scale(lam, self.eta) if self.kind == "adaptive_lasso" else None
         return self._apply(np.asarray(z, dtype=complex), lam, t)
 
     def _apply(self, z: np.ndarray, lam, t) -> np.ndarray:
@@ -52,12 +52,27 @@ class ThresholdOperator:
         if self.kind == "lasso":
             shrunk = np.maximum(mod - lam, 0.0)
         else:
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 penalty = np.where(mod > 0, t * mod ** (-self.eta), np.inf)
+                if np.isinf(t).any():
+                    # lam^(eta+1) overflowed: lam (lam/|z|)^eta is the same
+                    # penalty, and finite unless |z| is far below lam
+                    penalty = np.where(np.isinf(t), lam * (lam / mod) ** self.eta, penalty)
             shrunk = np.maximum(mod - penalty, 0.0)
         with np.errstate(invalid="ignore"):
             phase = np.where(mod > 0, z / np.where(mod > 0, mod, 1.0), 0.0)
         return phase * shrunk
+
+
+def _penalty_scale(lam: float, eta: float) -> float:
+    """lam^(eta+1) by Python's float power, so that a row thresholded in a
+    batch equals the operator applied to it alone (numpy's array power can
+    differ in the last bit); inf where the power overflows, for which
+    `ThresholdOperator._apply` forms the penalty another way."""
+    try:
+        return lam ** (eta + 1)
+    except OverflowError:
+        return math.inf
 
 
 def _check_thresholds(lams: np.ndarray) -> None:
@@ -70,63 +85,38 @@ def _check_thresholds(lams: np.ndarray) -> None:
         raise ParameterError("threshold must be finite")
 
 
-class HalfSpectrum(Mapping):
-    """Read-only map over F_n, in order, of the rows j = 0..floor(n/2) of the
-    array `half`: j >= 0 reads row j (a view), and j < 0 the conjugate of
-    row -j, since f(-omega) = conj f(omega) for a real series."""
-
-    def __init__(self, n: int, half: np.ndarray):
-        self.n = n
-        self.half = half
-
-    def __getitem__(self, j):
-        if isinstance(j, (int, np.integer)) and -((self.n - 1) // 2) <= j <= self.n // 2:
-            return self.half[j] if j >= 0 else self.half[-j].conj()
-        raise KeyError(j)
-
-    def __iter__(self):
-        return iter(range(-((self.n - 1) // 2), self.n // 2 + 1))
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __eq__(self, other):
-        if not isinstance(other, HalfSpectrum):
-            return NotImplemented
-        return self.n == other.n and np.array_equal(self.half, other.half)
+def half_weights(n: int) -> np.ndarray:
+    """How often each j = 0..n//2 occurs in F_n up to conjugation: 1 at j = 0
+    and at n/2 (n even), 2 elsewhere, since j and -j both occur."""
+    weights = np.full(n // 2 + 1, 2.0)
+    weights[0] = 1.0
+    if n % 2 == 0:
+        weights[-1] = 1.0
+    return weights
 
 
 @dataclass
 class SpectralEstimate:
-    """Per-frequency spectral matrices plus estimator metadata.
+    """A spectrum estimate over F_n plus estimator metadata.
 
-    `matrices[j]` is the p x p estimate at Fourier index j.  The estimates
-    the package builds are `HalfSpectrum`s, for which conjugate symmetry
-    matrices[-j] = conj(matrices[j]) holds exactly.
+    `half[j]` is the p x p estimate at Fourier index j = 0..floor(n/2), and
+    `lambdas[j]` its threshold; the estimate at -j is conj(half[j]), with
+    threshold lambdas[j].
     """
 
     n: int
     p: int
     m: int
     method: str
-    matrices: Mapping[int, np.ndarray]
-    lambdas: Optional[Mapping[int, float]] = None
+    half: np.ndarray
+    lambdas: Optional[np.ndarray] = None
     eta: Optional[float] = None
     channel_names: Optional[tuple] = None
 
-    @property
-    def grid(self) -> FourierGrid:
-        return FourierGrid(self.n)
-
-    def frequencies(self):
-        return sorted(self.matrices)
-
-    def min_eigenvalues(self) -> Dict[int, float]:
-        """Smallest eigenvalue per frequency (thresholding may break PSD)."""
-        return {
-            j: float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
-            for j, m in self.matrices.items()
-        }
+    def min_eigenvalues(self) -> np.ndarray:
+        """Smallest eigenvalue at each j = 0..floor(n/2), the same at -j
+        (thresholding may break PSD)."""
+        return np.array([np.linalg.eigvalsh(0.5 * (f + f.conj().T))[0] for f in self.half])
 
 
 _BLOCK_ROWS = 16
@@ -167,19 +157,18 @@ def _smoothed_half(periodograms: np.ndarray, m: int) -> np.ndarray:
 _BLOCK_BYTES = 1 << 20
 
 
-def _row_blocks(*seqs):
-    """Blocks of consecutive rows of equally long sequences of p x p
-    matrices, as (rows slice, one stack per sequence).
+def _row_blocks(*arrays):
+    """Blocks of consecutive rows of equally long (rows, p, p) arrays, as
+    (rows slice, one view per array).
 
     A block has _BLOCK_ROWS rows, or fewer when that many would take more
     than _BLOCK_BYTES, so the temporaries of the work on a block stay small
-    at large p.  A block of an array is a view of it; a block of a list is
-    stacked.
+    at large p.
     """
-    step = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // np.asarray(seqs[0][0]).nbytes))
-    for j0 in range(0, len(seqs[0]), step):
+    step = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // arrays[0][0].nbytes))
+    for j0 in range(0, len(arrays[0]), step):
         rows = slice(j0, j0 + step)
-        yield (rows, *(np.asarray(seq[rows]) for seq in seqs))
+        yield (rows, *(a[rows] for a in arrays))
 
 
 def smoothed_estimate(x: TimeSeriesMatrix, m: int) -> SpectralEstimate:
@@ -189,8 +178,7 @@ def smoothed_estimate(x: TimeSeriesMatrix, m: int) -> SpectralEstimate:
 
 def _smoothed(x: TimeSeriesMatrix, m: int, half: np.ndarray) -> SpectralEstimate:
     """The smoothed estimate over `half` itself, not a copy."""
-    return SpectralEstimate(x.n, x.p, m, "smoothed", HalfSpectrum(x.n, half),
-                            channel_names=x.channel_names)
+    return SpectralEstimate(x.n, x.p, m, "smoothed", half, channel_names=x.channel_names)
 
 
 def _thresholded(
@@ -210,9 +198,7 @@ def _thresholded(
     _check_thresholds(lam_rows)
     t_rows = None
     if op.kind == "adaptive_lasso":
-        # lam^(eta+1) by Python's float power, as the operator forms it for
-        # one threshold: numpy's array power can differ in the last bit
-        t_rows = np.array([lam ** (op.eta + 1) for lam in lam_rows.tolist()])
+        t_rows = np.array([_penalty_scale(lam, op.eta) for lam in lam_rows.tolist()])
     diag = np.arange(x.p)
     for rows, block in _row_blocks(smoothed):
         t = None if t_rows is None else t_rows[rows, None, None]
@@ -220,7 +206,7 @@ def _thresholded(
         out[:, diag, diag] = block[:, diag, diag]
         block[...] = out
     return SpectralEstimate(
-        x.n, x.p, m, op.kind, HalfSpectrum(x.n, smoothed), lambdas=HalfSpectrum(x.n, lam_rows),
+        x.n, x.p, m, op.kind, smoothed, lambdas=lam_rows,
         eta=op.eta if op.kind == "adaptive_lasso" else None,
         channel_names=x.channel_names,
     )
@@ -234,17 +220,13 @@ def threshold_estimate(
 ) -> SpectralEstimate:
     """Thresholded averaged periodogram with per-frequency thresholds.
 
-    Thresholds are required for j >= 0 (or all j); lambda_{-j} defaults to
-    lambda_j, and negative frequencies are filled by conjugation.
+    `lambdas[j]` is the threshold at j and at -j, for j = 0..floor(n/2).
     """
     lams = []
     for j in range(x.n // 2 + 1):
-        if j in lambdas:
-            lams.append(lambdas[j])
-        elif -j in lambdas:
-            lams.append(lambdas[-j])
-        else:
+        if j not in lambdas:
             raise ParameterError(f"no threshold provided for frequency index {j}")
+        lams.append(lambdas[j])
     return _thresholded(x, m, op, lams, _smoothed_half(periodogram_all(x), m))
 
 
@@ -302,8 +284,7 @@ def _shrunk(
     np.minimum(rho, 1.0, out=rho)
     f_hat *= (1.0 - rho)[:, None, None]
     f_hat.real[:, diag, diag] += (rho * mu)[:, None]
-    return SpectralEstimate(n, p, m, "shrinkage", HalfSpectrum(n, f_hat),
-                            channel_names=x.channel_names)
+    return SpectralEstimate(n, p, m, "shrinkage", f_hat, channel_names=x.channel_names)
 
 
 # a channel whose spectral diagonal is below this has no defined coherence
@@ -330,23 +311,15 @@ def _channel_scales(f: np.ndarray) -> np.ndarray:
 
 
 def aggregate_coherence_graph(est: SpectralEstimate) -> np.ndarray:
-    """Mean of |coherence| across the estimate's frequencies, zero diagonal.
+    """Mean of |coherence| over the frequencies of F_n, zero diagonal.
 
     Produces the p x p weighted adjacency matrix used for coherence-network
-    edge selection.  Typically the estimate covers all of F_n; a partial
-    estimate averages over whatever frequencies it holds.
+    edge selection.  |coherence| is the same at -j as at j, so row j of
+    `est.half` is weighted by its count in F_n (`half_weights`).
     """
-    freqs = est.frequencies()
-    if not freqs:
-        raise ParameterError("estimate holds no frequencies")
-    return _coherence_graph([est.matrices[j] for j in freqs], np.ones(len(freqs)))
-
-
-def _coherence_graph(rows, weights: np.ndarray) -> np.ndarray:
-    """Mean of |coherence| over a sequence of p x p matrices, row r weighted
-    by weights[r]; zero diagonal, symmetrized."""
-    acc = np.zeros(np.shape(rows[0]))
-    for block, f in _row_blocks(rows):
+    weights = half_weights(est.n)
+    acc = np.zeros(est.half.shape[1:])
+    for block, f in _row_blocks(est.half):
         scale = _channel_scales(f)
         # |g_rs| = |f_rs| / sqrt(f_rr f_ss); the diagonal is zeroed below
         mod = np.abs(f)

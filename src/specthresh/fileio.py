@@ -12,7 +12,8 @@ import numpy as np
 
 from .dft import FourierGrid
 from .errors import DataError, SpecthreshError
-from .estimator import HalfSpectrum, SpectralEstimate
+from .bench import ALL_METHODS
+from .estimator import SpectralEstimate
 from .metrics import EvaluationReport
 from .model import VarmaModel, TimeSeriesMatrix
 from .tuning import SplitRisk
@@ -141,30 +142,33 @@ def write_estimate(est: SpectralEstimate, path) -> None:
         obj["channels"] = list(est.channel_names)
     # inside a JSON string every '"' is escaped, so this occurs once, as the key
     head, _, tail = json.dumps(obj, sort_keys=True).partition('"frequencies": null')
-    grid = est.grid
+    grid = FourierGrid(est.n)
     with open(path, "w") as fh:
         fh.write(head + '"frequencies": [')
-        for i, j in enumerate(est.frequencies()):
-            mat = est.matrices[j]
+        for i, j in enumerate(grid.indices.tolist()):
+            # row -j is the conjugate of row j
+            mat = est.half[j] if j >= 0 else est.half[-j].conj()
             entry = {
-                "j": int(j),
+                "j": j,
                 "omega": _fmt(grid.frequency(j)),
                 "re": _fmt_rows(mat.real),
                 "im": _fmt_rows(mat.imag),
             }
             if est.lambdas is not None:
-                entry["lambda"] = _fmt(est.lambdas[j])
+                entry["lambda"] = _fmt(est.lambdas[abs(j)])
             fh.write((", " if i else "") + json.dumps(entry, sort_keys=True))
         fh.write("]" + tail + "\n")
 
 
 def read_estimate(path) -> SpectralEstimate:
-    """Read an estimate file into `HalfSpectrum`s.
+    """Read an estimate file into an estimate of the rows j >= 0.
 
     The file lists every j in F_n once.  Entries are parsed one at a time
     into arrays of the rows j >= 0 and, in row -j - 1, of the conjugates of
     the rows j < 0; each j < 0 matrix and threshold must be exactly the
-    conjugate of its j > 0 partner's.
+    conjugate of its j > 0 partner's.  The header must name one of the
+    methods, a span m with 2m+1 <= n, a finite positive eta (when given)
+    and a list of p channel names (when given).
     """
     with open(path) as fh:
         try:
@@ -210,17 +214,30 @@ def read_estimate(path) -> SpectralEstimate:
         partners = slice(1, grid.half + 1)
         if not (np.array_equal(neg, half[partners]) and np.array_equal(lam_neg, lam_half[partners])):
             raise ValueError("an entry at j < 0 is not the conjugate of the one at -j")
-        channels = tuple(obj["channels"]) if "channels" in obj else None
-        if channels is not None and len(channels) != p:
-            raise ValueError(f"{len(channels)} channel names for p = {p}")
+        m, method = int(obj["m"]), obj["method"]
+        if m < 0 or 2 * m + 1 > n:
+            raise ValueError(f"span m = {m} for n = {n}")
+        if method not in ALL_METHODS:
+            raise ValueError(f"unknown method {method!r}")
+        eta = float(obj["eta"]) if "eta" in obj else None
+        if eta is not None and not (np.isfinite(eta) and eta > 0):
+            raise ValueError(f"eta = {eta} is not finite and positive")
+        channels = None
+        if "channels" in obj:
+            channels = obj["channels"]
+            if not (isinstance(channels, list) and all(isinstance(c, str) for c in channels)):
+                raise ValueError("channels must be a list of strings")
+            if len(channels) != p:
+                raise ValueError(f"{len(channels)} channel names for p = {p}")
+            channels = tuple(channels)
         return SpectralEstimate(
             n=n,
             p=p,
-            m=int(obj["m"]),
-            method=obj["method"],
-            matrices=HalfSpectrum(n, half),
-            lambdas=HalfSpectrum(n, lam_half) if has_lambda else None,
-            eta=float(obj["eta"]) if "eta" in obj else None,
+            m=m,
+            method=method,
+            half=half,
+            lambdas=lam_half if has_lambda else None,
+            eta=eta,
             channel_names=channels,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -8,7 +8,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ParameterError
-from .estimator import SpectralEstimate, _row_blocks, _sq_norms
+from .estimator import SpectralEstimate, _row_blocks, _sq_norms, half_weights
 
 
 @dataclass
@@ -24,22 +24,25 @@ class EvaluationReport:
     sd: Dict[str, float] = field(default_factory=dict)
 
 
-def rmise(est: SpectralEstimate, truth: Dict[int, np.ndarray]) -> float:
-    """Relative mean integrated squared error in percent:
-    100 * sum_j ||f_hat(w_j) - f(w_j)||_F^2 / sum_j ||f(w_j)||_F^2."""
-    freqs = est.frequencies()
-    if set(freqs) != set(truth):
-        raise ParameterError("estimate and truth cover different frequency sets")
-    return _rmise([est.matrices[j] for j in freqs], [truth[j] for j in freqs], np.ones(len(freqs)))
+def _check_truth(est: SpectralEstimate, truth: np.ndarray) -> None:
+    if np.shape(truth) != est.half.shape:
+        raise ParameterError(
+            f"truth of shape {np.shape(truth)} for an estimate of shape {est.half.shape}")
 
 
-def _rmise(est_rows, truth_rows, weights: np.ndarray) -> float:
-    """`rmise` over two equally long sequences of p x p matrices, row r
-    weighted by weights[r] in both sums."""
+def rmise(est: SpectralEstimate, truth: np.ndarray) -> float:
+    """Relative mean integrated squared error in percent over F_n:
+    100 * sum_j ||f_hat(w_j) - f(w_j)||_F^2 / sum_j ||f(w_j)||_F^2.
+
+    `truth` holds f(w_j) for j = 0..floor(n/2), like `est.half`; row j is
+    weighted by its count in F_n, since conjugation keeps each norm.
+    """
+    _check_truth(est, truth)
+    weights = half_weights(est.n)
     num = den = 0.0
-    for rows, est, truth in _row_blocks(est_rows, truth_rows):
-        num += float(weights[rows] @ _sq_norms(est - truth))
-        den += float(weights[rows] @ _sq_norms(truth))
+    for rows, f_hat, f in _row_blocks(est.half, truth):
+        num += float(weights[rows] @ _sq_norms(f_hat - f))
+        den += float(weights[rows] @ _sq_norms(f))
     if den == 0:
         raise ParameterError("truth is identically zero")
     return 100.0 * num / den
@@ -54,7 +57,6 @@ def _pair_mask(p: int, include_diagonal: bool) -> np.ndarray:
 
 @dataclass
 class SupportScores:
-    per_frequency: Dict[int, Tuple[float, float, float]]
     precision: float
     recall: float
     f1: float
@@ -62,40 +64,27 @@ class SupportScores:
 
 def support_scores(
     est: SpectralEstimate,
-    truth: Dict[int, np.ndarray],
+    truth: np.ndarray,
     include_diagonal: bool = False,
 ) -> SupportScores:
-    """Per-frequency and frequency-averaged precision/recall/F1.
+    """Precision, recall and F1 of each frequency's support, averaged over F_n.
 
+    `truth` holds f(w_j) for j = 0..floor(n/2), like `est.half`; row j is
+    weighted by its count in F_n, since conjugation keeps each modulus.
     Estimate entries count as nonzero when exactly nonzero (thresholding
     produces exact zeros); truth entries count as zero up to a tolerance of
     1e-12 relative to the largest truth modulus.
     Diagonal entries are excluded by default (nonzero on both sides for
     any reasonable estimate, pure score inflation).
     """
-    freqs = est.frequencies()
-    if set(freqs) != set(truth):
-        raise ParameterError("estimate and truth cover different frequency sets")
-    per, means = _support(
-        [est.matrices[j] for j in freqs], [truth[j] for j in freqs], np.ones(len(freqs)),
-        include_diagonal,
-    )
-    per_frequency = {j: tuple(row) for j, row in zip(freqs, per.tolist())}
-    return SupportScores(per_frequency, *means.tolist())
-
-
-def _support(
-    est_rows, truth_rows, weights: np.ndarray, include_diagonal: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Precision, recall and F1 of each row of two equally long sequences of
-    p x p matrices, as a (rows, 3) array, and their means with row r
-    weighted by weights[r]."""
-    zero_tol = 1e-12 * max(float(np.max(np.abs(truth))) for _, truth in _row_blocks(truth_rows))
-    mask = _pair_mask(np.shape(truth_rows[0])[-1], include_diagonal)
+    _check_truth(est, truth)
+    weights = half_weights(est.n)
+    zero_tol = 1e-12 * max(float(np.max(np.abs(f))) for _, f in _row_blocks(truth))
+    mask = _pair_mask(est.p, include_diagonal)
     counts = np.empty((len(weights), 3))
-    for rows, est, truth in _row_blocks(est_rows, truth_rows):
-        est_nz = (np.abs(est) > 0) & mask
-        true_nz = (np.abs(truth) > zero_tol) & mask
+    for rows, f_hat, f in _row_blocks(est.half, truth):
+        est_nz = (np.abs(f_hat) > 0) & mask
+        true_nz = (np.abs(f) > zero_tol) & mask
         counts[rows] = np.stack([est_nz & true_nz, est_nz, true_nz], axis=1).sum(axis=(2, 3))
     hits, n_est, n_true = counts.T
     # empty-denominator conventions: no predictions -> precision 1,
@@ -105,7 +94,7 @@ def _support(
     total = precision + recall
     f1 = np.divide(2 * precision * recall, total, out=np.zeros_like(total), where=total > 0)
     per = np.stack([precision, recall, f1], axis=1)
-    return per, weights @ per / weights.sum()
+    return SupportScores(*(weights @ per / weights.sum()).tolist())
 
 
 @dataclass

@@ -258,7 +258,7 @@ def true_spectral_density(model: VarmaModel, omega: float) -> np.ndarray:
     return 0.5 * (f + f.conj().T)
 
 
-# Frequencies evaluated together by `_spectral_density_half`: enough to
+# Frequencies evaluated together by `_spectral_density_rows`: enough to
 # batch the LAPACK calls, few enough that the block's temporaries stay small.
 _BLOCK_ROWS = 16
 
@@ -270,16 +270,9 @@ def _stacked_poly(coeffs: Sequence[np.ndarray], z: np.ndarray, p: int, sign: flo
     return out
 
 
-def _spectral_density_half(model: VarmaModel, n: int) -> np.ndarray:
-    """`true_spectral_density` at omega_j = 2 pi j / n for j = 0..floor(n/2).
-
-    Returns a (n//2+1, p, p) array; f(omega_{-j}) is the conjugate of row j.
-    """
-    return _spectral_density_rows(model, n, 0, n // 2 + 1)
-
-
 def _spectral_density_rows(model: VarmaModel, n: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of `_spectral_density_half`, a (stop-start, p, p) array.
+    """`true_spectral_density` at omega_j = 2 pi j / n for j = start..stop-1,
+    a (stop-start, p, p) array.
 
     Frequencies are evaluated _BLOCK_ROWS at a time, each block with one
     batched condition check and one batched solve.  Every matrix comes from

@@ -124,8 +124,8 @@ def split_frequencies(
     if rng is None:
         rng = _freq_rng(seed, j)
     half = (n - 1) // 2
-    # (k + half) % n - half is FourierGrid(n).wrap(k), inlined: this runs
-    # once per frequency and split of every tuned estimate
+    # (k + half) % n - half is the representative of k in F_n (indices are
+    # mod-n periodic)
     window = [(k + half) % n - half for k in range(j - m, j + m + 1)]
     members = set(window)
     units = []

@@ -4,16 +4,22 @@ whole-spectrum code against.
 Each computes one quantity at one Fourier index the direct way: the trig
 design vectors, the periodogram d(w_j) d(w_j)^H, the window average, the
 shrinkage estimate and the thresholded matrix.  `assert_thresholded`
-checks a thresholded row against them.
+checks a thresholded row against them.  The metric loops score a spectrum
+one frequency of F_n at a time, the rows j < 0 built by conjugation.
 """
 
 from typing import Optional
 
 import numpy as np
 
-from specthresh import FourierGrid, ParameterError, ThresholdOperator
+from specthresh import FourierGrid, ParameterError, ThresholdOperator, coherence
 from specthresh.dft import periodogram_all
 from specthresh.model import TimeSeriesMatrix
+
+
+def wrap(grid: FourierGrid, j: int) -> int:
+    """Canonical representative of j in F_n (indices are mod-n periodic)."""
+    return int((j + grid.half) % grid.n - grid.half)
 
 
 def cos_sin_vectors(grid: FourierGrid, j: int):
@@ -28,7 +34,7 @@ def cos_sin_vectors(grid: FourierGrid, j: int):
 
 def dft_vector(x: np.ndarray, grid: FourierGrid, j: int) -> np.ndarray:
     """d(w_j) = X^T (C_j - i S_j), a p-dimensional complex vector."""
-    c, s = cos_sin_vectors(grid, grid.wrap(j))
+    c, s = cos_sin_vectors(grid, wrap(grid, j))
     return x.T @ (c - 1j * s)
 
 
@@ -75,7 +81,7 @@ def averaged_periodogram(
     grid = FourierGrid(x.n)
     if periodograms is None:
         periodograms = periodogram_all(x)
-    idx = _window_indices(grid, grid.wrap(j), m)
+    idx = _window_indices(grid, wrap(grid, j), m)
     return periodograms[idx].mean(axis=0) / (2.0 * np.pi)
 
 
@@ -97,7 +103,7 @@ def shrinkage_estimate(
         raise ParameterError("shrinkage needs a window of at least 2 periodograms")
     if periodograms is None:
         periodograms = periodogram_all(x)
-    idx = _window_indices(grid, grid.wrap(j), m)
+    idx = _window_indices(grid, wrap(grid, j), m)
     window = periodograms[idx] / (2.0 * np.pi)
     f_hat = window.mean(axis=0)
     p = x.p
@@ -151,3 +157,46 @@ def coherence_threshold(g_hat: np.ndarray, lam: float, tau: float) -> np.ndarray
         raise ParameterError("tau must be positive")
     op = ThresholdOperator("hard")
     return apply_threshold(g_hat, op, 2.0 * lam / tau, preserve_diagonal=True)
+
+
+def full_grid(half: np.ndarray, n: int) -> dict:
+    """The spectrum at every j in F_n, keyed by j: row j of `half` for
+    j >= 0 and its conjugate for j < 0."""
+    return {j: half[j] if j >= 0 else half[-j].conj() for j in map(int, FourierGrid(n).indices)}
+
+
+def rmise_loop(est, truth: np.ndarray) -> float:
+    """RMISE in percent, one frequency of F_n at a time."""
+    mats, truth = full_grid(est.half, est.n), full_grid(truth, est.n)
+    num = sum(float(np.sum(np.abs(mats[j] - truth[j]) ** 2)) for j in mats)
+    den = sum(float(np.sum(np.abs(truth[j]) ** 2)) for j in mats)
+    return 100.0 * num / den
+
+
+def support_loop(est, truth: np.ndarray, include_diagonal: bool) -> np.ndarray:
+    """Precision, recall and F1 one frequency of F_n at a time, then their
+    means."""
+    mats, truth = full_grid(est.half, est.n), full_grid(truth, est.n)
+    mask = np.ones((est.p, est.p), dtype=bool)
+    if not include_diagonal:
+        np.fill_diagonal(mask, False)
+    zero_tol = 1e-12 * max(float(np.max(np.abs(truth[j]))) for j in truth)
+    per = []
+    for j in mats:
+        est_nz = (np.abs(mats[j]) > 0) & mask
+        true_nz = (np.abs(truth[j]) > zero_tol) & mask
+        hits, n_est, n_true = int(np.sum(est_nz & true_nz)), int(np.sum(est_nz)), int(np.sum(true_nz))
+        precision = hits / n_est if n_est else 1.0
+        recall = hits / n_true if n_true else 1.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        per.append((precision, recall, f1))
+    return np.array(per).mean(axis=0)
+
+
+def coherence_graph_loop(est) -> np.ndarray:
+    """Mean |coherence| over F_n, one frequency at a time; zero diagonal,
+    symmetrized."""
+    mats = full_grid(est.half, est.n)
+    graph = sum(np.abs(coherence(f)) for f in mats.values()) / len(mats)
+    np.fill_diagonal(graph, 0.0)
+    return 0.5 * (graph + graph.T)

@@ -2,6 +2,7 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from oracles import coherence_graph_loop, full_grid, rmise_loop, support_loop
 
 from specthresh import (
     FourierGrid,
@@ -34,9 +35,7 @@ from specthresh.bench import (
     truth_graph_support,
     truth_spectra,
 )
-from specthresh.estimator import _coherence_graph
-from specthresh.metrics import _rmise, _support
-from specthresh.model import _spectral_density_half, _spectral_density_rows
+from specthresh.model import _spectral_density_rows
 
 
 def varma21(rng):
@@ -60,16 +59,19 @@ class TestTruthSpectra:
         model = varma21(rng) if family == "varma21" else block_varma_model(6, family)
         grid = FourierGrid(n)
         truth = truth_spectra(model, n)
-        assert sorted(truth) == [int(j) for j in grid.indices]
-        for j, f in truth.items():
+        assert truth.shape == (n // 2 + 1, model.dim, model.dim)
+        for j, f in enumerate(truth):
             want = true_spectral_density(model, grid.frequency(j))
             assert np.linalg.norm(f - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("n", [33, 40])
     def test_negative_rows_are_conjugates(self, rng, n):
-        truth = truth_spectra(varma21(rng), n)
+        # f(omega_{-j}) = conj f(omega_j): the rows j >= 0 hold all of F_n
+        model = varma21(rng)
+        truth = truth_spectra(model, n)
         for j in range(1, (n - 1) // 2 + 1):
-            assert np.array_equal(truth[-j], truth[j].conj())
+            want = true_spectral_density(model, -2.0 * np.pi * j / n)
+            assert np.linalg.norm(truth[j].conj() - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_near_singular_ar_polynomial(self):
         with pytest.raises(NumericalError, match="nearly singular at omega=0.0"):
@@ -79,7 +81,7 @@ class TestTruthSpectra:
     def test_rows_reassemble_bit_for_bit(self, rng, family):
         # 50 is not a multiple of the 16-row blocks either range is evaluated in
         model = varma21(rng) if family == "varma21" else block_varma_model(6, family)
-        want = _spectral_density_half(model, 200)
+        want = truth_spectra(model, 200)
         split = np.concatenate([_spectral_density_rows(model, 200, 0, 50),
                                 _spectral_density_rows(model, 200, 50, 101)])
         assert np.array_equal(split, want)
@@ -113,8 +115,9 @@ class TestRunCell:
         assert errors[0] == errors[1]
 
 
-def full_grid_support(truth):
+def full_grid_support(truth, n):
     """Oracle: the support over every frequency of both halves."""
+    truth = full_grid(truth, n)
     peak = max(float(np.max(np.abs(truth[j]))) for j in truth)
     support = np.zeros(truth[0].shape, dtype=bool)
     for j in truth:
@@ -130,68 +133,62 @@ class TestTruthGraphSupport:
         model = varma21(rng) if family == "varma21" else block_varma_model(9, family)
         truth = truth_spectra(model, n)
         got = truth_graph_support(truth)
-        assert np.array_equal(got, full_grid_support(truth))
+        assert np.array_equal(got, full_grid_support(truth, n))
         assert got.any()
 
     @pytest.mark.parametrize("n", [9, 10])
     def test_edges_seen_at_single_frequencies(self, n):
-        # a conjugate-symmetric plain dict whose edges (0, 1), (2, 3) and
-        # (4, 5) are nonzero only at j = 0, j = +-1 and j = floor(n/2)
-        grid = FourierGrid(n)
+        # edges (0, 1), (2, 3) and (4, 5) are nonzero only at j = 0,
+        # j = +-1 and j = floor(n/2)
         half = np.zeros((n // 2 + 1, 6, 6), dtype=complex)
         half[:, range(6), range(6)] = 1.0
         half[0, 0, 1] = half[0, 1, 0] = 0.5
         half[1, 2, 3] = 0.3j
         half[1, 3, 2] = -0.3j
         half[n // 2, 4, 5] = half[n // 2, 5, 4] = 0.2
-        truth = {j: half[j] if j >= 0 else half[-j].conj() for j in map(int, grid.indices)}
-        got = truth_graph_support(truth)
-        assert np.array_equal(got, full_grid_support(truth))
+        got = truth_graph_support(half)
+        assert np.array_equal(got, full_grid_support(half, n))
         assert sorted(zip(*np.nonzero(np.triu(got)))) == [(0, 1), (2, 3), (4, 5)]
 
 
 class TestHalfSpectrumScoring:
-    """The bench scores the j >= 0 rows with conjugate-symmetry weights; the
-    results must equal the public metrics over all of F_n."""
+    """The metrics score the j >= 0 rows with conjugate-symmetry weights; the
+    results must equal the metrics over all of F_n, one frequency at a time."""
 
     @pytest.mark.parametrize("family", ["var", "vma", "varma21"])
     @pytest.mark.parametrize("n", [33, 40])  # even n: j = n/2 has weight 1
     def test_equal_full_grid_metrics(self, rng, family, n):
         model = varma21(rng) if family == "varma21" else block_varma_model(6, family)
         truth = truth_spectra(model, n)
-        half = np.array([truth[j] for j in range(n // 2 + 1)])
         est = tuned_threshold_estimate(simulate(model, n, seed=4), 4, ThresholdOperator("lasso"))
-        rows = [est.matrices[j] for j in range(n // 2 + 1)]
-        weights = bench._half_weights(n)
 
-        want = rmise(est, truth)
-        assert abs(_rmise(rows, half, weights) - want) <= 1e-12 * want
-        want = aggregate_coherence_graph(est)
-        got = _coherence_graph(rows, weights)
+        want = rmise_loop(est, truth)
+        assert abs(rmise(est, truth) - want) <= 1e-12 * want
+        want = coherence_graph_loop(est)
+        got = aggregate_coherence_graph(est)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
         for include_diagonal in (True, False):
-            want = support_scores(est, truth, include_diagonal=include_diagonal)
-            _, got = _support(rows, half, weights, include_diagonal)
-            assert np.allclose(got, [want.precision, want.recall, want.f1], rtol=1e-12, atol=0)
+            got = support_scores(est, truth, include_diagonal=include_diagonal)
+            want = support_loop(est, truth, include_diagonal)
+            assert np.allclose([got.precision, got.recall, got.f1], want, rtol=1e-12, atol=0)
 
     def test_replicate_scores_equal_public_metrics(self):
         spec = BenchmarkSpec(family="vma", p_list=(6,), n_list=(40,), methods=("smoothed", "lasso"),
                              replicates=1, seed=2, grid_size=6)
         model = block_varma_model(6, "vma")
         truth = truth_spectra(model, 40)
-        half = np.array([truth[j] for j in range(21)])
         support = truth_graph_support(truth)
-        got = bench.run_replicate(spec, 0, 6, 40, 0, half, support)
+        got = bench.run_replicate(spec, 0, 6, 40, 0, truth, support)
         seed = bench._replicate_seed(2, 0, 0)
         ests = estimate_methods(spec.methods, simulate(model, 40, seed=seed), 6, grid_size=6,
                                 seed=int(seed.generate_state(1)[0]))
         for method, est in ests.items():
             report = got[method]["report"]
-            assert abs(report.rmise - rmise(est, truth)) <= 1e-12 * report.rmise
+            assert report.rmise == rmise(est, truth)
             assert report.auc == roc_points(aggregate_coherence_graph(est), support).auc
         scores = support_scores(ests["lasso"], truth, include_diagonal=True)
-        assert np.allclose([report.precision, report.recall, report.f1],
-                           [scores.precision, scores.recall, scores.f1], rtol=1e-12, atol=0)
+        assert [report.precision, report.recall, report.f1] == [
+            scores.precision, scores.recall, scores.f1]
 
 
 class TestBenchmarkSpec:
@@ -215,10 +212,11 @@ class TestEstimateMethods:
             )
         for name, ref in want.items():
             est = got[name]
-            assert (est.method, est.m, est.eta, est.lambdas) == (ref.method, ref.m, ref.eta, ref.lambdas)
-            assert est.frequencies() == ref.frequencies()
-            for j in ref.frequencies():
-                assert np.array_equal(est.matrices[j], ref.matrices[j])
+            assert (est.method, est.m, est.eta) == (ref.method, ref.m, ref.eta)
+            assert (est.lambdas is None) == (ref.lambdas is None)
+            if ref.lambdas is not None:
+                assert np.array_equal(est.lambdas, ref.lambdas)
+            assert np.array_equal(est.half, ref.half)
 
     def test_aliases_and_order(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
@@ -254,8 +252,8 @@ class TestEstimateMethods:
     def test_estimates_do_not_share_storage(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
         got = list(estimate_methods(ALL_METHODS, x, 3, grid_size=6).values())
-        arrays = [est.matrices.half for est in got]
-        arrays += [est.lambdas.half for est in got if est.lambdas is not None]
+        arrays = [est.half for est in got]
+        arrays += [est.lambdas for est in got if est.lambdas is not None]
         for i, a in enumerate(arrays):
             for b in arrays[i + 1:]:
                 assert not np.shares_memory(a, b)
@@ -264,5 +262,5 @@ class TestEstimateMethods:
         x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
         got = estimate_methods(["smoothed", "shrinkage"], x, 3)
         ref = smoothed_estimate(x, 3)
-        got["shrinkage"].matrices[2][...] = 0.0
-        assert np.array_equal(got["smoothed"].matrices[2], ref.matrices[2])
+        got["shrinkage"].half[2][...] = 0.0
+        assert np.array_equal(got["smoothed"].half[2], ref.half[2])

@@ -92,7 +92,8 @@ class TestEstimate:
         stack = periodogram_all(read_series(series_file)) / (2 * np.pi)
         grid = FourierGrid(est.n)
         for pos, j in enumerate(grid.indices):
-            assert np.allclose(est.matrices[int(j)], stack[pos], atol=1e-12)
+            got = est.half[j] if j >= 0 else est.half[-j].conj()
+            assert np.allclose(got, stack[pos], atol=1e-12)
 
     def test_lasso_zero_lambda_equals_smoothed(self, tmp_path, series_file):
         e1, e2 = tmp_path / "lasso.json", tmp_path / "smooth.json"
@@ -100,8 +101,7 @@ class TestEstimate:
             "--lambda", 0, "--out", e1)
         run("estimate", "--series", series_file, "--method", "smoothed", "--m", 4, "--out", e2)
         lasso, smooth = read_estimate(e1), read_estimate(e2)
-        for j in smooth.frequencies():
-            assert np.allclose(lasso.matrices[j], smooth.matrices[j], atol=1e-14)
+        assert np.allclose(lasso.half, smooth.half, atol=1e-14)
 
     def test_alasso_sparser_than_smoothed(self, tmp_path):
         model_path = tmp_path / "big.json"
@@ -115,9 +115,19 @@ class TestEstimate:
         def zeros(path):
             est = read_estimate(path)
             mask = ~np.eye(est.p, dtype=bool)
-            return sum(int(np.sum(est.matrices[j][mask] == 0)) for j in est.frequencies())
+            return int(np.sum(est.half[:, mask] == 0))
 
         assert zeros(e1) > zeros(e2)
+
+    def test_huge_lambda_zeroes_every_off_diagonal(self, tmp_path, series_file):
+        # 1e300^(eta+1) overflows a float; the adaptive lasso takes it as inf
+        for method in ("hard", "lasso", "alasso"):
+            out = tmp_path / f"{method}.json"
+            assert run("estimate", "--series", series_file, "--method", method, "--m", 4,
+                       "--lambda", "1e300", "--out", out) == 0
+            est = read_estimate(out)
+            assert not est.half[:, ~np.eye(est.p, dtype=bool)].any()
+            assert est.half[:, range(est.p), range(est.p)].all()
 
     def test_nan_lambda_rejected(self, tmp_path, series_file, capsys):
         code = run("estimate", "--series", series_file, "--method", "hard", "--m", 4,
@@ -149,8 +159,7 @@ class TestEstimate:
         assert run("estimate", "--series", series, "--method", "smoothed", "--out", e2) == 0
         lasso, smooth = read_estimate(e1), read_estimate(e2)
         assert lasso.p == 1
-        for j in smooth.frequencies():
-            assert np.array_equal(lasso.matrices[j], smooth.matrices[j])
+        assert np.array_equal(lasso.half, smooth.half)
 
     def test_tuned_lasso_writes_tuned_estimate_bytes(self, tmp_path, series_file):
         out, ref = tmp_path / "lasso.json", tmp_path / "ref.json"
@@ -178,7 +187,7 @@ class TestEvaluate:
         model = block_varma_model(3, "vma")
         n = 32
         truth = truth_spectra(model, n)
-        est = SpectralEstimate(n=n, p=3, m=0, method="smoothed", matrices=truth)
+        est = SpectralEstimate(n=n, p=3, m=0, method="smoothed", half=truth)
         est_path = tmp_path / "truth_est.json"
         write_estimate(est, est_path)
         out = tmp_path / "report.csv"
@@ -230,9 +239,9 @@ class TestEvaluate:
         model_path = tmp_path / "p6.json"
         write_model(block_varma_model(6, "vma"), model_path)
         n = 16
-        mats = {int(j): np.eye(3, dtype=complex) for j in FourierGrid(n).indices}
+        half = np.tile(np.eye(3, dtype=complex), (n // 2 + 1, 1, 1))
         est_path = tmp_path / "est.json"
-        write_estimate(SpectralEstimate(n=n, p=3, m=0, method="smoothed", matrices=mats), est_path)
+        write_estimate(SpectralEstimate(n=n, p=3, m=0, method="smoothed", half=half), est_path)
         code = run("evaluate", "--model", model_path, "--out", tmp_path / "r.csv", est_path)
         assert code == 3
         assert "estimate has p = 3, model has p = 6" in capsys.readouterr().err
@@ -248,9 +257,9 @@ class TestEvaluate:
         model_path = tmp_path / "near.json"
         write_model(model, model_path)
         n = 16
-        mats = {int(j): np.eye(2, dtype=complex) for j in FourierGrid(n).indices}
+        half = np.tile(np.eye(2, dtype=complex), (n // 2 + 1, 1, 1))
         est_path = tmp_path / "est.json"
-        write_estimate(SpectralEstimate(n=n, p=2, m=0, method="smoothed", matrices=mats), est_path)
+        write_estimate(SpectralEstimate(n=n, p=2, m=0, method="smoothed", half=half), est_path)
         code = run("evaluate", "--model", model_path, "--out", tmp_path / "r.csv", est_path)
         assert code == 4
         assert "nearly singular" in capsys.readouterr().err
@@ -395,6 +404,12 @@ def _not_conjugate_lambda(obj):
     entry["lambda"] = repr(float(entry["lambda"]) + 1e-3)
 
 
+def _header(**fields):
+    def mutate(obj):
+        obj.update(fields)
+    return mutate
+
+
 class TestMalformedEstimateFile:
     """Every malformed estimate file makes `evaluate` and `coherence` exit 3."""
 
@@ -407,8 +422,19 @@ class TestMalformedEstimateFile:
         (_not_conjugate_matrix, "not the conjugate"),
         (_not_conjugate_lambda, "not the conjugate"),
         (lambda obj: [obj], "expected a JSON object"),
+        # one letter per channel would pass the count check for p = 3
+        (_header(channels="abc"), "channels must be a list of strings"),
+        (_header(channels=["x0", 1, "x2"]), "channels must be a list of strings"),
+        (_header(method="bogus"), "unknown method 'bogus'"),
+        (_header(method="alasso"), "unknown method 'alasso'"),
+        (_header(eta="nan"), "eta = nan is not finite and positive"),
+        (_header(eta="-1"), "eta = -1.0 is not finite and positive"),
+        (_header(m=-7), "span m = -7 for n = 32"),
+        (_header(m=16), "span m = 16 for n = 32"),
     ], ids=["2x2-matrix", "header-p", "duplicated-j", "nan-entry", "missing-j",
-            "not-conjugate-matrix", "not-conjugate-lambda", "top-level-list"])
+            "not-conjugate-matrix", "not-conjugate-lambda", "top-level-list",
+            "channels-string", "channels-not-strings", "method-bogus", "method-alias",
+            "eta-nan", "eta-negative", "m-negative", "m-too-wide"])
     def test_exits_data(self, tmp_path, rng, capsys, vma_model_file, mutate, message):
         n = 32
         x = TimeSeriesMatrix(rng.standard_normal((n, 3)))

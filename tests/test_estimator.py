@@ -1,10 +1,10 @@
-import pickle
-
 import numpy as np
 import pytest
 from oracles import (
+    apply_threshold,
     assert_thresholded,
     averaged_periodogram,
+    coherence_graph_loop,
     coherence_threshold,
     periodogram,
     shrinkage_estimate,
@@ -23,7 +23,7 @@ from specthresh import (
     threshold_estimate,
 )
 from specthresh.dft import periodogram_all
-from specthresh.estimator import HalfSpectrum, _shrunk, _smoothed, _smoothed_half
+from specthresh.estimator import _shrunk, _smoothed, _smoothed_half, half_weights
 from specthresh.model import TimeSeriesMatrix
 from specthresh.tuning import default_span
 
@@ -129,6 +129,30 @@ class TestThresholdOperators:
         with pytest.raises(ParameterError):
             ThresholdOperator("soft")
 
+    # lam^(eta+1) overflows a float from lam ~ 5.6e102 at eta = 2, and the
+    # penalty lam^(eta+1) |z|^(-eta) from smaller lam at small |z|
+    @pytest.mark.parametrize("lam", [1e80, 1e103, 1e300])
+    @pytest.mark.parametrize("kind", ["hard", "lasso", "adaptive_lasso"])
+    def test_huge_lambda_zeroes_every_entry(self, kind, lam, rng):
+        z = (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))) * 10.0 ** rng.uniform(
+            -300, 79, (6, 6))
+        z[0, 0] = 0.0
+        assert not ThresholdOperator(kind)(z, lam).any()
+
+    @pytest.mark.parametrize("lam", [1e103, 1e300])
+    def test_adaptive_lasso_conditions_where_the_penalty_scale_overflows(self, lam):
+        # lam^3 overflows a float; entries at and above lam must still obey
+        # conditions (1)-(3) up to roundoff relative to |z|, and none may
+        # come out NaN
+        op = ThresholdOperator("adaptive_lasso")
+        z = np.geomspace(1e-300, 1e306, 400) * np.exp(1j * np.linspace(0, 6, 400))
+        z = np.append(z, [lam, 0.0])
+        out = op(z, lam)
+        assert np.all(np.abs(out) <= np.abs(z) * (1 + 1e-12))
+        assert not out[np.abs(z) <= lam].any()
+        assert np.all(np.abs(out - z) <= lam + 1e-12 * np.abs(z))
+        assert np.abs(out[np.abs(z) >= 1e3 * lam]).min() > 0
+
     @pytest.mark.parametrize("kind", ["hard", "lasso", "adaptive_lasso"])
     def test_generalized_thresholding_conditions(self, kind, rng):
         op = ThresholdOperator(kind)
@@ -171,9 +195,9 @@ class TestBatchedThresholding:
         lambdas = {j: float(rng.uniform(0.05, 0.5) * np.median(np.abs(f)))
                    for j, f in enumerate(smoothed)}
         est = threshold_estimate(x, m, op, lambdas)
+        assert est.half.shape == (n // 2 + 1, 4, 4)
         for j, f in enumerate(smoothed):
-            assert_thresholded(est.matrices[j], f, op, lambdas[j], preserve_diagonal)
-            assert np.array_equal(est.matrices[-j], est.matrices[j].conj()) or j == 0
+            assert_thresholded(est.half[j], f, op, lambdas[j], preserve_diagonal)
 
     @pytest.mark.parametrize("bad, message", [(float("nan"), "NaN"), (-0.1, "nonnegative"),
                                               (float("inf"), "finite")])
@@ -185,31 +209,42 @@ class TestBatchedThresholding:
             threshold_estimate(x, 3, ThresholdOperator("lasso"), lambdas)
 
 
+class TestHalfWeights:
+    @pytest.mark.parametrize("n", [2, 3, 7, 8])
+    def test_count_of_each_row_in_the_grid(self, n):
+        counts = np.bincount(np.abs(FourierGrid(n).indices))
+        assert half_weights(n).tolist() == counts.tolist()
+
+
 class TestThresholdEstimate:
     def test_zero_lambda_equals_smoothed(self, rng):
         x = white_series(rng, 20, 3)
         lambdas = {j: 0.0 for j in range(11)}
         est = threshold_estimate(x, 2, ThresholdOperator("lasso"), lambdas)
         ref = smoothed_estimate(x, 2)
-        for j in est.frequencies():
-            assert np.allclose(est.matrices[j], ref.matrices[j], atol=1e-14)
+        assert np.allclose(est.half, ref.half, atol=1e-14)
 
     def test_huge_lambda_keeps_only_diagonal(self, rng):
         x = white_series(rng, 20, 3)
-        lambdas = {j: 1e9 for j in range(11)}
-        est = threshold_estimate(x, 2, ThresholdOperator("hard"), lambdas)
-        for j, mat in est.matrices.items():
-            off = mat[~np.eye(3, dtype=bool)]
-            assert np.all(off == 0)
-            assert np.all(np.abs(np.diag(mat)) > 0)
+        # 1e300^(eta+1) overflows a float: the adaptive lasso takes it as inf
+        for kind, lam in (("hard", 1e9), ("adaptive_lasso", 1e300)):
+            est = threshold_estimate(x, 2, ThresholdOperator(kind), {j: lam for j in range(11)})
+            for mat in est.half:
+                off = mat[~np.eye(3, dtype=bool)]
+                assert np.all(off == 0)
+                assert np.all(np.abs(np.diag(mat)) > 0)
 
     def test_conjugate_symmetry_and_lambda_mirroring(self, rng):
+        # the estimate at -j, conj(half[j]), is the operator applied to the
+        # smoothed estimate at -j with the threshold lambdas[j]
         x = white_series(rng, 16, 2)
         lambdas = {j: 0.01 * (j + 1) for j in range(9)}
-        est = threshold_estimate(x, 1, ThresholdOperator("lasso"), lambdas)
+        op = ThresholdOperator("lasso")
+        est = threshold_estimate(x, 1, op, lambdas)
+        assert est.lambdas.tolist() == [lambdas[j] for j in range(9)]
         for j in range(1, 8):
-            assert np.allclose(est.matrices[-j], est.matrices[j].conj(), atol=1e-14)
-            assert est.lambdas[-j] == est.lambdas[j]
+            want = apply_threshold(averaged_periodogram(x, 1, -j), op, lambdas[j])
+            assert np.allclose(est.half[j].conj(), want, atol=1e-14)
 
     def test_missing_lambda(self, rng):
         x = white_series(rng, 16, 2)
@@ -220,9 +255,10 @@ class TestThresholdEstimate:
         x = white_series(rng, 16, 2)
         est = smoothed_estimate(x, 3)
         mins = est.min_eigenvalues()
-        assert set(mins) == set(est.frequencies())
-        for j, val in mins.items():
-            assert val >= -1e-8 * np.trace(est.matrices[j]).real
+        assert mins.shape == (9,)
+        for j, val in enumerate(mins):
+            assert val == np.min(np.linalg.eigvalsh(est.half[j]))
+            assert val >= -1e-8 * np.trace(est.half[j]).real
 
 
 class TestShrinkage:
@@ -255,19 +291,17 @@ class TestShrinkage:
         m = {"one": 1, "default": default_span(n, "ma_like"), "widest": (n - 1) // 2}[span]
         x = TimeSeriesMatrix(rng.standard_normal((n, 5)) @ rng.standard_normal((5, 5)))
         est = shrinkage_all(x, m)
-        assert est.method == "shrinkage" and sorted(est.matrices) == list(FourierGrid(n).indices)
-        for j in range(n // 2 + 1):
+        assert est.method == "shrinkage" and est.half.shape == (n // 2 + 1, 5, 5)
+        for j in range(-((n - 1) // 2), n // 2 + 1):
             want = shrinkage_estimate(x, m, j)
-            assert np.linalg.norm(est.matrices[j] - want) <= 1e-12 * np.linalg.norm(want)
-            if 0 < j <= (n - 1) // 2:
-                assert np.array_equal(est.matrices[-j], est.matrices[j].conj())
+            got = est.half[j] if j >= 0 else est.half[-j].conj()
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_one_channel_equals_smoothed(self, rng):
         x = white_series(rng, 41, 1)
         est = shrinkage_all(x, 4)
         smooth = smoothed_estimate(x, 4)
-        for j in est.frequencies():
-            assert np.array_equal(est.matrices[j], smooth.matrices[j])
+        assert np.array_equal(est.half, smooth.half)
 
     def test_constant_channel(self, rng):
         data = rng.standard_normal((48, 4))
@@ -276,8 +310,8 @@ class TestShrinkage:
         est = shrinkage_all(x, 3)
         for j in range(25):
             want = shrinkage_estimate(x, 3, j)
-            assert np.linalg.norm(est.matrices[j] - want) <= 1e-12 * np.linalg.norm(want)
-            assert np.all(np.isfinite(est.matrices[j]))
+            assert np.linalg.norm(est.half[j] - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.all(np.isfinite(est.half[j]))
 
     def test_identical_window_members_keep_f_hat(self, rng):
         # beta^2 is 0 up to cancellation, which here leaves the window sum
@@ -291,12 +325,11 @@ class TestShrinkage:
         est = _shrunk(x, 2, stack, _smoothed_half(stack, 2))
         smooth = _smoothed(x, 2, _smoothed_half(stack, 2))
         off = ~np.eye(3, dtype=bool)
-        for j in est.frequencies():
-            assert np.all(np.isfinite(est.matrices[j]))
-            rho = 1.0 - (est.matrices[j][off] / smooth.matrices[j][off]).real
+        assert np.all(np.isfinite(est.half))
+        for f, f_hat in zip(est.half, smooth.half):
+            rho = 1.0 - (f[off] / f_hat[off]).real
             assert np.all((rho >= -1e-12) & (rho <= 1.0 + 1e-12))
-            target = mat if j >= 0 else mat.conj()
-            assert np.allclose(est.matrices[j], target / (2 * np.pi), rtol=0, atol=1e-12)
+            assert np.allclose(f, mat / (2 * np.pi), rtol=0, atol=1e-12)
 
     def test_scaled_identity_f_hat_is_not_shrunk(self, rng):
         # delta^2 = 0 exactly while beta^2 > 0: rho must be 0, not beta^2 / 0
@@ -304,8 +337,7 @@ class TestShrinkage:
         stack = np.array([(k % 3 + 1.0) * np.eye(2) for k in range(18)], dtype=complex)
         est = _shrunk(x, 2, stack, _smoothed_half(stack, 2))
         smooth = _smoothed(x, 2, _smoothed_half(stack, 2))
-        for j in est.frequencies():
-            assert np.array_equal(est.matrices[j], smooth.matrices[j])
+        assert np.array_equal(est.half, smooth.half)
 
 
 class TestCoherence:
@@ -351,19 +383,18 @@ class TestCoherenceThreshold:
 
 
 class TestAggregateCoherenceGraph:
-    def _estimate(self, n, mats):
-        p = next(iter(mats.values())).shape[0]
-        return SpectralEstimate(n=n, p=p, m=1, method="smoothed", matrices=mats)
+    def _estimate(self, n, half):
+        return SpectralEstimate(n=n, p=half.shape[-1], m=1, method="smoothed", half=half)
 
     def test_diagonal_estimate_gives_empty_graph(self):
-        grid = FourierGrid(8)
-        mats = {int(j): np.diag([1.0, 2.0]).astype(complex) for j in grid.indices}
-        graph = aggregate_coherence_graph(self._estimate(8, mats))
+        half = np.tile(np.diag([1.0, 2.0]).astype(complex), (5, 1, 1))
+        graph = aggregate_coherence_graph(self._estimate(8, half))
         assert np.allclose(graph, 0.0)
 
     def test_single_frequency(self):
+        # the same matrix at every frequency: the graph is its |coherence|
         mat = np.array([[4.0, 2.0j], [-2.0j, 1.0]])
-        graph = aggregate_coherence_graph(self._estimate(8, {0: mat}))
+        graph = aggregate_coherence_graph(self._estimate(8, np.tile(mat, (5, 1, 1))))
         assert abs(graph[0, 1] - 1.0) < 1e-14
         assert graph[0, 0] == 0.0
 
@@ -376,28 +407,22 @@ class TestAggregateCoherenceGraph:
 
     @pytest.mark.parametrize("p", [5, 96])  # 16 and 7 rows per block
     def test_many_frequencies_equal_loop(self, rng, p):
-        # more frequencies than one block of rows, and no conjugate pairs
-        mats = {}
-        for j in range(-7, 30):
-            b = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-            mats[j] = b @ b.conj().T + 0.1 * np.eye(p)
-        est = self._estimate(64, mats)
-        want = np.zeros((p, p))
-        for j in sorted(mats):
-            want += np.abs(coherence(mats[j]))
-        want /= len(mats)
-        np.fill_diagonal(want, 0.0)
-        want = 0.5 * (want + want.T)
-        got = aggregate_coherence_graph(est)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        # more rows than one block; odd n, and even n with its weight-1 row n/2
+        for n in (63, 64):
+            b = rng.standard_normal((n // 2 + 1, p, p)) + 1j * rng.standard_normal((n // 2 + 1, p, p))
+            half = b @ b.conj().transpose(0, 2, 1) + 0.1 * np.eye(p)
+            est = self._estimate(n, half)
+            want = coherence_graph_loop(est)
+            got = aggregate_coherence_graph(est)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
     def test_first_degenerate_channel_named(self):
         # the first frequency with a degenerate channel, in a later block of rows
-        mats = {j: np.eye(3, dtype=complex) for j in range(40)}
-        mats[18] = np.diag([1.0, 0.0, 0.0]).astype(complex)
-        mats[30] = np.diag([0.0, 1.0, 1.0]).astype(complex)
+        half = np.tile(np.eye(3, dtype=complex), (33, 1, 1))
+        half[18] = np.diag([1.0, 0.0, 0.0])
+        half[30] = np.diag([0.0, 1.0, 1.0])
         with pytest.raises(DataError, match="degenerate channel 1"):
-            aggregate_coherence_graph(self._estimate(40, mats))
+            aggregate_coherence_graph(self._estimate(64, half))
 
     def test_scale_invariance(self, rng):
         data = rng.standard_normal((16, 3))
@@ -413,54 +438,3 @@ class TestHermitianNormBound:
             mat = b + b.conj().T
             col_sum = float(np.max(np.sum(np.abs(mat), axis=0)))
             assert np.linalg.norm(mat, 2) <= col_sum + 1e-10
-
-
-class TestHalfSpectrum:
-    @staticmethod
-    def _half(rng, n, p=3):
-        rows = n // 2 + 1
-        return HalfSpectrum(n, rng.standard_normal((rows, p, p)) + 1j * rng.standard_normal((rows, p, p)))
-
-    @pytest.mark.parametrize("n", [7, 8])
-    def test_negative_index_reads_exact_conjugate(self, rng, n):
-        spec = self._half(rng, n)
-        for j in range(1, (n - 1) // 2 + 1):
-            assert np.array_equal(spec[-j], spec.half[j].conj())
-            assert np.array_equal(spec[-j].imag, -spec.half[j].imag)
-        assert np.shares_memory(spec[2], spec.half)  # rows j >= 0 are writable views
-        spec[2][...] = 0.0
-        assert not spec.half[2].any()
-
-    @pytest.mark.parametrize("n", [7, 8])
-    def test_key_error_just_outside_the_grid(self, rng, n):
-        spec = self._half(rng, n)
-        lo, hi = -((n - 1) // 2), n // 2
-        spec[lo], spec[hi]
-        for j in (lo - 1, hi + 1, "0", 1.0):
-            with pytest.raises(KeyError):
-                spec[j]
-            assert j not in spec
-
-    @pytest.mark.parametrize("n", [7, 8])
-    def test_iterates_over_the_grid_in_order(self, rng, n):
-        spec = self._half(rng, n)
-        assert list(spec) == [int(j) for j in FourierGrid(n).indices]
-        assert len(spec) == n
-        assert [j for j, _ in spec.items()] == list(spec)
-
-    def test_equality(self, rng):
-        spec = self._half(rng, 8)
-        assert spec == HalfSpectrum(8, spec.half.copy())
-        changed = spec.half.copy()
-        changed[3, 0, 1] += 1.0
-        assert (spec == HalfSpectrum(8, changed)) is False
-        # n = 7 and n = 8 both hold 4 rows, but differ at j = 4
-        assert (spec == HalfSpectrum(7, spec.half)) is False
-        assert (spec == dict(spec)) is False
-        assert spec != HalfSpectrum(7, spec.half)
-
-    def test_pickle_round_trip(self, rng):
-        spec = self._half(rng, 9)
-        back = pickle.loads(pickle.dumps(spec))
-        assert type(back) is HalfSpectrum and back == spec
-        assert back.half.dtype == spec.half.dtype

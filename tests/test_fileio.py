@@ -4,8 +4,15 @@ import json
 
 import numpy as np
 import pytest
+from oracles import full_grid
 
-from specthresh import DataError, ThresholdOperator, threshold_estimate, tuned_threshold_estimate
+from specthresh import (
+    DataError,
+    FourierGrid,
+    ThresholdOperator,
+    threshold_estimate,
+    tuned_threshold_estimate,
+)
 from specthresh.fileio import (
     _fmt,
     model_from_dict,
@@ -119,9 +126,8 @@ class TestEstimateJson:
         assert (back.n, back.p, back.m, back.method) == (est.n, est.p, est.m, est.method)
         assert back.eta == est.eta
         assert back.channel_names == est.channel_names
-        assert back.lambdas == est.lambdas
-        for j in est.frequencies():
-            assert np.array_equal(back.matrices[j], est.matrices[j])
+        assert np.array_equal(back.lambdas, est.lambdas)
+        assert np.array_equal(back.half, est.half)
 
     @staticmethod
     def _same(a, b) -> bool:
@@ -161,14 +167,13 @@ class TestEstimateJson:
         est.channel_names = channels
         assert est.lambdas is not None and est.eta is not None
         freqs = []
-        for j in est.frequencies():
-            mat = est.matrices[j]
+        for j, mat in full_grid(est.half, est.n).items():
             freqs.append({
                 "j": j,
-                "omega": _fmt(est.grid.frequency(j)),
+                "omega": _fmt(FourierGrid(est.n).frequency(j)),
                 "re": [[_fmt(v) for v in row] for row in mat.real],
                 "im": [[_fmt(v) for v in row] for row in mat.imag],
-                "lambda": _fmt(est.lambdas[j]),
+                "lambda": _fmt(est.lambdas[abs(j)]),
             })
         obj = {
             "schema_version": "1", "n": est.n, "p": est.p, "m": est.m, "method": est.method,

@@ -5,7 +5,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "specthresh"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "specthresh"
+# the code that may read a name the package defines
+READERS = ("src", "tests", "demos", "perfbench")
 
 
 def unused_imports(source: str) -> list:
@@ -42,3 +45,57 @@ def test_no_unused_imports(path):
 ])
 def test_unused_imports_finds_unread_names(source, want):
     assert unused_imports(source) == want
+
+
+def defined_names(source: str) -> list:
+    """Names a module binds at its top level by def, class or assignment."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return names
+
+
+def read_names(source: str) -> set:
+    """Names a module reads: as a variable, as an attribute, or by importing them."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def test_no_unread_module_names():
+    reads = set()
+    for folder in READERS:
+        for path in (ROOT / folder).rglob("*.py"):
+            reads |= read_names(path.read_text())
+    unread = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+              for name in defined_names(path.read_text()) if name not in reads]
+    assert unread == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("X = 1\ndef f():\n    g = 2\nclass C:\n    h = 3\n", ["X", "f", "C"]),
+    ("a, (b, c) = 1, (2, 3)\nd: int = 4\nasync def e():\n    pass\n", ["a", "b", "c", "d", "e"]),
+    ("import os\nif True:\n    Y = 1\n", []),
+])
+def test_defined_names_are_top_level_bindings(source, want):
+    assert defined_names(source) == want
+
+
+@pytest.mark.parametrize("source, want", [
+    ("x = y\n", {"y"}),
+    ("a.b.c()\n", {"a", "b", "c"}),
+    ("from m import n as k\n", {"n"}),
+    ("import m\nz = 1\n", set()),
+])
+def test_read_names_finds_loads_attributes_and_imports(source, want):
+    assert read_names(source) == want

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import rmise_loop, support_loop
 
 from specthresh import (
     EvaluationReport,
@@ -13,9 +14,13 @@ from specthresh import (
 from specthresh.metrics import RocCurve
 
 
-def make_estimate(n, mats, method="lasso"):
-    p = next(iter(mats.values())).shape[0]
-    return SpectralEstimate(n=n, p=p, m=1, method=method, matrices=mats)
+def make_estimate(n, half, method="lasso"):
+    return SpectralEstimate(n=n, p=half.shape[-1], m=1, method=method, half=half)
+
+
+def rows(mat, n):
+    """`mat` at each of the n//2+1 rows of a half spectrum."""
+    return np.tile(mat, (n // 2 + 1, 1, 1))
 
 
 def hermitian(rng, p):
@@ -25,44 +30,43 @@ def hermitian(rng, p):
 
 class TestRmise:
     def _pair(self, rng, n=4, p=3):
-        truth = {j: hermitian(rng, p) for j in (-1, 0, 1, 2)}
-        return truth
+        return np.array([hermitian(rng, p) for _ in range(n // 2 + 1)])
 
     def test_exact_match_is_zero(self, rng):
         truth = self._pair(rng)
-        est = make_estimate(4, {j: m.copy() for j, m in truth.items()})
+        est = make_estimate(4, truth.copy())
         assert rmise(est, truth) == 0.0
 
     def test_zero_estimate_is_hundred(self, rng):
         truth = self._pair(rng)
-        est = make_estimate(4, {j: np.zeros_like(m) for j, m in truth.items()})
+        est = make_estimate(4, np.zeros_like(truth))
         assert abs(rmise(est, truth) - 100.0) < 1e-10
 
     def test_double_estimate_is_hundred(self, rng):
         truth = self._pair(rng)
-        est = make_estimate(4, {j: 2.0 * m for j, m in truth.items()})
+        est = make_estimate(4, 2.0 * truth)
         assert abs(rmise(est, truth) - 100.0) < 1e-10
 
     def test_scale_invariance(self, rng):
         truth = self._pair(rng)
-        est = make_estimate(4, {j: m + 0.1 for j, m in truth.items()})
-        scaled_truth = {j: 3.0 * m for j, m in truth.items()}
-        scaled_est = make_estimate(4, {j: 3.0 * (m + 0.1) for j, m in truth.items()})
-        assert abs(rmise(est, truth) - rmise(scaled_est, scaled_truth)) < 1e-9
+        est = make_estimate(4, truth + 0.1)
+        scaled_est = make_estimate(4, 3.0 * (truth + 0.1))
+        assert abs(rmise(est, truth) - rmise(scaled_est, 3.0 * truth)) < 1e-9
 
     def test_mismatched_frequencies(self, rng):
+        # a truth of another n, or of another p
         truth = self._pair(rng)
-        est = make_estimate(4, {0: truth[0]})
-        with pytest.raises(ParameterError):
-            rmise(est, truth)
+        est = make_estimate(4, truth.copy())
+        for other in (self._pair(rng, n=6), self._pair(rng, p=2), truth[0]):
+            with pytest.raises(ParameterError, match="truth of shape"):
+                rmise(est, other)
 
 
 class TestSupportScores:
     def test_perfect_recovery(self, rng):
         mat = np.array([[1.0, 0.5, 0.0], [0.5, 1.0, 0.0], [0.0, 0.0, 1.0]], dtype=complex)
-        truth = {j: mat for j in (-1, 0, 1)}
-        est = make_estimate(3, {j: mat.copy() for j in truth})
-        scores = support_scores(est, truth)
+        est = make_estimate(3, rows(mat, 3))
+        scores = support_scores(est, rows(mat, 3))
         assert scores.precision == scores.recall == scores.f1 == 1.0
 
     def test_quarter_dense_truth(self):
@@ -70,9 +74,8 @@ class TestSupportScores:
         est_mat = np.ones((p, p), dtype=complex)
         truth_mat = np.eye(p, dtype=complex)
         truth_mat[0, 1] = truth_mat[1, 0] = truth_mat[2, 3] = 1.0  # 3 of 12 off-diagonals
-        truth = {j: truth_mat for j in (0, 1)}
-        est = make_estimate(2, {j: est_mat.copy() for j in truth})
-        scores = support_scores(est, truth)
+        est = make_estimate(2, rows(est_mat, 2))
+        scores = support_scores(est, rows(truth_mat, 2))
         assert abs(scores.precision - 0.25) < 1e-14
         assert scores.recall == 1.0
         assert abs(scores.f1 - 0.4) < 1e-14
@@ -80,24 +83,20 @@ class TestSupportScores:
     def test_empty_estimate_conventions(self):
         truth_mat = np.ones((3, 3), dtype=complex)
         est_mat = np.diag([1.0, 1.0, 1.0]).astype(complex)
-        truth = {0: truth_mat}
-        est = make_estimate(2, {0: est_mat})
-        scores = support_scores(est, truth)
+        est = make_estimate(2, rows(est_mat, 2))
+        scores = support_scores(est, rows(truth_mat, 2))
         assert scores.precision == 1.0  # no predicted off-diagonal positives
         assert scores.recall == 0.0
         assert scores.f1 == 0.0
 
     def test_empty_truth_convention(self):
-        truth = {0: np.eye(3, dtype=complex)}
-        est = make_estimate(2, {0: np.eye(3, dtype=complex)})
-        assert support_scores(est, truth).recall == 1.0
+        est = make_estimate(2, rows(np.eye(3, dtype=complex), 2))
+        assert support_scores(est, rows(np.eye(3, dtype=complex), 2)).recall == 1.0
 
     def test_include_diagonal_flag(self):
         p = 3
-        est_mat = np.eye(p, dtype=complex)
-        truth_mat = np.eye(p, dtype=complex)
-        truth = {0: truth_mat}
-        est = make_estimate(2, {0: est_mat})
+        est = make_estimate(2, rows(np.eye(p, dtype=complex), 2))
+        truth = rows(np.eye(p, dtype=complex), 2)
         off = support_scores(est, truth, include_diagonal=False)
         full = support_scores(est, truth, include_diagonal=True)
         assert off.recall == 1.0 and off.precision == 1.0  # empty-set conventions
@@ -106,66 +105,46 @@ class TestSupportScores:
     def test_zero_tol_applies_to_truth_only(self):
         truth_mat = np.eye(2, dtype=complex)
         truth_mat[0, 1] = truth_mat[1, 0] = 1e-15  # numerically zero
-        est_mat = np.eye(2, dtype=complex)
-        est = make_estimate(2, {0: est_mat})
-        scores = support_scores(est, {0: truth_mat})
+        est = make_estimate(2, rows(np.eye(2, dtype=complex), 2))
+        scores = support_scores(est, rows(truth_mat, 2))
         assert scores.recall == 1.0
 
-
-def rmise_loop(est, truth):
-    """Oracle: one frequency at a time."""
-    num = sum(float(np.sum(np.abs(est.matrices[j] - truth[j]) ** 2)) for j in est.frequencies())
-    den = sum(float(np.sum(np.abs(truth[j]) ** 2)) for j in est.frequencies())
-    return 100.0 * num / den
-
-
-def support_loop(est, truth, include_diagonal):
-    """Oracle: precision, recall and F1 one frequency at a time, then their means."""
-    mask = np.ones((est.p, est.p), dtype=bool)
-    if not include_diagonal:
-        np.fill_diagonal(mask, False)
-    zero_tol = 1e-12 * max(float(np.max(np.abs(truth[j]))) for j in truth)
-    per = {}
-    for j in est.frequencies():
-        est_nz = (np.abs(est.matrices[j]) > 0) & mask
-        true_nz = (np.abs(truth[j]) > zero_tol) & mask
-        hits, n_est, n_true = int(np.sum(est_nz & true_nz)), int(np.sum(est_nz)), int(np.sum(true_nz))
-        precision = hits / n_est if n_est else 1.0
-        recall = hits / n_true if n_true else 1.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        per[j] = (precision, recall, f1)
-    return per, np.array(list(per.values())).mean(axis=0)
+    def test_truth_of_another_shape_rejected(self):
+        est = make_estimate(4, rows(np.eye(3, dtype=complex), 4))
+        for other in (rows(np.eye(3, dtype=complex), 6), rows(np.eye(2, dtype=complex), 4)):
+            with pytest.raises(ParameterError, match="truth of shape"):
+                support_scores(est, other)
 
 
 class TestManyFrequencies:
-    """The public metrics over more frequencies than one block of rows, on a
-    dict with no conjugate pairs, against one-frequency-at-a-time loops.
-    At p = 96 a block holds 7 rows rather than 16."""
+    """The public metrics over more rows than one block, at odd n and at
+    even n (whose row n/2 occurs once in F_n), against one-frequency-at-a-time
+    loops over all of F_n.  At p = 96 a block holds 7 rows rather than 16."""
 
     @staticmethod
-    def _pair(rng, p):
-        truth, mats = {}, {}
-        for j in range(-5, 36):
-            truth[j] = hermitian(rng, p)
-            truth[j][np.abs(truth[j]) < 0.8] = 0.0
-            mats[j] = truth[j] + 0.3 * hermitian(rng, p)
-            mats[j][np.abs(mats[j]) < 1.0] = 0.0
-        return make_estimate(80, mats), truth
+    def _pair(rng, n, p):
+        truth = np.array([hermitian(rng, p) for _ in range(n // 2 + 1)])
+        truth[np.abs(truth) < 0.8] = 0.0
+        mats = truth + 0.3 * np.array([hermitian(rng, p) for _ in range(n // 2 + 1)])
+        mats[np.abs(mats) < 1.0] = 0.0
+        return make_estimate(n, mats), truth
 
     @pytest.mark.parametrize("p", [6, 96])
     def test_rmise_equals_loop(self, rng, p):
-        est, truth = self._pair(rng, p)
-        assert abs(rmise(est, truth) - rmise_loop(est, truth)) <= 1e-12 * rmise_loop(est, truth)
+        for n in (79, 80):
+            est, truth = self._pair(rng, n, p)
+            want = rmise_loop(est, truth)
+            assert abs(rmise(est, truth) - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("p", [6, 96])
     @pytest.mark.parametrize("include_diagonal", [True, False])
     def test_support_scores_equal_loop(self, rng, p, include_diagonal):
-        est, truth = self._pair(rng, p)
-        got = support_scores(est, truth, include_diagonal=include_diagonal)
-        per, means = support_loop(est, truth, include_diagonal)
-        assert got.per_frequency == per
-        assert np.allclose([got.precision, got.recall, got.f1], means, rtol=1e-12, atol=0)
-        assert 0 < got.precision < 1 and 0 < got.recall < 1
+        for n in (79, 80):
+            est, truth = self._pair(rng, n, p)
+            got = support_scores(est, truth, include_diagonal=include_diagonal)
+            means = support_loop(est, truth, include_diagonal)
+            assert np.allclose([got.precision, got.recall, got.f1], means, rtol=1e-12, atol=0)
+            assert 0 < got.precision < 1 and 0 < got.recall < 1
 
 
 def roc_by_cut_sweep(weighted_graph, truth_support):

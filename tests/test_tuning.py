@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import apply_threshold, assert_thresholded, averaged_periodogram
+from oracles import apply_threshold, assert_thresholded, averaged_periodogram, wrap
 
 from specthresh import (
     FourierGrid,
@@ -44,16 +44,16 @@ def risk_by_threshold_loop(x, j, cfg, op, preserve_diagonal):
 
 
 def split_by_wrap(j, m, n, seed):
-    """Oracle: the window and its mirror pairs built with FourierGrid.wrap."""
+    """Oracle: the window and its mirror pairs built with `wrap`."""
     grid = FourierGrid(n)
     rng = _freq_rng(seed, j)
-    window = [grid.wrap(k) for k in range(j - m, j + m + 1)]
+    window = [wrap(grid, k) for k in range(j - m, j + m + 1)]
     members = set(window)
     units, seen = [], set()
     for k in window:
         if k in seen:
             continue
-        mirror = grid.wrap(-k)
+        mirror = wrap(grid, -k)
         if mirror in members and mirror != k:
             units.append((k, mirror))
             seen.update((k, mirror))
@@ -104,13 +104,13 @@ class TestSplitFrequencies:
             grid = FourierGrid(n)
             for seed in range(10):
                 j1, j2 = split_frequencies(j, m, n, seed=seed)
-                window = sorted(grid.wrap(k) for k in range(j - m, j + m + 1))
+                window = sorted(wrap(grid, k) for k in range(j - m, j + m + 1))
                 assert sorted(j1 + j2) == window
                 assert not set(j1) & set(j2)
                 assert abs(len(j1) - len(j2)) <= 1
                 members = set(window)
                 for k in j1:
-                    mirror = grid.wrap(-k)
+                    mirror = wrap(grid, -k)
                     if mirror in members and mirror != k:
                         assert mirror in j1
 
@@ -253,16 +253,15 @@ class TestTunedThresholdEstimate:
             lambdas[j] = grid[int(np.argmin(risk_by_threshold_loop(x, j, cfg, op, True)))]
         ref = threshold_estimate(x, 5, op, lambdas)
         est = tuned_threshold_estimate(x, 5, op, n_splits=2, seed=6)
-        assert est.lambdas == ref.lambdas
-        for j in ref.frequencies():
-            assert np.array_equal(est.matrices[j], ref.matrices[j])
+        assert np.array_equal(est.lambdas, ref.lambdas)
+        assert np.array_equal(est.half, ref.half)
 
     def test_pipeline_metadata(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
         est = tuned_threshold_estimate(x, 4, ThresholdOperator("lasso"), seed=2)
         assert est.method == "lasso"
-        assert sorted(est.matrices) == sorted(int(j) for j in FourierGrid(32).indices)
-        assert set(est.lambdas) == set(est.frequencies())
+        assert est.half.shape == (17, 4, 4)
+        assert est.lambdas.shape == (17,)
 
     def test_lambda_scale_rescales_thresholds(self, rng):
         # tuned thresholds are rescaled by thresholding again at the scaled
@@ -271,11 +270,10 @@ class TestTunedThresholdEstimate:
         op = ThresholdOperator("lasso")
         base = tuned_threshold_estimate(x, 4, op, seed=2)
         scaled = threshold_estimate(x, 4, op, {j: 0.5 * base.lambdas[j] for j in range(17)})
-        for j in range(-15, 17):
-            assert abs(scaled.lambdas[j] - 0.5 * base.lambdas[j]) < 1e-14
+        assert np.all(np.abs(scaled.lambdas - 0.5 * base.lambdas) < 1e-14)
         for j in range(17):
             want = apply_threshold(averaged_periodogram(x, 4, j), op, 0.5 * base.lambdas[j])
-            assert np.array_equal(scaled.matrices[j], want)
+            assert np.array_equal(scaled.half[j], want)
         with pytest.raises(ParameterError):
             threshold_estimate(x, 4, op, {j: -0.5 * base.lambdas[j] for j in range(17)})
 
@@ -284,9 +282,8 @@ class TestTunedThresholdEstimate:
         op = ThresholdOperator("hard")
         e1 = tuned_threshold_estimate(TimeSeriesMatrix(data), 3, op, seed=4)
         e2 = tuned_threshold_estimate(TimeSeriesMatrix(data), 3, op, seed=4)
-        assert e1.lambdas == e2.lambdas
-        for j in e1.frequencies():
-            assert np.array_equal(e1.matrices[j], e2.matrices[j])
+        assert np.array_equal(e1.lambdas, e2.lambdas)
+        assert np.array_equal(e1.half, e2.half)
 
 
 class TestTunedThresholdEstimates:
@@ -307,22 +304,21 @@ class TestTunedThresholdEstimates:
         for op, est in zip(OPERATORS, ests):
             ref = tuned_threshold_estimate(x, 4, op, **kwargs)
             assert (est.method, est.eta) == (ref.method, ref.eta)
-            assert est.lambdas == ref.lambdas
-            for j in ref.frequencies():
-                assert np.array_equal(est.matrices[j], ref.matrices[j])
+            assert np.array_equal(est.lambdas, ref.lambdas)
+            assert np.array_equal(est.half, ref.half)
             scaled = threshold_estimate(
                 x, 4, op, {j: lambda_scale * ref.lambdas[j] for j in range(n // 2 + 1)})
             for j, f in enumerate(smoothed):
-                assert_thresholded(est.matrices[j], f, op, ref.lambdas[j], preserve_diagonal)
-                assert_thresholded(scaled.matrices[j], f, op, lambda_scale * ref.lambdas[j],
+                assert_thresholded(est.half[j], f, op, ref.lambdas[j], preserve_diagonal)
+                assert_thresholded(scaled.half[j], f, op, lambda_scale * ref.lambdas[j],
                                    preserve_diagonal)
 
     def test_operators_do_not_share_storage(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
         hard, lasso = tuned_threshold_estimates(x, 4, OPERATORS[:2], seed=1)
         ref = tuned_threshold_estimate(x, 4, OPERATORS[0], seed=1)
-        lasso.matrices[3][...] = 0.0
-        assert np.array_equal(hard.matrices[3], ref.matrices[3])
+        lasso.half[3][...] = 0.0
+        assert np.array_equal(hard.half[3], ref.half[3])
 
     def test_rejects_no_operators(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
