@@ -31,7 +31,7 @@ from .metrics import (
     roc_points,
     support_scores,
 )
-from .model import _BLOCK_ROWS, VarmaModel, _spectral_density_rows, block_varma_model, simulate
+from .model import VarmaModel, _spectral_density, block_varma_model, simulate
 from .tuning import _tuned, default_span
 
 METHOD_ALIASES = {"alasso": "adaptive_lasso"}
@@ -44,6 +44,14 @@ def canonical_method(name: str) -> str:
     if name not in ALL_METHODS:
         raise ParameterError(f"unknown method {name!r}")
     return name
+
+
+def _json_value(value, kind: type, name: str):
+    """`value` if its type is exactly `kind`, else ValueError: a JSON float
+    or boolean does not pass for an int, nor a string for a bool."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -97,15 +105,16 @@ class BenchmarkSpec:
         try:
             return cls(
                 family=obj["family"],
-                p_list=obj["p"],
-                n_list=obj["n"],
+                p_list=[_json_value(p, int, "p") for p in obj["p"]],
+                n_list=[_json_value(n, int, "n") for n in obj["n"]],
                 methods=obj["methods"],
-                replicates=int(obj.get("replicates", 20)),
-                seed=int(obj.get("seed", 0)),
+                replicates=_json_value(obj.get("replicates", 20), int, "replicates"),
+                seed=_json_value(obj.get("seed", 0), int, "seed"),
                 span_rule=obj.get("span_rule"),
-                grid_size=int(obj.get("grid_size", 20)),
-                n_splits=int(obj.get("n_splits", 1)),
-                include_diagonal=bool(obj.get("include_diagonal", True)),
+                grid_size=_json_value(obj.get("grid_size", 20), int, "grid_size"),
+                n_splits=_json_value(obj.get("n_splits", 1), int, "n_splits"),
+                include_diagonal=_json_value(obj.get("include_diagonal", True), bool,
+                                             "include_diagonal"),
             )
         except SpecthreshError:
             raise
@@ -116,7 +125,7 @@ class BenchmarkSpec:
 def truth_spectra(model: VarmaModel, n: int) -> np.ndarray:
     """Population spectral density f(omega_j) for j = 0..floor(n/2), as a
     (n//2+1, p, p) array; f(omega_{-j}) is the conjugate of row j."""
-    return _spectral_density_rows(model, n, 0, n // 2 + 1)
+    return _spectral_density(model, 2.0 * np.pi * np.arange(n // 2 + 1) / n)
 
 
 def truth_graph_support(truth: np.ndarray) -> np.ndarray:
@@ -220,19 +229,19 @@ def _worker(task):
     return _worker_fn(*task)
 
 
-def _mapped(fn, tasks, jobs: int):
-    """`fn(*task)` for each task, in order.
+def _mapped(fn, tasks: list, jobs: int) -> list:
+    """[fn(*task) for task in tasks].
 
-    With jobs > 1 the calls run in a pool of `jobs` worker processes, which
-    is shut down once the last result is read or a task fails.  `fn`, with
-    the arrays it binds, reaches each worker once, through the initializer:
-    a forked worker inherits it, a spawned one unpickles it once.
+    With jobs > 1 and more than one task the calls run in a pool of
+    min(jobs, len(tasks)) worker processes.  `fn`, with the arrays it
+    binds, reaches each worker once, through the initializer: a forked
+    worker inherits it, a spawned one unpickles it once.
     """
-    if jobs == 1:
-        yield from itertools.starmap(fn, tasks)
-        return
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(fn,)) as pool:
-        yield from pool.map(_worker, tasks)
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        return list(itertools.starmap(fn, tasks))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(fn,)) as pool:
+        return list(pool.map(_worker, tasks))
 
 
 @dataclass
@@ -244,30 +253,18 @@ class CellResult:
     rocs: Dict[str, List[RocCurve]]
 
 
-def _pooled_truth(model: VarmaModel, n: int, jobs: int) -> np.ndarray:
-    """`truth_spectra(model, n)`, its row blocks computed by `jobs`
-    worker processes (in this process when jobs == 1)."""
-    truth = np.empty((n // 2 + 1, model.dim, model.dim), dtype=complex)
-    blocks = [(j0, min(j0 + _BLOCK_ROWS, len(truth))) for j0 in range(0, len(truth), _BLOCK_ROWS)]
-    rows = _mapped(functools.partial(_spectral_density_rows, model, n), blocks, jobs)
-    # strict zip reads `rows` to its end, which closes its pool
-    for (start, stop), block in zip(blocks, rows, strict=True):
-        truth[start:stop] = block
-    return truth
-
-
 def run_cell(spec: BenchmarkSpec, cell_index: int, p: int, n: int, jobs: int = 1) -> CellResult:
     """Summaries and ROC curves of `spec.replicates` replicates of one cell.
 
-    With jobs > 1 the truth's row blocks and then the replicates run in two
-    successive pools: the replicate workers fork after the truth is whole,
-    so each inherits it and its support without a copy per task.
+    The truth is computed in this process first; with jobs > 1 the
+    replicates then run in one pool, whose workers inherit the truth and its
+    support without a copy per task.
     """
-    truth = _pooled_truth(block_varma_model(p, spec.family), n, jobs)
+    truth = truth_spectra(block_varma_model(p, spec.family), n)
     support = truth_graph_support(truth)
     tasks = [(spec, cell_index, p, n, r) for r in range(spec.replicates)]
     replicate = functools.partial(run_replicate, truth=truth, truth_support_graph=support)
-    results = list(_mapped(replicate, tasks, jobs))
+    results = _mapped(replicate, tasks, jobs)
     summaries = {}
     rocs: Dict[str, List[RocCurve]] = {}
     for method in spec.methods:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .dft import FourierGrid
 from .errors import DataError, SpecthreshError
-from .bench import ALL_METHODS
+from .bench import ALL_METHODS, THRESHOLD_METHODS, _json_value
 from .estimator import SpectralEstimate
 from .metrics import EvaluationReport
 from .model import VarmaModel, TimeSeriesMatrix
@@ -84,7 +84,7 @@ def model_from_dict(obj: dict) -> VarmaModel:
     try:
         noise = obj.get("noise", {})
         return VarmaModel(
-            dim=int(obj["p"]),
+            dim=_json_value(obj["p"], int, "p"),
             ar_coeffs=tuple(np.array(a, dtype=float) for a in obj.get("ar", [])),
             ma_coeffs=tuple(np.array(b, dtype=float) for b in obj.get("ma", [])),
             noise_cov=np.array(noise["cov"], dtype=float) if "cov" in noise else None,
@@ -166,9 +166,11 @@ def read_estimate(path) -> SpectralEstimate:
     The file lists every j in F_n once.  Entries are parsed one at a time
     into arrays of the rows j >= 0 and, in row -j - 1, of the conjugates of
     the rows j < 0; each j < 0 matrix and threshold must be exactly the
-    conjugate of its j > 0 partner's.  The header must name one of the
-    methods, a span m with 2m+1 <= n, a finite positive eta (when given)
-    and a list of p channel names (when given).
+    conjugate of its j > 0 partner's.  The header must give n, p and m as
+    JSON integers and name one of the methods, a span m with 2m+1 <= n, a
+    finite positive eta (on adaptive_lasso, and only there) and a list of
+    p channel names (when given).  Every entry carries a threshold when the
+    method is a threshold method, and none otherwise.
     """
     with open(path) as fh:
         try:
@@ -181,7 +183,7 @@ def read_estimate(path) -> SpectralEstimate:
     if version != SCHEMA_VERSION:
         raise DataError(f"{path}: schema version {version!r}, expected {SCHEMA_VERSION!r}")
     try:
-        n, p = int(obj["n"]), int(obj["p"])
+        n, p = _json_value(obj["n"], int, "n"), _json_value(obj["p"], int, "p")
         entries = obj["frequencies"]
         if len(entries) != n:
             raise ValueError(f"{len(entries)} frequency entries for n = {n}")
@@ -190,7 +192,7 @@ def read_estimate(path) -> SpectralEstimate:
         half = neg = lam_half = lam_neg = None
         seen = set()
         for entry in entries:
-            j = int(entry["j"])
+            j = _json_value(entry["j"], int, "j")
             re = np.array(entry["re"], dtype=float)
             im = np.array(entry["im"], dtype=float)
             if re.shape != (p, p) or im.shape != (p, p):
@@ -214,7 +216,7 @@ def read_estimate(path) -> SpectralEstimate:
         partners = slice(1, grid.half + 1)
         if not (np.array_equal(neg, half[partners]) and np.array_equal(lam_neg, lam_half[partners])):
             raise ValueError("an entry at j < 0 is not the conjugate of the one at -j")
-        m, method = int(obj["m"]), obj["method"]
+        m, method = _json_value(obj["m"], int, "m"), obj["method"]
         if m < 0 or 2 * m + 1 > n:
             raise ValueError(f"span m = {m} for n = {n}")
         if method not in ALL_METHODS:
@@ -222,6 +224,10 @@ def read_estimate(path) -> SpectralEstimate:
         eta = float(obj["eta"]) if "eta" in obj else None
         if eta is not None and not (np.isfinite(eta) and eta > 0):
             raise ValueError(f"eta = {eta} is not finite and positive")
+        if has_lambda != (method in THRESHOLD_METHODS):
+            raise ValueError(f"{method} estimate {'with' if has_lambda else 'without'} thresholds")
+        if (eta is not None) != (method == "adaptive_lasso"):
+            raise ValueError(f"{method} estimate {'with' if eta is not None else 'without'} an eta")
         channels = None
         if "channels" in obj:
             channels = obj["channels"]

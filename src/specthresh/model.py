@@ -232,69 +232,75 @@ def simulate(model: VarmaModel, n: int, burn_in: Optional[int] = None, seed=0) -
     return TimeSeriesMatrix(path)
 
 
-def _poly_eval(coeffs: Sequence[np.ndarray], z: complex, p: int, sign: float) -> np.ndarray:
-    out = np.eye(p, dtype=complex)
-    for l, c in enumerate(coeffs, start=1):
-        out = out + sign * c * z**l
-    return out
-
-
 def true_spectral_density(model: VarmaModel, omega: float) -> np.ndarray:
     """Population spectral density f(omega), a p x p Hermitian PSD matrix.
 
     f(w) = (1/2pi) A^{-1}(e^{-iw}) B(e^{-iw}) Sigma B'(e^{-iw}) A^{-1}'(e^{-iw})
     with A(z) = I - sum A_l z^l and B(z) = I + sum B_l z^l.
     """
-    p = model.dim
-    z = np.exp(-1j * omega)
-    a = _poly_eval(model.ar_coeffs, z, p, -1.0)
-    b = _poly_eval(model.ma_coeffs, z, p, +1.0)
-    cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise NumericalError(f"AR polynomial nearly singular at omega={omega}")
-    h = np.linalg.solve(a, b)
-    f = (h @ model.noise_cov @ h.conj().T) / (2.0 * np.pi)
-    # symmetrize away roundoff
-    return 0.5 * (f + f.conj().T)
+    return _spectral_density(model, np.array([omega], dtype=float))[0]
 
 
-# Frequencies evaluated together by `_spectral_density_rows`: enough to
-# batch the LAPACK calls, few enough that the block's temporaries stay small.
-_BLOCK_ROWS = 16
+# Matrix entries per block of frequencies: 14 frequencies of a dense p = 192
+# model, so each complex temporary stays near 8 MB.
+_BLOCK_ENTRIES = 1 << 19
 
 
-def _stacked_poly(coeffs: Sequence[np.ndarray], z: np.ndarray, p: int, sign: float) -> np.ndarray:
-    out = np.broadcast_to(np.eye(p, dtype=complex), (len(z), p, p)).copy()
+def _components(model: VarmaModel) -> list:
+    """The channel components that no AR, MA or `noise_cov` entry links:
+    one (k, s) array per component size s, a row of channels per component."""
+    coeffs = (model.noise_cov,) + model.ar_coeffs + model.ma_coeffs
+    linked = np.logical_or.reduce([c != 0 for c in coeffs])
+    linked |= linked.T | np.eye(model.dim, dtype=bool)
+    labels = np.arange(model.dim)
+    # each channel takes the smallest label it is linked to, until none moves
+    while not np.array_equal(labels, spread := np.where(linked, labels, model.dim).min(axis=1)):
+        labels = spread
+    comps = [np.flatnonzero(labels == label) for label in np.unique(labels)]
+    return [np.array([c for c in comps if len(c) == s]) for s in sorted({len(c) for c in comps})]
+
+
+def _stacked_poly(coeffs: Sequence, sub: tuple, z: np.ndarray, sign: float) -> np.ndarray:
+    """I + sign * sum_l C_l z^l on the (k, s, s) diagonal blocks that the
+    index pair `sub` picks, for each z of a (rows, 1, 1, 1) array."""
+    k, s, _ = sub[0].shape
+    out = np.broadcast_to(np.eye(s, dtype=complex), (len(z), k, s, s)).copy()
     for l, c in enumerate(coeffs, start=1):
-        out += (sign * c) * (z**l)[:, None, None]
+        out += (sign * c[sub]) * z**l
     return out
 
 
-def _spectral_density_rows(model: VarmaModel, n: int, start: int, stop: int) -> np.ndarray:
-    """`true_spectral_density` at omega_j = 2 pi j / n for j = start..stop-1,
-    a (stop-start, p, p) array.
+def _spectral_density(model: VarmaModel, omegas: np.ndarray) -> np.ndarray:
+    """`true_spectral_density` at each of `omegas`, a (len(omegas), p, p) array.
 
-    Frequencies are evaluated _BLOCK_ROWS at a time, each block with one
-    batched condition check and one batched solve.  Every matrix comes from
-    its own LAPACK and BLAS calls, so a row is bit-identical however the
-    rows are split into ranges.
+    f is block-diagonal over `_components`: the entries between two
+    components are exact zeros, and all components of one size are solved
+    as one stacked problem.  Per block of frequencies, one batched SVD per
+    size guards the condition number of the whole A(e^{-iw}), the largest
+    singular value of any component over the smallest, and one batched
+    solve per size gives A^{-1} B.
     """
-    p = model.dim
-    omegas = 2.0 * np.pi * np.arange(start, stop) / n
-    out = np.empty((len(omegas), p, p), dtype=complex)
-    for j0 in range(0, len(omegas), _BLOCK_ROWS):
-        w = omegas[j0:j0 + _BLOCK_ROWS]
-        z = np.exp(-1j * w)
-        h = _stacked_poly(model.ma_coeffs, z, p, +1.0)
+    out = np.zeros((len(omegas), model.dim, model.dim), dtype=complex)
+    comps = _components(model)
+    blocks = [(rows[:, :, None], rows[:, None, :]) for rows in comps]
+    step = max(1, _BLOCK_ENTRIES // sum(rows.size * rows.shape[1] for rows in comps))
+    for j0 in range(0, len(omegas), step):
+        w = omegas[j0:j0 + step]
+        z = np.exp(-1j * w)[:, None, None, None]
+        hs = [_stacked_poly(model.ma_coeffs, sub, z, +1.0) for sub in blocks]
         if model.ar_order:
-            a = _stacked_poly(model.ar_coeffs, z, p, -1.0)
-            cond = np.linalg.cond(a)
-            bad = np.nonzero(~(np.isfinite(cond) & (cond <= 1e12)))[0]
+            ars = [_stacked_poly(model.ar_coeffs, sub, z, -1.0) for sub in blocks]
+            sv = np.concatenate([np.linalg.svd(a, compute_uv=False).reshape(len(w), -1)
+                                 for a in ars], axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # an infinite or NaN condition number fails the test too
+                bad = np.flatnonzero(~(sv.max(axis=1) / sv.min(axis=1) <= 1e12))
             if bad.size:
                 raise NumericalError(f"AR polynomial nearly singular at omega={float(w[bad[0]])}")
-            h = np.linalg.solve(a, h)
-        f = (h @ model.noise_cov @ h.conj().transpose(0, 2, 1)) / (2.0 * np.pi)
-        out[j0:j0 + len(w)] = 0.5 * (f + f.conj().transpose(0, 2, 1))
+            hs = [np.linalg.solve(a, h) for a, h in zip(ars, hs)]
+        for sub, h in zip(blocks, hs):
+            f = (h @ model.noise_cov[sub] @ h.conj().swapaxes(-1, -2)) / (2.0 * np.pi)
+            out[j0:j0 + len(w), sub[0], sub[1]] = 0.5 * (f + f.conj().swapaxes(-1, -2))
     return out
 
 
@@ -389,7 +395,7 @@ def stability_measure(model: VarmaModel, grid_size: int = 512) -> float:
     if grid_size < 8:
         raise ParameterError("grid_size must be at least 8")
     omegas = np.linspace(-np.pi, np.pi, grid_size, endpoint=False)
-    return max(float(np.linalg.norm(true_spectral_density(model, w), 2)) for w in omegas)
+    return float(np.linalg.norm(_spectral_density(model, omegas), 2, axis=(1, 2)).max())
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from specthresh import VarmaModel
+
 
 def sample_autocov(x: np.ndarray, lag: int) -> np.ndarray:
     """Biased sample autocovariance (1/n) sum_t x_t x_{t-lag}^T."""
@@ -27,6 +29,50 @@ def ma_autocov(ma_coeffs, sigma, lag: int) -> np.ndarray:
     for t, w in enumerate(weights):
         if t + lag < len(weights):
             out += weights[t + lag] @ sigma @ w.T
+    return out
+
+
+def coupled_models() -> dict:
+    """VARMA models whose channels split into known components, keyed by
+    name: each value is (model, components), the components as lists of
+    channels.  Each model links its channels through one kind of
+    coefficient, except "mixed", which uses all three, and "dense"."""
+    rng = np.random.default_rng(2018)
+    comps = [[0, 3], [1, 2, 5], [4]]
+    mask = np.zeros((6, 6), dtype=bool)
+    for c in comps:
+        mask[np.ix_(c, c)] = True
+    ar, ma, root = (np.where(mask, rng.standard_normal((6, 6)), 0.0) for _ in range(3))
+    ar *= 0.6 / np.max(np.abs(np.linalg.eigvals(ar)))
+    mixed = VarmaModel(dim=6, ar_coeffs=(ar,), ma_coeffs=(0.4 * ma,),
+                       noise_cov=root @ root.T + np.eye(6))
+
+    diag = np.diag([0.5, -0.3, 0.4, 0.2])
+    cov = np.eye(4)
+    cov[0, 2] = cov[2, 0] = 0.5
+    ma = np.diag([0.3, 0.2, -0.1, 0.4])
+    ma[3, 1] = 0.7
+    ar2 = 0.2 * np.eye(4)
+    ar2[0, 3] = 0.3
+
+    ar1 = 0.3 * np.eye(4) + 0.05 * rng.standard_normal((4, 4))
+    root = np.tril(0.3 * rng.standard_normal((4, 4)), -1) + np.eye(4)
+    dense = VarmaModel(dim=4, ar_coeffs=(ar1, 0.1 * np.eye(4)),
+                       ma_coeffs=(0.4 * rng.standard_normal((4, 4)),), noise_cov=root @ root.T)
+    return {
+        "mixed": (mixed, comps),
+        "noise-only": (VarmaModel(dim=4, ar_coeffs=(diag,), noise_cov=cov), [[0, 2], [1], [3]]),
+        "ma-only": (VarmaModel(dim=4, ar_coeffs=(diag,), ma_coeffs=(ma,)), [[0], [1, 3], [2]]),
+        "ar-lag-2-only": (VarmaModel(dim=4, ar_coeffs=(0.5 * diag, ar2)), [[0, 3], [1], [2]]),
+        "dense": (dense, [[0, 1, 2, 3]]),
+    }
+
+
+def between_components(p: int, comps) -> np.ndarray:
+    """Mask of the entries (r, s) whose channels lie in different components."""
+    out = np.ones((p, p), dtype=bool)
+    for c in comps:
+        out[np.ix_(c, c)] = False
     return out
 
 

@@ -3,7 +3,8 @@ whole-spectrum code against.
 
 Each computes one quantity at one Fourier index the direct way: the trig
 design vectors, the periodogram d(w_j) d(w_j)^H, the window average, the
-shrinkage estimate and the thresholded matrix.  `assert_thresholded`
+shrinkage estimate, the thresholded matrix and the population spectral
+density of a VARMA model.  `assert_thresholded`
 checks a thresholded row against them.  The metric loops score a spectrum
 one frequency of F_n at a time, the rows j < 0 built by conjugation.
 """
@@ -12,9 +13,9 @@ from typing import Optional
 
 import numpy as np
 
-from specthresh import FourierGrid, ParameterError, ThresholdOperator, coherence
+from specthresh import FourierGrid, NumericalError, ParameterError, ThresholdOperator, coherence
 from specthresh.dft import periodogram_all
-from specthresh.model import TimeSeriesMatrix
+from specthresh.model import TimeSeriesMatrix, VarmaModel
 
 
 def wrap(grid: FourierGrid, j: int) -> int:
@@ -45,6 +46,33 @@ def periodogram(x: TimeSeriesMatrix, grid: FourierGrid, j: int) -> np.ndarray:
         raise ParameterError("grid length does not match sample count")
     d = dft_vector(x.center().data, grid, j)
     return np.outer(d, d.conj())
+
+
+def _poly_eval(coeffs, z: complex, p: int, sign: float) -> np.ndarray:
+    out = np.eye(p, dtype=complex)
+    for l, c in enumerate(coeffs, start=1):
+        out = out + sign * c * z**l
+    return out
+
+
+def spectral_density(model: VarmaModel, omega: float) -> np.ndarray:
+    """Population spectral density f(omega), a p x p Hermitian PSD matrix.
+
+    f(w) = (1/2pi) A^{-1}(e^{-iw}) B(e^{-iw}) Sigma B'(e^{-iw}) A^{-1}'(e^{-iw})
+    with A(z) = I - sum A_l z^l and B(z) = I + sum B_l z^l, by one dense
+    p x p solve.
+    """
+    p = model.dim
+    z = np.exp(-1j * omega)
+    a = _poly_eval(model.ar_coeffs, z, p, -1.0)
+    b = _poly_eval(model.ma_coeffs, z, p, +1.0)
+    cond = np.linalg.cond(a)
+    if not np.isfinite(cond) or cond > 1e12:
+        raise NumericalError(f"AR polynomial nearly singular at omega={omega}")
+    h = np.linalg.solve(a, b)
+    f = (h @ model.noise_cov @ h.conj().T) / (2.0 * np.pi)
+    # symmetrize away roundoff
+    return 0.5 * (f + f.conj().T)
 
 
 def stacked_trig_matrix(grid: FourierGrid) -> np.ndarray:

@@ -2,7 +2,8 @@ import multiprocessing
 
 import numpy as np
 import pytest
-from oracles import coherence_graph_loop, full_grid, rmise_loop, support_loop
+from conftest import between_components, coupled_models
+from oracles import coherence_graph_loop, full_grid, rmise_loop, spectral_density, support_loop
 
 from specthresh import (
     FourierGrid,
@@ -35,7 +36,7 @@ from specthresh.bench import (
     truth_graph_support,
     truth_spectra,
 )
-from specthresh.model import _spectral_density_rows
+from specthresh.model import _components
 
 
 def varma21(rng):
@@ -61,8 +62,9 @@ class TestTruthSpectra:
         truth = truth_spectra(model, n)
         assert truth.shape == (n // 2 + 1, model.dim, model.dim)
         for j, f in enumerate(truth):
-            want = true_spectral_density(model, grid.frequency(j))
+            want = spectral_density(model, grid.frequency(j))
             assert np.linalg.norm(f - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.array_equal(f == 0, want == 0)
 
     @pytest.mark.parametrize("n", [33, 40])
     def test_negative_rows_are_conjugates(self, rng, n):
@@ -70,23 +72,37 @@ class TestTruthSpectra:
         model = varma21(rng)
         truth = truth_spectra(model, n)
         for j in range(1, (n - 1) // 2 + 1):
-            want = true_spectral_density(model, -2.0 * np.pi * j / n)
+            want = spectral_density(model, -2.0 * np.pi * j / n)
             assert np.linalg.norm(truth[j].conj() - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_near_singular_ar_polynomial(self):
         with pytest.raises(NumericalError, match="nearly singular at omega=0.0"):
             truth_spectra(NEAR_SINGULAR, 32)
 
-    @pytest.mark.parametrize("family", ["var", "varma21"])
-    def test_rows_reassemble_bit_for_bit(self, rng, family):
-        # 50 is not a multiple of the 16-row blocks either range is evaluated in
-        model = varma21(rng) if family == "varma21" else block_varma_model(6, family)
-        want = truth_spectra(model, 200)
-        split = np.concatenate([_spectral_density_rows(model, 200, 0, 50),
-                                _spectral_density_rows(model, 200, 50, 101)])
-        assert np.array_equal(split, want)
-        assert np.array_equal(bench._pooled_truth(model, 200, jobs=2), want)
-        assert multiprocessing.active_children() == []
+    def test_near_singular_guard_spans_components(self):
+        # two 1 x 1 components of cond 1 each: only the ratio of the largest
+        # singular value of one to the smallest of the other, 5e12, trips it
+        assert [c.tolist() for c in _components(NEAR_SINGULAR)] == [[[0], [1]]]
+        messages = []
+        for call in (lambda: true_spectral_density(NEAR_SINGULAR, 0.0),
+                     lambda: truth_spectra(NEAR_SINGULAR, 32),
+                     lambda: spectral_density(NEAR_SINGULAR, 0.0)):
+            with pytest.raises(NumericalError) as err:
+                call()
+            messages.append(str(err.value))
+        assert messages == ["AR polynomial nearly singular at omega=0.0"] * 3
+
+    @pytest.mark.parametrize("name", list(coupled_models()))
+    @pytest.mark.parametrize("n", [33, 40])
+    def test_components_match_oracle_with_exact_zeros_between(self, name, n):
+        model, comps = coupled_models()[name]
+        truth = truth_spectra(model, n)
+        for j, f in enumerate(truth):
+            want = spectral_density(model, 2.0 * np.pi * j / n)
+            assert np.linalg.norm(f - want) <= 1e-12 * np.linalg.norm(want)
+        between = between_components(model.dim, comps)
+        assert np.all(truth[:, between] == 0)
+        assert np.all(truth[:, ~between].any(axis=0))
 
 
 class TestRunCell:
@@ -102,6 +118,22 @@ class TestRunCell:
             for method in spec.methods:
                 assert pooled.summaries[method] == serial.summaries[method]
                 assert pooled.rocs[method] == serial.rocs[method]
+
+    def test_one_pool_of_at_most_one_worker_per_replicate(self, monkeypatch):
+        pools = []
+
+        class Recording(bench.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", Recording)
+        spec = BenchmarkSpec(family="var", p_list=(6,), n_list=(32,), methods=("smoothed",),
+                             replicates=2, seed=1)
+        pooled = run_cell(spec, 0, 6, 32, jobs=8)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        assert pooled.summaries == run_cell(spec, 0, 6, 32, jobs=1).summaries
 
     def test_pooled_truth_failure_matches_serial(self, monkeypatch):
         monkeypatch.setattr(bench, "block_varma_model", lambda p, family: NEAR_SINGULAR)

@@ -68,7 +68,9 @@ class TestSimulate:
         [{"p": 1, "ma": []}],
         {"p": 1, "noise": []},
         {"p": 1, "ma": [[["a"]]]},
-    ], ids=["top-level-list", "noise-list", "coefficient-string"])
+        {"p": 2.9},
+        {"p": True},
+    ], ids=["top-level-list", "noise-list", "coefficient-string", "p-float", "p-bool"])
     def test_malformed_model_exits_data(self, tmp_path, capsys, obj):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
@@ -335,7 +337,15 @@ class TestBench:
         ("methods", [], "methods must list at least one method"),
         ("grid_size", 0, "grid_size must be at least 1"),
         ("n_splits", 0, "n_splits must be at least 1"),
-    ], ids=["negative-seed", "no-methods", "no-grid", "no-splits"])
+        ("replicates", 2.7, "replicates must be of type int, got 2.7"),
+        ("seed", 1.9, "seed must be of type int, got 1.9"),
+        ("grid_size", 5.5, "grid_size must be of type int, got 5.5"),
+        ("n_splits", True, "n_splits must be of type int, got True"),
+        ("p", [6.0], "p must be of type int, got 6.0"),
+        ("n", [64.9], "n must be of type int, got 64.9"),
+        ("include_diagonal", "false", "include_diagonal must be of type bool, got 'false'"),
+    ], ids=["negative-seed", "no-methods", "no-grid", "no-splits", "replicates-float",
+            "seed-float", "grid-float", "splits-bool", "p-float", "n-float", "diagonal-string"])
     def test_spec_out_of_range_exits_data_before_any_cell(self, tmp_path, capsys, field, value,
                                                            message):
         spec = self._spec(tmp_path, **{field: value})
@@ -404,6 +414,21 @@ def _not_conjugate_lambda(obj):
     entry["lambda"] = repr(float(entry["lambda"]) + 1e-3)
 
 
+def _float_j(obj):
+    entry = obj["frequencies"][5]  # j = -10
+    entry["j"] = float(entry["j"])
+
+
+def _no_lambdas(obj):
+    for entry in obj["frequencies"]:
+        del entry["lambda"]
+
+
+def _smoothed_with_eta(obj):
+    _no_lambdas(obj)
+    obj.update(method="smoothed", eta="2")
+
+
 def _header(**fields):
     def mutate(obj):
         obj.update(fields)
@@ -431,10 +456,24 @@ class TestMalformedEstimateFile:
         (_header(eta="-1"), "eta = -1.0 is not finite and positive"),
         (_header(m=-7), "span m = -7 for n = 32"),
         (_header(m=16), "span m = 16 for n = 32"),
+        (_header(n=32.0), "n must be of type int, got 32.0"),
+        (_header(p=3.0), "p must be of type int, got 3.0"),
+        (_header(m=2.5), "m must be of type int, got 2.5"),
+        (_header(m=True), "m must be of type int, got True"),
+        (_float_j, "j must be of type int, got -10.0"),
+        (_header(method="smoothed"), "smoothed estimate with thresholds"),
+        (_header(method="shrinkage"), "shrinkage estimate with thresholds"),
+        (_no_lambdas, "hard estimate without thresholds"),
+        (_header(eta="2"), "hard estimate with an eta"),
+        (_smoothed_with_eta, "smoothed estimate with an eta"),
+        (_header(method="adaptive_lasso"), "adaptive_lasso estimate without an eta"),
     ], ids=["2x2-matrix", "header-p", "duplicated-j", "nan-entry", "missing-j",
             "not-conjugate-matrix", "not-conjugate-lambda", "top-level-list",
             "channels-string", "channels-not-strings", "method-bogus", "method-alias",
-            "eta-nan", "eta-negative", "m-negative", "m-too-wide"])
+            "eta-nan", "eta-negative", "m-negative", "m-too-wide", "n-float", "p-float",
+            "m-float", "m-bool", "j-float", "smoothed-with-thresholds",
+            "shrinkage-with-thresholds", "hard-without-thresholds", "eta-on-hard",
+            "eta-on-smoothed", "adaptive-lasso-without-eta"])
     def test_exits_data(self, tmp_path, rng, capsys, vma_model_file, mutate, message):
         n = 32
         x = TimeSeriesMatrix(rng.standard_normal((n, 3)))
@@ -443,7 +482,7 @@ class TestMalformedEstimateFile:
         path = tmp_path / "est.json"
         write_estimate(est, path)
         obj = json.loads(path.read_text())
-        assert obj["frequencies"][3]["j"] == -12
+        assert [obj["frequencies"][k]["j"] for k in (3, 5)] == [-12, -10]
         obj = mutate(obj) or obj
         path.write_text(json.dumps(obj))
         for argv in (("evaluate", "--model", vma_model_file, "--out", tmp_path / "r.csv", path),

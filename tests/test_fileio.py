@@ -13,6 +13,7 @@ from specthresh import (
     threshold_estimate,
     tuned_threshold_estimate,
 )
+from specthresh.bench import ALL_METHODS, estimate_methods
 from specthresh.fileio import (
     _fmt,
     model_from_dict,
@@ -152,6 +153,16 @@ class TestEstimateJson:
         back = read_estimate(path)
         for field in dataclasses.fields(est):
             assert self._same(getattr(est, field.name), getattr(back, field.name)), field.name
+
+    def test_every_method_reads_back(self, tmp_path, rng):
+        x = TimeSeriesMatrix(rng.standard_normal((17, 3)))
+        for method, est in estimate_methods(ALL_METHODS, x, 2, grid_size=5).items():
+            path = tmp_path / f"{method}.json"
+            write_estimate(est, path)
+            back = read_estimate(path)
+            for field in dataclasses.fields(est):
+                assert self._same(getattr(est, field.name), getattr(back, field.name)), (
+                    method, field.name)
 
     def test_write_deterministic(self, tmp_path, rng):
         est = self._estimate(rng)

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -99,3 +100,30 @@ def test_defined_names_are_top_level_bindings(source, want):
 ])
 def test_read_names_finds_loads_attributes_and_imports(source, want):
     assert read_names(source) == want
+
+
+def third_party_imports(source: str) -> list:
+    """Top-level modules of the absolute imports that are neither in the
+    standard library nor numpy, the package's one runtime dependency."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module.split(".")[0])
+    return sorted(modules - sys.stdlib_module_names - {"numpy"})
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_imports_only_stdlib_and_numpy(path):
+    assert third_party_imports((PACKAGE / path).read_text()) == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("import numpy.linalg\nimport os, json\nfrom __future__ import annotations\n", []),
+    ("from . import bench\nfrom .model import simulate\n", []),
+    ("from scipy.sparse.csgraph import connected_components\n", ["scipy"]),
+    ("def f():\n    import pandas as pd\n", ["pandas"]),
+])
+def test_third_party_imports_finds_other_packages(source, want):
+    assert third_party_imports(source) == want

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from conftest import ma_autocov, sample_autocov
+from conftest import between_components, coupled_models, ma_autocov, sample_autocov
+from oracles import spectral_density
 
 from specthresh import (
     ModelError,
@@ -16,7 +17,7 @@ from specthresh import (
     true_spectral_density,
     weak_sparsity_norm,
 )
-from specthresh.model import block_transition, simulate_ensemble
+from specthresh.model import _components, block_transition, simulate_ensemble
 
 AR1 = VarmaModel(dim=1, ar_coeffs=(np.array([[0.5]]),))
 WHITE4 = VarmaModel(dim=4)
@@ -112,6 +113,19 @@ class TestTrueSpectralDensity:
             f = true_spectral_density(model, w)
             assert np.max(np.abs(f - f.conj().T)) < 1e-10
             assert np.min(np.linalg.eigvalsh(f)) >= -1e-10
+
+    @pytest.mark.parametrize("name", list(coupled_models()))
+    def test_coupled_models_match_oracle(self, name):
+        model, comps = coupled_models()[name]
+        # one group per component size, smallest first; components by first channel
+        sizes = sorted({len(c) for c in comps})
+        assert [g.tolist() for g in _components(model)] == [
+            [c for c in comps if len(c) == s] for s in sizes]
+        between = between_components(model.dim, comps)
+        for w in (-np.pi, -2.0, 0.0, 0.3, 1.7, np.pi):
+            f, want = true_spectral_density(model, w), spectral_density(model, w)
+            assert np.linalg.norm(f - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.all(f[between] == 0)
 
 
 class TestAutocov:
@@ -233,6 +247,13 @@ class TestStabilityMeasure:
     def test_grid_refinement_monotone(self, rng):
         model = random_stable_var1(rng, p=3)
         assert stability_measure(model, 512) >= stability_measure(model, 256) - 1e-15
+
+    @pytest.mark.parametrize("name", list(coupled_models()))
+    def test_equals_oracle_grid_max(self, name):
+        model = coupled_models()[name][0]
+        omegas = np.linspace(-np.pi, np.pi, 512, endpoint=False)
+        want = max(float(np.linalg.norm(spectral_density(model, w), 2)) for w in omegas)
+        assert abs(stability_measure(model) - want) <= 1e-12 * want
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ParameterError):
