@@ -305,15 +305,21 @@ def run_benchmark(spec: BenchmarkSpec, out_dir, jobs: int = 1, log=None) -> List
     return cells
 
 
-def _write_roc_csv(cell: CellResult, method: str, out_dir) -> None:
-    import csv
+# ROC points formatted together, so the tables stay small (64 kB of floats)
+_ROC_BLOCK = 4096
 
-    from .fileio import _fmt
+
+def _write_roc_csv(cell: CellResult, method: str, out_dir) -> None:
+    """One line (replicate, fpr, tpr) per ROC point; each distinct float of
+    a block of `_ROC_BLOCK` points is formatted once."""
+    from .fileio import _fmt_distinct
 
     path = os.path.join(out_dir, f"roc_p{cell.p}_n{cell.n}_{method}.csv")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["replicate", "fpr", "tpr"])
+        fh.write("replicate,fpr,tpr\n")
         for r, curve in enumerate(cell.rocs[method]):
-            for fpr, tpr in curve.points:
-                writer.writerow([r, _fmt(fpr), _fmt(tpr)])
+            for k in range(0, len(curve.points), _ROC_BLOCK):
+                block = curve.points[k:k + _ROC_BLOCK]
+                texts, codes = _fmt_distinct(np.array(block, dtype=float))
+                texts = np.array(texts, dtype=object)[codes].tolist()
+                fh.writelines(f"{r},{fpr},{tpr}\n" for fpr, tpr in texts)

@@ -110,7 +110,7 @@ def cmd_coherence(args) -> int:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["", *names])
         for name, row in zip(names, graph):
-            writer.writerow([name, *(format(v, ".17g") for v in row)])
+            writer.writerow([name, *fileio._fmt_all(row.tolist())])
     return EXIT_OK
 
 

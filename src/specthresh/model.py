@@ -395,7 +395,10 @@ def stability_measure(model: VarmaModel, grid_size: int = 512) -> float:
     if grid_size < 8:
         raise ParameterError("grid_size must be at least 8")
     omegas = np.linspace(-np.pi, np.pi, grid_size, endpoint=False)
-    return float(np.linalg.norm(_spectral_density(model, omegas), 2, axis=(1, 2)).max())
+    # a block of frequencies at a time, so f is never held at every omega
+    step = max(1, _BLOCK_ENTRIES // model.dim**2)
+    return max(float(np.linalg.norm(_spectral_density(model, omegas[j:j + step]), 2, axis=(1, 2)).max())
+               for j in range(0, grid_size, step))
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import csv
+import io
 import multiprocessing
 
 import numpy as np
@@ -31,11 +33,14 @@ from specthresh import (
 from specthresh.bench import (
     ALL_METHODS,
     BenchmarkSpec,
+    CellResult,
     estimate_methods,
     run_cell,
     truth_graph_support,
     truth_spectra,
 )
+from specthresh.fileio import _fmt
+from specthresh.metrics import RocCurve
 from specthresh.model import _components
 
 
@@ -156,6 +161,24 @@ def full_grid_support(truth, n):
         support |= np.abs(truth[j]) > 1e-12 * peak
     np.fill_diagonal(support, False)
     return support
+
+
+class TestRocCsv:
+    def test_bytes_match_csv_writer(self, tmp_path):
+        # values repeated within and across curves, 0.0 and -0.0, an empty curve
+        curves = [
+            RocCurve([(0.0, 0.0), (0.1, 1 / 3), (1 / 3, 1 / 3), (1.0, 1.0)], 0.8),
+            RocCurve([], 0.5),
+            RocCurve([(-0.0, 0.0), (np.float64(0.1), 2 / 3), (1.0, 1.0)], 0.9),
+        ]
+        bench._write_roc_csv(CellResult(3, 16, 2, {}, {"lasso": curves}), "lasso", tmp_path)
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["replicate", "fpr", "tpr"])
+        for r, curve in enumerate(curves):
+            for fpr, tpr in curve.points:
+                writer.writerow([r, _fmt(fpr), _fmt(tpr)])
+        assert (tmp_path / "roc_p3_n16_lasso.csv").read_bytes() == buf.getvalue().encode()
 
 
 class TestTruthGraphSupport:

@@ -414,6 +414,32 @@ def _not_conjugate_lambda(obj):
     entry["lambda"] = repr(float(entry["lambda"]) + 1e-3)
 
 
+def _one_ulp_off(part):
+    def mutate(obj):
+        entry = obj["frequencies"][3]  # j = -12
+        entry[part][0][1] = repr(float(np.nextafter(float(entry[part][0][1]), np.inf)))
+    return mutate
+
+
+def _negative_im_shape(obj):
+    entry = obj["frequencies"][3]  # j = -12; "re" still matches j = 12
+    entry["im"] = entry["im"] + entry["im"][:1]
+
+
+def _flipped_by_text(partner, mirror):
+    # strings a sign flip of the text pairs, of which only `partner` parses
+    def mutate(obj):
+        obj["frequencies"][27]["im"][0][1] = partner  # j = 12
+        obj["frequencies"][3]["im"][0][1] = mirror  # j = -12
+    return mutate
+
+
+def _comma_in_string(k):
+    def mutate(obj):
+        obj["frequencies"][k]["re"][0][1] = "1,5"
+    return mutate
+
+
 def _float_j(obj):
     entry = obj["frequencies"][5]  # j = -10
     entry["j"] = float(entry["j"])
@@ -446,6 +472,13 @@ class TestMalformedEstimateFile:
         (_missing_j, "31 frequency entries"),
         (_not_conjugate_matrix, "not the conjugate"),
         (_not_conjugate_lambda, "not the conjugate"),
+        (_one_ulp_off("re"), "not the conjugate"),
+        (_one_ulp_off("im"), "not the conjugate"),
+        (_negative_im_shape, "shape (4, 3) at j = -12"),
+        (_flipped_by_text("+0.25", "-+0.25"), "'-+0.25'"),
+        (_flipped_by_text(" 0.25", "- 0.25"), "'- 0.25'"),
+        (_comma_in_string(27), "'1,5'"),
+        (_comma_in_string(3), "'1,5'"),
         (lambda obj: [obj], "expected a JSON object"),
         # one letter per channel would pass the count check for p = 3
         (_header(channels="abc"), "channels must be a list of strings"),
@@ -468,7 +501,9 @@ class TestMalformedEstimateFile:
         (_smoothed_with_eta, "smoothed estimate with an eta"),
         (_header(method="adaptive_lasso"), "adaptive_lasso estimate without an eta"),
     ], ids=["2x2-matrix", "header-p", "duplicated-j", "nan-entry", "missing-j",
-            "not-conjugate-matrix", "not-conjugate-lambda", "top-level-list",
+            "not-conjugate-matrix", "not-conjugate-lambda", "re-one-ulp-off", "im-one-ulp-off",
+            "negative-im-shape", "plus-signed-partner", "space-led-partner",
+            "comma-in-string-at-12", "comma-in-string-at-minus-12", "top-level-list",
             "channels-string", "channels-not-strings", "method-bogus", "method-alias",
             "eta-nan", "eta-negative", "m-negative", "m-too-wide", "n-float", "p-float",
             "m-float", "m-bool", "j-float", "smoothed-with-thresholds",

@@ -171,31 +171,92 @@ class TestEstimateJson:
         write_estimate(est, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("channels", [("u", "v", "w"), ('"frequencies": null', "[", "\\")])
-    def test_bytes_match_streamed_json(self, tmp_path, rng, channels):
+    @pytest.mark.parametrize("method, n, p, channels, negative_zeros", [
+        pytest.param("adaptive_lasso", 16, 3, ("u", "v", "w"), False, id="channels0"),
+        pytest.param("adaptive_lasso", 16, 3, ('"frequencies": null', "[", "\\"), False,
+                     id="channels1"),
+        pytest.param("hard", 17, 3, None, True, id="negative-zero"),
+    ] + [pytest.param(method, n, p, None, False, id=f"{method}-n{n}-p{p}")
+         for method in ALL_METHODS for n in (16, 17) for p in (1, 3)])
+    def test_bytes_match_streamed_json(self, tmp_path, rng, method, n, p, channels,
+                                       negative_zeros):
         # the bytes json.dump writes for the estimate, each float as _fmt
-        est = self._estimate(rng)
-        est.channel_names = channels
-        assert est.lambdas is not None and est.eta is not None
+        x = TimeSeriesMatrix(rng.standard_normal((n, p)), channel_names=channels)
+        est = estimate_methods([method], x, 2, grid_size=5)[method]
+        if negative_zeros:
+            # -0.0 in im at j = 0 and 3 (so +0.0 at j = -3), and in re at j = 3
+            est.half[0, 1, 1] = complex(est.half[0, 1, 1].real, -0.0)
+            est.half[3, 0, 2] = complex(-0.0, -0.0)
+            est.half[3, 2, 0] = complex(0.0, 0.0)
         freqs = []
         for j, mat in full_grid(est.half, est.n).items():
-            freqs.append({
+            entry = {
                 "j": j,
                 "omega": _fmt(FourierGrid(est.n).frequency(j)),
                 "re": [[_fmt(v) for v in row] for row in mat.real],
                 "im": [[_fmt(v) for v in row] for row in mat.imag],
-                "lambda": _fmt(est.lambdas[abs(j)]),
-            })
+            }
+            if est.lambdas is not None:
+                entry["lambda"] = _fmt(est.lambdas[abs(j)])
+            freqs.append(entry)
         obj = {
             "schema_version": "1", "n": est.n, "p": est.p, "m": est.m, "method": est.method,
-            "frequencies": freqs, "eta": _fmt(est.eta), "channels": list(est.channel_names),
+            "frequencies": freqs,
         }
+        if est.eta is not None:
+            obj["eta"] = _fmt(est.eta)
+        if est.channel_names is not None:
+            obj["channels"] = list(est.channel_names)
         buf = io.StringIO()
         json.dump(obj, buf, sort_keys=True)
         buf.write("\n")
         path = tmp_path / "est.json"
         write_estimate(est, path)
         assert path.read_bytes() == buf.getvalue().encode()
+        if negative_zeros:
+            assert '"-0"' in buf.getvalue()
+
+    def _written(self, tmp_path, rng):
+        """A hard estimate (n = 17, p = 3), its file as a JSON object, and
+        the entries by j."""
+        x = TimeSeriesMatrix(rng.standard_normal((17, 3)))
+        est = threshold_estimate(x, 2, ThresholdOperator("hard"), {j: 0.1 for j in range(9)})
+        write_estimate(est, tmp_path / "est.json")
+        obj = json.loads((tmp_path / "est.json").read_text())
+        return est, obj, {entry["j"]: entry for entry in obj["frequencies"]}
+
+    def _reread(self, tmp_path, obj):
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(obj))
+        return read_estimate(path)
+
+    @pytest.mark.parametrize("part, text, mirror", [
+        ("re", "1", "1.0"),
+        ("re", "0", "-0"),
+        ("re", "-0", "0"),
+        ("re", "0.5", "5e-1"),
+        ("im", "0.5", "-0.50"),
+        ("im", "0", "0"),
+        ("im", "-0", "-0"),
+        ("im", "2", "-2e0"),
+        # JSON numbers, not strings, parse as np.array parses them
+        ("re", 0.5, "0.5"),
+        ("re", 0.5, 0.5),
+        ("im", "0.5", -0.5),
+    ])
+    def test_equal_values_in_other_strings_accepted(self, tmp_path, rng, part, text, mirror):
+        # row -2 spells an entry of conj(row 2) differently, with the same value
+        _, obj, by_j = self._written(tmp_path, rng)
+        by_j[2][part][0][1], by_j[-2][part][0][1] = text, mirror
+        entry = self._reread(tmp_path, obj).half[2, 0, 1]
+        got = entry.real if part == "re" else entry.imag
+        assert got.tobytes() == np.float64(text).tobytes()  # row 2's value, sign of zero too
+
+    def test_entries_in_any_order(self, tmp_path, rng):
+        est, obj, _ = self._written(tmp_path, rng)
+        np.random.default_rng(3).shuffle(obj["frequencies"])
+        back = self._reread(tmp_path, obj)
+        assert np.array_equal(back.half, est.half) and np.array_equal(back.lambdas, est.lambdas)
 
     def test_truncated_file(self, tmp_path, rng):
         est = self._estimate(rng)

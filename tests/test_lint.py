@@ -127,3 +127,13 @@ def test_imports_only_stdlib_and_numpy(path):
 ])
 def test_third_party_imports_finds_other_packages(source, want):
     assert third_party_imports(source) == want
+
+
+def test_one_float_format():
+    """Every float the package writes is formatted by fileio's `_fmt_all`."""
+    counts = {path.name: path.read_text().count(".17g") for path in PACKAGE.glob("*.py")}
+    assert {name: k for name, k in counts.items() if k} == {"fileio.py": 1}
+    tree = ast.parse((PACKAGE / "fileio.py").read_text())
+    owners = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+              and any(isinstance(c, ast.Constant) and c.value == ".17g" for c in ast.walk(node))]
+    assert owners == ["_fmt_all"]

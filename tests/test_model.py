@@ -17,7 +17,7 @@ from specthresh import (
     true_spectral_density,
     weak_sparsity_norm,
 )
-from specthresh.model import _components, block_transition, simulate_ensemble
+from specthresh.model import _components, _spectral_density, block_transition, simulate_ensemble
 
 AR1 = VarmaModel(dim=1, ar_coeffs=(np.array([[0.5]]),))
 WHITE4 = VarmaModel(dim=4)
@@ -254,6 +254,14 @@ class TestStabilityMeasure:
         omegas = np.linspace(-np.pi, np.pi, 512, endpoint=False)
         want = max(float(np.linalg.norm(spectral_density(model, w), 2)) for w in omegas)
         assert abs(stability_measure(model) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("model", [AR1, WHITE4, *(m for m, _ in coupled_models().values()),
+                                       block_varma_model(48, "var"), block_varma_model(48, "vma")])
+    def test_equals_norms_over_the_whole_grid(self, model):
+        # at p = 48 the frequencies go in three blocks
+        omegas = np.linspace(-np.pi, np.pi, 512, endpoint=False)
+        want = float(np.linalg.norm(_spectral_density(model, omegas), 2, axis=(1, 2)).max())
+        assert stability_measure(model) == want
 
     def test_rejects_tiny_grid(self):
         with pytest.raises(ParameterError):
