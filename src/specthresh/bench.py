@@ -13,16 +13,15 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .dft import periodogram_all
 from .errors import DataError, ParameterError, SpecthreshError
 from .estimator import (
+    ALL_METHODS,
+    THRESHOLD_METHODS,
     SpectralEstimate,
     ThresholdOperator,
-    _shrunk,
-    _smoothed,
-    _smoothed_half,
     aggregate_coherence_graph,
 )
+from .fileio import _fmt_distinct, _json_value, report_rows, write_report_csv
 from .metrics import (
     EvaluationReport,
     RocCurve,
@@ -32,11 +31,9 @@ from .metrics import (
     support_scores,
 )
 from .model import VarmaModel, _spectral_density, block_varma_model, simulate
-from .tuning import _tuned, default_span
+from .tuning import default_span, tuned_estimates
 
 METHOD_ALIASES = {"alasso": "adaptive_lasso"}
-THRESHOLD_METHODS = ("hard", "lasso", "adaptive_lasso")
-ALL_METHODS = ("smoothed", "shrinkage") + THRESHOLD_METHODS
 
 
 def canonical_method(name: str) -> str:
@@ -44,14 +41,6 @@ def canonical_method(name: str) -> str:
     if name not in ALL_METHODS:
         raise ParameterError(f"unknown method {name!r}")
     return name
-
-
-def _json_value(value, kind: type, name: str):
-    """`value` if its type is exactly `kind`, else ValueError: a JSON float
-    or boolean does not pass for an int, nor a string for a bool."""
-    if type(value) is not kind:
-        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -150,27 +139,15 @@ def estimate_methods(
     n_splits: int = 1,
     seed: int = 0,
 ) -> Dict[str, SpectralEstimate]:
-    """The estimate of each listed method, keyed by canonical method name.
-
-    All methods share one periodogram array and one smoothing pass, which
-    every estimate but the last to take it copies; the threshold methods
-    share one tuning pass, skipped when none is listed.
-    """
+    """The estimate of each listed method, keyed by canonical method name,
+    from one estimation pass (`tuning.tuned_estimates`); the threshold
+    methods' thresholds are tuned, and tuning is skipped when none is listed."""
     methods = list(dict.fromkeys(canonical_method(name) for name in methods))
-    periodograms = periodogram_all(x)
-    half = _smoothed_half(periodograms, m)
-    thresholded = [name for name in methods if name in THRESHOLD_METHODS]
-    out: Dict[str, SpectralEstimate] = {}
-    if thresholded:
-        out.update(zip(thresholded, _tuned(
-            x, m, [ThresholdOperator(name) for name in thresholded], periodograms,
-            half.copy() if len(thresholded) < len(methods) else half, grid_size, n_splits, seed,
-        )))
-    if "smoothed" in methods:
-        out["smoothed"] = _smoothed(x, m, half)
-    if "shrinkage" in methods:
-        out["shrinkage"] = _shrunk(x, m, periodograms, half.copy() if "smoothed" in out else half)
-    return {name: out[name] for name in methods}
+    ests = tuned_estimates(
+        x, m, [ThresholdOperator(name) if name in THRESHOLD_METHODS else name for name in methods],
+        grid_size, n_splits, seed,
+    )
+    return dict(zip(methods, ests))
 
 
 def _replicate_seed(master: int, cell_index: int, replicate: int) -> np.random.SeedSequence:
@@ -277,8 +254,6 @@ def run_cell(spec: BenchmarkSpec, cell_index: int, p: int, n: int, jobs: int = 1
 def run_benchmark(spec: BenchmarkSpec, out_dir, jobs: int = 1, log=None) -> List[CellResult]:
     """Run every cell; a failing cell is logged (to stderr by default) and
     skipped, others proceed."""
-    from .fileio import report_rows, write_report_csv
-
     if log is None:
         log = sys.stderr
 
@@ -312,8 +287,6 @@ _ROC_BLOCK = 4096
 def _write_roc_csv(cell: CellResult, method: str, out_dir) -> None:
     """One line (replicate, fpr, tpr) per ROC point; each distinct float of
     a block of `_ROC_BLOCK` points is formatted once."""
-    from .fileio import _fmt_distinct
-
     path = os.path.join(out_dir, f"roc_p{cell.p}_n{cell.n}_{method}.csv")
     with open(path, "w", newline="") as fh:
         fh.write("replicate,fpr,tpr\n")

@@ -10,7 +10,7 @@ import sys
 from . import bench as bench_mod
 from . import fileio
 from .errors import DataError, NumericalError, SpecthreshError
-from .estimator import aggregate_coherence_graph
+from .estimator import ThresholdOperator, aggregate_coherence_graph, threshold_estimate
 from .metrics import EvaluationReport, rmise, support_scores
 from .model import simulate
 from .tuning import default_span
@@ -51,8 +51,6 @@ def cmd_estimate(args) -> int:
     m = _resolve_span(args, x.n)
     method = bench_mod.canonical_method(args.method)
     if method in bench_mod.THRESHOLD_METHODS and args.fixed_lambda is not None:
-        from .estimator import ThresholdOperator, threshold_estimate
-
         op = ThresholdOperator(method)
         lambdas = {j: args.fixed_lambda for j in range(0, x.n // 2 + 1)}
         est = threshold_estimate(x, m, op, lambdas)

@@ -19,6 +19,9 @@ from .dft import periodogram_all
 from .errors import DataError, ParameterError
 from .model import TimeSeriesMatrix
 
+THRESHOLD_METHODS = ("hard", "lasso", "adaptive_lasso")
+ALL_METHODS = ("smoothed", "shrinkage") + THRESHOLD_METHODS
+
 
 @dataclass(frozen=True)
 class ThresholdOperator:
@@ -32,26 +35,25 @@ class ThresholdOperator:
     eta: float = 2.0
 
     def __post_init__(self):
-        if self.kind not in ("hard", "lasso", "adaptive_lasso"):
+        if self.kind not in THRESHOLD_METHODS:
             raise ParameterError(f"unknown threshold operator {self.kind!r}")
         if self.eta <= 0:
             raise ParameterError("eta must be positive")
 
     def __call__(self, z: np.ndarray, lam: float) -> np.ndarray:
         _check_thresholds(np.array([lam], dtype=float))
-        t = _penalty_scale(lam, self.eta) if self.kind == "adaptive_lasso" else None
-        return self._apply(np.asarray(z, dtype=complex), lam, t)
+        return self._apply(np.asarray(z, dtype=complex), lam)
 
-    def _apply(self, z: np.ndarray, lam, t) -> np.ndarray:
+    def _apply(self, z: np.ndarray, lam) -> np.ndarray:
         """S(z) at thresholds lam that broadcast against the complex array z:
-        one float, or a (rows, 1, 1) array for a (rows, p, p) stack.  The
-        adaptive lasso takes t = lam^(eta+1), formed by the caller."""
+        one float, or a (rows, 1, 1) array for a (rows, p, p) stack."""
         mod = np.abs(z)
         if self.kind == "hard":
             return np.where(mod >= lam, z, 0.0)
         if self.kind == "lasso":
             shrunk = np.maximum(mod - lam, 0.0)
         else:
+            t = np.reshape([_penalty_scale(v, self.eta) for v in np.ravel(lam).tolist()], np.shape(lam))
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 penalty = np.where(mod > 0, t * mod ** (-self.eta), np.inf)
                 if np.isinf(t).any():
@@ -116,44 +118,10 @@ class SpectralEstimate:
     def min_eigenvalues(self) -> np.ndarray:
         """Smallest eigenvalue at each j = 0..floor(n/2), the same at -j
         (thresholding may break PSD)."""
-        return np.array([np.linalg.eigvalsh(0.5 * (f + f.conj().T))[0] for f in self.half])
+        return np.linalg.eigvalsh(0.5 * (self.half + self.half.conj().swapaxes(1, 2)))[:, 0]
 
 
 _BLOCK_ROWS = 16
-
-
-def _smoothed_half(periodograms: np.ndarray, m: int) -> np.ndarray:
-    """Window averages f_hat(w_j; m) = sum_{|k|<=m} I(w_{j+k}) / (2 pi (2m+1))
-    for j = 0..floor(n/2), as a (n//2+1, p, p) array.
-
-    Row j equals the `mean` of its window's periodograms over 2 pi bit for
-    bit: the 2m+1 shifted copies are added in the window's order, as `mean`
-    adds them, and the sum is divided by 2m+1 and then by 2 pi.  Rows are
-    summed _BLOCK_ROWS at a time so that the rows being summed stay in cache.
-    """
-    n = periodograms.shape[0]
-    if m < 0 or 2 * m + 1 > n:
-        raise ParameterError(f"invalid half-span m={m} for n={n}")
-    n_half = n // 2 + 1
-    out = np.empty((n_half,) + periodograms.shape[1:], dtype=periodograms.dtype)
-    for j0 in range(0, n_half, _BLOCK_ROWS):
-        rows = out[j0:j0 + _BLOCK_ROWS]
-        for i, k in enumerate(range(-m, m + 1)):
-            # rows j0.. of window offset k start at array position
-            # (j0 + k + half) mod n and wrap past the end at most once
-            start = (j0 + k + (n - 1) // 2) % n
-            head = min(len(rows), n - start)
-            if i == 0:
-                rows[:head] = periodograms[start:start + head]
-                rows[head:] = periodograms[:len(rows) - head]
-            else:
-                rows[:head] += periodograms[start:start + head]
-                rows[head:] += periodograms[:len(rows) - head]
-    out /= 2 * m + 1
-    out /= 2.0 * np.pi
-    return out
-
-
 _BLOCK_BYTES = 1 << 20
 
 
@@ -171,45 +139,69 @@ def _row_blocks(*arrays):
         yield (rows, *(a[rows] for a in arrays))
 
 
+def _estimates(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=None) -> list:
+    """The estimate of each of `methods` ("smoothed", "shrinkage" or a
+    `ThresholdOperator`) from one `periodogram_all` call and one walk over
+    the rows j = 0..floor(n/2) in blocks of _BLOCK_ROWS.  Per block, the
+    window members k = -m..m are added in order and divided by 2m+1, then by
+    2 pi, so row j is its window's `mean` over 2 pi bit for bit;
+    `thresholds(ops, periodograms, rows, f_hat)` gives the (operators, rows)
+    thresholds; and each method writes its rows to its own array, except the
+    last, which overwrites the window averages after the others read them.
+    Operators keep the diagonal and run `_row_blocks` at a time; shrinkage
+    reduces its row statistics over its whole array afterwards (`_shrink`)."""
+    n, p = x.n, x.p
+    if m < 0 or 2 * m + 1 > n:
+        raise ParameterError(f"invalid half-span m={m} for n={n}")
+    periodograms = periodogram_all(x)
+    f_hat = np.empty((n // 2 + 1, p, p), dtype=periodograms.dtype)
+    outs = [np.empty_like(f_hat) for _ in methods[1:]] + [f_hat]
+    ops = [op for op in methods if isinstance(op, ThresholdOperator)]
+    lambdas = np.empty((len(ops), len(f_hat)))
+    diag = np.arange(p)
+    for j0 in range(0, len(f_hat), _BLOCK_ROWS):
+        rows = slice(j0, j0 + _BLOCK_ROWS)
+        block = f_hat[rows]
+        for i, k in enumerate(range(-m, m + 1)):
+            # rows j0.. of window offset k start at array position
+            # (j0 + k + half) mod n and wrap past the end at most once
+            start = (j0 + k + (n - 1) // 2) % n
+            head = min(len(block), n - start)
+            if i == 0:
+                block[:head] = periodograms[start:start + head]
+                block[head:] = periodograms[:len(block) - head]
+            else:
+                block[:head] += periodograms[start:start + head]
+                block[head:] += periodograms[:len(block) - head]
+        block /= 2 * m + 1
+        block /= 2.0 * np.pi
+        if ops:
+            lambdas[:, rows] = thresholds(ops, periodograms, range(j0, j0 + len(block)), block)
+        lams = iter(lambdas[:, rows, None, None])
+        for method, out in zip(methods, outs):
+            if isinstance(method, ThresholdOperator):
+                for _, z, dst, lam in _row_blocks(block, out[rows], next(lams)):
+                    kept = method._apply(z, lam)
+                    kept[:, diag, diag] = z[:, diag, diag]
+                    dst[...] = kept
+            elif out is not f_hat:
+                out[rows] = block
+    estimates, lams = [], iter(lambdas)
+    for method, out in zip(methods, outs):
+        if method == "shrinkage":
+            _shrink(out, periodograms, m)
+        op = method if isinstance(method, ThresholdOperator) else None
+        estimates.append(SpectralEstimate(
+            n, p, m, op.kind if op else method, out, lambdas=next(lams) if op else None,
+            eta=op.eta if op and op.kind == "adaptive_lasso" else None,
+            channel_names=x.channel_names,
+        ))
+    return estimates
+
+
 def smoothed_estimate(x: TimeSeriesMatrix, m: int) -> SpectralEstimate:
     """Averaged periodogram at every Fourier frequency."""
-    return _smoothed(x, m, _smoothed_half(periodogram_all(x), m))
-
-
-def _smoothed(x: TimeSeriesMatrix, m: int, half: np.ndarray) -> SpectralEstimate:
-    """The smoothed estimate over `half` itself, not a copy."""
-    return SpectralEstimate(x.n, x.p, m, "smoothed", half, channel_names=x.channel_names)
-
-
-def _thresholded(
-    x: TimeSeriesMatrix,
-    m: int,
-    op: ThresholdOperator,
-    lambdas: Sequence[float],
-    smoothed: np.ndarray,
-) -> SpectralEstimate:
-    """Threshold the off-diagonal entries of row j of the smoothed
-    half-spectrum at lambdas[j], in place; the diagonal is kept.
-
-    Rows are thresholded a block at a time (`_row_blocks`), each row equal
-    bit for bit to the operator applied to that row alone.
-    """
-    lam_rows = np.asarray(lambdas, dtype=float)
-    _check_thresholds(lam_rows)
-    t_rows = None
-    if op.kind == "adaptive_lasso":
-        t_rows = np.array([_penalty_scale(lam, op.eta) for lam in lam_rows.tolist()])
-    diag = np.arange(x.p)
-    for rows, block in _row_blocks(smoothed):
-        t = None if t_rows is None else t_rows[rows, None, None]
-        out = op._apply(block, lam_rows[rows, None, None], t)
-        out[:, diag, diag] = block[:, diag, diag]
-        block[...] = out
-    return SpectralEstimate(
-        x.n, x.p, m, op.kind, smoothed, lambdas=lam_rows,
-        eta=op.eta if op.kind == "adaptive_lasso" else None,
-        channel_names=x.channel_names,
-    )
+    return _estimates(x, m, ("smoothed",))[0]
 
 
 def threshold_estimate(
@@ -221,13 +213,14 @@ def threshold_estimate(
     """Thresholded averaged periodogram with per-frequency thresholds.
 
     `lambdas[j]` is the threshold at j and at -j, for j = 0..floor(n/2).
+    The off-diagonal entries are thresholded; the diagonal is kept.
     """
-    lams = []
     for j in range(x.n // 2 + 1):
         if j not in lambdas:
             raise ParameterError(f"no threshold provided for frequency index {j}")
-        lams.append(lambdas[j])
-    return _thresholded(x, m, op, lams, _smoothed_half(periodogram_all(x), m))
+    lam_rows = np.array([lambdas[j] for j in range(x.n // 2 + 1)], dtype=float)
+    _check_thresholds(lam_rows)
+    return _estimates(x, m, (op,), lambda ops, periodograms, rows, f_hat: lam_rows[None, rows])[0]
 
 
 def _sq_norms(stack: np.ndarray) -> np.ndarray:
@@ -257,17 +250,16 @@ def shrinkage_all(x: TimeSeriesMatrix, m: int) -> SpectralEstimate:
     identity (in particular p = 1) gives delta^2 = 0, rho = 0 and f_hat
     unchanged.
     """
-    periodograms = periodogram_all(x)
-    return _shrunk(x, m, periodograms, _smoothed_half(periodograms, m))
+    return _estimates(x, m, ("shrinkage",))[0]
 
 
-def _shrunk(
-    x: TimeSeriesMatrix, m: int, periodograms: np.ndarray, f_hat: np.ndarray
-) -> SpectralEstimate:
-    """The shrinkage estimate from the smoothed half `f_hat`, which it shrinks in place."""
-    if 2 * m + 1 < 2:
+def _shrink(f_hat: np.ndarray, periodograms: np.ndarray, m: int) -> None:
+    """Shrink the window averages `f_hat` of `periodograms` in place, as
+    `shrinkage_all` describes.  The row statistics are reduced over the
+    whole array: numpy's row reductions can give other bits on fewer rows."""
+    if m < 1:
         raise ParameterError("shrinkage needs a window of at least 2 periodograms")
-    n, p, w = x.n, x.p, 2 * m + 1
+    n, p, w = len(periodograms), f_hat.shape[-1], 2 * m + 1
     diag = np.arange(p)
     re_diag = f_hat.real[:, diag, diag]  # a copy, restored below
     mu = re_diag.sum(axis=1) / p
@@ -275,7 +267,7 @@ def _shrunk(
     delta2 = _sq_norms(f_hat) / p
     f_hat.real[:, diag, diag] = re_diag
     member_sq = _sq_norms(periodograms)
-    # array position of window member k of row j, as in _smoothed_half
+    # array position of window member k of row j, as in _estimates
     pos = (np.arange(n // 2 + 1)[:, None] + np.arange(-m, m + 1) + (n - 1) // 2) % n
     spread = member_sq[pos].sum(axis=1) / (2.0 * np.pi) ** 2 - w * _sq_norms(f_hat)
     beta2 = np.maximum(spread, 0.0) / (p * w * (w - 1))
@@ -284,7 +276,6 @@ def _shrunk(
     np.minimum(rho, 1.0, out=rho)
     f_hat *= (1.0 - rho)[:, None, None]
     f_hat.real[:, diag, diag] += (rho * mu)[:, None]
-    return SpectralEstimate(n, p, m, "shrinkage", f_hat, channel_names=x.channel_names)
 
 
 # a channel whose spectral diagonal is below this has no defined coherence

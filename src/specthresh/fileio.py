@@ -20,8 +20,7 @@ import numpy as np
 
 from .dft import FourierGrid
 from .errors import DataError, SpecthreshError
-from .bench import ALL_METHODS, THRESHOLD_METHODS, _json_value
-from .estimator import SpectralEstimate
+from .estimator import ALL_METHODS, THRESHOLD_METHODS, SpectralEstimate
 from .metrics import EvaluationReport
 from .model import VarmaModel, TimeSeriesMatrix
 from .tuning import SplitRisk
@@ -33,6 +32,14 @@ def _fmt_all(values) -> list:
     """Each float as 17 significant digits: a bit-faithful round trip.  The
     package's one float format, for every file it writes."""
     return [format(v, ".17g") for v in values]
+
+
+def _json_value(value, kind: type, name: str):
+    """`value` if its type is exactly `kind`, else ValueError: a JSON float
+    or boolean does not pass for an int, nor a string for a bool."""
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be of type {kind.__name__}, got {value!r}")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -57,7 +64,7 @@ def read_series(path) -> TimeSeriesMatrix:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        rows = []
+        rows, linenos = [], []
         width = len(header)
         for lineno, row in enumerate(reader, start=2):
             if not row:
@@ -65,16 +72,17 @@ def read_series(path) -> TimeSeriesMatrix:
             if len(row) != width:
                 raise DataError(f"{path}:{lineno}: expected {width} columns, got {len(row)}")
             try:
-                values = [float(v) for v in row]
+                rows.append([float(v) for v in row])
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric cell ({exc})") from None
-            for col, v in enumerate(values):
-                if not np.isfinite(v):
-                    raise DataError(f"{path}:{lineno}: non-finite value in column {col}")
-            rows.append(values)
+            linenos.append(lineno)
+    data = np.array(rows)
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        raise DataError(f"{path}:{linenos[bad[0, 0]]}: non-finite value in column {bad[0, 1]}")
     if len(rows) < 2:
         raise DataError(f"{path}: need at least 2 data rows")
-    return TimeSeriesMatrix(np.array(rows), channel_names=tuple(header))
+    return TimeSeriesMatrix(data, channel_names=tuple(header))
 
 
 # ---------------------------------------------------------------- model JSON

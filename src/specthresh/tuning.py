@@ -31,9 +31,9 @@ and C.  The risk step (`_Split.risk`) is per operator: its suffix sums and
 for several operators, drawing and preparing each split once and running
 only the risk step per operator.
 
-Block layout.  Frequencies j = 0..floor(n/2) are tuned in blocks of
-`_BLOCK_ROWS` (16) consecutive rows, the blocks `_smoothed_half` sums, so
-that no array larger than a block is added.  Per block:
+Block layout.  The estimation pass (`estimator._estimates`) walks the
+rows j = 0..floor(n/2) in blocks of 16 and asks `tuned_estimates`' rule for
+each block's thresholds, from the block's window averages.  Per block:
 
 - the lambda grids are one (rows, grid size) array, spaced by one
   `np.linspace(lo, hi, size, axis=1)` call and validated at once;
@@ -47,9 +47,8 @@ that no array larger than a block is added.  Per block:
 - the risks are one (operators, rows, grid size) array, and each row's
   argmin picks its threshold.
 
-`select_threshold` is the one-row block.  Thresholding then runs on the
-same blocks of the smoothed half-spectrum, one operator call per block
-with one threshold per row (`estimator._thresholded`).
+`select_threshold` is the one-row block.  The pass then thresholds the
+block, one operator call per `_row_blocks` piece, one threshold per row.
 """
 
 from __future__ import annotations
@@ -61,13 +60,7 @@ import numpy as np
 
 from .dft import periodogram_all
 from .errors import ParameterError
-from .estimator import (
-    _BLOCK_ROWS,
-    SpectralEstimate,
-    ThresholdOperator,
-    _smoothed_half,
-    _thresholded,
-)
+from .estimator import SpectralEstimate, ThresholdOperator, _estimates
 from .model import TimeSeriesMatrix
 
 
@@ -370,37 +363,29 @@ def tuned_threshold_estimates(
     from them.  Split draws depend only on (seed, j), so each estimate
     equals its own `tuned_threshold_estimate` call bit for bit.
     """
-    periodograms = periodogram_all(x)
-    half = _smoothed_half(periodograms, m)
-    return _tuned(x, m, ops, periodograms, half, grid_size, n_splits, seed)
-
-
-def _tuned(
-    x: TimeSeriesMatrix, m: int, ops: Sequence[ThresholdOperator], periodograms: np.ndarray,
-    smoothed: np.ndarray, grid_size: int, n_splits: int, seed: int,
-) -> List[SpectralEstimate]:
-    """`tuned_threshold_estimates` from the smoothed half `smoothed` of
-    `periodograms`, which the last estimate thresholds in place."""
     ops = tuple(ops)
     if not ops:
         raise ParameterError("no threshold operators given")
-    if n_splits < 1:
-        raise ParameterError("n_splits must be at least 1")
-    lambdas = np.empty((len(ops), len(smoothed)))
-    for j0 in range(0, len(smoothed), _BLOCK_ROWS):
-        grids, single = _lambda_grids(smoothed[j0:j0 + _BLOCK_ROWS], grid_size)
+    return tuned_estimates(x, m, ops, grid_size, n_splits, seed)
+
+
+def tuned_estimates(
+    x: TimeSeriesMatrix, m: int, methods: Sequence, grid_size: int = 20, n_splits: int = 1,
+    seed: int = 0,
+) -> List[SpectralEstimate]:
+    """The estimate of each of `methods` ("smoothed", "shrinkage" or a
+    `ThresholdOperator`) from one estimation pass (`estimator._estimates`),
+    each operator's thresholds tuned as in `tuned_threshold_estimates`."""
+    def thresholds(ops, periodograms, rows, f_hat):
+        if n_splits < 1:
+            raise ParameterError("n_splits must be at least 1")
+        grids, single = _lambda_grids(f_hat, grid_size)
         _check_grids(grids, single)
-        rows = range(j0, j0 + len(grids))
         risks = _split_risks(periodograms, x.n, rows, grids, m, n_splits, seed, ops)
         # argmin ties break toward the smaller threshold
-        lambdas[:, rows.start:rows.stop] = grids[np.arange(len(grids)), risks.argmin(axis=2)]
-    # thresholding works in place: the last operator takes the smoothed
-    # half itself, after the others have taken their copies
-    last = len(ops) - 1
-    return [
-        _thresholded(x, m, op, lams, smoothed if i == last else smoothed.copy())
-        for i, (op, lams) in enumerate(zip(ops, lambdas))
-    ]
+        return grids[np.arange(len(grids)), risks.argmin(axis=2)]
+
+    return _estimates(x, m, tuple(methods), thresholds)
 
 
 def theoretical_threshold(

@@ -290,16 +290,16 @@ class TestEstimateMethods:
         with pytest.raises(AssertionError, match="tuning pass run"):
             estimate_methods(["smoothed", "lasso"], x, 3)
 
-    def test_one_smoothing_pass(self, rng, monkeypatch):
+    def test_one_periodogram_pass(self, rng, monkeypatch):
         calls = []
-        real = estimator._smoothed_half
+        real = estimator.periodogram_all
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
         for module in (estimator, tuning, bench):
-            monkeypatch.setattr(module, "_smoothed_half", counted)
+            monkeypatch.setattr(module, "periodogram_all", counted, raising=False)
         x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
         estimate_methods(ALL_METHODS, x, 3, grid_size=6)
         assert len(calls) == 1

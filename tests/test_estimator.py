@@ -18,12 +18,13 @@ from specthresh import (
     ThresholdOperator,
     aggregate_coherence_graph,
     coherence,
+    estimator,
     shrinkage_all,
     smoothed_estimate,
     threshold_estimate,
 )
 from specthresh.dft import periodogram_all
-from specthresh.estimator import _shrunk, _smoothed, _smoothed_half, half_weights
+from specthresh.estimator import half_weights
 from specthresh.model import TimeSeriesMatrix
 from specthresh.tuning import default_span
 
@@ -78,7 +79,7 @@ class TestAveragedPeriodogram:
         x = white_series(rng, n, 4)
         periodograms = periodogram_all(x)
         for m in (1, default_span(n, "ma_like"), (n - 1) // 2):
-            half = _smoothed_half(periodograms, m)
+            half = smoothed_estimate(x, m).half
             assert half.shape == (n // 2 + 1, 4, 4)
             for j in range(n // 2 + 1):
                 assert np.array_equal(half[j], averaged_periodogram(x, m, j, periodograms=periodograms))
@@ -260,6 +261,13 @@ class TestThresholdEstimate:
             assert val == np.min(np.linalg.eigvalsh(est.half[j]))
             assert val >= -1e-8 * np.trace(est.half[j]).real
 
+    @pytest.mark.parametrize("p", [1, 3, 12, 48])
+    def test_min_eigenvalues_equal_per_row_loop(self, rng, p):
+        x = TimeSeriesMatrix(rng.standard_normal((40, p)) @ rng.standard_normal((p, p)))
+        est = threshold_estimate(x, 3, ThresholdOperator("lasso"), {j: 0.05 for j in range(21)})
+        want = [np.linalg.eigvalsh(0.5 * (f + f.conj().T))[0] for f in est.half]
+        assert np.array_equal(est.min_eigenvalues(), want)
+
 
 class TestShrinkage:
     def test_constant_window_returns_f_hat(self, rng):
@@ -297,6 +305,17 @@ class TestShrinkage:
             got = est.half[j] if j >= 0 else est.half[-j].conj()
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
+    def test_matches_oracle_with_one_row_last_block(self, rng):
+        # n = 64 has 33 rows j >= 0: the last block of 16 rows holds one row,
+        # and the row statistics must not be reduced over that block alone
+        x = TimeSeriesMatrix(rng.standard_normal((64, 48)) @ rng.standard_normal((48, 48)))
+        m = default_span(64, "ma_like")
+        est = shrinkage_all(x, m)
+        periodograms = periodogram_all(x)
+        for j in range(33):
+            want = shrinkage_estimate(x, m, j, periodograms=periodograms)
+            assert np.linalg.norm(est.half[j] - want) <= 1e-12 * np.linalg.norm(want)
+
     def test_one_channel_equals_smoothed(self, rng):
         x = white_series(rng, 41, 1)
         est = shrinkage_all(x, 4)
@@ -313,7 +332,7 @@ class TestShrinkage:
             assert np.linalg.norm(est.half[j] - want) <= 1e-12 * np.linalg.norm(want)
             assert np.all(np.isfinite(est.half[j]))
 
-    def test_identical_window_members_keep_f_hat(self, rng):
+    def test_identical_window_members_keep_f_hat(self, rng, monkeypatch):
         # beta^2 is 0 up to cancellation, which here leaves the window sum
         # slightly negative; with f_hat near a scaled identity delta^2 is
         # tiny too, so without the clamp rho would come out near -3e-5
@@ -322,8 +341,9 @@ class TestShrinkage:
         mat = gen.uniform(0.5, 3) * np.eye(3) + 1e-6 * (h + h.conj().T)
         stack = np.tile(mat, (16, 1, 1))
         x = white_series(rng, 16, 3)
-        est = _shrunk(x, 2, stack, _smoothed_half(stack, 2))
-        smooth = _smoothed(x, 2, _smoothed_half(stack, 2))
+        monkeypatch.setattr(estimator, "periodogram_all", lambda series: stack)
+        est = shrinkage_all(x, 2)
+        smooth = smoothed_estimate(x, 2)
         off = ~np.eye(3, dtype=bool)
         assert np.all(np.isfinite(est.half))
         for f, f_hat in zip(est.half, smooth.half):
@@ -331,12 +351,13 @@ class TestShrinkage:
             assert np.all((rho >= -1e-12) & (rho <= 1.0 + 1e-12))
             assert np.allclose(f, mat / (2 * np.pi), rtol=0, atol=1e-12)
 
-    def test_scaled_identity_f_hat_is_not_shrunk(self, rng):
+    def test_scaled_identity_f_hat_is_not_shrunk(self, rng, monkeypatch):
         # delta^2 = 0 exactly while beta^2 > 0: rho must be 0, not beta^2 / 0
         x = white_series(rng, 18, 2)
         stack = np.array([(k % 3 + 1.0) * np.eye(2) for k in range(18)], dtype=complex)
-        est = _shrunk(x, 2, stack, _smoothed_half(stack, 2))
-        smooth = _smoothed(x, 2, _smoothed_half(stack, 2))
+        monkeypatch.setattr(estimator, "periodogram_all", lambda series: stack)
+        est = shrinkage_all(x, 2)
+        smooth = smoothed_estimate(x, 2)
         assert np.array_equal(est.half, smooth.half)
 
 

@@ -52,6 +52,14 @@ class TestSeriesCsv:
         with pytest.raises(DataError, match="3"):
             read_series(path)
 
+    def test_nan_after_blank_line_reports_file_line_and_column(self, tmp_path):
+        # the blank line 3 is skipped but still counted, so the nan is on line 5
+        path = tmp_path / "gap.csv"
+        path.write_text("a,b\n1.0,2.0\n\n3.0,4.0\nnan,5.0\n6.0,inf\n")
+        with pytest.raises(DataError) as err:
+            read_series(path)
+        assert str(err.value) == f"{path}:5: non-finite value in column 0"
+
     def test_ragged_row_reports_line(self, tmp_path):
         path = tmp_path / "ragged.csv"
         path.write_text("a,b\n1.0,2.0\n3.0\n")

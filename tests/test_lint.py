@@ -1,10 +1,13 @@
 """Static checks on the package source."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
+
+from specthresh import threshold_estimate, tuned_threshold_estimate
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "specthresh"
@@ -137,3 +140,70 @@ def test_one_float_format():
     owners = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
               and any(isinstance(c, ast.Constant) and c.value == ".17g" for c in ast.walk(node))]
     assert owners == ["_fmt_all"]
+
+
+def local_imports(source: str) -> list:
+    """Line numbers of the imports that are not at a module's top level."""
+    tree = ast.parse(source)
+    top = {id(node) for node in tree.body}
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top]
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_imports_at_module_level(path):
+    """No module hides an import cycle behind an import inside a function."""
+    assert local_imports((PACKAGE / path).read_text()) == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("import os\nfrom . import bench\n", []),
+    ("def f():\n    from .fileio import g\n    import json\n", [2, 3]),
+])
+def test_local_imports_finds_function_level_imports(source, want):
+    assert local_imports(source) == want
+
+
+def private_imports(source: str, modules=("estimator", "tuning")) -> list:
+    """`_`-prefixed names a module takes from the package's `modules`: by
+    `from .module import _name`, or as `alias._name` of a module bound by
+    `from . import module as alias`."""
+    tree = ast.parse(source)
+    found, aliases = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module in modules:
+                found += [alias.name for alias in node.names if alias.name.startswith("_")]
+            elif node.module is None:
+                aliases |= {alias.asname or alias.name for alias in node.names
+                            if alias.name in modules}
+    found += [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id in aliases
+              and node.attr.startswith("_")]
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", ["bench.py", "cli.py"])
+def test_front_ends_use_public_estimation_api(path):
+    """bench and cli reach the estimators only through public names."""
+    assert private_imports((PACKAGE / path).read_text()) == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("from .estimator import _a, b\nfrom .tuning import _c\n", ["_a", "_c"]),
+    ("from .fileio import _fmt\nfrom .model import _x\n", []),
+    ("from . import tuning as t\nt._tuned()\nt.tuned()\n", ["_tuned"]),
+    ("from . import estimator\nestimator._rows\n", ["_rows"]),
+    ("def f():\n    from .estimator import _a\n", ["_a"]),
+])
+def test_private_imports_finds_private_names(source, want):
+    assert private_imports(source) == want
+
+
+def test_benchmark_bound_parameter_names():
+    """The benchmark calls threshold_estimate(x, m, op, lambdas) positionally
+    and binds x, op, grid_size and n_splits of tuned_threshold_estimate by
+    name, so renaming them breaks its traced runs."""
+    assert list(inspect.signature(threshold_estimate).parameters) == ["x", "m", "op", "lambdas"]
+    tuned = inspect.signature(tuned_threshold_estimate).parameters
+    assert {"x", "op", "grid_size", "n_splits"} <= set(tuned)

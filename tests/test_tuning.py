@@ -16,9 +16,8 @@ from specthresh import (
     tuned_threshold_estimates,
 )
 from specthresh.dft import periodogram_all
-from specthresh.estimator import threshold_estimate
+from specthresh.estimator import smoothed_estimate, threshold_estimate
 from specthresh.model import TimeSeriesMatrix
-from specthresh.estimator import _smoothed_half
 from specthresh.tuning import _check_grids, _freq_rng, _lambda_grids
 
 
@@ -351,7 +350,7 @@ class TestBatchedTuning:
 
     def test_grid_rows_equal_default_lambda_grid(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((70, 4)) @ rng.standard_normal((4, 4)))
-        half = _smoothed_half(periodogram_all(x), 3)
+        half = smoothed_estimate(x, 3).half
         half[5] = np.full((4, 4), 0.25)  # one row with equal moduli: grid (0.25,)
         grids, single = _lambda_grids(half, 20)
         for row, repeated, f_hat in zip(grids, single, half):
