@@ -121,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sim = sub.add_parser("simulate", help="simulate a VARMA sample path")
     sim.add_argument("--model", required=True, help="model JSON file")
-    sim.add_argument("--n", type=int, required=True, help="sample length")
-    sim.add_argument("--burn-in", type=int, default=None)
+    sim.add_argument("--n", type=_int_at_least(2), required=True, help="sample length")
+    sim.add_argument("--burn-in", type=_int_at_least(0), default=None)
     sim.add_argument("--seed", type=_int_at_least(0), default=0)
     sim.add_argument("--out", required=True, help="output series CSV")
     sim.set_defaults(func=cmd_simulate)
@@ -133,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method", required=True,
         choices=["smoothed", "shrinkage", "hard", "lasso", "alasso"],
     )
-    estp.add_argument("--m", type=int, default=None, help="smoothing half-span")
+    estp.add_argument("--m", type=_int_at_least(0), default=None, help="smoothing half-span")
     estp.add_argument(
         "--span-rule", choices=["ma_like", "ar_like"], default="ma_like",
         help="span heuristic when --m is not given",
@@ -142,8 +142,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda", dest="fixed_lambda", type=float, default=None,
         help="fixed threshold; default is per-frequency sample-splitting",
     )
-    estp.add_argument("--grid-size", type=int, default=20)
-    estp.add_argument("--n-splits", type=int, default=1)
+    estp.add_argument("--grid-size", type=_int_at_least(1), default=20)
+    estp.add_argument("--n-splits", type=_int_at_least(1), default=1)
     estp.add_argument("--seed", type=_int_at_least(0), default=0)
     estp.add_argument("--out", required=True, help="output estimate JSON")
     estp.set_defaults(func=cmd_estimate)

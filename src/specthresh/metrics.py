@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -99,7 +99,7 @@ def support_scores(
 
 @dataclass
 class RocCurve:
-    points: List[Tuple[float, float]]  # (fpr, tpr), sorted by fpr
+    points: np.ndarray  # (k, 2) float rows (fpr, tpr), sorted by fpr
     auc: float
 
 
@@ -109,7 +109,9 @@ def roc_points(weighted_graph: np.ndarray, truth_support: np.ndarray) -> RocCurv
     Sweeps a cut over the unique edge weights in descending order and adds
     the trapezoid endpoints (0,0) and (1,1).  One descending sort gives
     every cut's counts: the edges predicted at cut c are a prefix of the
-    sorted scores, ending at the last score equal to c.
+    sorted scores, ending at the last score equal to c.  Both rates never
+    decrease along the cuts, so the points come sorted, and a point equal
+    to its predecessor is dropped.
     """
     g = np.asarray(weighted_graph, dtype=float)
     if not np.allclose(g, g.T, atol=1e-10):
@@ -126,14 +128,12 @@ def roc_points(weighted_graph: np.ndarray, truth_support: np.ndarray) -> RocCurv
     last = np.append(ranked[1:] != ranked[:-1], True)[: ranked.size]
     tp = np.cumsum(labels[order])[last]
     fp = np.cumsum(~labels[order])[last]
-    tpr = tp / n_pos if n_pos else np.ones(tp.size)
-    fpr = fp / n_neg if n_neg else np.zeros(fp.size)
-    points = [(0.0, 0.0), *zip(fpr.tolist(), tpr.tolist()), (1.0, 1.0)]
-    points = sorted(set(points))
-    xs = np.array([pt[0] for pt in points])
-    ys = np.array([pt[1] for pt in points])
-    auc = float(np.trapezoid(ys, xs))
-    return RocCurve(points, auc)
+    points = np.zeros((tp.size + 2, 2))
+    points[1:-1, 0] = fp / n_neg if n_neg else 0.0
+    points[1:-1, 1] = tp / n_pos if n_pos else 1.0
+    points[-1] = 1.0
+    points = points[np.append(True, (points[1:] != points[:-1]).any(axis=1))]
+    return RocCurve(points, float(np.trapezoid(points[:, 1], points[:, 0])))
 
 
 def replicate_summary(reports: Sequence[EvaluationReport]) -> EvaluationReport:

@@ -102,7 +102,6 @@ class TimeSeriesMatrix:
     """n x p observation matrix, rows ordered in time."""
 
     data: np.ndarray
-    centered: bool = False
     channel_names: Optional[tuple] = None
 
     def __post_init__(self):
@@ -129,14 +128,9 @@ class TimeSeriesMatrix:
         return self.data.shape[1]
 
     def center(self) -> "TimeSeriesMatrix":
-        """Subtract column means.  Returns self if already centered."""
-        if self.centered:
-            return self
-        return TimeSeriesMatrix(
-            self.data - self.data.mean(axis=0, keepdims=True),
-            centered=True,
-            channel_names=self.channel_names,
-        )
+        """Subtract column means."""
+        return TimeSeriesMatrix(self.data - self.data.mean(axis=0, keepdims=True),
+                                channel_names=self.channel_names)
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,13 @@ each block's thresholds, from the block's window averages.  Per block:
   `np.linspace(lo, hi, size, axis=1)` call and validated at once;
 - each frequency draws its splits from its own stream `_freq_rng(seed, j)`,
   in the per-frequency order, so a row never depends on its block;
-- the half-window means are (rows, p, p) arrays, and the preparation and
-  risk step work on (rows, E) arrays: a row-wise sort, row-wise sums and
-  cumulative sums, and a `np.searchsorted` per row, the same operations
-  on the same values as for one frequency, so every row is bit for bit
-  what a one-frequency block gives;
+- each row's two half-window means are one sum each over its half's
+  periodograms, written into one (2, rows, p, p) buffer that every split
+  reuses;
+- the preparation and risk step work on (rows, E) arrays: a row-wise
+  sort, row-wise sums and cumulative sums, and a `np.searchsorted` per
+  row, the same operations on the same values as for one frequency, so
+  every row is bit for bit what a one-frequency block gives;
 - the risks are one (operators, rows, grid size) array, and each row's
   argmin picks its threshold.
 
@@ -184,39 +186,19 @@ def _split_risks(
     half = (n - 1) // 2
     rngs = [_freq_rng(seed, j) for j in js]
     risks = np.zeros((len(ops),) + grids.shape)
+    # the two half-window means of every row; _Split copies what it keeps
+    halves = np.empty((2, len(js)) + periodograms.shape[1:], dtype=periodograms.dtype)
     for _ in range(n_splits):
-        draws = [split_frequencies(j, m, n, rng=rng) for j, rng in zip(js, rngs)]
-        split = _Split(
-            _half_window_means(periodograms, [[k + half for k in j1] for j1, _ in draws]),
-            _half_window_means(periodograms, [[k + half for k in j2] for _, j2 in draws]),
-        )
+        for r, (j, rng) in enumerate(zip(js, rngs)):
+            for h, part in enumerate(split_frequencies(j, m, n, rng=rng)):
+                # sum I(w_k) / (2 pi |J|) over the half J
+                halves[h, r] = periodograms[[k + half for k in part]].sum(axis=0) / len(part)
+        halves /= 2.0 * np.pi
+        split = _Split(*halves)
         for row, op in zip(risks, ops):
             row += split.risk(op, grids)
     risks /= n_splits
     return risks
-
-
-def _half_window_means(periodograms: np.ndarray, positions: Sequence[list]) -> np.ndarray:
-    """sum I(w_k) / (2 pi |J|) over each row's listed array positions, as a
-    (rows, p, p) array.
-
-    Each row adds its periodograms in list order, as
-    `periodograms[positions[r]].mean(axis=0)` would, so it is the same bit
-    for bit.  Step i adds the i-th listed periodogram of every row that has
-    one, so the largest temporary is one (rows, p, p) layer, not a copy of
-    each half window.
-    """
-    sizes = np.array([len(pos) for pos in positions])
-    width = sizes.max()
-    # padded with each row's last position, which step i skips for rows of size <= i
-    table = np.array([pos + pos[-1:] * (width - len(pos)) for pos in positions])
-    out = periodograms[table[:, 0]]
-    for i in range(1, width):
-        rows = slice(None) if sizes.min() > i else np.flatnonzero(sizes > i)
-        out[rows] += periodograms[table[rows, i]]
-    out /= sizes[:, None, None]
-    out /= 2.0 * np.pi
-    return out
 
 
 def _suffix_sums(v: np.ndarray) -> np.ndarray:
@@ -414,7 +396,5 @@ def default_span(n: int, family: str) -> int:
         m = int(round(2.0 / 3.0 * np.sqrt(n)))
     else:
         raise ParameterError(f"unknown span family {family!r}")
-    m = max(1, m)
-    while 2 * m + 1 > n:
-        m -= 1
+    # for n >= 9 both rules give m >= 2 and 2m+1 <= n
     return m

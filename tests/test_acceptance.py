@@ -135,7 +135,7 @@ class TestPeriodogramOracle:
             p = int(rng.integers(1, 7))
             data = rng.standard_normal((n, p))
             data -= data.mean(axis=0)
-            x = TimeSeriesMatrix(data, centered=True)
+            x = TimeSeriesMatrix(data)
             grid = FourierGrid(n)
             j = int(rng.choice(grid.indices))
             oracle = periodogram_by_autocov_sum(data, grid.frequency(j))

@@ -122,7 +122,9 @@ class TestRunCell:
             assert pooled.m == serial.m
             for method in spec.methods:
                 assert pooled.summaries[method] == serial.summaries[method]
-                assert pooled.rocs[method] == serial.rocs[method]
+                for got, want in zip(pooled.rocs[method], serial.rocs[method], strict=True):
+                    assert np.array_equal(got.points, want.points)
+                    assert got.auc == want.auc
 
     def test_one_pool_of_at_most_one_worker_per_replicate(self, monkeypatch):
         pools = []
@@ -167,9 +169,9 @@ class TestRocCsv:
     def test_bytes_match_csv_writer(self, tmp_path):
         # values repeated within and across curves, 0.0 and -0.0, an empty curve
         curves = [
-            RocCurve([(0.0, 0.0), (0.1, 1 / 3), (1 / 3, 1 / 3), (1.0, 1.0)], 0.8),
-            RocCurve([], 0.5),
-            RocCurve([(-0.0, 0.0), (np.float64(0.1), 2 / 3), (1.0, 1.0)], 0.9),
+            RocCurve(np.array([(0.0, 0.0), (0.1, 1 / 3), (1 / 3, 1 / 3), (1.0, 1.0)]), 0.8),
+            RocCurve(np.empty((0, 2)), 0.5),
+            RocCurve(np.array([(-0.0, 0.0), (0.1, 2 / 3), (1.0, 1.0)]), 0.9),
         ]
         bench._write_roc_csv(CellResult(3, 16, 2, {}, {"lasso": curves}), "lasso", tmp_path)
         buf = io.StringIO()

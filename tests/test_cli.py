@@ -184,6 +184,27 @@ class TestEstimate:
         assert err.value.code == 2
 
 
+class TestIntegerRanges:
+    # the input files do not exist: reading one would exit 3, not 2
+    @pytest.mark.parametrize("command, option, value, low", [
+        ("simulate", "--n", 1, 2),
+        ("simulate", "--burn-in", -1, 0),
+        ("estimate", "--m", -1, 0),
+        ("estimate", "--grid-size", 0, 1),
+        ("estimate", "--n-splits", 0, 1),
+    ])
+    def test_out_of_range_usage_error(self, tmp_path, capsys, command, option, value, low):
+        out = tmp_path / "out"
+        required = {"simulate": {"--model": tmp_path / "none.json", "--n": 16},
+                    "estimate": {"--series": tmp_path / "none.csv", "--method": "lasso"}}[command]
+        options = {**required, option: value, "--out": out}
+        with pytest.raises(SystemExit) as err:
+            run(command, *(arg for pair in options.items() for arg in pair))
+        assert err.value.code == 2
+        assert f"{option}: must be at least {low}, got {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEvaluate:
     def test_truth_estimate_scores_zero(self, tmp_path, vma_model_file):
         model = block_varma_model(3, "vma")

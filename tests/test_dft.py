@@ -78,7 +78,7 @@ class TestPeriodogram:
     def test_matches_autocov_sum_oracle(self, rng):
         data = rng.standard_normal((16, 3))
         data -= data.mean(axis=0)
-        x = TimeSeriesMatrix(data, centered=True)
+        x = TimeSeriesMatrix(data)
         grid = FourierGrid(16)
         for j in grid.indices:
             oracle = periodogram_by_autocov_sum(data, grid.frequency(int(j)))
@@ -108,7 +108,7 @@ class TestPeriodogram:
     def test_parseval_energy_identity(self, rng):
         data = rng.standard_normal((17, 3))
         data -= data.mean(axis=0)
-        x = TimeSeriesMatrix(data, centered=True)
+        x = TimeSeriesMatrix(data)
         total = sum(
             float(np.trace(periodogram(x, FourierGrid(17), int(j))).real)
             for j in FourierGrid(17).indices

@@ -164,7 +164,7 @@ def roc_by_cut_sweep(weighted_graph, truth_support):
     points = sorted(set(points))
     xs = np.array([pt[0] for pt in points])
     ys = np.array([pt[1] for pt in points])
-    return RocCurve(points, float(np.trapezoid(ys, xs)))
+    return RocCurve(np.array(points), float(np.trapezoid(ys, xs)))
 
 
 class TestRocPoints:
@@ -180,7 +180,8 @@ class TestRocPoints:
         truth = truth | truth.T
         curve = roc_points(w, truth)
         ref = roc_by_cut_sweep(w, truth)
-        assert curve.points == ref.points
+        assert curve.points.dtype == float
+        assert np.array_equal(curve.points, ref.points)
         assert curve.auc == ref.auc
 
     def test_oracle_weights_give_unit_auc(self):

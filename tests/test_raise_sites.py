@@ -1,0 +1,135 @@
+"""One case per error the package raises for a bad argument or input, with
+its exception type and exact message."""
+
+import json
+
+import numpy as np
+import pytest
+
+from specthresh import (
+    AutocovSequence,
+    DataError,
+    ModelError,
+    ParameterError,
+    ThresholdOperator,
+    TimeSeriesMatrix,
+    VarmaModel,
+    autocov,
+    block_varma_model,
+    rmise,
+    simulate,
+    smoothed_estimate,
+    threshold_estimate,
+    tuned_threshold_estimate,
+)
+from specthresh.bench import BenchmarkSpec, canonical_method
+from specthresh.fileio import read_estimate, write_estimate
+from specthresh.model import block_transition
+
+X = TimeSeriesMatrix(np.random.default_rng(7).standard_normal((16, 3)))
+LASSO = ThresholdOperator("lasso")
+
+
+def spec(**fields):
+    return BenchmarkSpec(**{"family": "vma", "p_list": (3,), "n_list": (64,),
+                            "methods": ("lasso",), **fields})
+
+
+CALLS = {
+    "ar-shape": (lambda: VarmaModel(dim=2, ar_coeffs=(np.eye(3),)),
+                 ModelError, "ar_coeffs[0] has shape (3, 3), expected (2, 2)"),
+    "ma-non-finite": (lambda: VarmaModel(dim=2, ma_coeffs=(np.eye(2), [[np.nan, 0], [0, 0]])),
+                      ModelError, "ma_coeffs[1] contains non-finite entries"),
+    "dim": (lambda: VarmaModel(dim=0), ModelError, "dim must be a positive integer"),
+    "cov-shape": (lambda: VarmaModel(dim=2, noise_cov=np.eye(3)),
+                  ModelError, "noise_cov has shape (3, 3), expected (2, 2)"),
+    "cov-asymmetric": (lambda: VarmaModel(dim=2, noise_cov=[[1.0, 0.5], [0.0, 1.0]]),
+                       ModelError, "noise_cov must be symmetric"),
+    "cov-indefinite": (lambda: VarmaModel(dim=2, noise_cov=[[1.0, 2.0], [2.0, 1.0]]),
+                       ModelError, "noise_cov must be positive semidefinite"),
+    "noise-family": (lambda: VarmaModel(dim=2, noise_family="cauchy"),
+                     ModelError, "unknown noise_family 'cauchy'"),
+    "data-1d": (lambda: TimeSeriesMatrix(np.zeros(5)), ParameterError, "data must be a 2-d array"),
+    "data-one-row": (lambda: TimeSeriesMatrix(np.zeros((1, 2))),
+                     ParameterError, "need at least 2 observations"),
+    "data-inf": (lambda: TimeSeriesMatrix([[0.0, np.inf], [0.0, 0.0]]),
+                 ParameterError, "data contains non-finite entries"),
+    "channel-count": (lambda: TimeSeriesMatrix(np.zeros((4, 2)), channel_names=("a",)),
+                      ParameterError, "channel_names length must match column count"),
+    "lags-shape": (lambda: AutocovSequence(np.zeros((2, 2, 3))),
+                   ParameterError, "lags must have shape (l_max + 1, p, p)"),
+    "simulate-n": (lambda: simulate(block_varma_model(3, "vma"), 1),
+                   ParameterError, "n must be at least 2"),
+    "simulate-burn-in": (lambda: simulate(block_varma_model(3, "vma"), 8, burn_in=-1),
+                         ParameterError, "burn_in must be nonnegative"),
+    "autocov-lag": (lambda: autocov(block_varma_model(3, "var"), -1),
+                    ParameterError, "l_max must be nonnegative"),
+    "block-p": (lambda: block_transition(4),
+                ParameterError, "block transition requires p divisible by 3"),
+    "model-family": (lambda: block_varma_model(3, "arma"),
+                     ParameterError, "unknown model family 'arma'"),
+    "eta": (lambda: ThresholdOperator("adaptive_lasso", eta=0.0),
+            ParameterError, "eta must be positive"),
+    "span-wide": (lambda: smoothed_estimate(X, 8), ParameterError, "invalid half-span m=8 for n=16"),
+    "span-negative": (lambda: smoothed_estimate(X, -1),
+                      ParameterError, "invalid half-span m=-1 for n=16"),
+    "zero-truth": (lambda: rmise(smoothed_estimate(X, 2), np.zeros((9, 3, 3))),
+                   ParameterError, "truth is identically zero"),
+    "grid-size": (lambda: tuned_threshold_estimate(X, 2, LASSO, grid_size=0),
+                  ParameterError, "grid size must be positive"),
+    "n-splits": (lambda: tuned_threshold_estimate(X, 2, LASSO, n_splits=0),
+                 ParameterError, "n_splits must be at least 1"),
+    "method": (lambda: canonical_method("ridge"), ParameterError, "unknown method 'ridge'"),
+    "spec-family": (lambda: spec(family="arma"), ParameterError, "unknown family 'arma'"),
+    "spec-replicates": (lambda: spec(replicates=0),
+                        ParameterError, "replicates must be at least 1"),
+}
+
+
+@pytest.mark.parametrize("name", CALLS)
+def test_call_raises(name):
+    call, kind, message = CALLS[name]
+    with pytest.raises(kind) as err:
+        call()
+    assert type(err.value) is kind
+    assert str(err.value) == message
+
+
+def _ragged(obj):
+    entry = obj["frequencies"][8]  # j = 1
+    entry["re"][0] = entry["re"][0][:2]
+
+
+def _threshold_missing(obj):
+    del obj["frequencies"][10]["lambda"]  # j = 3
+
+
+def _channel_count(obj):
+    obj["channels"] = ["a", "b"]
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_ragged, "malformed estimate file (setting an array element with a sequence"),
+    (_threshold_missing, "malformed estimate file (threshold missing or extra at j = 3)"),
+    (_channel_count, "malformed estimate file (2 channel names for p = 3)"),
+], ids=["ragged-matrix", "threshold-missing", "channel-count"])
+def test_estimate_file_raises(tmp_path, mutate, message):
+    path = tmp_path / "est.json"
+    write_estimate(threshold_estimate(X, 2, LASSO, {j: 0.1 for j in range(9)}), path)
+    obj = json.loads(path.read_text())
+    assert [obj["frequencies"][k]["j"] for k in (8, 10)] == [1, 3]
+    mutate(obj)
+    path.write_text(json.dumps(obj))
+    with pytest.raises(DataError) as err:
+        read_estimate(path)
+    assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_singular_noise_cov_simulates():
+    # Cholesky rejects a rank-one covariance; the eigendecomposition factors it
+    cov = np.ones((2, 2))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov)
+    x = simulate(VarmaModel(dim=2, noise_cov=cov), 64, seed=3)
+    assert np.all(np.isfinite(x.data)) and np.std(x.data[:, 0]) > 0
+    assert np.allclose(x.data[:, 0], x.data[:, 1], rtol=1e-12, atol=0)

@@ -399,6 +399,13 @@ class TestDefaultSpan:
         m = default_span(9, "ma_like")
         assert m >= 1 and 2 * m + 1 <= 9
 
+    @pytest.mark.parametrize("family", ["ma_like", "ar_like"])
+    def test_window_fits_every_n(self, family):
+        # default_span returns its rule's value unclamped, so the rule itself must fit
+        spans = np.array([default_span(n, family) for n in range(9, 10**5 + 1)])
+        assert spans.min() >= 1
+        assert np.all(2 * spans + 1 <= np.arange(9, 10**5 + 1))
+
     def test_rejects_tiny_or_unknown(self):
         with pytest.raises(ParameterError):
             default_span(8, "ma_like")
