@@ -49,13 +49,24 @@ def periodogram_all(x: TimeSeriesMatrix) -> np.ndarray:
     Entry [grid.half + j] holds I(w_j), i.e. the array is ordered like
     grid.indices.
     """
+    return _periodograms(_dft(x), np.arange(x.n))
+
+
+def _dft(x: TimeSeriesMatrix) -> np.ndarray:
+    """The (p, n) DFT of the centered series: column grid.half + j holds
+    d(w_j)."""
     grid = FourierGrid(x.n)
-    data = x.center().data
     t = np.arange(grid.n)
     # columns e^{-i t w_j} / sqrt(n) are exactly C_j - i S_j
     phase = np.exp(-2j * np.pi * np.outer(t, grid.indices) / grid.n) / np.sqrt(grid.n)
-    d = data.T @ phase  # (p, n)
+    return x.center().data.T @ phase
+
+
+def _periodograms(d: np.ndarray, cols) -> np.ndarray:
+    """The periodograms d d^H of the columns `cols` of the DFT `d`, as a
+    (len(cols), p, p) array in the order of `cols`; each matrix has the
+    bits it has in `periodogram_all`."""
+    d = d[:, cols]
     # C order keeps each I(w_j) contiguous, so window averages and
     # split halves read whole matrices rather than strided columns
     return np.einsum("pj,qj->jpq", d, d.conj(), order="C")
-

@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .dft import periodogram_all
+from .dft import _dft, _periodograms
 from .errors import DataError, ParameterError
 from .model import TimeSeriesMatrix
 
@@ -141,42 +141,52 @@ def _row_blocks(*arrays):
 
 def _estimates(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=None) -> list:
     """The estimate of each of `methods` ("smoothed", "shrinkage" or a
-    `ThresholdOperator`) from one `periodogram_all` call and one walk over
-    the rows j = 0..floor(n/2) in blocks of _BLOCK_ROWS.  Per block, the
-    window members k = -m..m are added in order and divided by 2m+1, then by
-    2 pi, so row j is its window's `mean` over 2 pi bit for bit;
-    `thresholds(ops, periodograms, rows, f_hat)` gives the (operators, rows)
-    thresholds; and each method writes its rows to its own array, except the
-    last, which overwrites the window averages after the others read them.
-    Operators keep the diagonal and run `_row_blocks` at a time; shrinkage
-    reduces its row statistics over its whole array afterwards (`_shrink`)."""
+    `ThresholdOperator`) from one walk over the rows j = 0..floor(n/2) in
+    blocks of _BLOCK_ROWS.  Position i = 0..floor(n/2)+2m of the walk holds
+    I(w_{i-m}), so row j's window is positions j..j+2m; each position's
+    periodogram is formed once from the DFT, into a buffer of
+    _BLOCK_ROWS+2m matrices that keeps a block's last 2m positions for the
+    next.  Per block, the window members are added in order and divided by
+    2m+1, then by 2 pi, so row j is its window's `mean` over 2 pi bit for
+    bit; `thresholds(ops, members, rows, f_hat)` gives the (operators, rows)
+    thresholds, with members[i] = I(w_{rows[0]-m+i}); and each method writes
+    its rows to its own array, except the last, which overwrites the window
+    averages after the others read them.  Operators keep the diagonal and
+    run `_row_blocks` at a time; shrinkage reduces its row statistics over
+    its whole array afterwards (`_shrink`)."""
     n, p = x.n, x.p
     if m < 0 or 2 * m + 1 > n:
         raise ParameterError(f"invalid half-span m={m} for n={n}")
-    periodograms = periodogram_all(x)
-    f_hat = np.empty((n // 2 + 1, p, p), dtype=periodograms.dtype)
+    shrink = "shrinkage" in methods
+    if shrink and m < 1:
+        raise ParameterError("shrinkage needs a window of at least 2 periodograms")
+    d = _dft(x)
+    f_hat = np.empty((n // 2 + 1, p, p), dtype=d.dtype)
     outs = [np.empty_like(f_hat) for _ in methods[1:]] + [f_hat]
     ops = [op for op in methods if isinstance(op, ThresholdOperator)]
     lambdas = np.empty((len(ops), len(f_hat)))
     diag = np.arange(p)
+    # the DFT column of each walk position, and its periodogram's squared norm
+    cols = (np.arange(len(f_hat) + 2 * m) - m + (n - 1) // 2) % n
+    member_sq = np.empty(len(cols))
+    members = np.empty((_BLOCK_ROWS + 2 * m, p, p), dtype=d.dtype)
+    carried = 0  # members[:carried] kept from the previous block
     for j0 in range(0, len(f_hat), _BLOCK_ROWS):
         rows = slice(j0, j0 + _BLOCK_ROWS)
         block = f_hat[rows]
-        for i, k in enumerate(range(-m, m + 1)):
-            # rows j0.. of window offset k start at array position
-            # (j0 + k + half) mod n and wrap past the end at most once
-            start = (j0 + k + (n - 1) // 2) % n
-            head = min(len(block), n - start)
-            if i == 0:
-                block[:head] = periodograms[start:start + head]
-                block[head:] = periodograms[:len(block) - head]
-            else:
-                block[:head] += periodograms[start:start + head]
-                block[head:] += periodograms[:len(block) - head]
+        end = len(block) + 2 * m  # members[i] holds position j0 + i
+        members[carried:end] = _periodograms(d, cols[j0 + carried:j0 + end])
+        if shrink:
+            # einsum can give a one-matrix stack other bits, so take two
+            lo = min(carried, end - 2)
+            member_sq[j0 + carried:j0 + end] = _sq_norms(members[lo:end])[carried - lo:]
+        block[...] = members[:len(block)]
+        for i in range(1, 2 * m + 1):
+            block += members[i:i + len(block)]
         block /= 2 * m + 1
         block /= 2.0 * np.pi
         if ops:
-            lambdas[:, rows] = thresholds(ops, periodograms, range(j0, j0 + len(block)), block)
+            lambdas[:, rows] = thresholds(ops, members, range(j0, j0 + len(block)), block)
         lams = iter(lambdas[:, rows, None, None])
         for method, out in zip(methods, outs):
             if isinstance(method, ThresholdOperator):
@@ -186,10 +196,12 @@ def _estimates(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=None) 
                     dst[...] = kept
             elif out is not f_hat:
                 out[rows] = block
+        members[:2 * m] = members[len(block):end]
+        carried = 2 * m
     estimates, lams = [], iter(lambdas)
     for method, out in zip(methods, outs):
         if method == "shrinkage":
-            _shrink(out, periodograms, m)
+            _shrink(out, member_sq, m)
         op = method if isinstance(method, ThresholdOperator) else None
         estimates.append(SpectralEstimate(
             n, p, m, op.kind if op else method, out, lambdas=next(lams) if op else None,
@@ -220,7 +232,7 @@ def threshold_estimate(
             raise ParameterError(f"no threshold provided for frequency index {j}")
     lam_rows = np.array([lambdas[j] for j in range(x.n // 2 + 1)], dtype=float)
     _check_thresholds(lam_rows)
-    return _estimates(x, m, (op,), lambda ops, periodograms, rows, f_hat: lam_rows[None, rows])[0]
+    return _estimates(x, m, (op,), lambda ops, members, rows, f_hat: lam_rows[None, rows])[0]
 
 
 def _sq_norms(stack: np.ndarray) -> np.ndarray:
@@ -253,23 +265,20 @@ def shrinkage_all(x: TimeSeriesMatrix, m: int) -> SpectralEstimate:
     return _estimates(x, m, ("shrinkage",))[0]
 
 
-def _shrink(f_hat: np.ndarray, periodograms: np.ndarray, m: int) -> None:
-    """Shrink the window averages `f_hat` of `periodograms` in place, as
-    `shrinkage_all` describes.  The row statistics are reduced over the
-    whole array: numpy's row reductions can give other bits on fewer rows."""
-    if m < 1:
-        raise ParameterError("shrinkage needs a window of at least 2 periodograms")
-    n, p, w = len(periodograms), f_hat.shape[-1], 2 * m + 1
+def _shrink(f_hat: np.ndarray, member_sq: np.ndarray, m: int) -> None:
+    """Shrink the window averages `f_hat` in place, as `shrinkage_all`
+    describes; member_sq[i] is ||I(w_{i-m})||_F^2, so row j's window sums
+    member_sq[j..j+2m].  The row statistics are reduced over the whole
+    array: numpy's row reductions can give other bits on fewer rows."""
+    p, w = f_hat.shape[-1], 2 * m + 1
     diag = np.arange(p)
     re_diag = f_hat.real[:, diag, diag]  # a copy, restored below
     mu = re_diag.sum(axis=1) / p
     f_hat.real[:, diag, diag] -= mu[:, None]
     delta2 = _sq_norms(f_hat) / p
     f_hat.real[:, diag, diag] = re_diag
-    member_sq = _sq_norms(periodograms)
-    # array position of window member k of row j, as in _estimates
-    pos = (np.arange(n // 2 + 1)[:, None] + np.arange(-m, m + 1) + (n - 1) // 2) % n
-    spread = member_sq[pos].sum(axis=1) / (2.0 * np.pi) ** 2 - w * _sq_norms(f_hat)
+    window_sq = np.lib.stride_tricks.sliding_window_view(member_sq, w).sum(axis=1)
+    spread = window_sq / (2.0 * np.pi) ** 2 - w * _sq_norms(f_hat)
     beta2 = np.maximum(spread, 0.0) / (p * w * (w - 1))
     rho = np.zeros_like(delta2)
     np.divide(beta2, delta2, out=rho, where=delta2 > 0.0)

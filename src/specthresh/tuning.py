@@ -33,15 +33,18 @@ only the risk step per operator.
 
 Block layout.  The estimation pass (`estimator._estimates`) walks the
 rows j = 0..floor(n/2) in blocks of 16 and asks `tuned_estimates`' rule for
-each block's thresholds, from the block's window averages.  Per block:
+each block's thresholds, from the block's window averages and the pass's
+buffer of the block's window periodograms, I(w_{j0-m})..I(w_{j0+rows-1+m})
+for a block starting at j0.  Per block:
 
 - the lambda grids are one (rows, grid size) array, spaced by one
   `np.linspace(lo, hi, size, axis=1)` call and validated at once;
 - each frequency draws its splits from its own stream `_freq_rng(seed, j)`,
   in the per-frequency order, so a row never depends on its block;
 - each row's two half-window means are one sum each over its half's
-  periodograms, written into one (2, rows, p, p) buffer that every split
-  reuses;
+  periodograms, read from that buffer (F_n index k of row j is window
+  offset (k - j + m) mod n), written into one (2, rows, p, p) array that
+  every split reuses;
 - the preparation and risk step work on (rows, E) arrays: a row-wise
   sort, row-wise sums and cumulative sums, and a `np.searchsorted` per
   row, the same operations on the same values as for one frequency, so
@@ -49,8 +52,9 @@ each block's thresholds, from the block's window averages.  Per block:
 - the risks are one (operators, rows, grid size) array, and each row's
   argmin picks its threshold.
 
-`select_threshold` is the one-row block.  The pass then thresholds the
-block, one operator call per `_row_blocks` piece, one threshold per row.
+`select_threshold` is the one-row block, and forms only the 2m+1
+periodograms of its window.  The pass then thresholds the block, one
+operator call per `_row_blocks` piece, one threshold per row.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dft import periodogram_all
+from .dft import _dft, _periodograms
 from .errors import ParameterError
 from .estimator import SpectralEstimate, ThresholdOperator, _estimates
 from .model import TimeSeriesMatrix
@@ -164,35 +168,38 @@ def select_threshold(
     Frobenius comparison.  Ties in the argmin break toward the smaller
     threshold.  Deterministic given (cfg.seed, j).
     """
+    # members I(w_{j-m})..I(w_{j+m}), at DFT columns (k + half) mod n
+    window = _periodograms(_dft(x), (np.arange(j - cfg.m, j + cfg.m + 1) + (x.n - 1) // 2) % x.n)
     risks = _split_risks(
-        periodogram_all(x), x.n, [j], np.array([cfg.lambda_grid]), cfg.m, cfg.n_splits, cfg.seed,
-        (op,))[0, 0]
+        window, x.n, [j], np.array([cfg.lambda_grid]), cfg.m, cfg.n_splits, cfg.seed, (op,))[0, 0]
     chosen = cfg.lambda_grid[int(np.argmin(risks))]
     return SplitRisk(j, cfg.lambda_grid, tuple(risks), chosen, cfg.n_splits, cfg.seed)
 
 
 def _split_risks(
-    periodograms: np.ndarray, n: int, js: Sequence[int], grids: np.ndarray, m: int,
+    members: np.ndarray, n: int, js: Sequence[int], grids: np.ndarray, m: int,
     n_splits: int, seed: int, ops: Sequence[ThresholdOperator],
 ) -> np.ndarray:
     """Split risk of frequency js[r] at each value of grids[r], averaged over
-    n_splits splits, as a (len(ops), len(js), grid size) array.
+    n_splits splits, as a (len(ops), len(js), grid size) array, for
+    consecutive js; members[i] holds I(w_{js[0]-m+i}).
 
     Frequency j draws its splits in order from its own stream
     `_freq_rng(seed, j)`, so a row does not depend on the other rows.  Each
     split is drawn, averaged and prepared once, whatever the number of
     operators scored from it.
     """
-    half = (n - 1) // 2
     rngs = [_freq_rng(seed, j) for j in js]
     risks = np.zeros((len(ops),) + grids.shape)
     # the two half-window means of every row; _Split copies what it keeps
-    halves = np.empty((2, len(js)) + periodograms.shape[1:], dtype=periodograms.dtype)
+    halves = np.empty((2, len(js)) + members.shape[1:], dtype=members.dtype)
     for _ in range(n_splits):
         for r, (j, rng) in enumerate(zip(js, rngs)):
             for h, part in enumerate(split_frequencies(j, m, n, rng=rng)):
-                # sum I(w_k) / (2 pi |J|) over the half J
-                halves[h, r] = periodograms[[k + half for k in part]].sum(axis=0) / len(part)
+                # sum I(w_k) / (2 pi |J|) over the half J; F_n index k is
+                # window offset (k - j + m) mod n of row r
+                pos = [r + (k - j + m) % n for k in part]
+                halves[h, r] = members[pos].sum(axis=0) / len(part)
         halves /= 2.0 * np.pi
         split = _Split(*halves)
         for row, op in zip(risks, ops):
@@ -358,12 +365,12 @@ def tuned_estimates(
     """The estimate of each of `methods` ("smoothed", "shrinkage" or a
     `ThresholdOperator`) from one estimation pass (`estimator._estimates`),
     each operator's thresholds tuned as in `tuned_threshold_estimates`."""
-    def thresholds(ops, periodograms, rows, f_hat):
+    def thresholds(ops, members, rows, f_hat):
         if n_splits < 1:
             raise ParameterError("n_splits must be at least 1")
         grids, single = _lambda_grids(f_hat, grid_size)
         _check_grids(grids, single)
-        risks = _split_risks(periodograms, x.n, rows, grids, m, n_splits, seed, ops)
+        risks = _split_risks(members, x.n, rows, grids, m, n_splits, seed, ops)
         # argmin ties break toward the smaller threshold
         return grids[np.arange(len(grids)), risks.argmin(axis=2)]
 

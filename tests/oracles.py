@@ -7,6 +7,8 @@ shrinkage estimate, the thresholded matrix and the population spectral
 density of a VARMA model.  `assert_thresholded`
 checks a thresholded row against them.  The metric loops score a spectrum
 one frequency of F_n at a time, the rows j < 0 built by conjugation.
+`stack_estimates` is the estimation pass on the whole (n, p, p)
+periodogram array, which the streamed pass must equal bit for bit.
 """
 
 from typing import Optional
@@ -15,7 +17,9 @@ import numpy as np
 
 from specthresh import FourierGrid, NumericalError, ParameterError, ThresholdOperator, coherence
 from specthresh.dft import periodogram_all
+from specthresh.estimator import _BLOCK_ROWS, _row_blocks, _sq_norms
 from specthresh.model import TimeSeriesMatrix, VarmaModel
+from specthresh.tuning import _check_grids, _freq_rng, _lambda_grids, _Split, split_frequencies
 
 
 def wrap(grid: FourierGrid, j: int) -> int:
@@ -228,3 +232,97 @@ def coherence_graph_loop(est) -> np.ndarray:
     graph = sum(np.abs(coherence(f)) for f in mats.values()) / len(mats)
     np.fill_diagonal(graph, 0.0)
     return 0.5 * (graph + graph.T)
+
+
+def stack_estimates(x: TimeSeriesMatrix, m: int, methods, thresholds=None) -> list:
+    """(half, lambdas) of each of `methods`, as `estimator._estimates` gives
+    them, from the whole (n, p, p) periodogram array: row j's window is
+    summed from slices of the array that wrap mod n, and shrinkage's window
+    norms are gathered by a position table.  `thresholds(ops,
+    periodograms, rows, f_hat)` reads the whole array."""
+    n, p = x.n, x.p
+    periodograms = periodogram_all(x)
+    f_hat = np.empty((n // 2 + 1, p, p), dtype=periodograms.dtype)
+    outs = [np.empty_like(f_hat) for _ in methods[1:]] + [f_hat]
+    ops = [op for op in methods if isinstance(op, ThresholdOperator)]
+    lambdas = np.empty((len(ops), len(f_hat)))
+    diag = np.arange(p)
+    for j0 in range(0, len(f_hat), _BLOCK_ROWS):
+        rows = slice(j0, j0 + _BLOCK_ROWS)
+        block = f_hat[rows]
+        for i, k in enumerate(range(-m, m + 1)):
+            # rows j0.. of window offset k start at array position
+            # (j0 + k + half) mod n and wrap past the end at most once
+            start = (j0 + k + (n - 1) // 2) % n
+            head = min(len(block), n - start)
+            if i == 0:
+                block[:head] = periodograms[start:start + head]
+                block[head:] = periodograms[:len(block) - head]
+            else:
+                block[:head] += periodograms[start:start + head]
+                block[head:] += periodograms[:len(block) - head]
+        block /= 2 * m + 1
+        block /= 2.0 * np.pi
+        if ops:
+            lambdas[:, rows] = thresholds(ops, periodograms, range(j0, j0 + len(block)), block)
+        lams = iter(lambdas[:, rows, None, None])
+        for method, out in zip(methods, outs):
+            if isinstance(method, ThresholdOperator):
+                for _, z, dst, lam in _row_blocks(block, out[rows], next(lams)):
+                    kept = method._apply(z, lam)
+                    kept[:, diag, diag] = z[:, diag, diag]
+                    dst[...] = kept
+            elif out is not f_hat:
+                out[rows] = block
+    results, lams = [], iter(lambdas)
+    for method, out in zip(methods, outs):
+        if method == "shrinkage":
+            _stack_shrink(out, periodograms, m)
+        results.append((out, next(lams) if isinstance(method, ThresholdOperator) else None))
+    return results
+
+
+def _stack_shrink(f_hat: np.ndarray, periodograms: np.ndarray, m: int) -> None:
+    """Shrink the window averages `f_hat` of `periodograms` in place."""
+    n, p, w = len(periodograms), f_hat.shape[-1], 2 * m + 1
+    diag = np.arange(p)
+    re_diag = f_hat.real[:, diag, diag]
+    mu = re_diag.sum(axis=1) / p
+    f_hat.real[:, diag, diag] -= mu[:, None]
+    delta2 = _sq_norms(f_hat) / p
+    f_hat.real[:, diag, diag] = re_diag
+    member_sq = _sq_norms(periodograms)
+    # array position of window member k of row j
+    pos = (np.arange(n // 2 + 1)[:, None] + np.arange(-m, m + 1) + (n - 1) // 2) % n
+    spread = member_sq[pos].sum(axis=1) / (2.0 * np.pi) ** 2 - w * _sq_norms(f_hat)
+    beta2 = np.maximum(spread, 0.0) / (p * w * (w - 1))
+    rho = np.zeros_like(delta2)
+    np.divide(beta2, delta2, out=rho, where=delta2 > 0.0)
+    np.minimum(rho, 1.0, out=rho)
+    f_hat *= (1.0 - rho)[:, None, None]
+    f_hat.real[:, diag, diag] += (rho * mu)[:, None]
+
+
+def stack_tuned_thresholds(n: int, m: int, grid_size: int, n_splits: int, seed: int):
+    """The `thresholds` rule of `stack_estimates` that tunes by split risk,
+    each half-window mean summed from the whole periodogram array."""
+    half = (n - 1) // 2
+
+    def thresholds(ops, periodograms, rows, f_hat):
+        grids, single = _lambda_grids(f_hat, grid_size)
+        _check_grids(grids, single)
+        rngs = [_freq_rng(seed, j) for j in rows]
+        risks = np.zeros((len(ops),) + grids.shape)
+        halves = np.empty((2, len(rows)) + periodograms.shape[1:], dtype=periodograms.dtype)
+        for _ in range(n_splits):
+            for r, (j, rng) in enumerate(zip(rows, rngs)):
+                for h, part in enumerate(split_frequencies(j, m, n, rng=rng)):
+                    halves[h, r] = periodograms[[k + half for k in part]].sum(axis=0) / len(part)
+            halves /= 2.0 * np.pi
+            split = _Split(*halves)
+            for row, op in zip(risks, ops):
+                row += split.risk(op, grids)
+        risks /= n_splits
+        return grids[np.arange(len(grids)), risks.argmin(axis=2)]
+
+    return thresholds

@@ -24,6 +24,7 @@ from specthresh import (
     ParameterError,
     aggregate_coherence_graph,
     bench,
+    dft,
     estimator,
     rmise,
     roc_points,
@@ -293,18 +294,24 @@ class TestEstimateMethods:
             estimate_methods(["smoothed", "lasso"], x, 3)
 
     def test_one_periodogram_pass(self, rng, monkeypatch):
-        calls = []
-        real = estimator.periodogram_all
+        # each walk position i = 0..n//2+2m, I(w_{i-m}), is formed once
+        cols = []
+        real = estimator._periodograms
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(d, wanted):
+            cols.extend(np.asarray(wanted).tolist())
+            return real(d, wanted)
 
-        for module in (estimator, tuning, bench):
-            monkeypatch.setattr(module, "periodogram_all", counted, raising=False)
-        x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
-        estimate_methods(ALL_METHODS, x, 3, grid_size=6)
-        assert len(calls) == 1
+        def refuse(*args, **kwargs):
+            raise AssertionError("periodogram_all called")
+
+        for module in (estimator, tuning):
+            monkeypatch.setattr(module, "_periodograms", counted)
+        monkeypatch.setattr(dft, "periodogram_all", refuse)
+        n, m = 40, 3
+        estimate_methods(ALL_METHODS, TimeSeriesMatrix(rng.standard_normal((n, 3))), m, grid_size=6)
+        assert len(cols) == n // 2 + 1 + 2 * m
+        assert cols == [(i - m + (n - 1) // 2) % n for i in range(len(cols))]
 
     def test_estimates_do_not_share_storage(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((40, 3)))

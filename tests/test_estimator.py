@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import (
@@ -8,6 +10,8 @@ from oracles import (
     coherence_threshold,
     periodogram,
     shrinkage_estimate,
+    stack_estimates,
+    stack_tuned_thresholds,
 )
 
 from specthresh import (
@@ -26,7 +30,7 @@ from specthresh import (
 from specthresh.dft import periodogram_all
 from specthresh.estimator import half_weights
 from specthresh.model import TimeSeriesMatrix
-from specthresh.tuning import default_span
+from specthresh.tuning import default_span, tuned_estimates
 
 
 def white_series(rng, n, p):
@@ -341,7 +345,7 @@ class TestShrinkage:
         mat = gen.uniform(0.5, 3) * np.eye(3) + 1e-6 * (h + h.conj().T)
         stack = np.tile(mat, (16, 1, 1))
         x = white_series(rng, 16, 3)
-        monkeypatch.setattr(estimator, "periodogram_all", lambda series: stack)
+        monkeypatch.setattr(estimator, "_periodograms", lambda d, cols: stack[cols])
         est = shrinkage_all(x, 2)
         smooth = smoothed_estimate(x, 2)
         off = ~np.eye(3, dtype=bool)
@@ -355,10 +359,73 @@ class TestShrinkage:
         # delta^2 = 0 exactly while beta^2 > 0: rho must be 0, not beta^2 / 0
         x = white_series(rng, 18, 2)
         stack = np.array([(k % 3 + 1.0) * np.eye(2) for k in range(18)], dtype=complex)
-        monkeypatch.setattr(estimator, "periodogram_all", lambda series: stack)
+        monkeypatch.setattr(estimator, "_periodograms", lambda d, cols: stack[cols])
         est = shrinkage_all(x, 2)
         smooth = smoothed_estimate(x, 2)
         assert np.array_equal(est.half, smooth.half)
+
+
+def _streamed_vs_stack(x, m):
+    """The streamed pass's and the whole-stack oracle's (half, lambdas) of
+    every method that runs at m; m = 0 takes fixed thresholds."""
+    ops = [ThresholdOperator(kind) for kind in ("hard", "lasso", "adaptive_lasso")]
+    if m == 0:
+        lam = np.linspace(0.0, 0.2, x.n // 2 + 1)
+
+        def fixed(ops, periodograms, rows, f_hat):
+            return np.repeat(lam[None, rows], len(ops), axis=0)
+
+        methods = ["smoothed"] + ops
+        got = estimator._estimates(x, 0, methods, fixed)
+        return got, stack_estimates(x, 0, methods, fixed)
+    methods = ["smoothed"] + ops + ["shrinkage"]
+    got = tuned_estimates(x, m, methods, grid_size=6, n_splits=2, seed=5)
+    return got, stack_estimates(x, m, methods, stack_tuned_thresholds(x.n, m, 6, 2, 5))
+
+
+class TestStreamedPass:
+    @pytest.mark.parametrize("n, p", [(n, p) for n in (17, 32, 33, 64, 65) for p in (1, 2, 48)]
+                             + [(33, 192)])
+    @pytest.mark.parametrize("span", ["none", "one", "widest"])
+    def test_equals_whole_stack_pass(self, rng, n, p, span):
+        # n = 32, 33, 64 and 65 end in a one-row block; the widest span
+        # gives 2m+1 = n or n-1, and m = 0 skips shrinkage and tuning
+        m = {"none": 0, "one": 1, "widest": (n - 1) // 2}[span]
+        x = TimeSeriesMatrix(rng.standard_normal((n, p)) @ rng.standard_normal((p, p)))
+        got, want = _streamed_vs_stack(x, m)
+        assert len(got) == len(want)
+        for est, (half, lambdas) in zip(got, want):
+            assert np.array_equal(est.half.view(float), half.view(float))
+            assert (est.lambdas is None) == (lambdas is None)
+            if lambdas is not None:
+                assert np.array_equal(est.lambdas, lambdas)
+
+    def test_shrinkage_without_window_fails_before_the_dft(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("periodograms formed")
+
+        monkeypatch.setattr(estimator, "_periodograms", refuse)
+        monkeypatch.setattr(estimator, "_dft", refuse)
+        x = white_series(rng, 40, 3)
+        message = "shrinkage needs a window of at least 2 periodograms"
+        with pytest.raises(ParameterError, match=message):
+            shrinkage_all(x, 0)
+        with pytest.raises(ParameterError, match=message):
+            tuned_estimates(x, 0, ["smoothed", ThresholdOperator("lasso"), "shrinkage"])
+
+    def test_peak_memory_below_half_the_periodogram_stack(self, rng):
+        # the (n, p, p) stack is never built: the pass holds its outputs
+        # and a buffer of 16+2m periodograms
+        n, p, m = 200, 96, 9
+        x = white_series(rng, n, p)
+        tracemalloc.start()
+        try:
+            got = tuned_estimates(x, m, ["smoothed", "shrinkage"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        outputs = sum(est.half.nbytes for est in got)
+        assert peak < outputs + 0.5 * n * p * p * 16
 
 
 class TestCoherence:

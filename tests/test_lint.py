@@ -86,6 +86,16 @@ def test_no_unread_module_names():
     assert unread == []
 
 
+def test_no_module_builds_the_periodogram_stack():
+    """dft defines `periodogram_all` and __init__ exports it; no module of
+    the package reads it, so the estimation pass cannot build the (n, p, p)
+    stack again unnoticed."""
+    readers = {path.name for path in PACKAGE.glob("*.py")
+               if "periodogram_all" in read_names(path.read_text())}
+    assert readers == {"__init__.py"}
+    assert "periodogram_all" in defined_names((PACKAGE / "dft.py").read_text())
+
+
 @pytest.mark.parametrize("source, want", [
     ("X = 1\ndef f():\n    g = 2\nclass C:\n    h = 3\n", ["X", "f", "C"]),
     ("a, (b, c) = 1, (2, 3)\nd: int = 4\nasync def e():\n    pass\n", ["a", "b", "c", "d", "e"]),
