@@ -2,7 +2,7 @@
 periodograms, with VARMA simulation, frequency-domain threshold tuning,
 shrinkage and coherence-network utilities."""
 
-from .dft import FourierGrid, periodogram_all
+from .dft import FourierGrid
 from .errors import (
     DataError,
     ModelError,
@@ -43,15 +43,12 @@ from .model import (
     weak_sparsity_norm,
 )
 from .tuning import (
-    SplitRisk,
-    TuningConfig,
     default_lambda_grid,
     default_span,
-    select_threshold,
     split_frequencies,
+    split_risk_curves,
     theoretical_threshold,
     tuned_threshold_estimate,
-    tuned_threshold_estimates,
 )
 
 __version__ = "0.1.0"

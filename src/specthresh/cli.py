@@ -50,7 +50,7 @@ def cmd_estimate(args) -> int:
     x = fileio.read_series(args.series)
     m = _resolve_span(args, x.n)
     method = bench_mod.canonical_method(args.method)
-    if method in bench_mod.THRESHOLD_METHODS and args.fixed_lambda is not None:
+    if args.fixed_lambda is not None:
         op = ThresholdOperator(method)
         lambdas = {j: args.fixed_lambda for j in range(0, x.n // 2 + 1)}
         est = threshold_estimate(x, m, op, lambdas)
@@ -171,6 +171,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "estimate" and args.method in ("smoothed", "shrinkage") \
+            and args.fixed_lambda is not None:
+        parser.error(f"--lambda applies only to hard, lasso and alasso, not to {args.method}")
     try:
         return args.func(args)
     except NumericalError as exc:

@@ -42,16 +42,6 @@ class FourierGrid:
         return 2.0 * np.pi * j / self.n
 
 
-def periodogram_all(x: TimeSeriesMatrix) -> np.ndarray:
-    """Periodograms of the centered series at every j in F_n, returned as
-    an (n, p, p) array.
-
-    Entry [grid.half + j] holds I(w_j), i.e. the array is ordered like
-    grid.indices.
-    """
-    return _periodograms(_dft(x), np.arange(x.n))
-
-
 def _dft(x: TimeSeriesMatrix) -> np.ndarray:
     """The (p, n) DFT of the centered series: column grid.half + j holds
     d(w_j)."""
@@ -64,8 +54,7 @@ def _dft(x: TimeSeriesMatrix) -> np.ndarray:
 
 def _periodograms(d: np.ndarray, cols) -> np.ndarray:
     """The periodograms d d^H of the columns `cols` of the DFT `d`, as a
-    (len(cols), p, p) array in the order of `cols`; each matrix has the
-    bits it has in `periodogram_all`."""
+    (len(cols), p, p) array in the order of `cols`."""
     d = d[:, cols]
     # C order keeps each I(w_j) contiguous, so window averages and
     # split halves read whole matrices rather than strided columns

@@ -23,7 +23,6 @@ from .errors import DataError, SpecthreshError
 from .estimator import ALL_METHODS, THRESHOLD_METHODS, SpectralEstimate
 from .metrics import EvaluationReport
 from .model import VarmaModel, TimeSeriesMatrix
-from .tuning import SplitRisk
 
 SCHEMA_VERSION = "1"
 
@@ -420,17 +419,3 @@ def report_rows(report: EvaluationReport, p: int, n: int, m: int) -> list:
             }
         )
     return rows
-
-
-def write_tuning_report(risk: SplitRisk, path) -> None:
-    obj = {
-        "j": risk.j,
-        "grid": [_fmt(v) for v in risk.grid],
-        "risk": [_fmt(v) for v in risk.risk],
-        "chosen": _fmt(risk.chosen),
-        "n_splits": risk.n_splits,
-        "seed": risk.seed,
-    }
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True)
-        fh.write("\n")

@@ -27,78 +27,46 @@ i.e. a > lam).  After one sort of a, every sum is a suffix sum, and
 The work per split is in two parts.  The preparation (`_Split`) does not
 depend on the operator: the entry mask, the sort of a, z1, z2, b, |f2|^2
 and C.  The risk step (`_Split.risk`) is per operator: its suffix sums and
-`np.searchsorted`.  `tuned_threshold_estimates` walks the frequencies once
-for several operators, drawing and preparing each split once and running
-only the risk step per operator.
+`np.searchsorted`.  `tuned_estimates` walks the frequencies once for
+several operators, drawing and preparing each split once and running only
+the risk step per operator.
 
 Block layout.  The estimation pass (`estimator._estimates`) walks the
-rows j = 0..floor(n/2) in blocks of 16 and asks `tuned_estimates`' rule for
-each block's thresholds, from the block's window averages and the pass's
-buffer of the block's window periodograms, I(w_{j0-m})..I(w_{j0+rows-1+m})
-for a block starting at j0.  Per block:
+rows j = 0..floor(n/2) in blocks of 16 and asks the split rule
+(`_split_rule`) for each block's thresholds, from the block's window
+averages and the pass's buffer of the block's window periodograms,
+I(w_{j0-m})..I(w_{j0+rows-1+m}) for a block starting at j0.  Per block:
 
 - the lambda grids are one (rows, grid size) array, spaced by one
   `np.linspace(lo, hi, size, axis=1)` call and validated at once;
 - each frequency draws its splits from its own stream `_freq_rng(seed, j)`,
-  in the per-frequency order, so a row never depends on its block;
+  in the per-frequency order, so a row's splits never depend on its block;
 - each row's two half-window means are one sum each over its half's
   periodograms, read from that buffer (F_n index k of row j is window
   offset (k - j + m) mod n), written into one (2, rows, p, p) array that
   every split reuses;
 - the preparation and risk step work on (rows, E) arrays: a row-wise
   sort, row-wise sums and cumulative sums, and a `np.searchsorted` per
-  row, the same operations on the same values as for one frequency, so
-  every row is bit for bit what a one-frequency block gives;
+  row.  A row agrees with a one-row split of its frequency up to
+  roundoff only: numpy's row sums of the diagonal term of C can add in
+  another order on a block than on one row;
 - the risks are one (operators, rows, grid size) array, and each row's
-  argmin picks its threshold.
+  threshold is the argmin of its own curve there.
 
-`select_threshold` is the one-row block, and forms only the 2m+1
-periodograms of its window.  The pass then thresholds the block, one
-operator call per `_row_blocks` piece, one threshold per row.
+`split_risk_curves` returns those curves, the ones that chose the
+thresholds.  The pass then thresholds the block, one operator call per
+`_row_blocks` piece, one threshold per row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dft import _dft, _periodograms
 from .errors import ParameterError
 from .estimator import SpectralEstimate, ThresholdOperator, _estimates
 from .model import TimeSeriesMatrix
-
-
-@dataclass(frozen=True)
-class TuningConfig:
-    """Sample-splitting configuration for one tuning run."""
-
-    m: int
-    lambda_grid: tuple
-    n_splits: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        grid = tuple(float(v) for v in self.lambda_grid)
-        if not grid:
-            raise ParameterError("lambda grid must be nonempty")
-        _check_grids(np.array([grid]), np.zeros(1, dtype=bool))
-        if self.n_splits < 1:
-            raise ParameterError("n_splits must be at least 1")
-        object.__setattr__(self, "lambda_grid", grid)
-
-
-@dataclass(frozen=True)
-class SplitRisk:
-    """Averaged split risk per candidate threshold and the argmin."""
-
-    j: int
-    grid: tuple
-    risk: tuple
-    chosen: float
-    n_splits: int
-    seed: int
 
 
 def _freq_rng(seed: int, j: int) -> np.random.Generator:
@@ -155,27 +123,6 @@ def split_frequencies(
     return sorted(j1), sorted(j2)
 
 
-def select_threshold(
-    x: TimeSeriesMatrix,
-    j: int,
-    cfg: TuningConfig,
-    op: ThresholdOperator,
-) -> SplitRisk:
-    """Split-risk threshold selection at frequency index j.
-
-    Each half-window average is normalized to the common f(w_j) scale,
-    sum I(w_k) / (2 pi |J_i|), so unequal half sizes do not bias the
-    Frobenius comparison.  Ties in the argmin break toward the smaller
-    threshold.  Deterministic given (cfg.seed, j).
-    """
-    # members I(w_{j-m})..I(w_{j+m}), at DFT columns (k + half) mod n
-    window = _periodograms(_dft(x), (np.arange(j - cfg.m, j + cfg.m + 1) + (x.n - 1) // 2) % x.n)
-    risks = _split_risks(
-        window, x.n, [j], np.array([cfg.lambda_grid]), cfg.m, cfg.n_splits, cfg.seed, (op,))[0, 0]
-    chosen = cfg.lambda_grid[int(np.argmin(risks))]
-    return SplitRisk(j, cfg.lambda_grid, tuple(risks), chosen, cfg.n_splits, cfg.seed)
-
-
 def _split_risks(
     members: np.ndarray, n: int, js: Sequence[int], grids: np.ndarray, m: int,
     n_splits: int, seed: int, ops: Sequence[ThresholdOperator],
@@ -185,9 +132,10 @@ def _split_risks(
     consecutive js; members[i] holds I(w_{js[0]-m+i}).
 
     Frequency j draws its splits in order from its own stream
-    `_freq_rng(seed, j)`, so a row does not depend on the other rows.  Each
-    split is drawn, averaged and prepared once, whatever the number of
-    operators scored from it.
+    `_freq_rng(seed, j)`, so a row does not depend on the other rows.  A
+    half's mean is sum I(w_k) / (2 pi |J|), on f(w_j)'s scale whatever |J|.
+    Each split is drawn, averaged and prepared once, whatever the number
+    of operators scored from it.
     """
     rngs = [_freq_rng(seed, j) for j in js]
     risks = np.zeros((len(ops),) + grids.shape)
@@ -226,9 +174,9 @@ class _Split:
 
     Holds each row's entries of E sorted by a = |f1| (z1, z2 and |f2|^2 in
     the same order), b and the constant C, as (rows, E) arrays; `risk` adds
-    one operator's suffix sums.  Row r holds what a one-row split of row r
-    would hold, bit for bit: sorts, sums and cumulative sums run along each
-    row, as they would on that row alone.
+    one operator's suffix sums.  Sorts, sums and cumulative sums run along
+    each row, but row r agrees with a one-row split of row r up to roundoff
+    only: the row sums of C's diagonal term depend on the block.
     """
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray):
@@ -274,7 +222,8 @@ class _Split:
 
 
 def _check_grids(grids: np.ndarray, single: np.ndarray) -> None:
-    """Raise `TuningConfig`'s errors for a (rows, size) array of lambda grids.
+    """Raise unless each row of a (rows, size) array of lambda grids is
+    finite, nonnegative and strictly increasing.
 
     Rows flagged in `single` repeat one value and stand for that one-point
     grid, so they are not checked for increase.
@@ -333,29 +282,25 @@ def tuned_threshold_estimate(
 
     Thresholds are tuned for j >= 0 and mirrored to -j.
     """
-    return tuned_threshold_estimates(x, m, (op,), grid_size, n_splits, seed)[0]
+    return tuned_estimates(x, m, (op,), grid_size, n_splits, seed)[0]
 
 
-def tuned_threshold_estimates(
-    x: TimeSeriesMatrix,
-    m: int,
-    ops: Sequence[ThresholdOperator],
-    grid_size: int = 20,
-    n_splits: int = 1,
-    seed: int = 0,
-) -> List[SpectralEstimate]:
-    """`tuned_threshold_estimate` for each operator of `ops`, in one pass.
+def _split_rule(n: int, m: int, grid_size: int, n_splits: int, seed: int, curves=None):
+    """The `thresholds` rule of `estimator._estimates` that tunes by split
+    risk; it appends each block's (grids, risks) to the list `curves` when
+    one is given."""
+    def thresholds(ops, members, rows, f_hat):
+        if n_splits < 1:
+            raise ParameterError("n_splits must be at least 1")
+        grids, single = _lambda_grids(f_hat, grid_size)
+        _check_grids(grids, single)
+        risks = _split_risks(members, n, rows, grids, m, n_splits, seed, ops)
+        if curves is not None:
+            curves.append((grids, risks))
+        # argmin ties break toward the smaller threshold
+        return grids[np.arange(len(grids)), risks.argmin(axis=2)]
 
-    Frequencies are tuned a block of rows at a time.  The lambda grids, the
-    splits, their half-window means and the operator-independent part of
-    the split risk are computed once per block and every operator is scored
-    from them.  Split draws depend only on (seed, j), so each estimate
-    equals its own `tuned_threshold_estimate` call bit for bit.
-    """
-    ops = tuple(ops)
-    if not ops:
-        raise ParameterError("no threshold operators given")
-    return tuned_estimates(x, m, ops, grid_size, n_splits, seed)
+    return thresholds
 
 
 def tuned_estimates(
@@ -363,18 +308,37 @@ def tuned_estimates(
     seed: int = 0,
 ) -> List[SpectralEstimate]:
     """The estimate of each of `methods` ("smoothed", "shrinkage" or a
-    `ThresholdOperator`) from one estimation pass (`estimator._estimates`),
-    each operator's thresholds tuned as in `tuned_threshold_estimates`."""
-    def thresholds(ops, members, rows, f_hat):
-        if n_splits < 1:
-            raise ParameterError("n_splits must be at least 1")
-        grids, single = _lambda_grids(f_hat, grid_size)
-        _check_grids(grids, single)
-        risks = _split_risks(members, x.n, rows, grids, m, n_splits, seed, ops)
-        # argmin ties break toward the smaller threshold
-        return grids[np.arange(len(grids)), risks.argmin(axis=2)]
+    `ThresholdOperator`) from one estimation pass (`estimator._estimates`).
+    Each operator's threshold at row j is the argmin of its split-risk
+    curve there (`split_risk_curves`), ties toward the smaller one; split
+    draws depend only on (seed, j), so each estimate equals its own
+    single-method call bit for bit."""
+    return _estimates(x, m, tuple(methods), _split_rule(x.n, m, grid_size, n_splits, seed))
 
-    return _estimates(x, m, tuple(methods), thresholds)
+
+def split_risk_curves(
+    x: TimeSeriesMatrix, m: int, ops: Sequence[ThresholdOperator], grid_size: int = 20,
+    n_splits: int = 1, seed: int = 0,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The lambda grid and split risk curve of each row j = 0..floor(n/2)
+    and operator, from the estimation pass that `tuned_estimates` runs.
+
+    Returns grids, a (floor(n/2)+1, G) array, and risks, a (len(ops),
+    floor(n/2)+1, G) array: risks[o, j, i] is the split risk of ops[o] at
+    grids[j, i], averaged over n_splits splits.  The tuned threshold of
+    row j is grids[j, argmin risks[o, j]].  G is grid_size, except with
+    p = 1, where every grid is one column of 0.0.  A row whose off-diagonal
+    moduli are all equal repeats its one value across the row.
+    """
+    ops = tuple(ops)
+    if not ops:
+        raise ParameterError("no threshold operators given")
+    if not all(isinstance(op, ThresholdOperator) for op in ops):
+        raise ParameterError(f"not all threshold operators: {ops!r}")
+    curves: list = []
+    _estimates(x, m, ops, _split_rule(x.n, m, grid_size, n_splits, seed, curves))
+    grids, risks = zip(*curves)
+    return np.concatenate(grids), np.concatenate(risks, axis=1)
 
 
 def theoretical_threshold(

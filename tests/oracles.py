@@ -8,7 +8,9 @@ density of a VARMA model.  `assert_thresholded`
 checks a thresholded row against them.  The metric loops score a spectrum
 one frequency of F_n at a time, the rows j < 0 built by conjugation.
 `stack_estimates` is the estimation pass on the whole (n, p, p)
-periodogram array, which the streamed pass must equal bit for bit.
+periodogram array (`periodogram_all`), which the streamed pass must equal
+bit for bit.  `select_threshold` is the split risk of one frequency, which
+the pass's curves (`tuning.split_risk_curves`) must equal up to roundoff.
 """
 
 from typing import Optional
@@ -16,10 +18,17 @@ from typing import Optional
 import numpy as np
 
 from specthresh import FourierGrid, NumericalError, ParameterError, ThresholdOperator, coherence
-from specthresh.dft import periodogram_all
+from specthresh.dft import _dft, _periodograms
 from specthresh.estimator import _BLOCK_ROWS, _row_blocks, _sq_norms
 from specthresh.model import TimeSeriesMatrix, VarmaModel
-from specthresh.tuning import _check_grids, _freq_rng, _lambda_grids, _Split, split_frequencies
+from specthresh.tuning import (
+    _check_grids,
+    _freq_rng,
+    _lambda_grids,
+    _Split,
+    _split_risks,
+    split_frequencies,
+)
 
 
 def wrap(grid: FourierGrid, j: int) -> int:
@@ -94,6 +103,28 @@ def dft_matrix_norm_check(grid: FourierGrid) -> float:
     if grid.n > 512:
         raise ParameterError("dense norm check limited to n <= 512")
     return float(np.linalg.norm(stacked_trig_matrix(grid), 2))
+
+
+def periodogram_all(x: TimeSeriesMatrix) -> np.ndarray:
+    """Periodograms of the centered series at every j in F_n, as an
+    (n, p, p) array ordered like `FourierGrid(n).indices`: entry
+    [half + j] holds I(w_j)."""
+    return _periodograms(_dft(x), np.arange(x.n))
+
+
+def select_threshold(
+    x: TimeSeriesMatrix, j: int, m: int, grid, op: ThresholdOperator, n_splits: int = 1,
+    seed: int = 0,
+) -> np.ndarray:
+    """Split risk of `op` at frequency index j at each value of `grid`,
+    averaged over n_splits splits drawn from `_freq_rng(seed, j)`: the
+    2m+1 periodograms of j's window and one one-row `_split_risks` call.
+    The threshold it selects is grid[argmin], ties toward the smaller
+    value."""
+    # members I(w_{j-m})..I(w_{j+m}), at DFT columns (k + half) mod n
+    window = _periodograms(_dft(x), (np.arange(j - m, j + m + 1) + (x.n - 1) // 2) % x.n)
+    grids = np.array([grid], dtype=float)
+    return _split_risks(window, x.n, [j], grids, m, n_splits, seed, (op,))[0, 0]
 
 
 def _window_indices(grid: FourierGrid, j: int, m: int) -> np.ndarray:

@@ -3,12 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from oracles import periodogram_all
 
 from specthresh import (
     FourierGrid,
     SpectralEstimate,
     ThresholdOperator,
-    periodogram_all,
     threshold_estimate,
     tuned_threshold_estimate,
 )
@@ -177,6 +177,18 @@ class TestEstimate:
                    "--out", tmp_path / "o.json")
         assert code == 3
         assert "exceeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["smoothed", "shrinkage"])
+    def test_lambda_with_baseline_method_usage_error(self, tmp_path, capsys, method):
+        # the series file does not exist: reading it would exit 3, not 2
+        out = tmp_path / "o.json"
+        with pytest.raises(SystemExit) as err:
+            run("estimate", "--series", tmp_path / "none.csv", "--method", method,
+                "--lambda", 0, "--out", out)
+        assert err.value.code == 2
+        assert f"--lambda applies only to hard, lasso and alasso, not to {method}" \
+            in capsys.readouterr().err
+        assert not out.exists()
 
     def test_usage_error_exit_code(self, tmp_path, series_file):
         with pytest.raises(SystemExit) as err:

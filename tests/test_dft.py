@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 from conftest import periodogram_by_autocov_sum
-from oracles import cos_sin_vectors, dft_matrix_norm_check, periodogram, wrap
+from oracles import cos_sin_vectors, dft_matrix_norm_check, periodogram, periodogram_all, wrap
 
-from specthresh import FourierGrid, periodogram_all
+from specthresh import FourierGrid
 from specthresh.errors import ParameterError
 from specthresh.model import TimeSeriesMatrix
 

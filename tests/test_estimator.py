@@ -9,6 +9,7 @@ from oracles import (
     coherence_graph_loop,
     coherence_threshold,
     periodogram,
+    periodogram_all,
     shrinkage_estimate,
     stack_estimates,
     stack_tuned_thresholds,
@@ -27,7 +28,6 @@ from specthresh import (
     smoothed_estimate,
     threshold_estimate,
 )
-from specthresh.dft import periodogram_all
 from specthresh.estimator import half_weights
 from specthresh.model import TimeSeriesMatrix
 from specthresh.tuning import default_span, tuned_estimates

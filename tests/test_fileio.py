@@ -24,10 +24,8 @@ from specthresh.fileio import (
     write_model,
     write_report_csv,
     write_series,
-    write_tuning_report,
 )
 from specthresh.model import TimeSeriesMatrix, VarmaModel, block_varma_model
-from specthresh.tuning import SplitRisk, select_threshold, TuningConfig
 
 
 class TestSeriesCsv:
@@ -291,16 +289,6 @@ class TestReports:
         lines = path.read_text().splitlines()
         assert lines[0] == "method,p,n,m,metric,mean,sd"
         assert lines[1] == "lasso,3,64,4,rmise,12,"
-
-    def test_tuning_report(self, tmp_path, rng):
-        x = TimeSeriesMatrix(rng.standard_normal((16, 2)))
-        cfg = TuningConfig(m=2, lambda_grid=(0.0, 0.5), seed=3)
-        risk = select_threshold(x, 1, cfg, ThresholdOperator("hard"))
-        path = tmp_path / "tuning.json"
-        write_tuning_report(risk, path)
-        obj = json.loads(path.read_text())
-        assert obj["j"] == 1 and obj["seed"] == 3
-        assert float(obj["chosen"]) == risk.chosen
 
 
 class TestFloatFormat:

@@ -87,13 +87,20 @@ def test_no_unread_module_names():
 
 
 def test_no_module_builds_the_periodogram_stack():
-    """dft defines `periodogram_all` and __init__ exports it; no module of
-    the package reads it, so the estimation pass cannot build the (n, p, p)
-    stack again unnoticed."""
+    """No module of the package defines or reads `periodogram_all` (the
+    whole (n, p, p) stack lives on only in tests/oracles.py), so the
+    estimation pass cannot build the stack again unnoticed."""
+    for path in PACKAGE.glob("*.py"):
+        source = path.read_text()
+        assert "periodogram_all" not in read_names(source) | set(defined_names(source)), path.name
+
+
+def test_one_module_forms_periodograms():
+    """Only the estimation pass reads the DFT and periodogram helpers, so no
+    second tuning or estimation path can form its own periodograms."""
     readers = {path.name for path in PACKAGE.glob("*.py")
-               if "periodogram_all" in read_names(path.read_text())}
-    assert readers == {"__init__.py"}
-    assert "periodogram_all" in defined_names((PACKAGE / "dft.py").read_text())
+               if read_names(path.read_text()) & {"_dft", "_periodograms"}}
+    assert readers == {"estimator.py"}
 
 
 @pytest.mark.parametrize("source, want", [
@@ -223,5 +230,7 @@ def test_benchmark_bound_parameter_names():
     assert "argv" in inspect.signature(cli.main).parameters
     file_io = [fn for name, fn in vars(fileio).items() if inspect.isfunction(fn)
                and fn.__module__ == fileio.__name__ and name.startswith(("read_", "write_"))]
-    assert len(file_io) >= 8
+    assert sorted(fn.__name__ for fn in file_io) == [
+        "read_estimate", "read_model", "read_series",
+        "write_estimate", "write_model", "write_report_csv", "write_series"]
     assert [fn.__name__ for fn in file_io if "path" not in inspect.signature(fn).parameters] == []

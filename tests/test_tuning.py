@@ -1,24 +1,28 @@
 import numpy as np
 import pytest
-from oracles import apply_threshold, assert_thresholded, averaged_periodogram, wrap
+from oracles import (
+    apply_threshold,
+    assert_thresholded,
+    averaged_periodogram,
+    periodogram_all,
+    select_threshold,
+    wrap,
+)
 
 from specthresh import (
     FourierGrid,
     ParameterError,
     ThresholdOperator,
-    TuningConfig,
     default_lambda_grid,
     default_span,
-    select_threshold,
     split_frequencies,
+    split_risk_curves,
     theoretical_threshold,
     tuned_threshold_estimate,
-    tuned_threshold_estimates,
 )
-from specthresh.dft import periodogram_all
 from specthresh.estimator import smoothed_estimate, threshold_estimate
 from specthresh.model import TimeSeriesMatrix
-from specthresh.tuning import _check_grids, _freq_rng, _lambda_grids
+from specthresh.tuning import _check_grids, _freq_rng, _lambda_grids, tuned_estimates
 
 
 def split_halves(periodograms, j, m, n, rng):
@@ -29,17 +33,17 @@ def split_halves(periodograms, j, m, n, rng):
     return f1, f2
 
 
-def risk_by_threshold_loop(x, j, cfg, op, preserve_diagonal):
+def risk_by_threshold_loop(x, j, m, grid, op, n_splits, seed, preserve_diagonal):
     """Oracle: threshold f1 once per grid value and sum the squared error."""
     periodograms = periodogram_all(x)
-    rng = _freq_rng(cfg.seed, j)
-    risks = np.zeros(len(cfg.lambda_grid))
-    for _ in range(cfg.n_splits):
-        f1, f2 = split_halves(periodograms, j, cfg.m, x.n, rng)
-        for i, lam in enumerate(cfg.lambda_grid):
+    rng = _freq_rng(seed, j)
+    risks = np.zeros(len(grid))
+    for _ in range(n_splits):
+        f1, f2 = split_halves(periodograms, j, m, x.n, rng)
+        for i, lam in enumerate(grid):
             out = apply_threshold(f1, op, lam, preserve_diagonal=preserve_diagonal)
             risks[i] += float(np.sum(np.abs(out - f2) ** 2))
-    return risks / cfg.n_splits
+    return risks / n_splits
 
 
 def split_by_wrap(j, m, n, seed):
@@ -122,18 +126,20 @@ class TestSplitFrequencies:
 
 
 class TestSelectThreshold:
+    """The one-frequency split risk (`oracles.select_threshold`) on grids
+    the default rule never builds."""
+
     def test_singleton_grid_risk(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((32, 3)))
-        cfg = TuningConfig(m=4, lambda_grid=(0.0,), seed=5)
-        out = select_threshold(x, 3, cfg, ThresholdOperator("lasso"))
-        assert out.chosen == 0.0
+        risk = select_threshold(x, 3, 4, (0.0,), ThresholdOperator("lasso"), seed=5)
+        assert risk.shape == (1,)
         # recompute the risk from the same derived split
         grid = FourierGrid(32)
         periodograms = periodogram_all(x)
         j1, j2 = split_frequencies(3, 4, 32, seed=5)
         f1 = periodograms[[k + grid.half for k in j1]].mean(axis=0) / (2 * np.pi)
         f2 = periodograms[[k + grid.half for k in j2]].mean(axis=0) / (2 * np.pi)
-        assert abs(out.risk[0] - float(np.sum(np.abs(f1 - f2) ** 2))) < 1e-12
+        assert abs(risk[0] - float(np.sum(np.abs(f1 - f2) ** 2))) < 1e-12
 
     def test_diagonal_truth_prefers_large_lambda(self):
         wins = 0
@@ -142,24 +148,25 @@ class TestSelectThreshold:
         for trial in range(trials):
             data = np.random.default_rng(1000 + trial).standard_normal((64, 6))
             x = TimeSeriesMatrix(data)
-            cfg = TuningConfig(m=8, lambda_grid=(0.0, 1e6), seed=trial)
-            out = select_threshold(x, 10, cfg, op)
-            if out.chosen == 1e6:
+            grid = (0.0, 1e6)
+            if grid[int(np.argmin(select_threshold(x, 10, 8, grid, op, seed=trial)))] == 1e6:
                 wins += 1
         assert wins >= 0.9 * trials
 
     def test_deterministic(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((24, 3)))
-        cfg = TuningConfig(m=3, lambda_grid=(0.0, 0.1, 0.2), n_splits=3, seed=7)
         op = ThresholdOperator("lasso")
-        assert select_threshold(x, 2, cfg, op) == select_threshold(x, 2, cfg, op)
+        first = select_threshold(x, 2, 3, (0.0, 0.1, 0.2), op, n_splits=3, seed=7)
+        assert np.array_equal(first, select_threshold(x, 2, 3, (0.0, 0.1, 0.2), op, n_splits=3, seed=7))
+        curves = [split_risk_curves(x, 3, [op], grid_size=4, n_splits=3, seed=7) for _ in range(2)]
+        assert all(np.array_equal(a, b) for a, b in zip(*curves))
 
     def test_chosen_in_grid_ties_toward_small(self):
         x = TimeSeriesMatrix(np.tile(np.arange(16.0)[:, None], (1, 2)))
-        cfg = TuningConfig(m=2, lambda_grid=(1e8, 2e8), seed=0)
-        out = select_threshold(x, 4, cfg, ThresholdOperator("hard"))
+        risk = select_threshold(x, 4, 2, (1e8, 2e8), ThresholdOperator("hard"))
         # both candidates zero out everything: identical risks, smaller wins
-        assert out.chosen == 1e8
+        assert risk[0] == risk[1]
+        assert int(np.argmin(risk)) == 0
 
 
 OPERATORS = [
@@ -184,43 +191,49 @@ class TestClosedFormRisk:
     def test_matches_threshold_loop(self, rng, op, preserve_diagonal, n_splits):
         x = self._series(rng)
         periodograms = periodogram_all(x)
+        grids, risks = split_risk_curves(x, 6, [op], grid_size=9, n_splits=n_splits, seed=11)
         for j in (0, 5, 24):
             # grid points exactly at entry moduli of the first split's f1
             f1, _ = split_halves(periodograms, j, 6, x.n, _freq_rng(11, j))
             moduli = np.unique(np.abs(f1))
             grid = np.unique(np.concatenate([[0.0], moduli[::3], [2.0 * moduli[-1]]]))
-            cfg = TuningConfig(m=6, lambda_grid=tuple(grid), n_splits=n_splits, seed=11)
-            got = np.array(select_threshold(x, j, cfg, op).risk)
-            ref = risk_by_threshold_loop(x, j, cfg, op, preserve_diagonal)
-            assert np.all(np.isfinite(got))
-            assert np.max(np.abs(got - ref) / ref) <= 1e-10
-            assert int(np.argmin(got)) == int(np.argmin(ref))
+            # the oracle on that grid, and the pass's own curve on its grid
+            for lams, got in ((grid, select_threshold(x, j, 6, grid, op, n_splits, 11)),
+                              (grids[j], risks[0, j])):
+                ref = risk_by_threshold_loop(x, j, 6, lams, op, n_splits, 11, preserve_diagonal)
+                assert np.all(np.isfinite(got))
+                assert np.max(np.abs(got - ref) / ref) <= 1e-10
+                assert int(np.argmin(got)) == int(np.argmin(ref))
 
     @pytest.mark.parametrize("op", OPERATORS[:3], ids=lambda op: op.kind)
     def test_equal_risks_tie_toward_smaller_lambda(self, rng, op):
         x = self._series(rng)
-        # every grid value zeroes all off-diagonal entries: equal risks
-        cfg = TuningConfig(m=6, lambda_grid=(1e3, 2e3, 1e200), seed=3)
-        out = select_threshold(x, 7, cfg, op)
-        assert out.risk[0] == out.risk[1] == out.risk[2]
-        assert out.chosen == 1e3
+        # every grid value zeroes all off-diagonal entries: equal risks; the
+        # lambda^(eta+1) of 1e200 overflows a float
+        risk = select_threshold(x, 7, 6, (1e3, 2e3, 1e200), op, seed=3)
+        assert risk[0] == risk[1] == risk[2]
+        assert int(np.argmin(risk)) == 0
 
 
 class TestTuningConfig:
-    def test_rejects_bad_grids(self):
-        with pytest.raises(ParameterError):
-            TuningConfig(m=2, lambda_grid=())
-        with pytest.raises(ParameterError):
-            TuningConfig(m=2, lambda_grid=(0.2, 0.1))
-        with pytest.raises(ParameterError):
-            TuningConfig(m=2, lambda_grid=(-0.1, 0.2))
-        with pytest.raises(ParameterError):
-            TuningConfig(m=2, lambda_grid=(0.1,), n_splits=0)
+    """The tuning parameters and grids the pass rejects."""
+
+    def test_rejects_bad_grids(self, rng):
+        x = TimeSeriesMatrix(rng.standard_normal((32, 3)))
+        op = ThresholdOperator("lasso")
+        with pytest.raises(ParameterError, match="grid size must be positive"):
+            split_risk_curves(x, 2, [op], grid_size=0)
+        with pytest.raises(ParameterError, match="strictly increasing"):
+            _check_grids(np.array([[0.2, 0.1]]), np.zeros(1, dtype=bool))
+        with pytest.raises(ParameterError, match="nonnegative"):
+            _check_grids(np.array([[-0.1, 0.2]]), np.zeros(1, dtype=bool))
+        with pytest.raises(ParameterError, match="n_splits must be at least 1"):
+            split_risk_curves(x, 2, [op], n_splits=0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_grid_values(self, bad):
-        with pytest.raises(ParameterError):
-            TuningConfig(m=2, lambda_grid=(0.1, bad))
+        with pytest.raises(ParameterError, match="finite"):
+            _check_grids(np.array([[0.1, bad]]), np.zeros(1, dtype=bool))
 
 
 class TestDefaultLambdaGrid:
@@ -248,8 +261,7 @@ class TestTunedThresholdEstimate:
         lambdas = {}
         for j in range(21):
             grid = default_lambda_grid(averaged_periodogram(x, 5, j))
-            cfg = TuningConfig(m=5, lambda_grid=grid, n_splits=2, seed=6)
-            lambdas[j] = grid[int(np.argmin(risk_by_threshold_loop(x, j, cfg, op, True)))]
+            lambdas[j] = grid[int(np.argmin(risk_by_threshold_loop(x, j, 5, grid, op, 2, 6, True)))]
         ref = threshold_estimate(x, 5, op, lambdas)
         est = tuned_threshold_estimate(x, 5, op, n_splits=2, seed=6)
         assert np.array_equal(est.lambdas, ref.lambdas)
@@ -286,6 +298,8 @@ class TestTunedThresholdEstimate:
 
 
 class TestTunedThresholdEstimates:
+    """Several operators tuned in one pass (`tuning.tuned_estimates`)."""
+
     @pytest.mark.parametrize("n", [41, 48])
     @pytest.mark.parametrize("n_splits", [1, 3])
     # preserve_diagonal picks the form of the reference each row is checked
@@ -297,7 +311,7 @@ class TestTunedThresholdEstimates:
                                                 lambda_scale):
         x = TimeSeriesMatrix(rng.standard_normal((n, 5)) @ rng.standard_normal((5, 5)))
         kwargs = dict(grid_size=8, n_splits=n_splits, seed=9)
-        ests = tuned_threshold_estimates(x, 4, OPERATORS, **kwargs)
+        ests = tuned_estimates(x, 4, OPERATORS, **kwargs)
         assert len(ests) == len(OPERATORS)
         smoothed = [averaged_periodogram(x, 4, j) for j in range(n // 2 + 1)]
         for op, est in zip(OPERATORS, ests):
@@ -314,20 +328,40 @@ class TestTunedThresholdEstimates:
 
     def test_operators_do_not_share_storage(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
-        hard, lasso = tuned_threshold_estimates(x, 4, OPERATORS[:2], seed=1)
+        hard, lasso = tuned_estimates(x, 4, OPERATORS[:2], seed=1)
         ref = tuned_threshold_estimate(x, 4, OPERATORS[0], seed=1)
         lasso.half[3][...] = 0.0
         assert np.array_equal(hard.half[3], ref.half[3])
 
     def test_rejects_no_operators(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
-        with pytest.raises(ParameterError):
-            tuned_threshold_estimates(x, 4, [])
+        with pytest.raises(ParameterError, match="no threshold operators given"):
+            split_risk_curves(x, 4, [])
+        with pytest.raises(ParameterError, match="not all threshold operators"):
+            split_risk_curves(x, 4, [OPERATORS[0], "lasso"])
+
+
+def assert_curves_chose_lambdas(x, m, ops, grid_size, n_splits, seed):
+    """`split_risk_curves` has the documented shapes, each tuned lambda is
+    its row's argmin exactly, and each curve equals the one-frequency
+    oracle on the row's grid up to roundoff.  Returns (grids, risks,
+    estimates)."""
+    rows = x.n // 2 + 1
+    grids, risks = split_risk_curves(x, m, ops, grid_size, n_splits, seed)
+    width = grid_size if x.p > 1 else 1
+    assert grids.shape == (rows, width) and risks.shape == (len(ops), rows, width)
+    ests = tuned_estimates(x, m, ops, grid_size, n_splits, seed)
+    for o, (op, est) in enumerate(zip(ops, ests)):
+        assert np.array_equal(est.lambdas, grids[np.arange(rows), risks[o].argmin(axis=1)])
+        for j in range(rows):
+            ref = select_threshold(x, j, m, grids[j], op, n_splits, seed)
+            assert np.allclose(risks[o, j], ref, rtol=1e-14, atol=0)
+    return grids, risks, ests
 
 
 class TestBatchedTuning:
-    """Frequencies are tuned in blocks of 16 rows; each row must equal its
-    own one-frequency `select_threshold` call."""
+    """Frequencies are tuned in blocks of 16 rows; each row's threshold
+    must equal the one its own one-frequency split selects."""
 
     @pytest.mark.parametrize("n", [21, 30, 31, 41, 62])  # n//2+1 = 11, 16, 16, 21, 32 rows
     @pytest.mark.parametrize("p", [1, 2, 5])  # p = 2: both off-diagonal moduli equal, grid (lo,)
@@ -337,16 +371,34 @@ class TestBatchedTuning:
     def test_lambdas_equal_select_threshold(self, rng, n, p, n_splits, preserve_diagonal):
         x = TimeSeriesMatrix(rng.standard_normal((n, p)) @ rng.standard_normal((p, p)))
         periodograms = periodogram_all(x)
-        ests = tuned_threshold_estimates(x, 4, OPERATORS, grid_size=6, n_splits=n_splits, seed=5)
+        grids, _, ests = assert_curves_chose_lambdas(x, 4, OPERATORS, 6, n_splits, 5)
         for j in range(n // 2 + 1):
             grid = default_lambda_grid(averaged_periodogram(x, 4, j, periodograms), 6)
             assert len(grid) == (6 if p > 2 else 1)
-            cfg = TuningConfig(m=4, lambda_grid=grid, n_splits=n_splits, seed=5)
+            # a one-point grid is repeated across the row
+            assert np.array_equal(grids[j], np.resize(grid, grids.shape[1]))
             for op, est in zip(OPERATORS, ests):
-                want = select_threshold(x, j, cfg, op)
-                assert est.lambdas[j] == want.chosen
+                want = select_threshold(x, j, 4, grid, op, n_splits, 5)
+                assert est.lambdas[j] == grid[int(np.argmin(want))]
                 if p == 1:
-                    assert want.chosen == 0.0
+                    assert est.lambdas[j] == 0.0
+        if p == 1:
+            assert not grids.any()
+
+    @pytest.mark.parametrize("n, m, p", [
+        (21, 10, 4),  # 2m+1 = n
+        (33, 16, 3),  # 2m+1 = n across three blocks
+        (40, 3, 2),
+    ])
+    def test_curves_choose_the_tuned_lambdas(self, rng, n, m, p):
+        x = TimeSeriesMatrix(rng.standard_normal((n, p)) @ rng.standard_normal((p, p)))
+        assert_curves_chose_lambdas(x, m, OPERATORS, 7, 2, 3)
+
+    def test_constant_channel_curves(self, rng):
+        data = rng.standard_normal((50, 4))
+        data[:, 2] = -1.5  # exact zero entries after centering
+        grids, risks, _ = assert_curves_chose_lambdas(TimeSeriesMatrix(data), 5, OPERATORS, 6, 1, 8)
+        assert np.all(grids[:, 0] == 0.0) and np.all(np.isfinite(risks))
 
     def test_grid_rows_equal_default_lambda_grid(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((70, 4)) @ rng.standard_normal((4, 4)))
