@@ -19,19 +19,11 @@ from .estimator import (
     THRESHOLD_METHODS,
     SpectralEstimate,
     ThresholdOperator,
-    aggregate_coherence_graph,
 )
 from .fileio import _fmt_distinct, _json_value, report_rows, write_report_csv
-from .metrics import (
-    EvaluationReport,
-    RocCurve,
-    replicate_summary,
-    rmise,
-    roc_points,
-    support_scores,
-)
+from .metrics import EvaluationReport, RocCurve, _Truth, replicate_summary, roc_points
 from .model import VarmaModel, _spectral_density, block_varma_model, simulate
-from .tuning import default_span, tuned_estimates
+from .tuning import default_span, tuned_blocks, tuned_estimates
 
 METHOD_ALIASES = {"alasso": "adaptive_lasso"}
 
@@ -129,6 +121,12 @@ def truth_graph_support(truth: np.ndarray) -> np.ndarray:
     return support
 
 
+def _pass_methods(names: Sequence[str]) -> tuple:
+    """The canonical names of `names`, each once, and their pass methods."""
+    names = list(dict.fromkeys(canonical_method(name) for name in names))
+    return names, [ThresholdOperator(name) if name in THRESHOLD_METHODS else name for name in names]
+
+
 def estimate_methods(
     methods: Sequence[str],
     x,
@@ -140,16 +138,18 @@ def estimate_methods(
     """The estimate of each listed method, keyed by canonical method name,
     from one estimation pass (`tuning.tuned_estimates`); the threshold
     methods' thresholds are tuned, and tuning is skipped when none is listed."""
-    methods = list(dict.fromkeys(canonical_method(name) for name in methods))
-    ests = tuned_estimates(
-        x, m, [ThresholdOperator(name) if name in THRESHOLD_METHODS else name for name in methods],
-        grid_size, n_splits, seed,
-    )
-    return dict(zip(methods, ests))
+    names, methods = _pass_methods(methods)
+    return dict(zip(names, tuned_estimates(x, m, methods, grid_size, n_splits, seed)))
 
 
 def _replicate_seed(master: int, cell_index: int, replicate: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master, spawn_key=(cell_index, replicate))
+
+
+def _scoring_truth(spec: BenchmarkSpec, n: int, truth: np.ndarray) -> _Truth:
+    """What scoring `spec`'s methods takes of `truth` alone."""
+    support = any(name in THRESHOLD_METHODS for name in spec.methods)
+    return _Truth(truth, n, spec.include_diagonal, support)
 
 
 def run_replicate(
@@ -161,30 +161,32 @@ def run_replicate(
     truth: np.ndarray,
     truth_support_graph: np.ndarray,
 ) -> Dict[str, dict]:
-    """Estimate and score one replicate; `truth` holds f(omega_j) for j = 0..n//2."""
+    """Report and ROC curve of each method on one replicate.  `truth` holds
+    f(omega_j) for j = 0..n//2, or is what `run_cell` makes of it once per
+    cell (`metrics._Truth`).  Each block of rows that the estimation pass
+    hands out (`tuning.tuned_blocks`) is folded into its method's scores at
+    once, so no whole estimate is held."""
     model = block_varma_model(p, spec.family)
     m = default_span(n, spec.span_rule)
     seed = _replicate_seed(spec.seed, cell_index, replicate)
     x = simulate(model, n, seed=seed)
-    estimates = estimate_methods(spec.methods, x, m, grid_size=spec.grid_size,
-                                 n_splits=spec.n_splits, seed=int(seed.generate_state(1)[0]))
-    return _scored(spec, estimates, truth, truth_support_graph)
-
-
-def _scored(
-    spec: BenchmarkSpec,
-    estimates: Dict[str, SpectralEstimate],
-    truth: np.ndarray,
-    truth_support_graph: np.ndarray,
-) -> Dict[str, dict]:
-    """Report and ROC curve of each estimate."""
+    names, methods = _pass_methods(spec.methods)
+    t = truth if isinstance(truth, _Truth) else _scoring_truth(spec, n, truth)
+    sq_errors, sums = [0.0] * len(names), np.zeros((len(names), p, p))
+    counts = np.empty((len(names), len(t.half), 2))
+    for k, rows, values, _ in tuned_blocks(x, m, methods, spec.grid_size, spec.n_splits,
+                                           int(seed.generate_state(1)[0])):
+        sq_errors[k] += t.sq_error(rows, values)
+        t.coherence_sum(sums[k], rows, values)
+        if names[k] in THRESHOLD_METHODS:
+            counts[k, rows] = t.support_counts(rows, values)
     out = {}
-    for method, est in estimates.items():
-        report = EvaluationReport(method=method, rmise=rmise(est, truth))
-        roc = roc_points(aggregate_coherence_graph(est), truth_support_graph)
+    for k, method in enumerate(names):
+        report = EvaluationReport(method=method, rmise=t.rmise(sq_errors[k]))
+        roc = roc_points(t.coherence_graph(sums[k]), truth_support_graph)
         report.auc = roc.auc
         if method in THRESHOLD_METHODS:
-            scores = support_scores(est, truth, spec.include_diagonal)
+            scores = t.support_scores(counts[k])
             report.precision, report.recall, report.f1 = scores.precision, scores.recall, scores.f1
         out[method] = {"report": report, "roc": roc}
     return out
@@ -231,14 +233,15 @@ class CellResult:
 def run_cell(spec: BenchmarkSpec, cell_index: int, p: int, n: int, jobs: int = 1) -> CellResult:
     """Summaries and ROC curves of `spec.replicates` replicates of one cell.
 
-    The truth is computed in this process first; with jobs > 1 the
-    replicates then run in one pool, whose workers inherit the truth and its
-    support without a copy per task.
+    The truth, its support and the truth-only parts of the scores are
+    computed in this process first; with jobs > 1 the replicates then run in
+    one pool, whose workers inherit them without a copy per task.
     """
     truth = truth_spectra(block_varma_model(p, spec.family), n)
     support = truth_graph_support(truth)
     tasks = [(spec, cell_index, p, n, r) for r in range(spec.replicates)]
-    replicate = functools.partial(run_replicate, truth=truth, truth_support_graph=support)
+    replicate = functools.partial(run_replicate, truth=_scoring_truth(spec, n, truth),
+                                  truth_support_graph=support)
     results = _mapped(replicate, tasks, jobs)
     summaries = {}
     rocs: Dict[str, List[RocCurve]] = {}

@@ -125,6 +125,11 @@ _BLOCK_ROWS = 16
 _BLOCK_BYTES = 1 << 20
 
 
+def _block_rows(p: int) -> int:
+    """Rows of a `_row_blocks` block of p x p complex matrices."""
+    return max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (16 * p * p)))
+
+
 def _row_blocks(*arrays):
     """Blocks of consecutive rows of equally long (rows, p, p) arrays, as
     (rows slice, one view per array).
@@ -133,27 +138,34 @@ def _row_blocks(*arrays):
     than _BLOCK_BYTES, so the temporaries of the work on a block stay small
     at large p.
     """
-    step = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // arrays[0][0].nbytes))
+    step = _block_rows(arrays[0].shape[-1])
     for j0 in range(0, len(arrays[0]), step):
         rows = slice(j0, j0 + step)
         yield (rows, *(a[rows] for a in arrays))
 
 
-def _estimates(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=None) -> list:
+def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=None):
     """The estimate of each of `methods` ("smoothed", "shrinkage" or a
     `ThresholdOperator`) from one walk over the rows j = 0..floor(n/2) in
-    blocks of _BLOCK_ROWS.  Position i = 0..floor(n/2)+2m of the walk holds
-    I(w_{i-m}), so row j's window is positions j..j+2m; each position's
-    periodogram is formed once from the DFT, into a buffer of
-    _BLOCK_ROWS+2m matrices that keeps a block's last 2m positions for the
-    next.  Per block, the window members are added in order and divided by
-    2m+1, then by 2 pi, so row j is its window's `mean` over 2 pi bit for
-    bit; `thresholds(ops, members, rows, f_hat)` gives the (operators, rows)
-    thresholds, with members[i] = I(w_{rows[0]-m+i}); and each method writes
-    its rows to its own array, except the last, which overwrites the window
-    averages after the others read them.  Operators keep the diagonal and
-    run `_row_blocks` at a time; shrinkage reduces its row statistics over
-    its whole array afterwards (`_shrink`)."""
+    blocks of _BLOCK_ROWS, handed out as (k, rows, values, lambdas): rows
+    `rows` of methods[k]'s estimate and their thresholds (NaN but for an
+    operator), in row order and in `_row_blocks`' partition; `values` is
+    valid until the next block is handed out.
+
+    Position i = 0..floor(n/2)+2m of the walk holds I(w_{i-m}), so row j's
+    window is positions j..j+2m; each position's periodogram is formed once
+    from the DFT, into a buffer of _BLOCK_ROWS+2m matrices that keeps a
+    block's last 2m positions for the next.  Per block, the window members
+    are added in order and divided by 2m+1, then by 2 pi, so row j is its
+    window's `mean` over 2 pi bit for bit; `thresholds(ops, members, rows,
+    f_hat)` gives the (operators, rows) thresholds, with members[i] =
+    I(w_{rows[0]-m+i}); shrinkage takes its row weights (`_shrink_weights`)
+    over the block zero-padded to _BLOCK_ROWS rows, as numpy's row
+    reductions can give other bits on fewer rows.  The window averages of a
+    `_row_blocks` block that straddles two pass blocks wait in a buffer
+    until its last row is summed; every method's rows are formed from a
+    whole `_row_blocks` block of them (operators keep the diagonal).
+    """
     n, p = x.n, x.p
     if m < 0 or 2 * m + 1 > n:
         raise ParameterError(f"invalid half-span m={m} for n={n}")
@@ -161,54 +173,76 @@ def _estimates(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=None) 
     if shrink and m < 1:
         raise ParameterError("shrinkage needs a window of at least 2 periodograms")
     d = _dft(x)
-    f_hat = np.empty((n // 2 + 1, p, p), dtype=d.dtype)
-    outs = [np.empty_like(f_hat) for _ in methods[1:]] + [f_hat]
-    ops = [op for op in methods if isinstance(op, ThresholdOperator)]
-    lambdas = np.empty((len(ops), len(f_hat)))
+    n_rows, step = n // 2 + 1, _block_rows(p)
+    f_hat = np.zeros((_BLOCK_ROWS, p, p), dtype=d.dtype)
+    stage = np.empty((step, p, p), dtype=d.dtype)  # window averages of a `_row_blocks` block
+    rho, mu = np.empty(n_rows), np.empty(n_rows)
+    op_rows = [k for k, op in enumerate(methods) if isinstance(op, ThresholdOperator)]
+    ops, lambdas = [methods[k] for k in op_rows], np.full((len(methods), n_rows), np.nan)
     diag = np.arange(p)
-    # the DFT column of each walk position, and its periodogram's squared norm
-    cols = (np.arange(len(f_hat) + 2 * m) - m + (n - 1) // 2) % n
-    member_sq = np.empty(len(cols))
-    members = np.empty((_BLOCK_ROWS + 2 * m, p, p), dtype=d.dtype)
-    carried = 0  # members[:carried] kept from the previous block
-    for j0 in range(0, len(f_hat), _BLOCK_ROWS):
-        rows = slice(j0, j0 + _BLOCK_ROWS)
-        block = f_hat[rows]
+    # the DFT column of each walk position, and its periodogram's squared
+    # norm (0 past the end, for the padded rows)
+    cols = (np.arange(n_rows + 2 * m) - m + (n - 1) // 2) % n
+    member_sq = np.zeros(n_rows + _BLOCK_ROWS + 2 * m)
+    members = _periodograms(d, cols[:_BLOCK_ROWS + 2 * m])
+    for j0 in range(0, n_rows, _BLOCK_ROWS):
+        block = f_hat[:n_rows - j0]
         end = len(block) + 2 * m  # members[i] holds position j0 + i
-        members[carried:end] = _periodograms(d, cols[j0 + carried:j0 + end])
+        carried = 2 * m if j0 else 0  # members[:carried] kept from the previous block
+        if j0:
+            members[:2 * m] = members[_BLOCK_ROWS:]
+            members[2 * m:end] = _periodograms(d, cols[j0 + 2 * m:j0 + end])
         if shrink:
             # einsum can give a one-matrix stack other bits, so take two
-            lo = min(carried, end - 2)
-            member_sq[j0 + carried:j0 + end] = _sq_norms(members[lo:end])[carried - lo:]
+            first = min(carried, end - 2)
+            member_sq[j0 + carried:j0 + end] = _sq_norms(members[first:end])[carried - first:]
         block[...] = members[:len(block)]
         for i in range(1, 2 * m + 1):
             block += members[i:i + len(block)]
         block /= 2 * m + 1
         block /= 2.0 * np.pi
+        f_hat[len(block):] = 0.0
+        rows = range(j0, j0 + len(block))
         if ops:
-            lambdas[:, rows] = thresholds(ops, members, range(j0, j0 + len(block)), block)
-        lams = iter(lambdas[:, rows, None, None])
-        for method, out in zip(methods, outs):
-            if isinstance(method, ThresholdOperator):
-                for _, z, dst, lam in _row_blocks(block, out[rows], next(lams)):
-                    kept = method._apply(z, lam)
-                    kept[:, diag, diag] = z[:, diag, diag]
-                    dst[...] = kept
-            elif out is not f_hat:
-                out[rows] = block
-        members[:2 * m] = members[len(block):end]
-        carried = 2 * m
-    estimates, lams = [], iter(lambdas)
-    for method, out in zip(methods, outs):
-        if method == "shrinkage":
-            _shrink(out, member_sq, m)
-        op = method if isinstance(method, ThresholdOperator) else None
-        estimates.append(SpectralEstimate(
-            n, p, m, op.kind if op else method, out, lambdas=next(lams) if op else None,
-            eta=op.eta if op and op.kind == "adaptive_lasso" else None,
-            channel_names=x.channel_names,
-        ))
-    return estimates
+            lambdas[op_rows, j0:rows.stop] = thresholds(ops, members, rows, block)
+        if shrink:
+            row_rho, row_mu = _shrink_weights(f_hat, member_sq[j0:j0 + _BLOCK_ROWS + 2 * m], m)
+            rho[rows], mu[rows] = row_rho[:len(block)], row_mu[:len(block)]
+        # the block's rows split where `_row_blocks` blocks begin
+        edges = [j0, *range(j0 - j0 % step + step, rows.stop, step), rows.stop]
+        for lo, hi in zip(edges, edges[1:]):
+            z = block[lo - j0:hi - j0]
+            unfinished = hi % step and hi < n_rows  # its `_row_blocks` block ends later
+            if lo % step or unfinished:  # that block straddles two pass blocks
+                stage[lo % step:lo % step + hi - lo] = z
+                if unfinished:
+                    continue
+                z = stage[:lo % step + hi - lo]
+            done = slice(hi - len(z), hi)
+            for k, (method, lam) in enumerate(zip(methods, lambdas)):
+                if isinstance(method, ThresholdOperator):
+                    values = method._apply(z, lam[done, None, None])
+                    values[:, diag, diag] = z[:, diag, diag]
+                elif method == "shrinkage":
+                    values = z * (1.0 - rho[done])[:, None, None]
+                    values.real[:, diag, diag] += (rho[done] * mu[done])[:, None]
+                else:
+                    values = z
+                yield k, done, values, lam[done]
+
+
+def _estimates(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=None) -> list:
+    """The `SpectralEstimate` of each of `methods`, collected from the blocks
+    of one estimation pass (`_estimate_blocks`)."""
+    halves = [np.empty((x.n // 2 + 1, x.p, x.p), dtype=complex) for _ in methods]
+    lambdas = np.empty((len(methods), x.n // 2 + 1))
+    for k, rows, values, lams in _estimate_blocks(x, m, methods, thresholds):
+        halves[k][rows], lambdas[k, rows] = values, lams
+    ops = [method if isinstance(method, ThresholdOperator) else None for method in methods]
+    return [SpectralEstimate(
+        x.n, x.p, m, op.kind if op else method, half, lambdas=lams if op else None,
+        eta=op.eta if op and op.kind == "adaptive_lasso" else None, channel_names=x.channel_names,
+    ) for method, op, half, lams in zip(methods, ops, halves, lambdas)]
 
 
 def smoothed_estimate(x: TimeSeriesMatrix, m: int) -> SpectralEstimate:
@@ -265,11 +299,12 @@ def shrinkage_all(x: TimeSeriesMatrix, m: int) -> SpectralEstimate:
     return _estimates(x, m, ("shrinkage",))[0]
 
 
-def _shrink(f_hat: np.ndarray, member_sq: np.ndarray, m: int) -> None:
-    """Shrink the window averages `f_hat` in place, as `shrinkage_all`
-    describes; member_sq[i] is ||I(w_{i-m})||_F^2, so row j's window sums
-    member_sq[j..j+2m].  The row statistics are reduced over the whole
-    array: numpy's row reductions can give other bits on fewer rows."""
+def _shrink_weights(f_hat: np.ndarray, member_sq: np.ndarray, m: int) -> tuple:
+    """The weight rho and target level mu of each row of the window averages
+    `f_hat`, as `shrinkage_all` describes: the row's estimate is
+    (1 - rho) f_hat + rho mu I.  member_sq[i] is ||I(w_{i-m})||_F^2, so row
+    j's window sums member_sq[j..j+2m].  f_hat's diagonal is shifted and
+    put back, bit for bit."""
     p, w = f_hat.shape[-1], 2 * m + 1
     diag = np.arange(p)
     re_diag = f_hat.real[:, diag, diag]  # a copy, restored below
@@ -283,8 +318,7 @@ def _shrink(f_hat: np.ndarray, member_sq: np.ndarray, m: int) -> None:
     rho = np.zeros_like(delta2)
     np.divide(beta2, delta2, out=rho, where=delta2 > 0.0)
     np.minimum(rho, 1.0, out=rho)
-    f_hat *= (1.0 - rho)[:, None, None]
-    f_hat.real[:, diag, diag] += (rho * mu)[:, None]
+    return rho, mu
 
 
 # a channel whose spectral diagonal is below this has no defined coherence
@@ -310,6 +344,23 @@ def _channel_scales(f: np.ndarray) -> np.ndarray:
     return 1.0 / np.sqrt(diag)
 
 
+def _coherence_sum(acc: np.ndarray, f: np.ndarray, weights: np.ndarray) -> None:
+    """Add weights[j] |coherence| of each matrix f[j] of a block to `acc`."""
+    scale = _channel_scales(f)
+    # |g_rs| = |f_rs| / sqrt(f_rr f_ss); the diagonal is zeroed at the end
+    mod = np.abs(f)
+    mod *= scale[:, :, None]
+    mod *= scale[:, None, :]
+    acc += np.einsum("j,jrs->rs", weights, mod)
+
+
+def _coherence_graph(acc: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The graph from the `_coherence_sum` of every row."""
+    acc = acc / weights.sum()
+    np.fill_diagonal(acc, 0.0)
+    return 0.5 * (acc + acc.T)
+
+
 def aggregate_coherence_graph(est: SpectralEstimate) -> np.ndarray:
     """Mean of |coherence| over the frequencies of F_n, zero diagonal.
 
@@ -319,13 +370,6 @@ def aggregate_coherence_graph(est: SpectralEstimate) -> np.ndarray:
     """
     weights = half_weights(est.n)
     acc = np.zeros(est.half.shape[1:])
-    for block, f in _row_blocks(est.half):
-        scale = _channel_scales(f)
-        # |g_rs| = |f_rs| / sqrt(f_rr f_ss); the diagonal is zeroed below
-        mod = np.abs(f)
-        mod *= scale[:, :, None]
-        mod *= scale[:, None, :]
-        acc += np.einsum("j,jrs->rs", weights[block], mod)
-    acc /= weights.sum()
-    np.fill_diagonal(acc, 0.0)
-    return 0.5 * (acc + acc.T)
+    for rows, f in _row_blocks(est.half):
+        _coherence_sum(acc, f, weights[rows])
+    return _coherence_graph(acc, weights)

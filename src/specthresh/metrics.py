@@ -8,7 +8,14 @@ from typing import Dict, Optional, Sequence
 import numpy as np
 
 from .errors import ParameterError
-from .estimator import SpectralEstimate, _row_blocks, _sq_norms, half_weights
+from .estimator import (
+    SpectralEstimate,
+    _coherence_graph,
+    _coherence_sum,
+    _row_blocks,
+    _sq_norms,
+    half_weights,
+)
 
 
 @dataclass
@@ -38,21 +45,8 @@ def rmise(est: SpectralEstimate, truth: np.ndarray) -> float:
     weighted by its count in F_n, since conjugation keeps each norm.
     """
     _check_truth(est, truth)
-    weights = half_weights(est.n)
-    num = den = 0.0
-    for rows, f_hat, f in _row_blocks(est.half, truth):
-        num += float(weights[rows] @ _sq_norms(f_hat - f))
-        den += float(weights[rows] @ _sq_norms(f))
-    if den == 0:
-        raise ParameterError("truth is identically zero")
-    return 100.0 * num / den
-
-
-def _pair_mask(p: int, include_diagonal: bool) -> np.ndarray:
-    mask = np.ones((p, p), dtype=bool)
-    if not include_diagonal:
-        np.fill_diagonal(mask, False)
-    return mask
+    t = _Truth(truth, est.n)
+    return t.rmise(sum(t.sq_error(rows, f_hat) for rows, f_hat in _row_blocks(est.half)))
 
 
 @dataclass
@@ -78,23 +72,60 @@ def support_scores(
     any reasonable estimate, pure score inflation).
     """
     _check_truth(est, truth)
-    weights = half_weights(est.n)
-    zero_tol = 1e-12 * max(float(np.max(np.abs(f))) for _, f in _row_blocks(truth))
-    mask = _pair_mask(est.p, include_diagonal)
-    counts = np.empty((len(weights), 3))
-    for rows, f_hat, f in _row_blocks(est.half, truth):
-        est_nz = (np.abs(f_hat) > 0) & mask
-        true_nz = (np.abs(f) > zero_tol) & mask
-        counts[rows] = np.stack([est_nz & true_nz, est_nz, true_nz], axis=1).sum(axis=(2, 3))
-    hits, n_est, n_true = counts.T
-    # empty-denominator conventions: no predictions -> precision 1,
-    # empty truth -> recall 1, and F1 0 when both are 0
-    precision = np.divide(hits, n_est, out=np.ones_like(hits), where=n_est > 0)
-    recall = np.divide(hits, n_true, out=np.ones_like(hits), where=n_true > 0)
-    total = precision + recall
-    f1 = np.divide(2 * precision * recall, total, out=np.zeros_like(total), where=total > 0)
-    per = np.stack([precision, recall, f1], axis=1)
-    return SupportScores(*(weights @ per / weights.sum()).tolist())
+    t = _Truth(truth, est.n, include_diagonal, support=True)
+    return t.support_scores(np.concatenate(
+        [t.support_counts(rows, f_hat) for rows, f_hat in _row_blocks(est.half)]))
+
+
+class _Truth:
+    """What the scores take of the truth `half` (f(w_j), j = 0..floor(n/2))
+    alone, made once per truth: row weights, rmise's denominator and, with
+    `support`, each row's true support on the pairs counted (`mask`).  Its
+    methods are the fold kernels of the scores, each given one `_row_blocks`
+    block of an estimate's rows, and their finishers."""
+
+    def __init__(self, half: np.ndarray, n: int, include_diagonal: bool = False,
+                 support: bool = False):
+        self.half, self.weights = half, half_weights(n)
+        self.sq = sum(float(self.weights[rows] @ _sq_norms(f)) for rows, f in _row_blocks(half))
+        self.mask = ~np.eye(half.shape[-1], dtype=bool) | include_diagonal
+        if support:
+            zero_tol = 1e-12 * max(float(np.max(np.abs(f))) for _, f in _row_blocks(half))
+            self.support = np.concatenate(
+                [(np.abs(f) > zero_tol) & self.mask for _, f in _row_blocks(half)])
+            self.n_true = self.support.sum(axis=(1, 2))
+
+    def sq_error(self, rows: slice, f_hat: np.ndarray) -> float:
+        """sum_j w_j ||f_hat(w_j) - f(w_j)||_F^2 over the rows of a block."""
+        return float(self.weights[rows] @ _sq_norms(f_hat - self.half[rows]))
+
+    def rmise(self, sq_error: float) -> float:
+        if self.sq == 0:
+            raise ParameterError("truth is identically zero")
+        return 100.0 * sq_error / self.sq
+
+    def support_counts(self, rows: slice, f_hat: np.ndarray) -> np.ndarray:
+        """(rows, 2): the pairs each row of a block has nonzero, and how many
+        of them are nonzero in the truth too."""
+        est_nz = (np.abs(f_hat) > 0) & self.mask
+        return np.stack([est_nz & self.support[rows], est_nz], axis=1).sum(axis=(2, 3))
+
+    def support_scores(self, counts: np.ndarray) -> SupportScores:
+        hits, n_est = np.asarray(counts, dtype=float).T
+        # empty-denominator conventions: no predictions -> precision 1,
+        # empty truth -> recall 1, and F1 0 when both are 0
+        precision = np.divide(hits, n_est, out=np.ones_like(hits), where=n_est > 0)
+        recall = np.divide(hits, self.n_true, out=np.ones_like(hits), where=self.n_true > 0)
+        total = precision + recall
+        f1 = np.divide(2 * precision * recall, total, out=np.zeros_like(total), where=total > 0)
+        per = np.stack([precision, recall, f1], axis=1)
+        return SupportScores(*(self.weights @ per / self.weights.sum()).tolist())
+
+    def coherence_sum(self, acc: np.ndarray, rows: slice, f_hat: np.ndarray) -> None:
+        _coherence_sum(acc, f_hat, self.weights[rows])
+
+    def coherence_graph(self, acc: np.ndarray) -> np.ndarray:
+        return _coherence_graph(acc, self.weights)
 
 
 @dataclass

@@ -31,7 +31,7 @@ and C.  The risk step (`_Split.risk`) is per operator: its suffix sums and
 several operators, drawing and preparing each split once and running only
 the risk step per operator.
 
-Block layout.  The estimation pass (`estimator._estimates`) walks the
+Block layout.  The estimation pass (`estimator._estimate_blocks`) walks the
 rows j = 0..floor(n/2) in blocks of 16 and asks the split rule
 (`_split_rule`) for each block's thresholds, from the block's window
 averages and the pass's buffer of the block's window periodograms,
@@ -54,18 +54,19 @@ I(w_{j0-m})..I(w_{j0+rows-1+m}) for a block starting at j0.  Per block:
   threshold is the argmin of its own curve there.
 
 `split_risk_curves` returns those curves, the ones that chose the
-thresholds.  The pass then thresholds the block, one operator call per
-`_row_blocks` piece, one threshold per row.
+thresholds.  The pass then thresholds the window averages one
+`_row_blocks` block at a time, one operator call per block, one
+threshold per row.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ParameterError
-from .estimator import SpectralEstimate, ThresholdOperator, _estimates
+from .estimator import SpectralEstimate, ThresholdOperator, _estimate_blocks, _estimates
 from .model import TimeSeriesMatrix
 
 
@@ -316,6 +317,13 @@ def tuned_estimates(
     return _estimates(x, m, tuple(methods), _split_rule(x.n, m, grid_size, n_splits, seed))
 
 
+def tuned_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, grid_size: int = 20,
+                 n_splits: int = 1, seed: int = 0) -> Iterator[tuple]:
+    """The estimates of `tuned_estimates` as the pass hands them out, a block
+    of rows at a time (`estimator._estimate_blocks`)."""
+    return _estimate_blocks(x, m, tuple(methods), _split_rule(x.n, m, grid_size, n_splits, seed))
+
+
 def split_risk_curves(
     x: TimeSeriesMatrix, m: int, ops: Sequence[ThresholdOperator], grid_size: int = 20,
     n_splits: int = 1, seed: int = 0,
@@ -336,7 +344,8 @@ def split_risk_curves(
     if not all(isinstance(op, ThresholdOperator) for op in ops):
         raise ParameterError(f"not all threshold operators: {ops!r}")
     curves: list = []
-    _estimates(x, m, ops, _split_rule(x.n, m, grid_size, n_splits, seed, curves))
+    for _ in _estimate_blocks(x, m, ops, _split_rule(x.n, m, grid_size, n_splits, seed, curves)):
+        pass  # the estimates are dropped block by block
     grids, risks = zip(*curves)
     return np.concatenate(grids), np.concatenate(risks, axis=1)
 

@@ -1,6 +1,8 @@
 import csv
 import io
 import multiprocessing
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +23,14 @@ from specthresh import (
     tuned_threshold_estimate,
 )
 from specthresh import (
+    DataError,
+    EvaluationReport,
     ParameterError,
     aggregate_coherence_graph,
     bench,
+    default_span,
     estimator,
+    replicate_summary,
     rmise,
     roc_points,
     support_scores,
@@ -32,9 +38,11 @@ from specthresh import (
 )
 from specthresh.bench import (
     ALL_METHODS,
+    THRESHOLD_METHODS,
     BenchmarkSpec,
     CellResult,
     estimate_methods,
+    run_benchmark,
     run_cell,
     truth_graph_support,
     truth_spectra,
@@ -51,6 +59,24 @@ def varma21(rng):
     ma1 = 0.4 * rng.standard_normal((p, p))
     chol = np.tril(0.3 * rng.standard_normal((p, p)), -1) + np.eye(p)
     return VarmaModel(dim=p, ar_coeffs=(ar1, ar2), ma_coeffs=(ma1,), noise_cov=chol @ chol.T)
+
+
+def public_scores(spec, p, n, replicate, truth, support, m):
+    """Oracle: the report and ROC curve of each method of one replicate of
+    cell 0, from whole estimates and the public metrics."""
+    seed = bench._replicate_seed(spec.seed, 0, replicate)
+    x = bench.simulate(block_varma_model(p, spec.family), n, seed=seed)
+    ests = estimate_methods(spec.methods, x, m, grid_size=spec.grid_size,
+                            n_splits=spec.n_splits, seed=int(seed.generate_state(1)[0]))
+    out = {}
+    for method, est in ests.items():
+        roc = roc_points(aggregate_coherence_graph(est), support)
+        report = EvaluationReport(method=method, rmise=rmise(est, truth), auc=roc.auc)
+        if method in THRESHOLD_METHODS:
+            scores = support_scores(est, truth, spec.include_diagonal)
+            report.precision, report.recall, report.f1 = scores.precision, scores.recall, scores.f1
+        out[method] = (report, roc)
+    return out
 
 
 # A1 = diag(1 - 1e-13, 0.5) is stable, but A(z) = I - A1 z has
@@ -142,6 +168,46 @@ class TestRunCell:
         assert multiprocessing.active_children() == []
         assert pooled.summaries == run_cell(spec, 0, 6, 32, jobs=1).summaries
 
+    def test_truth_scored_once_per_cell(self, monkeypatch):
+        # run_cell makes the truth-only scores before its replicates run;
+        # pool workers inherit them
+        parent, made = os.getpid(), []
+
+        class Counted(bench._Truth):
+            def __init__(self, *args):
+                assert os.getpid() == parent, "truth scored in a worker"
+                made.append(args[1:])
+                super().__init__(*args)
+
+        monkeypatch.setattr(bench, "_Truth", Counted)
+        spec = BenchmarkSpec(family="var", p_list=(6,), n_list=(32,), methods=ALL_METHODS,
+                             replicates=3, seed=1, grid_size=5, include_diagonal=False)
+        for jobs in (1, 2):
+            run_cell(spec, 0, 6, 32, jobs=jobs)
+        baselines = BenchmarkSpec(family="var", p_list=(6,), n_list=(32,),
+                                  methods=("smoothed", "shrinkage"), replicates=2)
+        run_cell(baselines, 0, 6, 32)
+        assert made == [(32, False, True)] * 2 + [(32, True, False)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_constant_channel_logs_the_coherence_error(self, monkeypatch, tmp_path, jobs):
+        def constant_channel(model, n, seed):
+            data = simulate(model, n, seed=seed).data.copy()
+            data[:, 2] = 0.7
+            return TimeSeriesMatrix(data)
+
+        monkeypatch.setattr(bench, "simulate", constant_channel)
+        spec = BenchmarkSpec(family="vma", p_list=(6,), n_list=(40,), methods=("lasso", "smoothed"),
+                             replicates=2, seed=2, grid_size=6)
+        log = io.StringIO()
+        assert run_benchmark(spec, tmp_path, jobs=jobs, log=log) == []
+        seed = bench._replicate_seed(2, 0, 0)
+        est = estimate_methods(["lasso"], constant_channel(block_varma_model(6, "vma"), 40, seed),
+                               6, grid_size=6, seed=int(seed.generate_state(1)[0]))["lasso"]
+        with pytest.raises(DataError, match="degenerate channel 2") as err:
+            aggregate_coherence_graph(est)
+        assert log.getvalue() == f"cell (p=6, n=40) failed: {err.value}\n"
+
     def test_pooled_truth_failure_matches_serial(self, monkeypatch):
         monkeypatch.setattr(bench, "block_varma_model", lambda p, family: NEAR_SINGULAR)
         spec = BenchmarkSpec(family="var", p_list=(3,), n_list=(32,), methods=("smoothed",))
@@ -229,23 +295,58 @@ class TestHalfSpectrumScoring:
             want = support_loop(est, truth, include_diagonal)
             assert np.allclose([got.precision, got.recall, got.f1], want, rtol=1e-12, atol=0)
 
-    def test_replicate_scores_equal_public_metrics(self):
-        spec = BenchmarkSpec(family="vma", p_list=(6,), n_list=(40,), methods=("smoothed", "lasso"),
-                             replicates=1, seed=2, grid_size=6)
-        model = block_varma_model(6, "vma")
-        truth = truth_spectra(model, 40)
+    def test_replicate_scores_equal_public_metrics(self, monkeypatch):
+        # every method, with and without the diagonal pairs.  p = 96 and 192
+        # hand out blocks of 7 and 1 rows, which straddle the pass's blocks
+        # of 16; n = 32 and 33 end in a one-row block; the widest span has
+        # 2m+1 = n (n odd) or n-1
+        for p, n, widest in [(6, 40, False), (6, 33, True), (96, 32, False), (96, 33, True),
+                             (192, 32, True), (192, 33, False)]:
+            span = (lambda n, rule: (n - 1) // 2) if widest else default_span
+            monkeypatch.setattr(bench, "default_span", span)
+            model = block_varma_model(p, "vma")
+            truth = truth_spectra(model, n)
+            support = truth_graph_support(truth)
+            for include_diagonal in (True, False):
+                spec = BenchmarkSpec(family="vma", p_list=(p,), n_list=(n,), methods=ALL_METHODS,
+                                     replicates=1, seed=2, grid_size=6,
+                                     include_diagonal=include_diagonal)
+                got = bench.run_replicate(spec, 0, p, n, 0, truth, support)
+                want = public_scores(spec, p, n, 0, truth, support, span(n, "ma_like"))
+                assert list(got) == list(want) == list(ALL_METHODS)
+                for method, (report, roc) in want.items():
+                    assert got[method]["report"] == report
+                    assert np.array_equal(got[method]["roc"].points, roc.points)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cell_scores_equal_public_metrics(self, jobs):
+        p, n = 96, 33
+        spec = BenchmarkSpec(family="var", p_list=(p,), n_list=(n,), methods=ALL_METHODS,
+                             replicates=2, seed=4, grid_size=5, include_diagonal=False)
+        truth = truth_spectra(block_varma_model(p, "var"), n)
         support = truth_graph_support(truth)
-        got = bench.run_replicate(spec, 0, 6, 40, 0, truth, support)
-        seed = bench._replicate_seed(2, 0, 0)
-        ests = estimate_methods(spec.methods, simulate(model, 40, seed=seed), 6, grid_size=6,
-                                seed=int(seed.generate_state(1)[0]))
-        for method, est in ests.items():
-            report = got[method]["report"]
-            assert report.rmise == rmise(est, truth)
-            assert report.auc == roc_points(aggregate_coherence_graph(est), support).auc
-        scores = support_scores(ests["lasso"], truth, include_diagonal=True)
-        assert [report.precision, report.recall, report.f1] == [
-            scores.precision, scores.recall, scores.f1]
+        cell = run_cell(spec, 0, p, n, jobs=jobs)
+        want = [public_scores(spec, p, n, r, truth, support, cell.m) for r in range(2)]
+        for method in ALL_METHODS:
+            assert cell.summaries[method] == replicate_summary([w[method][0] for w in want])
+            for got, (_, roc) in zip(cell.rocs[method], [w[method] for w in want], strict=True):
+                assert np.array_equal(got.points, roc.points)
+
+    def test_replicate_holds_no_whole_estimate(self):
+        # at p = 96, n = 200 one estimate takes 14.9 MB and the pass's buffer
+        # of 16+2m periodograms 6.5 MB; the two estimates are never built
+        p, n = 96, 200
+        spec = BenchmarkSpec(family="vma", p_list=(p,), n_list=(n,),
+                             methods=("smoothed", "shrinkage"), replicates=1)
+        truth = truth_spectra(block_varma_model(p, "vma"), n)
+        support = truth_graph_support(truth)
+        tracemalloc.start()
+        try:
+            bench.run_replicate(spec, 0, p, n, 0, truth, support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < truth.nbytes + (16 + 2 * default_span(n, "ma_like")) * p * p * 16
 
 
 class TestBenchmarkSpec:

@@ -28,7 +28,7 @@ from specthresh import (
     smoothed_estimate,
     threshold_estimate,
 )
-from specthresh.estimator import half_weights
+from specthresh.estimator import _row_blocks, half_weights
 from specthresh.model import TimeSeriesMatrix
 from specthresh.tuning import default_span, tuned_estimates
 
@@ -384,8 +384,10 @@ def _streamed_vs_stack(x, m):
 
 
 class TestStreamedPass:
+    # p = 96, 120 and 192 hand out blocks of 7, 5 and 1 rows, which straddle
+    # the pass's blocks of 16, and shrink a one-row last block padded to 16
     @pytest.mark.parametrize("n, p", [(n, p) for n in (17, 32, 33, 64, 65) for p in (1, 2, 48)]
-                             + [(33, 192)])
+                             + [(33, 192), (33, 96), (33, 120)])
     @pytest.mark.parametrize("span", ["none", "one", "widest"])
     def test_equals_whole_stack_pass(self, rng, n, p, span):
         # n = 32, 33, 64 and 65 end in a one-row block; the widest span
@@ -399,6 +401,25 @@ class TestStreamedPass:
             assert (est.lambdas is None) == (lambdas is None)
             if lambdas is not None:
                 assert np.array_equal(est.lambdas, lambdas)
+
+    @pytest.mark.parametrize("n, p", [(33, 6), (32, 96), (33, 120), (33, 192)])
+    def test_blocks_come_in_row_block_partition(self, rng, n, p):
+        # each method's blocks are `_row_blocks`' blocks, in row order, with
+        # its thresholds, and NaN thresholds for the baselines
+        x = white_series(rng, n, p)
+        methods = ["smoothed", ThresholdOperator("lasso"), "shrinkage"]
+        lam = np.linspace(0.0, 0.1, n // 2 + 1)
+        half = np.empty((n // 2 + 1, p, p), dtype=complex)
+        want = [range(len(half))[rows] for rows, _ in _row_blocks(half)]
+        got = [[] for _ in methods]
+        blocks = estimator._estimate_blocks(x, 2, methods, lambda ops, members, rows, f_hat:
+                                            lam[None, rows])
+        for k, rows, values, lams in blocks:
+            got[k].append(range(len(half))[rows])
+            assert values.shape == (rows.stop - rows.start, p, p)
+            assert np.array_equal(lams, lam[rows] if k == 1 else np.full(len(values), np.nan),
+                                  equal_nan=True)
+        assert got == [want] * len(methods)
 
     def test_shrinkage_without_window_fails_before_the_dft(self, rng, monkeypatch):
         def refuse(*args, **kwargs):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import (
@@ -393,6 +395,21 @@ class TestBatchedTuning:
     def test_curves_choose_the_tuned_lambdas(self, rng, n, m, p):
         x = TimeSeriesMatrix(rng.standard_normal((n, p)) @ rng.standard_normal((p, p)))
         assert_curves_chose_lambdas(x, m, OPERATORS, 7, 2, 3)
+
+    def test_curves_keep_no_estimate(self, rng):
+        # the pass's estimates are dropped block by block: three operators'
+        # estimates would take three times `one`
+        n, p = 400, 48
+        x = TimeSeriesMatrix(rng.standard_normal((n, p)))
+        tracemalloc.start()
+        try:
+            grids, risks = split_risk_curves(x, 20, OPERATORS[:3])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one = (n // 2 + 1) * p * p * 16
+        assert grids.shape == (n // 2 + 1, 20) and risks.shape == (3, n // 2 + 1, 20)
+        assert peak < 2 * one
 
     def test_constant_channel_curves(self, rng):
         data = rng.standard_normal((50, 4))
