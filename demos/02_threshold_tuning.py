@@ -18,7 +18,6 @@ from specthresh import (
     simulate,
     split_frequencies,
     split_risk_curves,
-    tuned_threshold_estimate,
 )
 
 P, N, SEED = 12, 200, 1
@@ -34,17 +33,18 @@ print(f"window around omega_{j}: {2 * m + 1} frequencies")
 print(f"  half 1 ({len(j1)}): {j1}")
 print(f"  half 2 ({len(j2)}): {j2}")
 
-# the grid and risk curve of every row j = 0..N/2, from the pass that tunes
+# the grid and risk curve of every row j = 0..N/2, from the pass that tunes;
+# the tuned threshold of a row is the grid value of least risk there
 grids, risks = split_risk_curves(x, m, [op], seed=SEED)
-est = tuned_threshold_estimate(x, m, op, seed=SEED)
+chosen = grids[j, risks[0, j].argmin()]
 
 print("\n lambda      risk")
 for lam, r in zip(grids[j], risks[0, j]):
-    marker = "  <- chosen" if lam == est.lambdas[j] else ""
+    marker = "  <- chosen" if lam == chosen else ""
     print(f" {lam:8.5f}  {r:8.5f}{marker}")
 
-# per-frequency thresholds over the whole spectrum
-lams = est.lambdas  # one threshold per row j = 0..N/2
+# per-frequency thresholds over the whole spectrum, one per row j = 0..N/2
+lams = grids[np.arange(len(grids)), risks[0].argmin(axis=1)]
 print(f"\ntuned thresholds over {lams.size} nonnegative frequencies:")
 print(f"  min {lams.min():.5f}   median {np.median(lams):.5f}   max {lams.max():.5f}")
 print(f"  on the first grid point: {np.sum(lams == grids[:, 0])} rows;"

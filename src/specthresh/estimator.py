@@ -155,16 +155,20 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
     Position i = 0..floor(n/2)+2m of the walk holds I(w_{i-m}), so row j's
     window is positions j..j+2m; each position's periodogram is formed once
     from the DFT, into a buffer of _BLOCK_ROWS+2m matrices that keeps a
-    block's last 2m positions for the next.  Per block, the window members
-    are added in order and divided by 2m+1, then by 2 pi, so row j is its
-    window's `mean` over 2 pi bit for bit; `thresholds(ops, members, rows,
-    f_hat)` gives the (operators, rows) thresholds, with members[i] =
-    I(w_{rows[0]-m+i}); shrinkage takes its row weights (`_shrink_weights`)
-    over the block zero-padded to _BLOCK_ROWS rows, as numpy's row
-    reductions can give other bits on fewer rows.  The window averages of a
-    `_row_blocks` block that straddles two pass blocks wait in a buffer
-    until its last row is summed; every method's rows are formed from a
-    whole `_row_blocks` block of them (operators keep the diagonal).
+    block's last 2m positions for the next, moved down at most _BLOCK_ROWS
+    at a time so that numpy needs no temporary copy of them.  Per block,
+    the window members are added in order and divided by 2m+1, then by
+    2 pi, so row j is its window's `mean` over 2 pi bit for bit;
+    `thresholds(ops, dft_rows, rows, f_hat)` gives the (operators, rows)
+    thresholds, with dft_rows[i] = d(w_{rows[0]-m+i}), the DFT rows of the
+    block's windows (split-risk tuning forms its half-window means from
+    them, `tuning._split_risks`); shrinkage takes its row weights
+    (`_shrink_weights`) over the block zero-padded to _BLOCK_ROWS rows, as
+    numpy's row reductions can give other bits on fewer rows.  The window
+    averages of a `_row_blocks` block that straddles two pass blocks wait
+    in a buffer until its last row is summed; every method's rows are
+    formed from a whole `_row_blocks` block of them (operators keep the
+    diagonal).
     """
     n, p = x.n, x.p
     if m < 0 or 2 * m + 1 > n:
@@ -190,7 +194,11 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
         end = len(block) + 2 * m  # members[i] holds position j0 + i
         carried = 2 * m if j0 else 0  # members[:carried] kept from the previous block
         if j0:
-            members[:2 * m] = members[_BLOCK_ROWS:]
+            # in steps of at most _BLOCK_ROWS positions, so that no step's
+            # source overlaps its destination and numpy copies in place
+            for lo in range(0, 2 * m, _BLOCK_ROWS):
+                hi = min(lo + _BLOCK_ROWS, 2 * m)
+                members[lo:hi] = members[_BLOCK_ROWS + lo:_BLOCK_ROWS + hi]
             members[2 * m:end] = _periodograms(d, cols[j0 + 2 * m:j0 + end])
         if shrink:
             # einsum can give a one-matrix stack other bits, so take two
@@ -204,7 +212,8 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
         f_hat[len(block):] = 0.0
         rows = range(j0, j0 + len(block))
         if ops:
-            lambdas[op_rows, j0:rows.stop] = thresholds(ops, members, rows, block)
+            dft_rows = np.ascontiguousarray(d[:, cols[j0:j0 + end]].T)
+            lambdas[op_rows, j0:rows.stop] = thresholds(ops, dft_rows, rows, block)
         if shrink:
             row_rho, row_mu = _shrink_weights(f_hat, member_sq[j0:j0 + _BLOCK_ROWS + 2 * m], m)
             rho[rows], mu[rows] = row_rho[:len(block)], row_mu[:len(block)]
@@ -266,7 +275,7 @@ def threshold_estimate(
             raise ParameterError(f"no threshold provided for frequency index {j}")
     lam_rows = np.array([lambdas[j] for j in range(x.n // 2 + 1)], dtype=float)
     _check_thresholds(lam_rows)
-    return _estimates(x, m, (op,), lambda ops, members, rows, f_hat: lam_rows[None, rows])[0]
+    return _estimates(x, m, (op,), lambda ops, dft_rows, rows, f_hat: lam_rows[None, rows])[0]
 
 
 def _sq_norms(stack: np.ndarray) -> np.ndarray:

@@ -21,42 +21,55 @@ C = sum_diag |f1 - f2|^2 + sum_E |f2|^2.  Each entry contributes
                              + t^2 sum_{a > lam} a^-2eta,   t = lam^(eta + 1)
 
 (the adaptive lasso keeps an entry exactly when a^(eta+1) > lam^(eta+1),
-i.e. a > lam).  After one sort of a, every sum is a suffix sum, and
-`np.searchsorted` finds each grid value's suffix.
+i.e. a > lam).  f1 and f2 are Hermitian, so entry (s, r) has the a and b
+of entry (r, s): every sum over E is twice the sum over the p(p-1)/2
+entries above the diagonal, and only those are kept.  After one sort of
+a, every sum is a suffix sum, and `np.searchsorted` finds each grid
+value's suffix.
 
 The work per split is in two parts.  The preparation (`_Split`) does not
-depend on the operator: the entry mask, the sort of a, z1, z2, b, |f2|^2
-and C.  The risk step (`_Split.risk`) is per operator: its suffix sums and
-`np.searchsorted`.  `tuned_estimates` walks the frequencies once for
-several operators, drawing and preparing each split once and running only
-the risk step per operator.
+depend on the operator: the gather of the upper triangle, the sort of a,
+z1, z2, b, |f2|^2 and C.  The risk step (`_Split.risk`) is per operator:
+its suffix sums and `np.searchsorted`.  `tuned_estimates` walks the
+frequencies once for several operators, drawing and preparing each split
+once and running only the risk step per operator.
 
 Block layout.  The estimation pass (`estimator._estimate_blocks`) walks the
 rows j = 0..floor(n/2) in blocks of 16 and asks the split rule
 (`_split_rule`) for each block's thresholds, from the block's window
-averages and the pass's buffer of the block's window periodograms,
-I(w_{j0-m})..I(w_{j0+rows-1+m}) for a block starting at j0.  Per block:
+averages and the DFT rows of the block's windows,
+d(w_{j0-m})..d(w_{j0+rows-1+m}) for a block starting at j0.  Per block:
 
 - the lambda grids are one (rows, grid size) array, spaced by one
   `np.linspace(lo, hi, size, axis=1)` call and validated at once;
 - each frequency draws its splits from its own stream `_freq_rng(seed, j)`,
-  in the per-frequency order, so a row's splits never depend on its block;
-- each row's two half-window means are one sum each over its half's
-  periodograms, read from that buffer (F_n index k of row j is window
-  offset (k - j + m) mod n), written into one (2, rows, p, p) array that
-  every split reuses;
-- the preparation and risk step work on (rows, E) arrays: a row-wise
-  sort, row-wise sums and cumulative sums, and a `np.searchsorted` per
-  row.  A row agrees with a one-row split of its frequency up to
-  roundoff only: numpy's row sums of the diagonal term of C can add in
-  another order on a block than on one row;
+  in the per-frequency order, so a row's splits never depend on its block.
+  A split is the 0/1 column t_1 of the window offsets in J1
+  (`_draw_split`), drawn one unit of the window at a time;
+- each row's two half-window means are one batched `np.matmul` per split:
+  half h of row r is (t_h W_r)^T conj(W_r) / (2 pi |J_h|), where W_r is
+  a sliding (2m+1, p) view of the block's DFT rows, so no periodogram is
+  gathered and no half is summed matrix by matrix.  numpy hands BLAS
+  each row's product on its own, so a row's halves do not depend on its
+  block;
+- the preparation and risk step work on (rows, p(p-1)/2) arrays: a
+  row-wise sort and cumulative sums, C summed row by row (`_row_sums`),
+  and a `np.searchsorted` per row.  A row equals the one-row split of its
+  frequency bit for bit;
 - the risks are one (operators, rows, grid size) array, and each row's
   threshold is the argmin of its own curve there.
 
 `split_risk_curves` returns those curves, the ones that chose the
 thresholds.  The pass then thresholds the window averages one
 `_row_blocks` block at a time, one operator call per block, one
-threshold per row.
+threshold per row.  Against halves summed from gathered periodograms
+and risks over all of E, the curves move by roundoff
+(the tests bound it at 1e-12 relative): no threshold moved on the seeds
+and sizes checked, though a near-tie elsewhere could move one.  A
+perfbench `vma-tuned-study` replicate (p=48, n=400, five methods, 2
+vCPUs) went from 3.15 to 3.91 replicates/s (medians of 10 alternating
+pairs) and `_split_risks` from 0.24-0.27 s to 0.12-0.16 s of it
+(cProfile, BLAS on one thread).
 """
 
 from __future__ import annotations
@@ -92,63 +105,93 @@ def split_frequencies(
     if rng is None:
         rng = _freq_rng(seed, j)
     half = (n - 1) // 2
+    window = [(k + half) % n - half for k in range(j - m, j + m + 1)]
+    in_j1 = _draw_split(_window_units(j, m, n), 2 * m + 1, rng)
+    return (sorted(k for k, first in zip(window, in_j1) if first),
+            sorted(k for k, first in zip(window, in_j1) if not first))
+
+
+def _window_units(j: int, m: int, n: int) -> list:
+    """The units of j's window {j-m, ..., j+m} that a split keeps together,
+    as tuples of window offsets 0..2m: one offset, or the two offsets of a
+    mirror pair {k, -k} when both fall in the window; for 2m+1 <= n."""
+    half = (n - 1) // 2
     # (k + half) % n - half is the representative of k in F_n (indices are
     # mod-n periodic)
-    window = [(k + half) % n - half for k in range(j - m, j + m + 1)]
-    members = set(window)
+    offset = {(k + half) % n - half: i for i, k in enumerate(range(j - m, j + m + 1))}
     units = []
     seen = set()
-    for k in window:
+    for k, i in offset.items():
         if k in seen:
             continue
         mirror = (half - k) % n - half
-        if mirror in members and mirror != k:
-            units.append((k, mirror))
+        if mirror in offset and mirror != k:
+            units.append((i, offset[mirror]))
             seen.update((k, mirror))
         else:
-            units.append((k,))
+            units.append((i,))
             seen.add(k)
+    return units
+
+
+def _draw_split(units: list, width: int, rng: np.random.Generator) -> np.ndarray:
+    """Which of the `width` window offsets fall in J1, as a boolean array,
+    for a random balanced split of the window's `units` into (J1, J2).
+
+    The units are taken in the order of `rng.permutation`; each goes to the
+    smaller half, and a fair bit `rng.integers(2)` picks the half when both
+    are equally large.
+    """
+    in_j1 = np.zeros(width, dtype=bool)
     order = rng.permutation(len(units))
-    j1: list = []
-    j2: list = []
+    sizes = [0, 0]
     for idx in order:
-        unit = units[idx]
-        if len(j1) < len(j2):
-            j1.extend(unit)
-        elif len(j2) < len(j1):
-            j2.extend(unit)
-        elif rng.integers(2) == 0:
-            j1.extend(unit)
+        if sizes[0] != sizes[1]:
+            h = int(sizes[1] < sizes[0])
         else:
-            j2.extend(unit)
-    return sorted(j1), sorted(j2)
+            h = int(rng.integers(2))
+        sizes[h] += len(units[idx])
+        if h == 0:
+            in_j1[list(units[idx])] = True
+    return in_j1
 
 
 def _split_risks(
-    members: np.ndarray, n: int, js: Sequence[int], grids: np.ndarray, m: int,
+    dft_rows: np.ndarray, n: int, js: Sequence[int], grids: np.ndarray, m: int,
     n_splits: int, seed: int, ops: Sequence[ThresholdOperator],
 ) -> np.ndarray:
     """Split risk of frequency js[r] at each value of grids[r], averaged over
     n_splits splits, as a (len(ops), len(js), grid size) array, for
-    consecutive js; members[i] holds I(w_{js[0]-m+i}).
+    consecutive js; dft_rows[i] holds d(w_{js[0]-m+i}).
 
     Frequency j draws its splits in order from its own stream
     `_freq_rng(seed, j)`, so a row does not depend on the other rows.  A
     half's mean is sum I(w_k) / (2 pi |J|), on f(w_j)'s scale whatever |J|.
-    Each split is drawn, averaged and prepared once, whatever the number
-    of operators scored from it.
+    With W the (2m+1, p) DFT rows of row r's window and t_h the 0/1 column
+    of the window offsets in half h, that sum is (t_h W)^T conj(W): every
+    row's half is one product in one batched `np.matmul` per split, whose
+    rows come out as they do on their own.  Each split is drawn, averaged
+    and prepared once, whatever the number of operators scored from it.
     """
+    width = 2 * m + 1
+    if width < 2:
+        raise ParameterError("window must contain at least 2 frequencies")
     rngs = [_freq_rng(seed, j) for j in js]
+    units = [_window_units(j, m, n) for j in js]
     risks = np.zeros((len(ops),) + grids.shape)
+    # row r's window W as a (rows, 2m+1, p) view, and conj(W)
+    window = np.lib.stride_tricks.sliding_window_view(dft_rows, width, axis=0).swapaxes(1, 2)
+    window_conj = np.lib.stride_tricks.sliding_window_view(
+        dft_rows.conj(), width, axis=0).swapaxes(1, 2)
+    take = np.empty((2, len(js), width))  # t_h of every row
     # the two half-window means of every row; _Split copies what it keeps
-    halves = np.empty((2, len(js)) + members.shape[1:], dtype=members.dtype)
+    halves = np.empty((2, len(js)) + 2 * dft_rows.shape[1:], dtype=dft_rows.dtype)
     for _ in range(n_splits):
-        for r, (j, rng) in enumerate(zip(js, rngs)):
-            for h, part in enumerate(split_frequencies(j, m, n, rng=rng)):
-                # sum I(w_k) / (2 pi |J|) over the half J; F_n index k is
-                # window offset (k - j + m) mod n of row r
-                pos = [r + (k - j + m) % n for k in part]
-                halves[h, r] = members[pos].sum(axis=0) / len(part)
+        for r, rng in enumerate(rngs):
+            take[0, r] = _draw_split(units[r], width, rng)
+        take[1] = 1.0 - take[0]
+        np.matmul((take[..., None] * window).swapaxes(2, 3), window_conj, out=halves)
+        halves /= take.sum(axis=2)[..., None, None]
         halves /= 2.0 * np.pi
         split = _Split(*halves)
         for row, op in zip(risks, ops):
@@ -164,6 +207,12 @@ def _suffix_sums(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_sums(v: np.ndarray) -> np.ndarray:
+    """The sum of each row of a 2-D array, each row summed on its own: numpy's
+    `sum(axis=1)` can add a row in another order on more rows."""
+    return np.array([row.sum() for row in v])
+
+
 def _searchsorted_rows(a: np.ndarray, v: np.ndarray, side: str) -> np.ndarray:
     """`np.searchsorted` of each row of v in the same row of a (numpy has no row-wise form)."""
     return np.array([np.searchsorted(a_row, v_row, side=side) for a_row, v_row in zip(a, v)])
@@ -173,26 +222,30 @@ class _Split:
     """The operator-independent part of the closed-form risk of one split of
     each row of a block of frequencies.
 
-    Holds each row's entries of E sorted by a = |f1| (z1, z2 and |f2|^2 in
-    the same order), b and the constant C, as (rows, E) arrays; `risk` adds
-    one operator's suffix sums.  Sorts, sums and cumulative sums run along
-    each row, but row r agrees with a one-row split of row r up to roundoff
-    only: the row sums of C's diagonal term depend on the block.
+    The halves f1 and f2 are Hermitian (up to the roundoff of their
+    products), so entry (s, r) of E scores what entry (r, s) does: only the
+    p(p-1)/2 entries above the diagonal are kept, and every sum over E is
+    twice their sum, the risk of the Hermitian halves with those upper
+    triangles.  Holds each row's upper
+    entries sorted by a = |f1| (z1, z2 and |f2|^2 in the same order), b and
+    the constant C, as (rows, p(p-1)/2) arrays; `risk` adds one operator's
+    suffix sums.  Sorts, sums and cumulative sums run along each row on
+    its own, so row r equals a one-row split of row r bit for bit.
     """
 
     def __init__(self, f1: np.ndarray, f2: np.ndarray):
         p = f1.shape[-1]
-        on_e = ~np.eye(p, dtype=bool)
+        upper = np.triu_indices(p, 1)
         diag = np.arange(p)
-        const = np.sum(np.abs(f1[:, diag, diag] - f2[:, diag, diag]) ** 2, axis=1)
-        z1, z2 = f1[:, on_e], f2[:, on_e]
+        z1, z2 = f1[:, upper[0], upper[1]], f2[:, upper[0], upper[1]]
         a = np.abs(z1)
         order = np.argsort(a, axis=1)
         self.a = np.take_along_axis(a, order, axis=1)
         self.z1 = np.take_along_axis(z1, order, axis=1)
         self.z2 = np.take_along_axis(z2, order, axis=1)
         self.f2_sq = np.abs(self.z2) ** 2
-        self.const = const + np.sum(self.f2_sq, axis=1)
+        on_diag = np.abs(f1[:, diag, diag] - f2[:, diag, diag]) ** 2
+        self.const = _row_sums(on_diag) + 2.0 * _row_sums(self.f2_sq)
         self.nonzero = nz = self.a > 0
         self.b = np.zeros_like(self.a)
         self.b[nz] = (np.conj(self.z1[nz] / self.a[nz]) * self.z2[nz]).real
@@ -205,7 +258,7 @@ class _Split:
         if op.kind == "hard":
             kept = _suffix_sums(np.abs(self.z1 - self.z2) ** 2 - self.f2_sq)
             idx = _searchsorted_rows(a, lam, "left")
-            return self.const[:, None] + np.take_along_axis(kept, idx, axis=1)
+            return self.const[:, None] + 2.0 * np.take_along_axis(kept, idx, axis=1)
         # lasso is the eta = 0 case of the adaptive-lasso formula
         eta = op.eta if op.kind == "adaptive_lasso" else 0.0
         weight = np.zeros_like(a)
@@ -219,7 +272,7 @@ class _Split:
         live = idx < a.shape[1]
         t = np.zeros_like(lam)
         t[live] = lam[live] ** (eta + 1.0)
-        return self.const[:, None] + quad - 2.0 * t * lin + t * t * sq
+        return self.const[:, None] + 2.0 * (quad - 2.0 * t * lin + t * t * sq)
 
 
 def _check_grids(grids: np.ndarray, single: np.ndarray) -> None:
@@ -290,12 +343,12 @@ def _split_rule(n: int, m: int, grid_size: int, n_splits: int, seed: int, curves
     """The `thresholds` rule of `estimator._estimates` that tunes by split
     risk; it appends each block's (grids, risks) to the list `curves` when
     one is given."""
-    def thresholds(ops, members, rows, f_hat):
+    def thresholds(ops, dft_rows, rows, f_hat):
         if n_splits < 1:
             raise ParameterError("n_splits must be at least 1")
         grids, single = _lambda_grids(f_hat, grid_size)
         _check_grids(grids, single)
-        risks = _split_risks(members, n, rows, grids, m, n_splits, seed, ops)
+        risks = _split_risks(dft_rows, n, rows, grids, m, n_splits, seed, ops)
         if curves is not None:
             curves.append((grids, risks))
         # argmin ties break toward the smaller threshold

@@ -10,7 +10,11 @@ one frequency of F_n at a time, the rows j < 0 built by conjugation.
 `stack_estimates` is the estimation pass on the whole (n, p, p)
 periodogram array (`periodogram_all`), which the streamed pass must equal
 bit for bit.  `select_threshold` is the split risk of one frequency, which
-the pass's curves (`tuning.split_risk_curves`) must equal up to roundoff.
+the pass's curves (`tuning.split_risk_curves`) must equal bit for bit.
+`gathered_split_risks` is the split risk the direct way: halves summed from
+gathered periodograms, every off-diagonal entry scored (`FullSplit`) and
+splits drawn one tie bit at a time (`split_by_loop`); the pass's curves
+must equal it up to roundoff, with the same argmins.
 """
 
 from typing import Optional
@@ -25,9 +29,9 @@ from specthresh.tuning import (
     _check_grids,
     _freq_rng,
     _lambda_grids,
-    _Split,
+    _searchsorted_rows,
     _split_risks,
-    split_frequencies,
+    _suffix_sums,
 )
 
 
@@ -118,13 +122,14 @@ def select_threshold(
 ) -> np.ndarray:
     """Split risk of `op` at frequency index j at each value of `grid`,
     averaged over n_splits splits drawn from `_freq_rng(seed, j)`: the
-    2m+1 periodograms of j's window and one one-row `_split_risks` call.
+    2m+1 DFT rows of j's window and one one-row `_split_risks` call.
     The threshold it selects is grid[argmin], ties toward the smaller
     value."""
-    # members I(w_{j-m})..I(w_{j+m}), at DFT columns (k + half) mod n
-    window = _periodograms(_dft(x), (np.arange(j - m, j + m + 1) + (x.n - 1) // 2) % x.n)
+    # d(w_{j-m})..d(w_{j+m}), at DFT columns (k + half) mod n
+    window = _dft(x)[:, (np.arange(j - m, j + m + 1) + (x.n - 1) // 2) % x.n].T
     grids = np.array([grid], dtype=float)
-    return _split_risks(window, x.n, [j], grids, m, n_splits, seed, (op,))[0, 0]
+    return _split_risks(np.ascontiguousarray(window), x.n, [j], grids, m, n_splits, seed,
+                        (op,))[0, 0]
 
 
 def _window_indices(grid: FourierGrid, j: int, m: int) -> np.ndarray:
@@ -336,24 +341,115 @@ def _stack_shrink(f_hat: np.ndarray, periodograms: np.ndarray, m: int) -> None:
 
 def stack_tuned_thresholds(n: int, m: int, grid_size: int, n_splits: int, seed: int):
     """The `thresholds` rule of `stack_estimates` that tunes by split risk,
-    each half-window mean summed from the whole periodogram array."""
-    half = (n - 1) // 2
+    with `gathered_split_risks` on the whole periodogram array."""
 
     def thresholds(ops, periodograms, rows, f_hat):
         grids, single = _lambda_grids(f_hat, grid_size)
         _check_grids(grids, single)
-        rngs = [_freq_rng(seed, j) for j in rows]
-        risks = np.zeros((len(ops),) + grids.shape)
-        halves = np.empty((2, len(rows)) + periodograms.shape[1:], dtype=periodograms.dtype)
-        for _ in range(n_splits):
-            for r, (j, rng) in enumerate(zip(rows, rngs)):
-                for h, part in enumerate(split_frequencies(j, m, n, rng=rng)):
-                    halves[h, r] = periodograms[[k + half for k in part]].sum(axis=0) / len(part)
-            halves /= 2.0 * np.pi
-            split = _Split(*halves)
-            for row, op in zip(risks, ops):
-                row += split.risk(op, grids)
-        risks /= n_splits
+        risks = gathered_split_risks(periodograms, n, rows, grids, m, n_splits, seed, ops)
         return grids[np.arange(len(grids)), risks.argmin(axis=2)]
 
     return thresholds
+
+
+def window_units(j: int, m: int, n: int) -> list:
+    """The F_n indices of j's window {j-m, ..., j+m} in the units a split
+    keeps together, in window order: (k,), or (k, -k) when both fall in
+    the window."""
+    half = (n - 1) // 2
+    window = [(k + half) % n - half for k in range(j - m, j + m + 1)]
+    members = set(window)
+    units = []
+    seen = set()
+    for k in window:
+        if k in seen:
+            continue
+        mirror = (half - k) % n - half
+        if mirror in members and mirror != k:
+            units.append((k, mirror))
+            seen.update((k, mirror))
+        else:
+            units.append((k,))
+            seen.add(k)
+    return units
+
+
+def split_by_loop(j: int, m: int, n: int, rng: np.random.Generator) -> tuple:
+    """Random balanced split of the window {j-m, ..., j+m} into (J1, J2),
+    one unit (`window_units`) and one tie bit `rng.integers(2)` at a time."""
+    units = window_units(j, m, n)
+    j1: list = []
+    j2: list = []
+    for idx in rng.permutation(len(units)):
+        unit = units[idx]
+        if len(j1) < len(j2):
+            j1.extend(unit)
+        elif len(j2) < len(j1):
+            j2.extend(unit)
+        elif rng.integers(2) == 0:
+            j1.extend(unit)
+        else:
+            j2.extend(unit)
+    return sorted(j1), sorted(j2)
+
+
+def gathered_split_risks(periodograms: np.ndarray, n: int, js, grids: np.ndarray, m: int,
+                         n_splits: int, seed: int, ops) -> np.ndarray:
+    """The split risk curves of the rows js, as `tuning._split_risks` gives
+    them, from the whole (n, p, p) periodogram array: each split drawn by
+    `split_by_loop`, each half's mean summed from its gathered
+    periodograms and scored on every off-diagonal entry (`FullSplit`)."""
+    half = (n - 1) // 2
+    rngs = [_freq_rng(seed, j) for j in js]
+    risks = np.zeros((len(ops),) + grids.shape)
+    halves = np.empty((2, len(js)) + periodograms.shape[1:], dtype=periodograms.dtype)
+    for _ in range(n_splits):
+        for r, (j, rng) in enumerate(zip(js, rngs)):
+            for h, part in enumerate(split_by_loop(j, m, n, rng)):
+                halves[h, r] = periodograms[[k + half for k in part]].sum(axis=0) / len(part)
+        halves /= 2.0 * np.pi
+        split = FullSplit(*halves)
+        for row, op in zip(risks, ops):
+            row += split.risk(op, grids)
+    risks /= n_splits
+    return risks
+
+
+class FullSplit:
+    """The closed-form split risk of `tuning._Split` over every off-diagonal
+    entry (both triangles), with numpy's row sums for the constant."""
+
+    def __init__(self, f1: np.ndarray, f2: np.ndarray):
+        p = f1.shape[-1]
+        on_e = ~np.eye(p, dtype=bool)
+        diag = np.arange(p)
+        const = np.sum(np.abs(f1[:, diag, diag] - f2[:, diag, diag]) ** 2, axis=1)
+        z1, z2 = f1[:, on_e], f2[:, on_e]
+        a = np.abs(z1)
+        order = np.argsort(a, axis=1)
+        self.a = np.take_along_axis(a, order, axis=1)
+        self.z1 = np.take_along_axis(z1, order, axis=1)
+        self.z2 = np.take_along_axis(z2, order, axis=1)
+        self.f2_sq = np.abs(self.z2) ** 2
+        self.const = const + np.sum(self.f2_sq, axis=1)
+        self.nonzero = nz = self.a > 0
+        self.b = np.zeros_like(self.a)
+        self.b[nz] = (np.conj(self.z1[nz] / self.a[nz]) * self.z2[nz]).real
+
+    def risk(self, op: ThresholdOperator, lam: np.ndarray) -> np.ndarray:
+        a = self.a
+        if op.kind == "hard":
+            kept = _suffix_sums(np.abs(self.z1 - self.z2) ** 2 - self.f2_sq)
+            idx = _searchsorted_rows(a, lam, "left")
+            return self.const[:, None] + np.take_along_axis(kept, idx, axis=1)
+        eta = op.eta if op.kind == "adaptive_lasso" else 0.0
+        weight = np.zeros_like(a)
+        weight[self.nonzero] = a[self.nonzero] ** -eta
+        idx = _searchsorted_rows(a, lam, "right")
+        quad = np.take_along_axis(_suffix_sums(a * a - 2.0 * a * self.b), idx, axis=1)
+        lin = np.take_along_axis(_suffix_sums(weight * (a - self.b)), idx, axis=1)
+        sq = np.take_along_axis(_suffix_sums(weight * weight), idx, axis=1)
+        live = idx < a.shape[1]
+        t = np.zeros_like(lam)
+        t[live] = lam[live] ** (eta + 1.0)
+        return self.const[:, None] + quad - 2.0 * t * lin + t * t * sq

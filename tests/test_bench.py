@@ -387,7 +387,7 @@ class TestEstimateMethods:
             raise AssertionError("tuning pass run")
 
         x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
-        monkeypatch.setattr(tuning, "split_frequencies", refuse)
+        monkeypatch.setattr(tuning, "_split_risks", refuse)
         got = estimate_methods(["smoothed", "shrinkage"], x, 3)
         assert list(got) == ["smoothed", "shrinkage"]
         with pytest.raises(AssertionError, match="tuning pass run"):

@@ -448,6 +448,23 @@ class TestStreamedPass:
         outputs = sum(est.half.nbytes for est in got)
         assert peak < outputs + 0.5 * n * p * p * 16
 
+    def test_carried_periodograms_move_without_a_copy(self, rng):
+        # with 2m > 16 the 2m positions a block carries to the next overlap
+        # their new place; moved in one step they would be copied to a
+        # temporary of 2m matrices first.  Besides its buffer of 16+2m
+        # periodograms, the pass holds the window averages, the staged
+        # rows, a block's new periodograms and the DFT: less than m more
+        n, p, m = 200, 96, 60
+        x = white_series(rng, n, p)
+        tracemalloc.start()
+        try:
+            for _ in estimator._estimate_blocks(x, m, ("smoothed",)):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 + 2 * m + m) * p * p * 16
+
 
 class TestCoherence:
     def test_diagonal_input(self):

@@ -6,8 +6,11 @@ from oracles import (
     apply_threshold,
     assert_thresholded,
     averaged_periodogram,
+    gathered_split_risks,
     periodogram_all,
     select_threshold,
+    split_by_loop,
+    window_units,
     wrap,
 )
 
@@ -22,26 +25,45 @@ from specthresh import (
     theoretical_threshold,
     tuned_threshold_estimate,
 )
+from specthresh.dft import _dft
 from specthresh.estimator import smoothed_estimate, threshold_estimate
 from specthresh.model import TimeSeriesMatrix
-from specthresh.tuning import _check_grids, _freq_rng, _lambda_grids, tuned_estimates
+from specthresh.tuning import (
+    _check_grids,
+    _freq_rng,
+    _lambda_grids,
+    _window_units,
+    tuned_estimates,
+)
 
 
-def split_halves(periodograms, j, m, n, rng):
-    half = FourierGrid(n).half
-    j1, j2 = split_frequencies(j, m, n, rng=rng)
-    f1 = periodograms[[k + half for k in j1]].mean(axis=0) / (2 * np.pi)
-    f2 = periodograms[[k + half for k in j2]].mean(axis=0) / (2 * np.pi)
-    return f1, f2
+def split_halves(x, j, m, rng):
+    """The two half-window means that row j's split risk scores: half h's
+    sum (t_h W)^T conj(W) over the DFT rows W of j's window, t_h the 0/1
+    column of its members, formed as `tuning._split_risks` forms it, then
+    made Hermitian from its upper triangle, the part the closed form reads
+    besides the diagonal."""
+    grid = FourierGrid(x.n)
+    offsets = np.arange(j - m, j + m + 1)
+    window = np.ascontiguousarray(_dft(x)[:, (offsets + grid.half) % x.n].T)
+    j1, _ = split_frequencies(j, m, x.n, rng=rng)
+    in_j1 = np.isin([wrap(grid, k) for k in offsets], j1)
+    take = np.array([in_j1, ~in_j1], dtype=float)
+    halves = (take[:, :, None] * window).swapaxes(1, 2) @ window.conj()
+    halves /= take.sum(axis=1)[:, None, None]
+    halves /= 2 * np.pi
+    lower = np.tril_indices(x.p, -1)
+    for f in halves:
+        f[lower] = f.T[lower].conj()
+    return halves
 
 
 def risk_by_threshold_loop(x, j, m, grid, op, n_splits, seed, preserve_diagonal):
     """Oracle: threshold f1 once per grid value and sum the squared error."""
-    periodograms = periodogram_all(x)
     rng = _freq_rng(seed, j)
     risks = np.zeros(len(grid))
     for _ in range(n_splits):
-        f1, f2 = split_halves(periodograms, j, m, x.n, rng)
+        f1, f2 = split_halves(x, j, m, rng)
         for i, lam in enumerate(grid):
             out = apply_threshold(f1, op, lam, preserve_diagonal=preserve_diagonal)
             risks[i] += float(np.sum(np.abs(out - f2) ** 2))
@@ -126,6 +148,27 @@ class TestSplitFrequencies:
     def test_deterministic_per_seed(self):
         assert split_frequencies(4, 3, 32, seed=9) == split_frequencies(4, 3, 32, seed=9)
 
+    @staticmethod
+    def _windows(max_n):
+        """Every (j, m, n) of a tuned row j = 0..n//2 with 2 <= 2m+1 <= n <= max_n."""
+        return [(j, m, n) for n in range(3, max_n + 1) for m in range(1, (n - 1) // 2 + 1)
+                for j in range(n // 2 + 1)]
+
+    def test_units_equal_the_loop_construction(self):
+        for j, m, n in self._windows(64):
+            half = (n - 1) // 2
+            window = [(k + half) % n - half for k in range(j - m, j + m + 1)]
+            got = [tuple(window[i] for i in unit) for unit in _window_units(j, m, n)]
+            assert got == window_units(j, m, n)
+
+    def test_every_window_draws_like_the_loop(self):
+        # one seed of 0..49 per window, in turn
+        for i, (j, m, n) in enumerate(self._windows(64)):
+            got_rng, want_rng = np.random.default_rng(i % 50), np.random.default_rng(i % 50)
+            assert split_frequencies(j, m, n, rng=got_rng) == split_by_loop(j, m, n, want_rng)
+            # the same stream position: the next draws agree
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
 
 class TestSelectThreshold:
     """The one-frequency split risk (`oracles.select_threshold`) on grids
@@ -192,11 +235,10 @@ class TestClosedFormRisk:
     @pytest.mark.parametrize("n_splits", [1, 3])
     def test_matches_threshold_loop(self, rng, op, preserve_diagonal, n_splits):
         x = self._series(rng)
-        periodograms = periodogram_all(x)
         grids, risks = split_risk_curves(x, 6, [op], grid_size=9, n_splits=n_splits, seed=11)
         for j in (0, 5, 24):
             # grid points exactly at entry moduli of the first split's f1
-            f1, _ = split_halves(periodograms, j, 6, x.n, _freq_rng(11, j))
+            f1, _ = split_halves(x, j, 6, _freq_rng(11, j))
             moduli = np.unique(np.abs(f1))
             grid = np.unique(np.concatenate([[0.0], moduli[::3], [2.0 * moduli[-1]]]))
             # the oracle on that grid, and the pass's own curve on its grid
@@ -346,7 +388,7 @@ class TestTunedThresholdEstimates:
 def assert_curves_chose_lambdas(x, m, ops, grid_size, n_splits, seed):
     """`split_risk_curves` has the documented shapes, each tuned lambda is
     its row's argmin exactly, and each curve equals the one-frequency
-    oracle on the row's grid up to roundoff.  Returns (grids, risks,
+    oracle on the row's grid bit for bit.  Returns (grids, risks,
     estimates)."""
     rows = x.n // 2 + 1
     grids, risks = split_risk_curves(x, m, ops, grid_size, n_splits, seed)
@@ -357,7 +399,7 @@ def assert_curves_chose_lambdas(x, m, ops, grid_size, n_splits, seed):
         assert np.array_equal(est.lambdas, grids[np.arange(rows), risks[o].argmin(axis=1)])
         for j in range(rows):
             ref = select_threshold(x, j, m, grids[j], op, n_splits, seed)
-            assert np.allclose(risks[o, j], ref, rtol=1e-14, atol=0)
+            assert np.array_equal(risks[o, j], ref)
     return grids, risks, ests
 
 
@@ -391,10 +433,40 @@ class TestBatchedTuning:
         (21, 10, 4),  # 2m+1 = n
         (33, 16, 3),  # 2m+1 = n across three blocks
         (40, 3, 2),
+        (48, 4, 8),  # p >= 8: numpy's row sums of C's diagonal term could
+        (64, 5, 48),  # depend on the block
     ])
     def test_curves_choose_the_tuned_lambdas(self, rng, n, m, p):
         x = TimeSeriesMatrix(rng.standard_normal((n, p)) @ rng.standard_normal((p, p)))
         assert_curves_chose_lambdas(x, m, OPERATORS, 7, 2, 3)
+
+    @pytest.mark.parametrize("n, m, p, n_splits", [
+        (n, 4, p, n_splits) for n in (21, 30, 31, 41, 62) for p in (1, 2, 5) for n_splits in (1, 2)
+    ] + [(21, 10, 4, 2), (33, 16, 3, 2), (40, 3, 2, 2)])  # 2m+1 = n, p = 2
+    def test_curves_equal_gathered_split_risks(self, rng, n, m, p, n_splits):
+        x = TimeSeriesMatrix(rng.standard_normal((n, p)) @ rng.standard_normal((p, p)))
+        self._assert_curves_equal_gathered(x, m, n_splits)
+
+    @pytest.mark.parametrize("n_splits", [1, 2])
+    def test_constant_channel_curves_equal_gathered_split_risks(self, rng, n_splits):
+        data = rng.standard_normal((50, 4))
+        data[:, 2] = -1.5  # exact zero entries after centering
+        self._assert_curves_equal_gathered(TimeSeriesMatrix(data), 5, n_splits)
+
+    @staticmethod
+    def _assert_curves_equal_gathered(x, m, n_splits):
+        # halves from the DFT rows and risks over the upper triangle move the
+        # curves by roundoff only, and no tuned lambda
+        grids, risks = split_risk_curves(x, m, OPERATORS, 6, n_splits, 5)
+        want = gathered_split_risks(periodogram_all(x), x.n, range(x.n // 2 + 1), grids, m,
+                                    n_splits, 5, OPERATORS)
+        assert np.allclose(risks, want, rtol=1e-12, atol=0)
+        assert np.array_equal(risks.argmin(axis=2), want.argmin(axis=2))
+
+    def test_single_frequency_window_rejected(self, rng):
+        x = TimeSeriesMatrix(rng.standard_normal((32, 3)))
+        with pytest.raises(ParameterError, match="at least 2 frequencies"):
+            tuned_estimates(x, 0, OPERATORS[:1])
 
     def test_curves_keep_no_estimate(self, rng):
         # the pass's estimates are dropped block by block: three operators'
