@@ -63,19 +63,24 @@ class BenchmarkSpec:
             raise ParameterError("grid_size must be at least 1")
         if self.n_splits < 1:
             raise ParameterError("n_splits must be at least 1")
+        rule = self.span_rule or ("ma_like" if self.family == "vma" else "ar_like")
+        if rule not in ("ma_like", "ar_like"):
+            raise ParameterError(f"unknown span rule {rule!r}")
+        object.__setattr__(self, "span_rule", rule)
         object.__setattr__(self, "p_list", tuple(int(p) for p in self.p_list))
+        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        for name, sizes in (("p", self.p_list), ("n", self.n_list)):
+            if not sizes:
+                raise ParameterError(f"{name} must list at least one size")
         for p in self.p_list:
             if p < 3 or p % 3 != 0:
                 # the block models are made of 3 x 3 blocks
                 raise ParameterError(f"p must be a positive multiple of 3, got p={p}")
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
         object.__setattr__(
             self, "methods", tuple(canonical_method(m) for m in self.methods)
         )
         if not self.methods:
             raise ParameterError("methods must list at least one method")
-        rule = self.span_rule or ("ma_like" if self.family == "vma" else "ar_like")
-        object.__setattr__(self, "span_rule", rule)
         for n in self.n_list:
             default_span(n, rule)  # raises for an n the rule does not cover
 

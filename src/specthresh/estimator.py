@@ -146,28 +146,30 @@ def _row_blocks(*arrays):
 
 def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=None):
     """The estimate of each of `methods` ("smoothed", "shrinkage" or a
-    `ThresholdOperator`) from one walk over the rows j = 0..floor(n/2) in
-    blocks of _BLOCK_ROWS, handed out as (k, rows, values, lambdas): rows
-    `rows` of methods[k]'s estimate and their thresholds (NaN but for an
-    operator), in row order and in `_row_blocks`' partition; `values` is
-    valid until the next block is handed out.
+    `ThresholdOperator`) from one walk over the rows j = 0..floor(n/2),
+    handed out as (k, rows, values, lambdas): rows `rows` of methods[k]'s
+    estimate and their thresholds (NaN but for an operator), in row order
+    and in `_row_blocks`' partition; `values` is valid until the next block
+    is handed out.
 
-    Position i = 0..floor(n/2)+2m of the walk holds I(w_{i-m}), so row j's
-    window is positions j..j+2m; each position's periodogram is formed once
-    from the DFT, into a buffer of _BLOCK_ROWS+2m matrices that keeps a
-    block's last 2m positions for the next, moved down at most _BLOCK_ROWS
-    at a time so that numpy needs no temporary copy of them.  Per block,
-    the window members are added in order and divided by 2m+1, then by
-    2 pi, so row j is its window's `mean` over 2 pi bit for bit;
-    `thresholds(ops, dft_rows, rows, f_hat)` gives the (operators, rows)
-    thresholds, with dft_rows[i] = d(w_{rows[0]-m+i}), the DFT rows of the
-    block's windows (split-risk tuning forms its half-window means from
-    them, `tuning._split_risks`); shrinkage takes its row weights
-    (`_shrink_weights`) over the block zero-padded to _BLOCK_ROWS rows, as
-    numpy's row reductions can give other bits on fewer rows.  The window
-    averages of a `_row_blocks` block that straddles two pass blocks wait
-    in a buffer until its last row is summed; every method's rows are
-    formed from a whole `_row_blocks` block of them (operators keep the
+    The walk takes the rows in pass blocks of size = step * (_BLOCK_ROWS //
+    step) rows, step = `_block_rows(p)`: whole `_row_blocks` blocks, 16
+    rows for p <= 64 and for p >= 182.  Position i = 0..floor(n/2)+2m of
+    the walk holds I(w_{i-m}), so row j's window is positions j..j+2m;
+    each position's periodogram is formed once from the DFT, into a buffer
+    of size+2m matrices that keeps a block's last 2m positions for the
+    next, moved down at most `size` at a time so that numpy needs no
+    temporary copy of them.  Nothing else but those positions' squared
+    norms outlives a pass block.  Per block, the window members are added
+    in order and divided by 2m+1, then by 2 pi, so row j is its window's
+    `mean` over 2 pi bit for bit; `thresholds(ops, dft_rows, rows, f_hat)`
+    gives the (operators, rows) thresholds, with dft_rows[i] =
+    d(w_{rows[0]-m+i}), the DFT rows of the block's windows (split-risk
+    tuning forms its half-window means from them, `tuning._split_risks`);
+    shrinkage takes its row weights (`_shrink_weights`) over the block
+    zero-padded to _BLOCK_ROWS rows, as numpy's row reductions can give
+    other bits on fewer rows.  Each method's rows are then formed and
+    handed out one `_row_blocks` block at a time (operators keep the
     diagonal).
     """
     n, p = x.n, x.p
@@ -178,27 +180,26 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
         raise ParameterError("shrinkage needs a window of at least 2 periodograms")
     d = _dft(x)
     n_rows, step = n // 2 + 1, _block_rows(p)
+    size = step * (_BLOCK_ROWS // step)
     f_hat = np.zeros((_BLOCK_ROWS, p, p), dtype=d.dtype)
-    stage = np.empty((step, p, p), dtype=d.dtype)  # window averages of a `_row_blocks` block
-    rho, mu = np.empty(n_rows), np.empty(n_rows)
-    op_rows = [k for k, op in enumerate(methods) if isinstance(op, ThresholdOperator)]
-    ops, lambdas = [methods[k] for k in op_rows], np.full((len(methods), n_rows), np.nan)
+    is_op = [isinstance(method, ThresholdOperator) for method in methods]
+    ops = [method for method, op in zip(methods, is_op) if op]
     diag = np.arange(p)
     # the DFT column of each walk position, and its periodogram's squared
     # norm (0 past the end, for the padded rows)
     cols = (np.arange(n_rows + 2 * m) - m + (n - 1) // 2) % n
     member_sq = np.zeros(n_rows + _BLOCK_ROWS + 2 * m)
-    members = _periodograms(d, cols[:_BLOCK_ROWS + 2 * m])
-    for j0 in range(0, n_rows, _BLOCK_ROWS):
-        block = f_hat[:n_rows - j0]
+    members = _periodograms(d, cols[:size + 2 * m])
+    for j0 in range(0, n_rows, size):
+        block = f_hat[:min(size, n_rows - j0)]
         end = len(block) + 2 * m  # members[i] holds position j0 + i
         carried = 2 * m if j0 else 0  # members[:carried] kept from the previous block
         if j0:
-            # in steps of at most _BLOCK_ROWS positions, so that no step's
-            # source overlaps its destination and numpy copies in place
-            for lo in range(0, 2 * m, _BLOCK_ROWS):
-                hi = min(lo + _BLOCK_ROWS, 2 * m)
-                members[lo:hi] = members[_BLOCK_ROWS + lo:_BLOCK_ROWS + hi]
+            # in steps of at most `size` positions, so that no step's source
+            # overlaps its destination and numpy copies in place
+            for lo in range(0, 2 * m, size):
+                hi = min(lo + size, 2 * m)
+                members[lo:hi] = members[size + lo:size + hi]
             members[2 * m:end] = _periodograms(d, cols[j0 + 2 * m:j0 + end])
         if shrink:
             # einsum can give a one-matrix stack other bits, so take two
@@ -210,34 +211,25 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
         block /= 2 * m + 1
         block /= 2.0 * np.pi
         f_hat[len(block):] = 0.0
-        rows = range(j0, j0 + len(block))
+        lambdas = np.full((len(methods), len(block)), np.nan)
         if ops:
             dft_rows = np.ascontiguousarray(d[:, cols[j0:j0 + end]].T)
-            lambdas[op_rows, j0:rows.stop] = thresholds(ops, dft_rows, rows, block)
+            lambdas[is_op] = thresholds(ops, dft_rows, range(j0, j0 + len(block)), block)
         if shrink:
-            row_rho, row_mu = _shrink_weights(f_hat, member_sq[j0:j0 + _BLOCK_ROWS + 2 * m], m)
-            rho[rows], mu[rows] = row_rho[:len(block)], row_mu[:len(block)]
-        # the block's rows split where `_row_blocks` blocks begin
-        edges = [j0, *range(j0 - j0 % step + step, rows.stop, step), rows.stop]
-        for lo, hi in zip(edges, edges[1:]):
-            z = block[lo - j0:hi - j0]
-            unfinished = hi % step and hi < n_rows  # its `_row_blocks` block ends later
-            if lo % step or unfinished:  # that block straddles two pass blocks
-                stage[lo % step:lo % step + hi - lo] = z
-                if unfinished:
-                    continue
-                z = stage[:lo % step + hi - lo]
-            done = slice(hi - len(z), hi)
-            for k, (method, lam) in enumerate(zip(methods, lambdas)):
+            rho, mu = _shrink_weights(f_hat, member_sq[j0:j0 + _BLOCK_ROWS + 2 * m], m)
+        for lo in range(0, len(block), step):
+            part = slice(lo, min(lo + step, len(block)))
+            z = block[part]
+            for k, (method, lam) in enumerate(zip(methods, lambdas[:, part])):
                 if isinstance(method, ThresholdOperator):
-                    values = method._apply(z, lam[done, None, None])
+                    values = method._apply(z, lam[:, None, None])
                     values[:, diag, diag] = z[:, diag, diag]
                 elif method == "shrinkage":
-                    values = z * (1.0 - rho[done])[:, None, None]
-                    values.real[:, diag, diag] += (rho[done] * mu[done])[:, None]
+                    values = z * (1.0 - rho[part])[:, None, None]
+                    values.real[:, diag, diag] += (rho[part] * mu[part])[:, None]
                 else:
                     values = z
-                yield k, done, values, lam[done]
+                yield k, slice(j0 + part.start, j0 + part.stop), values, lam
 
 
 def _estimates(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=None) -> list:

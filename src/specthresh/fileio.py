@@ -299,8 +299,9 @@ def read_estimate(path) -> SpectralEstimate:
     and compared by value.  The header must give
     n, p and m as JSON integers and name one of the methods, a span m with
     2m+1 <= n, a finite positive eta (on adaptive_lasso, and only there) and
-    a list of p channel names (when given).  Every entry carries a threshold
-    when the method is a threshold method, and none otherwise.
+    a list of p channel names (when given).  Every entry carries a
+    nonnegative threshold when the method is a threshold method, and none
+    otherwise.
     """
     with open(path) as fh:
         try:
@@ -337,6 +338,8 @@ def read_estimate(path) -> SpectralEstimate:
                 lam_half[j] = float(by_j[j]["lambda"])
         if not (np.isfinite(half).all() and np.isfinite(lam_half).all()):
             raise ValueError("non-finite matrix entry or threshold")
+        if (lam_half < 0).any():
+            raise ValueError("negative threshold")
         for j in range(1, grid.half + 1):
             entry, partner = by_j[-j], by_j[j]
             if not _mirrors(entry, partner):

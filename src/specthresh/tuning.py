@@ -35,8 +35,8 @@ frequencies once for several operators, drawing and preparing each split
 once and running only the risk step per operator.
 
 Block layout.  The estimation pass (`estimator._estimate_blocks`) walks the
-rows j = 0..floor(n/2) in blocks of 16 and asks the split rule
-(`_split_rule`) for each block's thresholds, from the block's window
+rows j = 0..floor(n/2) in blocks (16 rows for p <= 64) and asks the split
+rule (`_split_rule`) for each block's thresholds, from the block's window
 averages and the DFT rows of the block's windows,
 d(w_{j0-m})..d(w_{j0+rows-1+m}) for a block starting at j0.  Per block:
 
@@ -62,14 +62,7 @@ d(w_{j0-m})..d(w_{j0+rows-1+m}) for a block starting at j0.  Per block:
 `split_risk_curves` returns those curves, the ones that chose the
 thresholds.  The pass then thresholds the window averages one
 `_row_blocks` block at a time, one operator call per block, one
-threshold per row.  Against halves summed from gathered periodograms
-and risks over all of E, the curves move by roundoff
-(the tests bound it at 1e-12 relative): no threshold moved on the seeds
-and sizes checked, though a near-tie elsewhere could move one.  A
-perfbench `vma-tuned-study` replicate (p=48, n=400, five methods, 2
-vCPUs) went from 3.15 to 3.91 replicates/s (medians of 10 alternating
-pairs) and `_split_risks` from 0.24-0.27 s to 0.12-0.16 s of it
-(cProfile, BLAS on one thread).
+threshold per row.
 """
 
 from __future__ import annotations
@@ -115,23 +108,12 @@ def _window_units(j: int, m: int, n: int) -> list:
     """The units of j's window {j-m, ..., j+m} that a split keeps together,
     as tuples of window offsets 0..2m: one offset, or the two offsets of a
     mirror pair {k, -k} when both fall in the window; for 2m+1 <= n."""
-    half = (n - 1) // 2
-    # (k + half) % n - half is the representative of k in F_n (indices are
-    # mod-n periodic)
-    offset = {(k + half) % n - half: i for i, k in enumerate(range(j - m, j + m + 1))}
-    units = []
-    seen = set()
-    for k, i in offset.items():
-        if k in seen:
-            continue
-        mirror = (half - k) % n - half
-        if mirror in offset and mirror != k:
-            units.append((i, offset[mirror]))
-            seen.update((k, mirror))
-        else:
-            units.append((i,))
-            seen.add(k)
-    return units
+    width = 2 * m + 1
+    # offset i holds w_{j-m+i}, whose mirror w_{m-j-i} is at offset 2(m-j)-i mod n
+    mirror = [(2 * (m - j) - i) % n for i in range(width)]
+    # a pair is taken at its smaller offset
+    return [(i,) if mirror[i] == i or mirror[i] >= width else (i, mirror[i])
+            for i in range(width) if mirror[i] >= i]
 
 
 def _draw_split(units: list, width: int, rng: np.random.Generator) -> np.ndarray:

@@ -297,9 +297,9 @@ class TestHalfSpectrumScoring:
 
     def test_replicate_scores_equal_public_metrics(self, monkeypatch):
         # every method, with and without the diagonal pairs.  p = 96 and 192
-        # hand out blocks of 7 and 1 rows, which straddle the pass's blocks
-        # of 16; n = 32 and 33 end in a one-row block; the widest span has
-        # 2m+1 = n (n odd) or n-1
+        # hand out blocks of 7 and 1 rows, in pass blocks of 14 and 16 rows;
+        # n = 32 and 33 end in a one-row block; the widest span has 2m+1 = n
+        # (n odd) or n-1
         for p, n, widest in [(6, 40, False), (6, 33, True), (96, 32, False), (96, 33, True),
                              (192, 32, True), (192, 33, False)]:
             span = (lambda n, rule: (n - 1) // 2) if widest else default_span
@@ -354,6 +354,12 @@ class TestBenchmarkSpec:
     def test_p_not_a_multiple_of_three_rejected(self, p):
         with pytest.raises(ParameterError, match="multiple of 3"):
             BenchmarkSpec(family="var", p_list=(6, p), n_list=(16,), methods=("smoothed",))
+
+    def test_span_rule_checked_without_any_n(self):
+        # the rule is checked on its own, not only on each listed n
+        with pytest.raises(ParameterError, match="unknown span rule 'bogus'"):
+            BenchmarkSpec(family="vma", p_list=(6,), n_list=(), methods=("smoothed",),
+                          span_rule="bogus")
 
 
 class TestEstimateMethods:

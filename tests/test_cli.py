@@ -377,8 +377,12 @@ class TestBench:
         ("p", [6.0], "p must be of type int, got 6.0"),
         ("n", [64.9], "n must be of type int, got 64.9"),
         ("include_diagonal", "false", "include_diagonal must be of type bool, got 'false'"),
+        ("p", [], "p must list at least one size"),
+        ("n", [], "n must list at least one size"),
+        ("span_rule", "bogus", "unknown span rule 'bogus'"),
     ], ids=["negative-seed", "no-methods", "no-grid", "no-splits", "replicates-float",
-            "seed-float", "grid-float", "splits-bool", "p-float", "n-float", "diagonal-string"])
+            "seed-float", "grid-float", "splits-bool", "p-float", "n-float", "diagonal-string",
+            "no-p", "no-n", "span-rule-bogus"])
     def test_spec_out_of_range_exits_data_before_any_cell(self, tmp_path, capsys, field, value,
                                                            message):
         spec = self._spec(tmp_path, **{field: value})
@@ -483,6 +487,11 @@ def _no_lambdas(obj):
         del entry["lambda"]
 
 
+def _negative_lambdas(obj):
+    for entry in obj["frequencies"]:
+        entry["lambda"] = "-1"
+
+
 def _smoothed_with_eta(obj):
     _no_lambdas(obj)
     obj.update(method="smoothed", eta="2")
@@ -533,6 +542,7 @@ class TestMalformedEstimateFile:
         (_header(eta="2"), "hard estimate with an eta"),
         (_smoothed_with_eta, "smoothed estimate with an eta"),
         (_header(method="adaptive_lasso"), "adaptive_lasso estimate without an eta"),
+        (_negative_lambdas, "negative threshold"),
     ], ids=["2x2-matrix", "header-p", "duplicated-j", "nan-entry", "missing-j",
             "not-conjugate-matrix", "not-conjugate-lambda", "re-one-ulp-off", "im-one-ulp-off",
             "negative-im-shape", "plus-signed-partner", "space-led-partner",
@@ -541,7 +551,7 @@ class TestMalformedEstimateFile:
             "eta-nan", "eta-negative", "m-negative", "m-too-wide", "n-float", "p-float",
             "m-float", "m-bool", "j-float", "smoothed-with-thresholds",
             "shrinkage-with-thresholds", "hard-without-thresholds", "eta-on-hard",
-            "eta-on-smoothed", "adaptive-lasso-without-eta"])
+            "eta-on-smoothed", "adaptive-lasso-without-eta", "lambda-negative"])
     def test_exits_data(self, tmp_path, rng, capsys, vma_model_file, mutate, message):
         n = 32
         x = TimeSeriesMatrix(rng.standard_normal((n, 3)))

@@ -384,10 +384,11 @@ def _streamed_vs_stack(x, m):
 
 
 class TestStreamedPass:
-    # p = 96, 120 and 192 hand out blocks of 7, 5 and 1 rows, which straddle
-    # the pass's blocks of 16, and shrink a one-row last block padded to 16
+    # p = 96, 120, 66, 81 and 192 hand out blocks of 7, 4, 15, 9 and 1 rows,
+    # in pass blocks of 14, 16, 15, 9 and 16 rows, and shrink a one-row last
+    # block padded to 16
     @pytest.mark.parametrize("n, p", [(n, p) for n in (17, 32, 33, 64, 65) for p in (1, 2, 48)]
-                             + [(33, 192), (33, 96), (33, 120)])
+                             + [(33, 192), (33, 96), (33, 120), (33, 66), (33, 81)])
     @pytest.mark.parametrize("span", ["none", "one", "widest"])
     def test_equals_whole_stack_pass(self, rng, n, p, span):
         # n = 32, 33, 64 and 65 end in a one-row block; the widest span
@@ -402,7 +403,7 @@ class TestStreamedPass:
             if lambdas is not None:
                 assert np.array_equal(est.lambdas, lambdas)
 
-    @pytest.mark.parametrize("n, p", [(33, 6), (32, 96), (33, 120), (33, 192)])
+    @pytest.mark.parametrize("n, p", [(33, 6), (32, 96), (33, 120), (33, 192), (33, 66), (33, 81)])
     def test_blocks_come_in_row_block_partition(self, rng, n, p):
         # each method's blocks are `_row_blocks`' blocks, in row order, with
         # its thresholds, and NaN thresholds for the baselines
@@ -436,7 +437,7 @@ class TestStreamedPass:
 
     def test_peak_memory_below_half_the_periodogram_stack(self, rng):
         # the (n, p, p) stack is never built: the pass holds its outputs
-        # and a buffer of 16+2m periodograms
+        # and a buffer of 14+2m periodograms (pass blocks of 14 rows at p = 96)
         n, p, m = 200, 96, 9
         x = white_series(rng, n, p)
         tracemalloc.start()
@@ -449,11 +450,12 @@ class TestStreamedPass:
         assert peak < outputs + 0.5 * n * p * p * 16
 
     def test_carried_periodograms_move_without_a_copy(self, rng):
-        # with 2m > 16 the 2m positions a block carries to the next overlap
-        # their new place; moved in one step they would be copied to a
-        # temporary of 2m matrices first.  Besides its buffer of 16+2m
-        # periodograms, the pass holds the window averages, the staged
-        # rows, a block's new periodograms and the DFT: less than m more
+        # p = 96 walks pass blocks of 14 rows, so with 2m > 14 the 2m
+        # positions a block carries to the next overlap their new place;
+        # moved in one step they would be copied to a temporary of 2m
+        # matrices first.  Besides its buffer of 14+2m periodograms, the pass
+        # holds the window averages, a block's new periodograms and the DFT:
+        # less than m more
         n, p, m = 200, 96, 60
         x = white_series(rng, n, p)
         tracemalloc.start()
