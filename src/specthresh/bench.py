@@ -9,21 +9,16 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 import numpy as np
 
 from .errors import DataError, ParameterError, SpecthreshError
-from .estimator import (
-    ALL_METHODS,
-    THRESHOLD_METHODS,
-    SpectralEstimate,
-    ThresholdOperator,
-)
+from .estimator import ALL_METHODS, THRESHOLD_METHODS, ThresholdOperator
 from .fileio import _fmt_distinct, _json_value, report_rows, write_report_csv
 from .metrics import EvaluationReport, RocCurve, _Truth, replicate_summary, roc_points
 from .model import VarmaModel, _spectral_density, block_varma_model, simulate
-from .tuning import default_span, tuned_blocks, tuned_estimates
+from .tuning import default_span, tuned_blocks
 
 METHOD_ALIASES = {"alasso": "adaptive_lasso"}
 
@@ -76,8 +71,9 @@ class BenchmarkSpec:
             if p < 3 or p % 3 != 0:
                 # the block models are made of 3 x 3 blocks
                 raise ParameterError(f"p must be a positive multiple of 3, got p={p}")
+        # each method once, in the order first listed, whatever its alias
         object.__setattr__(
-            self, "methods", tuple(canonical_method(m) for m in self.methods)
+            self, "methods", tuple(dict.fromkeys(canonical_method(m) for m in self.methods))
         )
         if not self.methods:
             raise ParameterError("methods must list at least one method")
@@ -112,49 +108,8 @@ def truth_spectra(model: VarmaModel, n: int) -> np.ndarray:
     return _spectral_density(model, 2.0 * np.pi * np.arange(n // 2 + 1) / n)
 
 
-def truth_graph_support(truth: np.ndarray) -> np.ndarray:
-    """Edge (r, s) is true when f_rs is nonzero at some Fourier frequency.
-
-    `truth` holds the rows j >= 0, as `truth_spectra` returns them:
-    f(omega_{-j}) is the conjugate of f(omega_j), and conjugation keeps
-    every modulus.
-    """
-    peak_mod = functools.reduce(np.maximum, map(np.abs, truth))
-    # |f_rs| exceeds the tolerance at some j exactly when its largest modulus does
-    support = peak_mod > 1e-12 * float(np.max(peak_mod))
-    np.fill_diagonal(support, False)
-    return support
-
-
-def _pass_methods(names: Sequence[str]) -> tuple:
-    """The canonical names of `names`, each once, and their pass methods."""
-    names = list(dict.fromkeys(canonical_method(name) for name in names))
-    return names, [ThresholdOperator(name) if name in THRESHOLD_METHODS else name for name in names]
-
-
-def estimate_methods(
-    methods: Sequence[str],
-    x,
-    m: int,
-    grid_size: int = 20,
-    n_splits: int = 1,
-    seed: int = 0,
-) -> Dict[str, SpectralEstimate]:
-    """The estimate of each listed method, keyed by canonical method name,
-    from one estimation pass (`tuning.tuned_estimates`); the threshold
-    methods' thresholds are tuned, and tuning is skipped when none is listed."""
-    names, methods = _pass_methods(methods)
-    return dict(zip(names, tuned_estimates(x, m, methods, grid_size, n_splits, seed)))
-
-
 def _replicate_seed(master: int, cell_index: int, replicate: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master, spawn_key=(cell_index, replicate))
-
-
-def _scoring_truth(spec: BenchmarkSpec, n: int, truth: np.ndarray) -> _Truth:
-    """What scoring `spec`'s methods takes of `truth` alone."""
-    support = any(name in THRESHOLD_METHODS for name in spec.methods)
-    return _Truth(truth, n, spec.include_diagonal, support)
 
 
 def run_replicate(
@@ -163,35 +118,34 @@ def run_replicate(
     p: int,
     n: int,
     replicate: int,
-    truth: np.ndarray,
-    truth_support_graph: np.ndarray,
+    truth: _Truth,
 ) -> Dict[str, dict]:
-    """Report and ROC curve of each method on one replicate.  `truth` holds
-    f(omega_j) for j = 0..n//2, or is what `run_cell` makes of it once per
-    cell (`metrics._Truth`).  Each block of rows that the estimation pass
-    hands out (`tuning.tuned_blocks`) is folded into its method's scores at
-    once, so no whole estimate is held."""
+    """Report and ROC curve of each method on one replicate, against what
+    `run_cell` makes of the cell's truth once (`metrics._Truth`).  Each
+    block of rows that the estimation pass hands out (`tuning.tuned_blocks`)
+    is folded into its method's scores at once, so no whole estimate is
+    held."""
     model = block_varma_model(p, spec.family)
     m = default_span(n, spec.span_rule)
     seed = _replicate_seed(spec.seed, cell_index, replicate)
     x = simulate(model, n, seed=seed)
-    names, methods = _pass_methods(spec.methods)
-    t = truth if isinstance(truth, _Truth) else _scoring_truth(spec, n, truth)
+    names = spec.methods
+    methods = [ThresholdOperator(name) if name in THRESHOLD_METHODS else name for name in names]
     sq_errors, sums = [0.0] * len(names), np.zeros((len(names), p, p))
-    counts = np.empty((len(names), len(t.half), 2))
+    counts = np.empty((len(names), len(truth.half), 2))
     for k, rows, values, _ in tuned_blocks(x, m, methods, spec.grid_size, spec.n_splits,
                                            int(seed.generate_state(1)[0])):
-        sq_errors[k] += t.sq_error(rows, values)
-        t.coherence_sum(sums[k], rows, values)
+        sq_errors[k] += truth.sq_error(rows, values)
+        truth.coherence_sum(sums[k], rows, values)
         if names[k] in THRESHOLD_METHODS:
-            counts[k, rows] = t.support_counts(rows, values)
+            counts[k, rows] = truth.support_counts(rows, values)
     out = {}
     for k, method in enumerate(names):
-        report = EvaluationReport(method=method, rmise=t.rmise(sq_errors[k]))
-        roc = roc_points(t.coherence_graph(sums[k]), truth_support_graph)
+        report = EvaluationReport(method=method, rmise=truth.rmise(sq_errors[k]))
+        roc = roc_points(truth.coherence_graph(sums[k]), truth.graph)
         report.auc = roc.auc
         if method in THRESHOLD_METHODS:
-            scores = t.support_scores(counts[k])
+            scores = truth.support_scores(counts[k])
             report.precision, report.recall, report.f1 = scores.precision, scores.recall, scores.f1
         out[method] = {"report": report, "roc": roc}
     return out
@@ -238,15 +192,15 @@ class CellResult:
 def run_cell(spec: BenchmarkSpec, cell_index: int, p: int, n: int, jobs: int = 1) -> CellResult:
     """Summaries and ROC curves of `spec.replicates` replicates of one cell.
 
-    The truth, its support and the truth-only parts of the scores are
+    The truth and what the scores take of it alone (`metrics._Truth`) are
     computed in this process first; with jobs > 1 the replicates then run in
     one pool, whose workers inherit them without a copy per task.
     """
-    truth = truth_spectra(block_varma_model(p, spec.family), n)
-    support = truth_graph_support(truth)
+    support = any(name in THRESHOLD_METHODS for name in spec.methods)
+    truth = _Truth(truth_spectra(block_varma_model(p, spec.family), n), n,
+                   spec.include_diagonal, support)
     tasks = [(spec, cell_index, p, n, r) for r in range(spec.replicates)]
-    replicate = functools.partial(run_replicate, truth=_scoring_truth(spec, n, truth),
-                                  truth_support_graph=support)
+    replicate = functools.partial(run_replicate, truth=truth)
     results = _mapped(replicate, tasks, jobs)
     summaries = {}
     rocs: Dict[str, List[RocCurve]] = {}

@@ -13,7 +13,7 @@ from .errors import DataError, NumericalError, SpecthreshError
 from .estimator import ThresholdOperator, aggregate_coherence_graph, threshold_estimate
 from .metrics import EvaluationReport, rmise, support_scores
 from .model import simulate
-from .tuning import default_span
+from .tuning import default_span, tuned_estimates
 
 EXIT_OK = 0
 EXIT_DATA = 3
@@ -49,15 +49,13 @@ def _resolve_span(args, n: int) -> int:
 def cmd_estimate(args) -> int:
     x = fileio.read_series(args.series)
     m = _resolve_span(args, x.n)
-    method = bench_mod.canonical_method(args.method)
+    name = bench_mod.canonical_method(args.method)
+    method = ThresholdOperator(name) if name in bench_mod.THRESHOLD_METHODS else name
     if args.fixed_lambda is not None:
-        op = ThresholdOperator(method)
         lambdas = {j: args.fixed_lambda for j in range(0, x.n // 2 + 1)}
-        est = threshold_estimate(x, m, op, lambdas)
+        est = threshold_estimate(x, m, method, lambdas)
     else:
-        est = bench_mod.estimate_methods(
-            [method], x, m, grid_size=args.grid_size, n_splits=args.n_splits, seed=args.seed
-        )[method]
+        est = tuned_estimates(x, m, [method], args.grid_size, args.n_splits, args.seed)[0]
     fileio.write_estimate(est, args.out)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .dft import _dft, _periodograms
-from .errors import DataError, ParameterError
+from .errors import DataError, NumericalError, ParameterError
 from .model import TimeSeriesMatrix
 
 THRESHOLD_METHODS = ("hard", "lasso", "adaptive_lasso")
@@ -206,17 +206,25 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
             first = min(carried, end - 2)
             member_sq[j0 + carried:j0 + end] = _sq_norms(members[first:end])[carried - first:]
         block[...] = members[:len(block)]
-        for i in range(1, 2 * m + 1):
-            block += members[i:i + len(block)]
-        block /= 2 * m + 1
-        block /= 2.0 * np.pi
+        # a badly scaled series can overflow the window averages and the
+        # shrinkage weights; both are checked below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(1, 2 * m + 1):
+                block += members[i:i + len(block)]
+            block /= 2 * m + 1
+            block /= 2.0 * np.pi
+        if not np.isfinite(block.real[:, diag, diag]).all():
+            raise NumericalError("non-finite spectral diagonal: the series is badly scaled")
         f_hat[len(block):] = 0.0
         lambdas = np.full((len(methods), len(block)), np.nan)
         if ops:
             dft_rows = np.ascontiguousarray(d[:, cols[j0:j0 + end]].T)
             lambdas[is_op] = thresholds(ops, dft_rows, range(j0, j0 + len(block)), block)
         if shrink:
-            rho, mu = _shrink_weights(f_hat, member_sq[j0:j0 + _BLOCK_ROWS + 2 * m], m)
+            with np.errstate(over="ignore", invalid="ignore"):
+                rho, mu = _shrink_weights(f_hat, member_sq[j0:j0 + _BLOCK_ROWS + 2 * m], m)
+            if not (np.isfinite(rho).all() and np.isfinite(mu).all()):
+                raise NumericalError("non-finite shrinkage weight: the series is badly scaled")
         for lo in range(0, len(block), step):
             part = slice(lo, min(lo + step, len(block)))
             z = block[part]
@@ -322,7 +330,8 @@ def _shrink_weights(f_hat: np.ndarray, member_sq: np.ndarray, m: int) -> tuple:
     return rho, mu
 
 
-# a channel whose spectral diagonal is below this has no defined coherence
+# a channel whose spectral diagonal is at most this times the largest
+# diagonal at its frequency has no defined coherence
 _TAU_FLOOR = 1e-12
 
 
@@ -336,12 +345,14 @@ def coherence(matrix: np.ndarray) -> np.ndarray:
 
 def _channel_scales(f: np.ndarray) -> np.ndarray:
     """1 / sqrt(f_rr) of each matrix of a (rows, p, p) stack, as a (rows, p)
-    array.  Raises for the first channel, in row order, whose diagonal is
-    below _TAU_FLOOR."""
+    array.  Raises for the first channel, in row order, whose diagonal is at
+    most _TAU_FLOOR times the largest diagonal of its matrix (every channel
+    of an all-zero matrix), so the floor follows the series' units."""
     diag = np.diagonal(f, axis1=1, axis2=2).real
-    bad = np.argwhere(diag < _TAU_FLOOR)
+    bad = np.argwhere(diag <= _TAU_FLOOR * diag.max(axis=1, keepdims=True))
     if bad.size:
-        raise DataError(f"degenerate channel {int(bad[0, 1])}: diagonal below {_TAU_FLOOR}")
+        raise DataError(f"degenerate channel {int(bad[0, 1])}: diagonal at most {_TAU_FLOOR} "
+                        "times the largest")
     return 1.0 / np.sqrt(diag)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
@@ -79,18 +80,26 @@ def support_scores(
 
 class _Truth:
     """What the scores take of the truth `half` (f(w_j), j = 0..floor(n/2))
-    alone, made once per truth: row weights, rmise's denominator and, with
-    `support`, each row's true support on the pairs counted (`mask`).  Its
-    methods are the fold kernels of the scores, each given one `_row_blocks`
-    block of an estimate's rows, and their finishers."""
+    alone, made once per truth: row weights, rmise's denominator, the true
+    coherence graph (`graph`: edge (r, s), r != s, is true when f_rs is
+    nonzero at some frequency) and, with `support`, each row's true support
+    on the pairs counted (`mask`).  A truth entry counts as nonzero when its
+    modulus exceeds 1e-12 times the largest truth modulus.  Its methods are
+    the fold kernels of the scores, each given one `_row_blocks` block of an
+    estimate's rows, and their finishers."""
 
     def __init__(self, half: np.ndarray, n: int, include_diagonal: bool = False,
                  support: bool = False):
         self.half, self.weights = half, half_weights(n)
         self.sq = sum(float(self.weights[rows] @ _sq_norms(f)) for rows, f in _row_blocks(half))
         self.mask = ~np.eye(half.shape[-1], dtype=bool) | include_diagonal
+        # each entry's largest modulus over the rows; row -j, the conjugate
+        # of row j, has the same moduli
+        peak = functools.reduce(np.maximum, map(np.abs, half))
+        zero_tol = 1e-12 * float(np.max(peak))
+        self.graph = peak > zero_tol
+        np.fill_diagonal(self.graph, False)
         if support:
-            zero_tol = 1e-12 * max(float(np.max(np.abs(f))) for _, f in _row_blocks(half))
             self.support = np.concatenate(
                 [(np.abs(f) > zero_tol) & self.mask for _, f in _row_blocks(half)])
             self.n_true = self.support.sum(axis=(1, 2))

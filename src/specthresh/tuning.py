@@ -71,7 +71,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import NumericalError, ParameterError
 from .estimator import SpectralEstimate, ThresholdOperator, _estimate_blocks, _estimates
 from .model import TimeSeriesMatrix
 
@@ -330,7 +330,11 @@ def _split_rule(n: int, m: int, grid_size: int, n_splits: int, seed: int, curves
             raise ParameterError("n_splits must be at least 1")
         grids, single = _lambda_grids(f_hat, grid_size)
         _check_grids(grids, single)
-        risks = _split_risks(dft_rows, n, rows, grids, m, n_splits, seed, ops)
+        # a badly scaled series can overflow the risks; it is caught below
+        with np.errstate(over="ignore", invalid="ignore"):
+            risks = _split_risks(dft_rows, n, rows, grids, m, n_splits, seed, ops)
+        if not np.isfinite(risks).all():
+            raise NumericalError("non-finite split risk: the series is badly scaled")
         if curves is not None:
             curves.append((grids, risks))
         # argmin ties break toward the smaller threshold

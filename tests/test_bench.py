@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import between_components, coupled_models
+from conftest import between_components, coupled_models, pass_methods
 from oracles import coherence_graph_loop, full_grid, rmise_loop, spectral_density, support_loop
 
 from specthresh import (
@@ -41,14 +41,12 @@ from specthresh.bench import (
     THRESHOLD_METHODS,
     BenchmarkSpec,
     CellResult,
-    estimate_methods,
     run_benchmark,
     run_cell,
-    truth_graph_support,
     truth_spectra,
 )
 from specthresh.fileio import _fmt
-from specthresh.metrics import RocCurve
+from specthresh.metrics import RocCurve, _Truth
 from specthresh.model import _components
 
 
@@ -66,10 +64,10 @@ def public_scores(spec, p, n, replicate, truth, support, m):
     cell 0, from whole estimates and the public metrics."""
     seed = bench._replicate_seed(spec.seed, 0, replicate)
     x = bench.simulate(block_varma_model(p, spec.family), n, seed=seed)
-    ests = estimate_methods(spec.methods, x, m, grid_size=spec.grid_size,
-                            n_splits=spec.n_splits, seed=int(seed.generate_state(1)[0]))
+    ests = tuning.tuned_estimates(x, m, pass_methods(spec.methods), spec.grid_size,
+                                  spec.n_splits, int(seed.generate_state(1)[0]))
     out = {}
-    for method, est in ests.items():
+    for method, est in zip(spec.methods, ests, strict=True):
         roc = roc_points(aggregate_coherence_graph(est), support)
         report = EvaluationReport(method=method, rmise=rmise(est, truth), auc=roc.auc)
         if method in THRESHOLD_METHODS:
@@ -202,8 +200,9 @@ class TestRunCell:
         log = io.StringIO()
         assert run_benchmark(spec, tmp_path, jobs=jobs, log=log) == []
         seed = bench._replicate_seed(2, 0, 0)
-        est = estimate_methods(["lasso"], constant_channel(block_varma_model(6, "vma"), 40, seed),
-                               6, grid_size=6, seed=int(seed.generate_state(1)[0]))["lasso"]
+        est, = tuning.tuned_estimates(constant_channel(block_varma_model(6, "vma"), 40, seed), 6,
+                                      [ThresholdOperator("lasso")], 6, 1,
+                                      int(seed.generate_state(1)[0]))
         with pytest.raises(DataError, match="degenerate channel 2") as err:
             aggregate_coherence_graph(est)
         assert log.getvalue() == f"cell (p=6, n=40) failed: {err.value}\n"
@@ -255,7 +254,7 @@ class TestTruthGraphSupport:
     def test_equals_full_grid_support(self, rng, family, n):
         model = varma21(rng) if family == "varma21" else block_varma_model(9, family)
         truth = truth_spectra(model, n)
-        got = truth_graph_support(truth)
+        got = _Truth(truth, n).graph
         assert np.array_equal(got, full_grid_support(truth, n))
         assert got.any()
 
@@ -269,7 +268,7 @@ class TestTruthGraphSupport:
         half[1, 2, 3] = 0.3j
         half[1, 3, 2] = -0.3j
         half[n // 2, 4, 5] = half[n // 2, 5, 4] = 0.2
-        got = truth_graph_support(half)
+        got = _Truth(half, n).graph
         assert np.array_equal(got, full_grid_support(half, n))
         assert sorted(zip(*np.nonzero(np.triu(got)))) == [(0, 1), (2, 3), (4, 5)]
 
@@ -306,12 +305,13 @@ class TestHalfSpectrumScoring:
             monkeypatch.setattr(bench, "default_span", span)
             model = block_varma_model(p, "vma")
             truth = truth_spectra(model, n)
-            support = truth_graph_support(truth)
+            support = full_grid_support(truth, n)
             for include_diagonal in (True, False):
                 spec = BenchmarkSpec(family="vma", p_list=(p,), n_list=(n,), methods=ALL_METHODS,
                                      replicates=1, seed=2, grid_size=6,
                                      include_diagonal=include_diagonal)
-                got = bench.run_replicate(spec, 0, p, n, 0, truth, support)
+                got = bench.run_replicate(spec, 0, p, n, 0,
+                                          _Truth(truth, n, include_diagonal, support=True))
                 want = public_scores(spec, p, n, 0, truth, support, span(n, "ma_like"))
                 assert list(got) == list(want) == list(ALL_METHODS)
                 for method, (report, roc) in want.items():
@@ -324,7 +324,7 @@ class TestHalfSpectrumScoring:
         spec = BenchmarkSpec(family="var", p_list=(p,), n_list=(n,), methods=ALL_METHODS,
                              replicates=2, seed=4, grid_size=5, include_diagonal=False)
         truth = truth_spectra(block_varma_model(p, "var"), n)
-        support = truth_graph_support(truth)
+        support = full_grid_support(truth, n)
         cell = run_cell(spec, 0, p, n, jobs=jobs)
         want = [public_scores(spec, p, n, r, truth, support, cell.m) for r in range(2)]
         for method in ALL_METHODS:
@@ -338,15 +338,14 @@ class TestHalfSpectrumScoring:
         p, n = 96, 200
         spec = BenchmarkSpec(family="vma", p_list=(p,), n_list=(n,),
                              methods=("smoothed", "shrinkage"), replicates=1)
-        truth = truth_spectra(block_varma_model(p, "vma"), n)
-        support = truth_graph_support(truth)
+        truth = _Truth(truth_spectra(block_varma_model(p, "vma"), n), n, spec.include_diagonal)
         tracemalloc.start()
         try:
-            bench.run_replicate(spec, 0, p, n, 0, truth, support)
+            bench.run_replicate(spec, 0, p, n, 0, truth)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < truth.nbytes + (16 + 2 * default_span(n, "ma_like")) * p * p * 16
+        assert peak < truth.half.nbytes + (16 + 2 * default_span(n, "ma_like")) * p * p * 16
 
 
 class TestBenchmarkSpec:
@@ -354,6 +353,19 @@ class TestBenchmarkSpec:
     def test_p_not_a_multiple_of_three_rejected(self, p):
         with pytest.raises(ParameterError, match="multiple of 3"):
             BenchmarkSpec(family="var", p_list=(6, p), n_list=(16,), methods=("smoothed",))
+
+    def test_repeated_and_aliased_methods_collapse(self, tmp_path):
+        # each method's rows and ROC file are written once
+        for name, methods in [("listed", ["lasso", "alasso", "adaptive_lasso", "lasso"]),
+                              ("once", ["lasso", "adaptive_lasso"])]:
+            spec = BenchmarkSpec(family="vma", p_list=(6,), n_list=(40,), methods=methods,
+                                 replicates=2, grid_size=5)
+            run_benchmark(spec, tmp_path / name)
+        listed, once = tmp_path / "listed", tmp_path / "once"
+        files = sorted(path.name for path in once.iterdir())
+        assert sorted(path.name for path in listed.iterdir()) == files
+        for name in files:
+            assert (listed / name).read_bytes() == (once / name).read_bytes()
 
     def test_span_rule_checked_without_any_n(self):
         # the rule is checked on its own, not only on each listed n
@@ -367,26 +379,30 @@ class TestEstimateMethods:
     @pytest.mark.parametrize("n_splits", [1, 3])
     def test_equals_separate_estimates(self, n, n_splits):
         x = simulate(block_varma_model(6, "vma"), n, seed=n)
-        got = estimate_methods(ALL_METHODS, x, 4, grid_size=8, n_splits=n_splits, seed=3)
-        assert list(got) == list(ALL_METHODS)
-        want = {"smoothed": smoothed_estimate(x, 4), "shrinkage": shrinkage_all(x, 4)}
+        got = tuning.tuned_estimates(x, 4, pass_methods(ALL_METHODS), 8, n_splits, 3)
+        want = [smoothed_estimate(x, 4), shrinkage_all(x, 4)]
         for name in ("hard", "lasso", "adaptive_lasso"):
-            want[name] = tuned_threshold_estimate(
+            want.append(tuned_threshold_estimate(
                 x, 4, ThresholdOperator(name), grid_size=8, n_splits=n_splits, seed=3
-            )
-        for name, ref in want.items():
-            est = got[name]
+            ))
+        assert [est.method for est in got] == list(ALL_METHODS)
+        for est, ref in zip(got, want, strict=True):
             assert (est.method, est.m, est.eta) == (ref.method, ref.m, ref.eta)
             assert (est.lambdas is None) == (ref.lambdas is None)
             if ref.lambdas is not None:
                 assert np.array_equal(est.lambdas, ref.lambdas)
             assert np.array_equal(est.half, ref.half)
 
-    def test_aliases_and_order(self, rng):
-        x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
-        got = estimate_methods(["alasso", "smoothed", "alasso"], x, 3)
+    def test_aliases_and_order(self):
+        # a spec lists each canonical method once, in the order first listed,
+        # and a replicate reports them in that order
+        spec = BenchmarkSpec(family="vma", p_list=(3,), n_list=(40,), grid_size=5,
+                             methods=["alasso", "smoothed", "adaptive_lasso", "alasso"])
+        assert spec.methods == ("adaptive_lasso", "smoothed")
+        got = bench.run_replicate(spec, 0, 3, 40, 0, _Truth(truth_spectra(
+            block_varma_model(3, "vma"), 40), 40, spec.include_diagonal, support=True))
         assert list(got) == ["adaptive_lasso", "smoothed"]
-        assert got["adaptive_lasso"].method == "adaptive_lasso"
+        assert got["adaptive_lasso"]["report"].method == "adaptive_lasso"
 
     def test_baselines_skip_tuning(self, rng, monkeypatch):
         def refuse(*args, **kwargs):
@@ -394,10 +410,10 @@ class TestEstimateMethods:
 
         x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
         monkeypatch.setattr(tuning, "_split_risks", refuse)
-        got = estimate_methods(["smoothed", "shrinkage"], x, 3)
-        assert list(got) == ["smoothed", "shrinkage"]
+        got = tuning.tuned_estimates(x, 3, ["smoothed", "shrinkage"])
+        assert [est.method for est in got] == ["smoothed", "shrinkage"]
         with pytest.raises(AssertionError, match="tuning pass run"):
-            estimate_methods(["smoothed", "lasso"], x, 3)
+            tuning.tuned_estimates(x, 3, ["smoothed", ThresholdOperator("lasso")])
 
     def test_one_periodogram_pass(self, rng, monkeypatch):
         # each walk position i = 0..n//2+2m, I(w_{i-m}), is formed once
@@ -410,13 +426,14 @@ class TestEstimateMethods:
 
         monkeypatch.setattr(estimator, "_periodograms", counted)
         n, m = 40, 3
-        estimate_methods(ALL_METHODS, TimeSeriesMatrix(rng.standard_normal((n, 3))), m, grid_size=6)
+        tuning.tuned_estimates(TimeSeriesMatrix(rng.standard_normal((n, 3))), m,
+                               pass_methods(ALL_METHODS), grid_size=6)
         assert len(cols) == n // 2 + 1 + 2 * m
         assert cols == [(i - m + (n - 1) // 2) % n for i in range(len(cols))]
 
     def test_estimates_do_not_share_storage(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
-        got = list(estimate_methods(ALL_METHODS, x, 3, grid_size=6).values())
+        got = tuning.tuned_estimates(x, 3, pass_methods(ALL_METHODS), grid_size=6)
         arrays = [est.half for est in got]
         arrays += [est.lambdas for est in got if est.lambdas is not None]
         for i, a in enumerate(arrays):
@@ -425,7 +442,7 @@ class TestEstimateMethods:
 
     def test_baseline_halves_do_not_share_storage(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
-        got = estimate_methods(["smoothed", "shrinkage"], x, 3)
+        smoothed, shrinkage = tuning.tuned_estimates(x, 3, ["smoothed", "shrinkage"])
         ref = smoothed_estimate(x, 3)
-        got["shrinkage"].half[2][...] = 0.0
-        assert np.array_equal(got["smoothed"].half[2], ref.half[2])
+        shrinkage.half[2][...] = 0.0
+        assert np.array_equal(smoothed.half[2], ref.half[2])

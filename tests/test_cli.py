@@ -17,7 +17,7 @@ from specthresh.bench import truth_spectra
 from specthresh.errors import NumericalError
 from specthresh.cli import main
 from specthresh.fileio import read_estimate, read_series, write_estimate, write_model, write_series
-from specthresh.model import TimeSeriesMatrix, VarmaModel, block_varma_model
+from specthresh.model import TimeSeriesMatrix, VarmaModel, block_varma_model, simulate
 
 
 @pytest.fixture
@@ -188,6 +188,22 @@ class TestEstimate:
         assert err.value.code == 2
         assert f"--lambda applies only to hard, lasso and alasso, not to {method}" \
             in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale, method", [
+        (1e80, "shrinkage"), (1e154, "smoothed"), (1e154, "lasso"), (1e78, "hard"),
+        (1e78, "lasso"), (1e40, "alasso"), (1e-40, "alasso"),
+    ])
+    def test_badly_scaled_series_exits_numerical(self, tmp_path, capsys, scale, method):
+        # the window averages, shrinkage weights or split risks overflow
+        series = tmp_path / "series.csv"
+        x = simulate(block_varma_model(6, "vma"), 64, seed=1)
+        write_series(TimeSeriesMatrix(scale * x.data), series)
+        out = tmp_path / "o.json"
+        code = run("estimate", "--series", series, "--method", method, "--m", 8, "--out", out)
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_usage_error_exit_code(self, tmp_path, series_file):
@@ -417,6 +433,20 @@ class TestCoherence:
         body = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[1:]])
         assert np.allclose(body, body.T)
         assert np.all(np.diag(body) == 0.0)
+
+    def test_small_units_give_the_unscaled_graph(self, tmp_path, vma_model_file):
+        # the degenerate-channel floor is relative to each frequency's largest diagonal
+        series = tmp_path / "series.csv"
+        run("simulate", "--model", vma_model_file, "--n", 64, "--seed", 5, "--out", series)
+        graphs = []
+        for scale in (1.0, 1e-6):
+            scaled = tmp_path / f"series{scale}.csv"
+            write_series(TimeSeriesMatrix(scale * read_series(series).data), scaled)
+            est, out = tmp_path / "est.json", tmp_path / "graph.csv"
+            assert run("estimate", "--series", scaled, "--method", "lasso", "--out", est) == 0
+            assert run("coherence", "--estimate", est, "--out", out) == 0
+            graphs.append(np.loadtxt(out, delimiter=",", skiprows=1, usecols=range(1, 4)))
+        assert np.allclose(graphs[1], graphs[0], rtol=0, atol=1e-12)
 
 
 def _bad_matrix_size(obj):

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 import inspect
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from specthresh import cli, fileio, roc_points, threshold_estimate, tuned_thresh
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "specthresh"
+PERFBENCH = ROOT / "perfbench"
 # the code that may read a name the package defines
 READERS = ("src", "tests", "demos", "perfbench")
 
@@ -234,3 +236,56 @@ def test_benchmark_bound_parameter_names():
         "read_estimate", "read_model", "read_series",
         "write_estimate", "write_model", "write_report_csv", "write_series"]
     assert [fn.__name__ for fn in file_io if "path" not in inspect.signature(fn).parameters] == []
+
+
+def package_attribute_reads(source: str) -> list:
+    """(module, attribute) of each attribute a module reads off a name it
+    binds to the package or to one of its modules: `import specthresh`
+    binds "specthresh", `from specthresh import bench` "specthresh.bench"."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update({alias.asname or alias.name: alias.name for alias in node.names
+                          if alias.name == "specthresh"})
+        elif isinstance(node, ast.ImportFrom) and node.module == "specthresh":
+            bound.update({alias.asname or alias.name: f"specthresh.{alias.name}"
+                          for alias in node.names})
+    return sorted({(bound[node.value.id], node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in bound})
+
+
+def test_benchmark_reads_existing_package_names():
+    """Every attribute the benchmark (perfbench/, read here, never changed)
+    reads off the package or its bench, cli and fileio modules exists, so a
+    deletion the benchmark depends on fails here first."""
+    reads = sorted({read for path in PERFBENCH.glob("*.py")
+                    for read in package_attribute_reads(path.read_text())})
+    assert ("specthresh.bench", "run_benchmark") in reads
+    missing = [f"{module}.{attr}" for module, attr in reads
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
+
+
+@pytest.mark.parametrize("source, want", [
+    ("import specthresh\nspecthresh.simulate(x)\n", [("specthresh", "simulate")]),
+    ("from specthresh import bench as b, cli\nb.run_benchmark()\ncli.main\n",
+     [("specthresh.bench", "run_benchmark"), ("specthresh.cli", "main")]),
+    ("def f():\n    import specthresh\n    return specthresh.gone\n", [("specthresh", "gone")]),
+    ("import numpy as np\nfrom os import path\nnp.zeros(3)\npath.join\nbench.x\n", []),
+])
+def test_package_attribute_reads_finds_reads_off_the_package(source, want):
+    assert package_attribute_reads(source) == want
+
+
+def test_traced_layers_import():
+    """Every layer the benchmark's tracer wraps (`LAYERS` in
+    perfbench/tracing.py) is a module of the package."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    layers, = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+               and [target.id for target in node.targets if isinstance(target, ast.Name)]
+               == ["LAYERS"]]
+    assert layers
+    for layer in layers:
+        importlib.import_module(f"specthresh.{layer}")

@@ -10,6 +10,7 @@ from specthresh import (
     AutocovSequence,
     DataError,
     ModelError,
+    NumericalError,
     ParameterError,
     ThresholdOperator,
     TimeSeriesMatrix,
@@ -17,6 +18,7 @@ from specthresh import (
     autocov,
     block_varma_model,
     rmise,
+    shrinkage_all,
     simulate,
     smoothed_estimate,
     threshold_estimate,
@@ -83,6 +85,17 @@ CALLS = {
     "spec-family": (lambda: spec(family="arma"), ParameterError, "unknown family 'arma'"),
     "spec-replicates": (lambda: spec(replicates=0),
                         ParameterError, "replicates must be at least 1"),
+    # series scaled until the window averages, the shrinkage weights or the
+    # split risks overflow
+    "overflow-diagonal": (lambda: smoothed_estimate(TimeSeriesMatrix(1e154 * X.data), 2),
+                          NumericalError,
+                          "non-finite spectral diagonal: the series is badly scaled"),
+    "overflow-shrinkage": (lambda: shrinkage_all(TimeSeriesMatrix(1e80 * X.data), 2),
+                           NumericalError,
+                           "non-finite shrinkage weight: the series is badly scaled"),
+    "overflow-risk": (lambda: tuned_threshold_estimate(TimeSeriesMatrix(1e78 * X.data), 2, LASSO),
+                      NumericalError,
+                      "non-finite split risk: the series is badly scaled"),
 }
 
 
