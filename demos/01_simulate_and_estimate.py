@@ -15,7 +15,7 @@ from specthresh import (
     default_span,
     rmise,
     simulate,
-    smoothed_estimate,
+    tuned_estimates,
     tuned_threshold_estimate,
 )
 from specthresh.bench import truth_spectra
@@ -31,7 +31,7 @@ print(f"simulated {x.n} observations of a {x.p}-dimensional VMA(1)")
 m = default_span(N, "ma_like")
 print(f"smoothing half-span m = {m}  (window of {2 * m + 1} periodograms)")
 
-smoothed = smoothed_estimate(x, m)
+smoothed, = tuned_estimates(x, m, ["smoothed"])
 lasso = tuned_threshold_estimate(x, m, ThresholdOperator("lasso"), seed=SEED)
 
 # every spectrum is one array of its rows j = 0..N/2: the row at -j is the

@@ -15,8 +15,6 @@ from .estimator import (
     ThresholdOperator,
     aggregate_coherence_graph,
     coherence,
-    shrinkage_all,
-    smoothed_estimate,
     threshold_estimate,
 )
 from .metrics import (
@@ -43,11 +41,11 @@ from .model import (
     weak_sparsity_norm,
 )
 from .tuning import (
-    default_lambda_grid,
     default_span,
     split_frequencies,
     split_risk_curves,
     theoretical_threshold,
+    tuned_estimates,
     tuned_threshold_estimate,
 )
 

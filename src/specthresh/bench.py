@@ -14,20 +14,11 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .errors import DataError, ParameterError, SpecthreshError
-from .estimator import ALL_METHODS, THRESHOLD_METHODS, ThresholdOperator
+from .estimator import THRESHOLD_METHODS, canonical_method
 from .fileio import _fmt_distinct, _json_value, report_rows, write_report_csv
 from .metrics import EvaluationReport, RocCurve, _Truth, replicate_summary, roc_points
 from .model import VarmaModel, _spectral_density, block_varma_model, simulate
 from .tuning import default_span, tuned_blocks
-
-METHOD_ALIASES = {"alasso": "adaptive_lasso"}
-
-
-def canonical_method(name: str) -> str:
-    name = METHOD_ALIASES.get(name, name)
-    if name not in ALL_METHODS:
-        raise ParameterError(f"unknown method {name!r}")
-    return name
 
 
 @dataclass(frozen=True)
@@ -85,9 +76,9 @@ class BenchmarkSpec:
         try:
             return cls(
                 family=obj["family"],
-                p_list=[_json_value(p, int, "p") for p in obj["p"]],
-                n_list=[_json_value(n, int, "n") for n in obj["n"]],
-                methods=obj["methods"],
+                p_list=[_json_value(p, int, "p") for p in _json_value(obj["p"], list, "p")],
+                n_list=[_json_value(n, int, "n") for n in _json_value(obj["n"], list, "n")],
+                methods=_json_value(obj["methods"], list, "methods"),
                 replicates=_json_value(obj.get("replicates", 20), int, "replicates"),
                 seed=_json_value(obj.get("seed", 0), int, "seed"),
                 span_rule=obj.get("span_rule"),
@@ -130,10 +121,9 @@ def run_replicate(
     seed = _replicate_seed(spec.seed, cell_index, replicate)
     x = simulate(model, n, seed=seed)
     names = spec.methods
-    methods = [ThresholdOperator(name) if name in THRESHOLD_METHODS else name for name in names]
     sq_errors, sums = [0.0] * len(names), np.zeros((len(names), p, p))
     counts = np.empty((len(names), len(truth.half), 2))
-    for k, rows, values, _ in tuned_blocks(x, m, methods, spec.grid_size, spec.n_splits,
+    for k, rows, values, _ in tuned_blocks(x, m, names, spec.grid_size, spec.n_splits,
                                            int(seed.generate_state(1)[0])):
         sq_errors[k] += truth.sq_error(rows, values)
         truth.coherence_sum(sums[k], rows, values)

@@ -8,9 +8,8 @@ import json
 import sys
 
 from . import bench as bench_mod
-from . import fileio
+from . import estimator, fileio
 from .errors import DataError, NumericalError, SpecthreshError
-from .estimator import ThresholdOperator, aggregate_coherence_graph, threshold_estimate
 from .metrics import EvaluationReport, rmise, support_scores
 from .model import simulate
 from .tuning import default_span, tuned_estimates
@@ -49,13 +48,11 @@ def _resolve_span(args, n: int) -> int:
 def cmd_estimate(args) -> int:
     x = fileio.read_series(args.series)
     m = _resolve_span(args, x.n)
-    name = bench_mod.canonical_method(args.method)
-    method = ThresholdOperator(name) if name in bench_mod.THRESHOLD_METHODS else name
     if args.fixed_lambda is not None:
         lambdas = {j: args.fixed_lambda for j in range(0, x.n // 2 + 1)}
-        est = threshold_estimate(x, m, method, lambdas)
+        est = estimator.threshold_estimate(x, m, args.method, lambdas)
     else:
-        est = tuned_estimates(x, m, [method], args.grid_size, args.n_splits, args.seed)[0]
+        est, = tuned_estimates(x, m, [args.method], args.grid_size, args.n_splits, args.seed)
     fileio.write_estimate(est, args.out)
     return EXIT_OK
 
@@ -72,7 +69,7 @@ def cmd_evaluate(args) -> int:
             truths[est.n] = bench_mod.truth_spectra(model, est.n)
         truth = truths[est.n]
         report = EvaluationReport(method=est.method, rmise=rmise(est, truth))
-        if est.method in bench_mod.THRESHOLD_METHODS:
+        if est.method in estimator.THRESHOLD_METHODS:
             scores = support_scores(est, truth)
             report.precision = scores.precision
             report.recall = scores.recall
@@ -100,7 +97,7 @@ def cmd_bench(args) -> int:
 
 def cmd_coherence(args) -> int:
     est = fileio.read_estimate(args.estimate)
-    graph = aggregate_coherence_graph(est)
+    graph = estimator.aggregate_coherence_graph(est)
     names = est.channel_names or tuple(f"x{i}" for i in range(est.p))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -127,10 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     estp = sub.add_parser("estimate", help="estimate the spectral density of a series")
     estp.add_argument("--series", required=True, help="input series CSV")
-    estp.add_argument(
-        "--method", required=True,
-        choices=["smoothed", "shrinkage", "hard", "lasso", "alasso"],
-    )
+    estp.add_argument("--method", required=True,
+                      choices=[*estimator.ALL_METHODS, *estimator.METHOD_ALIASES])
     estp.add_argument("--m", type=_int_at_least(0), default=None, help="smoothing half-span")
     estp.add_argument(
         "--span-rule", choices=["ma_like", "ar_like"], default="ma_like",
@@ -169,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "estimate" and args.method in ("smoothed", "shrinkage") \
-            and args.fixed_lambda is not None:
+    if args.command == "estimate" and args.fixed_lambda is not None \
+            and estimator.canonical_method(args.method) not in estimator.THRESHOLD_METHODS:
         parser.error(f"--lambda applies only to hard, lasso and alasso, not to {args.method}")
     try:
         return args.func(args)

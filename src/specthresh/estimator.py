@@ -21,13 +21,22 @@ from .model import TimeSeriesMatrix
 
 THRESHOLD_METHODS = ("hard", "lasso", "adaptive_lasso")
 ALL_METHODS = ("smoothed", "shrinkage") + THRESHOLD_METHODS
+METHOD_ALIASES = {"alasso": "adaptive_lasso"}
+
+
+def canonical_method(name: str) -> str:
+    """The method of ALL_METHODS that `name` or its alias names."""
+    name = METHOD_ALIASES.get(name, name) if isinstance(name, str) else name
+    if name not in ALL_METHODS:
+        raise ParameterError(f"unknown method {name!r}")
+    return name
 
 
 @dataclass(frozen=True)
 class ThresholdOperator:
     """Entrywise generalized thresholding operator.
 
-    All kinds satisfy, for every complex z and lambda >= 0:
+    All kinds satisfy, for every finite complex z and lambda >= 0:
     |S(z)| <= |z|, S(z) = 0 when |z| <= lambda, and |S(z) - z| <= lambda.
     """
 
@@ -42,7 +51,10 @@ class ThresholdOperator:
 
     def __call__(self, z: np.ndarray, lam: float) -> np.ndarray:
         _check_thresholds(np.array([lam], dtype=float))
-        return self._apply(np.asarray(z, dtype=complex), lam)
+        z = np.asarray(z, dtype=complex)
+        if not np.isfinite(z).all():
+            raise ParameterError("entries must be finite")
+        return self._apply(z, lam)
 
     def _apply(self, z: np.ndarray, lam) -> np.ndarray:
         """S(z) at thresholds lam that broadcast against the complex array z:
@@ -144,13 +156,30 @@ def _row_blocks(*arrays):
         yield (rows, *(a[rows] for a in arrays))
 
 
+def _pass_method(method):
+    """A method as the estimation pass runs it: "smoothed" and "shrinkage"
+    as their names, a threshold method's name (or alias) as its operator,
+    and a `ThresholdOperator` (for an eta other than 2) as it is."""
+    if isinstance(method, ThresholdOperator):
+        return method
+    name = canonical_method(method)
+    return ThresholdOperator(name) if name in THRESHOLD_METHODS else name
+
+
+def _operators(methods: Sequence) -> tuple:
+    """The `ThresholdOperator` of each of `methods`, all threshold methods."""
+    ops = tuple(map(_pass_method, methods))
+    if not all(isinstance(op, ThresholdOperator) for op in ops):
+        raise ParameterError(f"not all threshold operators: {ops!r}")
+    return ops
+
+
 def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=None):
-    """The estimate of each of `methods` ("smoothed", "shrinkage" or a
-    `ThresholdOperator`) from one walk over the rows j = 0..floor(n/2),
-    handed out as (k, rows, values, lambdas): rows `rows` of methods[k]'s
-    estimate and their thresholds (NaN but for an operator), in row order
-    and in `_row_blocks`' partition; `values` is valid until the next block
-    is handed out.
+    """The estimate of each of `methods` (each a `_pass_method`) from one
+    walk over the rows j = 0..floor(n/2), handed out as (k, rows, values,
+    lambdas): rows `rows` of methods[k]'s estimate and their thresholds
+    (NaN but for a threshold method), in row order and in `_row_blocks`'
+    partition; `values` is valid until the next block is handed out.
 
     The walk takes the rows in pass blocks of size = step * (_BLOCK_ROWS //
     step) rows, step = `_block_rows(p)`: whole `_row_blocks` blocks, 16
@@ -167,11 +196,12 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
     d(w_{rows[0]-m+i}), the DFT rows of the block's windows (split-risk
     tuning forms its half-window means from them, `tuning._split_risks`);
     shrinkage takes its row weights (`_shrink_weights`) over the block
-    zero-padded to _BLOCK_ROWS rows, as numpy's row reductions can give
-    other bits on fewer rows.  Each method's rows are then formed and
+    zero-padded to `size` rows, as numpy's row reductions can give other
+    bits on fewer rows.  Each method's rows are then formed and
     handed out one `_row_blocks` block at a time (operators keep the
     diagonal).
     """
+    methods = tuple(map(_pass_method, methods))
     n, p = x.n, x.p
     if m < 0 or 2 * m + 1 > n:
         raise ParameterError(f"invalid half-span m={m} for n={n}")
@@ -181,14 +211,14 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
     d = _dft(x)
     n_rows, step = n // 2 + 1, _block_rows(p)
     size = step * (_BLOCK_ROWS // step)
-    f_hat = np.zeros((_BLOCK_ROWS, p, p), dtype=d.dtype)
+    f_hat = np.zeros((size, p, p), dtype=d.dtype)
     is_op = [isinstance(method, ThresholdOperator) for method in methods]
     ops = [method for method, op in zip(methods, is_op) if op]
     diag = np.arange(p)
     # the DFT column of each walk position, and its periodogram's squared
     # norm (0 past the end, for the padded rows)
     cols = (np.arange(n_rows + 2 * m) - m + (n - 1) // 2) % n
-    member_sq = np.zeros(n_rows + _BLOCK_ROWS + 2 * m)
+    member_sq = np.zeros(n_rows + size + 2 * m)
     members = _periodograms(d, cols[:size + 2 * m])
     for j0 in range(0, n_rows, size):
         block = f_hat[:min(size, n_rows - j0)]
@@ -222,7 +252,7 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
             lambdas[is_op] = thresholds(ops, dft_rows, range(j0, j0 + len(block)), block)
         if shrink:
             with np.errstate(over="ignore", invalid="ignore"):
-                rho, mu = _shrink_weights(f_hat, member_sq[j0:j0 + _BLOCK_ROWS + 2 * m], m)
+                rho, mu = _shrink_weights(f_hat, member_sq[j0:j0 + size + 2 * m], m)
             if not (np.isfinite(rho).all() and np.isfinite(mu).all()):
                 raise NumericalError("non-finite shrinkage weight: the series is badly scaled")
         for lo in range(0, len(block), step):
@@ -243,6 +273,7 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
 def _estimates(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=None) -> list:
     """The `SpectralEstimate` of each of `methods`, collected from the blocks
     of one estimation pass (`_estimate_blocks`)."""
+    methods = tuple(map(_pass_method, methods))
     halves = [np.empty((x.n // 2 + 1, x.p, x.p), dtype=complex) for _ in methods]
     lambdas = np.empty((len(methods), x.n // 2 + 1))
     for k, rows, values, lams in _estimate_blocks(x, m, methods, thresholds):
@@ -254,11 +285,6 @@ def _estimates(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=None) 
     ) for method, op, half, lams in zip(methods, ops, halves, lambdas)]
 
 
-def smoothed_estimate(x: TimeSeriesMatrix, m: int) -> SpectralEstimate:
-    """Averaged periodogram at every Fourier frequency."""
-    return _estimates(x, m, ("smoothed",))[0]
-
-
 def threshold_estimate(
     x: TimeSeriesMatrix,
     m: int,
@@ -267,9 +293,11 @@ def threshold_estimate(
 ) -> SpectralEstimate:
     """Thresholded averaged periodogram with per-frequency thresholds.
 
+    `op` is a `ThresholdOperator` or the name of a threshold method.
     `lambdas[j]` is the threshold at j and at -j, for j = 0..floor(n/2).
     The off-diagonal entries are thresholded; the diagonal is kept.
     """
+    op, = _operators([op])
     for j in range(x.n // 2 + 1):
         if j not in lambdas:
             raise ParameterError(f"no threshold provided for frequency index {j}")
@@ -284,17 +312,19 @@ def _sq_norms(stack: np.ndarray) -> np.ndarray:
     return np.einsum("ji,ji->j", flat, flat)
 
 
-def shrinkage_all(x: TimeSeriesMatrix, m: int) -> SpectralEstimate:
-    """Shrink the averaged periodogram toward its scaled-identity target at
-    every Fourier frequency, from one smoothing pass.
+def _shrink_weights(f_hat: np.ndarray, member_sq: np.ndarray, m: int) -> tuple:
+    """The weight rho and target level mu of each row of the window averages
+    `f_hat`: the row's shrinkage estimate is (1 - rho) f_hat + rho mu I, the
+    averaged periodogram shrunk toward its scaled-identity target.
+    member_sq[i] is ||I(w_{i-m})||_F^2, so row j's window sums
+    member_sq[j..j+2m].  f_hat's diagonal is shifted and put back, bit for
+    bit.
 
-    The estimate is rho mu I + (1 - rho) f_hat, with mu = tr(f_hat)/p,
-    delta^2 = ||f_hat - mu I||_F^2 / p and rho = beta^2/delta^2 clamped to
-    [0, 1]; beta^2 estimates the variance of the window mean f_hat.
-
-    With w = 2m+1 window members W_k = I(w_{j+k}) / (2 pi), |k| <= m, and
-    their mean f_hat, the within-window dispersion needs only the window
-    sum of the squared periodogram norms:
+    mu = tr(f_hat)/p, delta^2 = ||f_hat - mu I||_F^2 / p and rho =
+    beta^2/delta^2 clamped to [0, 1]; beta^2 estimates the variance of the
+    window mean f_hat.  With w = 2m+1 window members W_k = I(w_{j+k}) /
+    (2 pi), |k| <= m, and their mean f_hat, the within-window dispersion
+    needs only the window sum of the squared periodogram norms:
 
         sum_k ||W_k - f_hat||_F^2 = sum_k ||W_k||_F^2 - w ||f_hat||_F^2,
 
@@ -303,17 +333,7 @@ def shrinkage_all(x: TimeSeriesMatrix, m: int) -> SpectralEstimate:
     window members are (nearly) equal, so beta^2 is clamped at 0.  delta^2
     is summed from the deviations f_hat - mu I themselves, so a scaled
     identity (in particular p = 1) gives delta^2 = 0, rho = 0 and f_hat
-    unchanged.
-    """
-    return _estimates(x, m, ("shrinkage",))[0]
-
-
-def _shrink_weights(f_hat: np.ndarray, member_sq: np.ndarray, m: int) -> tuple:
-    """The weight rho and target level mu of each row of the window averages
-    `f_hat`, as `shrinkage_all` describes: the row's estimate is
-    (1 - rho) f_hat + rho mu I.  member_sq[i] is ||I(w_{i-m})||_F^2, so row
-    j's window sums member_sq[j..j+2m].  f_hat's diagonal is shifted and
-    put back, bit for bit."""
+    unchanged."""
     p, w = f_hat.shape[-1], 2 * m + 1
     diag = np.arange(p)
     re_diag = f_hat.real[:, diag, diag]  # a copy, restored below

@@ -72,7 +72,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .estimator import SpectralEstimate, ThresholdOperator, _estimate_blocks, _estimates
+from .estimator import SpectralEstimate, ThresholdOperator, _estimate_blocks, _estimates, _operators
 from .model import TimeSeriesMatrix
 
 
@@ -273,7 +273,8 @@ def _check_grids(grids: np.ndarray, single: np.ndarray) -> None:
 
 
 def _lambda_grids(f_hat: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """`default_lambda_grid` of each matrix of a (rows, p, p) stack.
+    """The lambda grid of each matrix of a (rows, p, p) stack: `size` values
+    equispaced between its smallest and largest off-diagonal modulus.
 
     Returns a (rows, size) array and the mask of rows whose off-diagonal
     moduli are all equal; such a row repeats its one value lo, and stands
@@ -298,12 +299,6 @@ def _lambda_grids(f_hat: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]
         if group.any():
             grids[group] = np.linspace(lo[group], hi[group], size, axis=1)
     return grids, single
-
-
-def default_lambda_grid(f_hat: np.ndarray, size: int = 20) -> tuple:
-    """Equispaced grid between min and max off-diagonal moduli of f_hat."""
-    grids, single = _lambda_grids(np.asarray(f_hat)[None], size)
-    return tuple(grids[0, :1] if single[0] else grids[0])
 
 
 def tuned_threshold_estimate(
@@ -347,28 +342,30 @@ def tuned_estimates(
     x: TimeSeriesMatrix, m: int, methods: Sequence, grid_size: int = 20, n_splits: int = 1,
     seed: int = 0,
 ) -> List[SpectralEstimate]:
-    """The estimate of each of `methods` ("smoothed", "shrinkage" or a
-    `ThresholdOperator`) from one estimation pass (`estimator._estimates`).
-    Each operator's threshold at row j is the argmin of its split-risk
-    curve there (`split_risk_curves`), ties toward the smaller one; split
-    draws depend only on (seed, j), so each estimate equals its own
-    single-method call bit for bit."""
-    return _estimates(x, m, tuple(methods), _split_rule(x.n, m, grid_size, n_splits, seed))
+    """The estimate of each of `methods` from one estimation pass
+    (`estimator._estimate_blocks`): each a name of `estimator.ALL_METHODS`
+    or its alias ("alasso"), or a `ThresholdOperator`, for an eta other
+    than 2.  Each threshold method's threshold at row j is the argmin of
+    its split-risk curve there (`split_risk_curves`), ties toward the
+    smaller one; split draws depend only on (seed, j), so each estimate
+    equals its own single-method call bit for bit."""
+    return _estimates(x, m, methods, _split_rule(x.n, m, grid_size, n_splits, seed))
 
 
 def tuned_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, grid_size: int = 20,
                  n_splits: int = 1, seed: int = 0) -> Iterator[tuple]:
     """The estimates of `tuned_estimates` as the pass hands them out, a block
     of rows at a time (`estimator._estimate_blocks`)."""
-    return _estimate_blocks(x, m, tuple(methods), _split_rule(x.n, m, grid_size, n_splits, seed))
+    return _estimate_blocks(x, m, methods, _split_rule(x.n, m, grid_size, n_splits, seed))
 
 
 def split_risk_curves(
-    x: TimeSeriesMatrix, m: int, ops: Sequence[ThresholdOperator], grid_size: int = 20,
+    x: TimeSeriesMatrix, m: int, ops: Sequence, grid_size: int = 20,
     n_splits: int = 1, seed: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The lambda grid and split risk curve of each row j = 0..floor(n/2)
-    and operator, from the estimation pass that `tuned_estimates` runs.
+    and threshold method of `ops` (names or operators), from the estimation
+    pass that `tuned_estimates` runs.
 
     Returns grids, a (floor(n/2)+1, G) array, and risks, a (len(ops),
     floor(n/2)+1, G) array: risks[o, j, i] is the split risk of ops[o] at
@@ -377,11 +374,9 @@ def split_risk_curves(
     p = 1, where every grid is one column of 0.0.  A row whose off-diagonal
     moduli are all equal repeats its one value across the row.
     """
-    ops = tuple(ops)
+    ops = _operators(ops)
     if not ops:
         raise ParameterError("no threshold operators given")
-    if not all(isinstance(op, ThresholdOperator) for op in ops):
-        raise ParameterError(f"not all threshold operators: {ops!r}")
     curves: list = []
     for _ in _estimate_blocks(x, m, ops, _split_rule(x.n, m, grid_size, n_splits, seed, curves)):
         pass  # the estimates are dropped block by block

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from specthresh import ThresholdOperator, VarmaModel
-from specthresh.estimator import THRESHOLD_METHODS
+from specthresh import VarmaModel
 
 
 def sample_autocov(x: np.ndarray, lag: int) -> np.ndarray:
@@ -31,12 +30,6 @@ def ma_autocov(ma_coeffs, sigma, lag: int) -> np.ndarray:
         if t + lag < len(weights):
             out += weights[t + lag] @ sigma @ w.T
     return out
-
-
-def pass_methods(names) -> list:
-    """The estimation pass's method of each canonical method name: the name
-    of a baseline, the operator of a threshold method."""
-    return [ThresholdOperator(name) if name in THRESHOLD_METHODS else name for name in names]
 
 
 def coupled_models() -> dict:

@@ -11,10 +11,12 @@ one frequency of F_n at a time, the rows j < 0 built by conjugation.
 periodogram array (`periodogram_all`), which the streamed pass must equal
 bit for bit.  `select_threshold` is the split risk of one frequency, which
 the pass's curves (`tuning.split_risk_curves`) must equal bit for bit.
-`gathered_split_risks` is the split risk the direct way: halves summed from
-gathered periodograms, every off-diagonal entry scored (`FullSplit`) and
-splits drawn one tie bit at a time (`split_by_loop`); the pass's curves
-must equal it up to roundoff, with the same argmins.
+`lambda_grid` is one frequency's lambda grid, which each row of the pass's
+grids must equal.  `gathered_split_risks` is the split risk the direct
+way: halves summed from gathered periodograms, every off-diagonal entry
+scored (`FullSplit`) and splits drawn one tie bit at a time
+(`split_by_loop`); the pass's curves must equal it up to roundoff, with
+the same argmins.
 """
 
 from typing import Optional
@@ -114,6 +116,18 @@ def periodogram_all(x: TimeSeriesMatrix) -> np.ndarray:
     (n, p, p) array ordered like `FourierGrid(n).indices`: entry
     [half + j] holds I(w_j)."""
     return _periodograms(_dft(x), np.arange(x.n))
+
+
+def lambda_grid(f_hat: np.ndarray, size: int = 20) -> tuple:
+    """`size` values equispaced between the smallest and largest
+    off-diagonal modulus of one matrix, by one 1-D `np.linspace`: (lo,)
+    when those are equal, and (0.0,) for p = 1, which has none."""
+    p = f_hat.shape[-1]
+    if p < 2:
+        return (0.0,)
+    off = np.abs(f_hat[~np.eye(p, dtype=bool)])
+    lo, hi = off.min(), off.max()
+    return (lo,) if hi <= lo else tuple(np.linspace(lo, hi, size))
 
 
 def select_threshold(

@@ -19,8 +19,8 @@ from specthresh import (
     check_order_bias_bounds,
     l_n,
     omega_n,
-    smoothed_estimate,
     true_spectral_density,
+    tuned_estimates,
 )
 from specthresh.bench import BenchmarkSpec, run_cell
 from specthresh.cli import main as cli_main
@@ -215,7 +215,7 @@ class TestPsdHermitianInvariants:
                 data = np.cumsum(data, axis=0) / np.sqrt(n)  # strongly dependent rows
             x = TimeSeriesMatrix(data)
             m = int(rng.integers(0, n // 2))
-            est = smoothed_estimate(x, m)
+            est, = tuned_estimates(x, m, ["smoothed"])
             for mat in full_grid(est.half, est.n).values():
                 scale = max(1.0, float(np.max(np.abs(mat))))
                 worst_herm = max(worst_herm, float(np.max(np.abs(mat - mat.conj().T))) / scale)

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import between_components, coupled_models, pass_methods
+from conftest import between_components, coupled_models
 from oracles import coherence_graph_loop, full_grid, rmise_loop, spectral_density, support_loop
 
 from specthresh import (
@@ -16,9 +16,7 @@ from specthresh import (
     TimeSeriesMatrix,
     VarmaModel,
     block_varma_model,
-    shrinkage_all,
     simulate,
-    smoothed_estimate,
     true_spectral_density,
     tuned_threshold_estimate,
 )
@@ -36,15 +34,8 @@ from specthresh import (
     support_scores,
     tuning,
 )
-from specthresh.bench import (
-    ALL_METHODS,
-    THRESHOLD_METHODS,
-    BenchmarkSpec,
-    CellResult,
-    run_benchmark,
-    run_cell,
-    truth_spectra,
-)
+from specthresh.bench import BenchmarkSpec, CellResult, run_benchmark, run_cell, truth_spectra
+from specthresh.estimator import ALL_METHODS, THRESHOLD_METHODS
 from specthresh.fileio import _fmt
 from specthresh.metrics import RocCurve, _Truth
 from specthresh.model import _components
@@ -64,8 +55,8 @@ def public_scores(spec, p, n, replicate, truth, support, m):
     cell 0, from whole estimates and the public metrics."""
     seed = bench._replicate_seed(spec.seed, 0, replicate)
     x = bench.simulate(block_varma_model(p, spec.family), n, seed=seed)
-    ests = tuning.tuned_estimates(x, m, pass_methods(spec.methods), spec.grid_size,
-                                  spec.n_splits, int(seed.generate_state(1)[0]))
+    ests = tuning.tuned_estimates(x, m, spec.methods, spec.grid_size, spec.n_splits,
+                                  int(seed.generate_state(1)[0]))
     out = {}
     for method, est in zip(spec.methods, ests, strict=True):
         roc = roc_points(aggregate_coherence_graph(est), support)
@@ -379,8 +370,9 @@ class TestEstimateMethods:
     @pytest.mark.parametrize("n_splits", [1, 3])
     def test_equals_separate_estimates(self, n, n_splits):
         x = simulate(block_varma_model(6, "vma"), n, seed=n)
-        got = tuning.tuned_estimates(x, 4, pass_methods(ALL_METHODS), 8, n_splits, 3)
-        want = [smoothed_estimate(x, 4), shrinkage_all(x, 4)]
+        got = tuning.tuned_estimates(x, 4, ALL_METHODS, 8, n_splits, 3)
+        want = [*tuning.tuned_estimates(x, 4, ["smoothed"]),
+                *tuning.tuned_estimates(x, 4, ["shrinkage"])]
         for name in ("hard", "lasso", "adaptive_lasso"):
             want.append(tuned_threshold_estimate(
                 x, 4, ThresholdOperator(name), grid_size=8, n_splits=n_splits, seed=3
@@ -426,14 +418,14 @@ class TestEstimateMethods:
 
         monkeypatch.setattr(estimator, "_periodograms", counted)
         n, m = 40, 3
-        tuning.tuned_estimates(TimeSeriesMatrix(rng.standard_normal((n, 3))), m,
-                               pass_methods(ALL_METHODS), grid_size=6)
+        tuning.tuned_estimates(TimeSeriesMatrix(rng.standard_normal((n, 3))), m, ALL_METHODS,
+                               grid_size=6)
         assert len(cols) == n // 2 + 1 + 2 * m
         assert cols == [(i - m + (n - 1) // 2) % n for i in range(len(cols))]
 
     def test_estimates_do_not_share_storage(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
-        got = tuning.tuned_estimates(x, 3, pass_methods(ALL_METHODS), grid_size=6)
+        got = tuning.tuned_estimates(x, 3, ALL_METHODS, grid_size=6)
         arrays = [est.half for est in got]
         arrays += [est.lambdas for est in got if est.lambdas is not None]
         for i, a in enumerate(arrays):
@@ -443,6 +435,6 @@ class TestEstimateMethods:
     def test_baseline_halves_do_not_share_storage(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((40, 3)))
         smoothed, shrinkage = tuning.tuned_estimates(x, 3, ["smoothed", "shrinkage"])
-        ref = smoothed_estimate(x, 3)
+        ref, = tuning.tuned_estimates(x, 3, ["smoothed"])
         shrinkage.half[2][...] = 0.0
         assert np.array_equal(smoothed.half[2], ref.half[2])

@@ -206,6 +206,16 @@ class TestEstimate:
         assert err.startswith("error: non-finite ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("fixed", [[], ["--lambda", "0.05"]], ids=["tuned", "fixed"])
+    def test_adaptive_lasso_writes_alasso_bytes(self, tmp_path, series_file, fixed):
+        # the name an estimate file records is a method the CLI takes
+        paths = [tmp_path / f"{name}.json" for name in ("adaptive_lasso", "alasso")]
+        for path in paths:
+            assert run("estimate", "--series", series_file, "--method", path.stem, "--m", 4,
+                       "--out", path, *fixed) == 0
+        assert read_estimate(paths[0]).method == "adaptive_lasso"
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_usage_error_exit_code(self, tmp_path, series_file):
         with pytest.raises(SystemExit) as err:
             run("estimate", "--series", series_file, "--method", "ridge", "--out", tmp_path / "o")
@@ -396,9 +406,13 @@ class TestBench:
         ("p", [], "p must list at least one size"),
         ("n", [], "n must list at least one size"),
         ("span_rule", "bogus", "unknown span rule 'bogus'"),
+        # a string is not walked as a list of its characters
+        ("methods", "lasso", "methods must be of type list, got 'lasso'"),
+        ("p", "48", "p must be of type list, got '48'"),
+        ("n", "64", "n must be of type list, got '64'"),
     ], ids=["negative-seed", "no-methods", "no-grid", "no-splits", "replicates-float",
             "seed-float", "grid-float", "splits-bool", "p-float", "n-float", "diagonal-string",
-            "no-p", "no-n", "span-rule-bogus"])
+            "no-p", "no-n", "span-rule-bogus", "methods-string", "p-string", "n-string"])
     def test_spec_out_of_range_exits_data_before_any_cell(self, tmp_path, capsys, field, value,
                                                            message):
         spec = self._spec(tmp_path, **{field: value})

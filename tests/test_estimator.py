@@ -24,8 +24,6 @@ from specthresh import (
     aggregate_coherence_graph,
     coherence,
     estimator,
-    shrinkage_all,
-    smoothed_estimate,
     threshold_estimate,
 )
 from specthresh.estimator import _row_blocks, half_weights
@@ -83,7 +81,7 @@ class TestAveragedPeriodogram:
         x = white_series(rng, n, 4)
         periodograms = periodogram_all(x)
         for m in (1, default_span(n, "ma_like"), (n - 1) // 2):
-            half = smoothed_estimate(x, m).half
+            half = tuned_estimates(x, m, ["smoothed"])[0].half
             assert half.shape == (n // 2 + 1, 4, 4)
             for j in range(n // 2 + 1):
                 assert np.array_equal(half[j], averaged_periodogram(x, m, j, periodograms=periodograms))
@@ -129,6 +127,15 @@ class TestThresholdOperators:
     def test_infinite_lambda_rejected(self, kind):
         with pytest.raises(ParameterError, match="finite"):
             ThresholdOperator(kind)(np.ones((2, 2)), float("inf"))
+
+    @pytest.mark.parametrize("kind", ["hard", "lasso", "adaptive_lasso"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    def test_non_finite_entry_rejected(self, kind, bad):
+        # hard kept inf and zeroed NaN, and the lassos turned inf into NaN
+        z = np.ones((2, 2), dtype=complex)
+        z[0, 1] = bad
+        with pytest.raises(ParameterError, match="entries must be finite"):
+            ThresholdOperator(kind)(z, 0.5)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ParameterError):
@@ -226,7 +233,7 @@ class TestThresholdEstimate:
         x = white_series(rng, 20, 3)
         lambdas = {j: 0.0 for j in range(11)}
         est = threshold_estimate(x, 2, ThresholdOperator("lasso"), lambdas)
-        ref = smoothed_estimate(x, 2)
+        ref, = tuned_estimates(x, 2, ["smoothed"])
         assert np.allclose(est.half, ref.half, atol=1e-14)
 
     def test_huge_lambda_keeps_only_diagonal(self, rng):
@@ -258,7 +265,7 @@ class TestThresholdEstimate:
 
     def test_min_eigenvalue_diagnostics(self, rng):
         x = white_series(rng, 16, 2)
-        est = smoothed_estimate(x, 3)
+        est, = tuned_estimates(x, 3, ["smoothed"])
         mins = est.min_eigenvalues()
         assert mins.shape == (9,)
         for j, val in enumerate(mins):
@@ -295,14 +302,14 @@ class TestShrinkage:
         with pytest.raises(ParameterError):
             shrinkage_estimate(white_series(rng, 16, 2), 0, 1)
         with pytest.raises(ParameterError):
-            shrinkage_all(white_series(rng, 16, 2), 0)
+            tuned_estimates(white_series(rng, 16, 2), 0, ["shrinkage"])
 
     @pytest.mark.parametrize("n", [33, 40])
     @pytest.mark.parametrize("span", ["one", "default", "widest"])
     def test_all_matches_per_frequency_oracle(self, rng, n, span):
         m = {"one": 1, "default": default_span(n, "ma_like"), "widest": (n - 1) // 2}[span]
         x = TimeSeriesMatrix(rng.standard_normal((n, 5)) @ rng.standard_normal((5, 5)))
-        est = shrinkage_all(x, m)
+        est, = tuned_estimates(x, m, ["shrinkage"])
         assert est.method == "shrinkage" and est.half.shape == (n // 2 + 1, 5, 5)
         for j in range(-((n - 1) // 2), n // 2 + 1):
             want = shrinkage_estimate(x, m, j)
@@ -314,7 +321,7 @@ class TestShrinkage:
         # and the row statistics must not be reduced over that block alone
         x = TimeSeriesMatrix(rng.standard_normal((64, 48)) @ rng.standard_normal((48, 48)))
         m = default_span(64, "ma_like")
-        est = shrinkage_all(x, m)
+        est, = tuned_estimates(x, m, ["shrinkage"])
         periodograms = periodogram_all(x)
         for j in range(33):
             want = shrinkage_estimate(x, m, j, periodograms=periodograms)
@@ -322,15 +329,15 @@ class TestShrinkage:
 
     def test_one_channel_equals_smoothed(self, rng):
         x = white_series(rng, 41, 1)
-        est = shrinkage_all(x, 4)
-        smooth = smoothed_estimate(x, 4)
+        est, = tuned_estimates(x, 4, ["shrinkage"])
+        smooth, = tuned_estimates(x, 4, ["smoothed"])
         assert np.array_equal(est.half, smooth.half)
 
     def test_constant_channel(self, rng):
         data = rng.standard_normal((48, 4))
         data[:, 2] = 3.5  # zero after centring
         x = TimeSeriesMatrix(data)
-        est = shrinkage_all(x, 3)
+        est, = tuned_estimates(x, 3, ["shrinkage"])
         for j in range(25):
             want = shrinkage_estimate(x, 3, j)
             assert np.linalg.norm(est.half[j] - want) <= 1e-12 * np.linalg.norm(want)
@@ -346,8 +353,8 @@ class TestShrinkage:
         stack = np.tile(mat, (16, 1, 1))
         x = white_series(rng, 16, 3)
         monkeypatch.setattr(estimator, "_periodograms", lambda d, cols: stack[cols])
-        est = shrinkage_all(x, 2)
-        smooth = smoothed_estimate(x, 2)
+        est, = tuned_estimates(x, 2, ["shrinkage"])
+        smooth, = tuned_estimates(x, 2, ["smoothed"])
         off = ~np.eye(3, dtype=bool)
         assert np.all(np.isfinite(est.half))
         for f, f_hat in zip(est.half, smooth.half):
@@ -360,8 +367,8 @@ class TestShrinkage:
         x = white_series(rng, 18, 2)
         stack = np.array([(k % 3 + 1.0) * np.eye(2) for k in range(18)], dtype=complex)
         monkeypatch.setattr(estimator, "_periodograms", lambda d, cols: stack[cols])
-        est = shrinkage_all(x, 2)
-        smooth = smoothed_estimate(x, 2)
+        est, = tuned_estimates(x, 2, ["shrinkage"])
+        smooth, = tuned_estimates(x, 2, ["smoothed"])
         assert np.array_equal(est.half, smooth.half)
 
 
@@ -431,7 +438,7 @@ class TestStreamedPass:
         x = white_series(rng, 40, 3)
         message = "shrinkage needs a window of at least 2 periodograms"
         with pytest.raises(ParameterError, match=message):
-            shrinkage_all(x, 0)
+            tuned_estimates(x, 0, ["shrinkage"])
         with pytest.raises(ParameterError, match=message):
             tuned_estimates(x, 0, ["smoothed", ThresholdOperator("lasso"), "shrinkage"])
 
@@ -527,7 +534,7 @@ class TestAggregateCoherenceGraph:
         assert graph[0, 0] == 0.0
 
     def test_symmetric_zero_diagonal(self, rng):
-        est = smoothed_estimate(white_series(rng, 16, 4), 3)
+        est, = tuned_estimates(white_series(rng, 16, 4), 3, ["smoothed"])
         graph = aggregate_coherence_graph(est)
         assert np.allclose(graph, graph.T)
         assert np.all(np.diag(graph) == 0.0)
@@ -555,9 +562,11 @@ class TestAggregateCoherenceGraph:
     def test_scale_invariance(self, rng):
         # the degenerate-channel floor is relative, so small units pass too
         data = rng.standard_normal((16, 3))
-        g1 = aggregate_coherence_graph(smoothed_estimate(TimeSeriesMatrix(data), 3))
+        est, = tuned_estimates(TimeSeriesMatrix(data), 3, ["smoothed"])
+        g1 = aggregate_coherence_graph(est)
         for scale in (5.0, 1e-6, 1e-8):
-            g2 = aggregate_coherence_graph(smoothed_estimate(TimeSeriesMatrix(scale * data), 3))
+            est, = tuned_estimates(TimeSeriesMatrix(scale * data), 3, ["smoothed"])
+            g2 = aggregate_coherence_graph(est)
             assert np.allclose(g1, g2, atol=1e-10)
 
 

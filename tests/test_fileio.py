@@ -4,7 +4,6 @@ import json
 
 import numpy as np
 import pytest
-from conftest import pass_methods
 from oracles import full_grid
 
 from specthresh import (
@@ -14,7 +13,7 @@ from specthresh import (
     threshold_estimate,
     tuned_threshold_estimate,
 )
-from specthresh.bench import ALL_METHODS
+from specthresh.estimator import ALL_METHODS
 from specthresh.fileio import (
     _fmt,
     model_from_dict,
@@ -164,8 +163,7 @@ class TestEstimateJson:
 
     def test_every_method_reads_back(self, tmp_path, rng):
         x = TimeSeriesMatrix(rng.standard_normal((17, 3)))
-        for method, est in zip(ALL_METHODS, tuned_estimates(x, 2, pass_methods(ALL_METHODS),
-                                                             grid_size=5)):
+        for method, est in zip(ALL_METHODS, tuned_estimates(x, 2, ALL_METHODS, grid_size=5)):
             path = tmp_path / f"{method}.json"
             write_estimate(est, path)
             back = read_estimate(path)
@@ -191,7 +189,7 @@ class TestEstimateJson:
                                        negative_zeros):
         # the bytes json.dump writes for the estimate, each float as _fmt
         x = TimeSeriesMatrix(rng.standard_normal((n, p)), channel_names=channels)
-        est, = tuned_estimates(x, 2, pass_methods([method]), grid_size=5)
+        est, = tuned_estimates(x, 2, [method], grid_size=5)
         if negative_zeros:
             # -0.0 in im at j = 0 and 3 (so +0.0 at j = -3), and in re at j = 3
             est.half[0, 1, 1] = complex(est.half[0, 1, 1].real, -0.0)

@@ -18,13 +18,13 @@ from specthresh import (
     autocov,
     block_varma_model,
     rmise,
-    shrinkage_all,
     simulate,
-    smoothed_estimate,
     threshold_estimate,
+    tuned_estimates,
     tuned_threshold_estimate,
 )
-from specthresh.bench import BenchmarkSpec, canonical_method
+from specthresh.bench import BenchmarkSpec
+from specthresh.estimator import canonical_method
 from specthresh.fileio import read_estimate, write_estimate
 from specthresh.model import block_transition
 
@@ -72,10 +72,11 @@ CALLS = {
                      ParameterError, "unknown model family 'arma'"),
     "eta": (lambda: ThresholdOperator("adaptive_lasso", eta=0.0),
             ParameterError, "eta must be positive"),
-    "span-wide": (lambda: smoothed_estimate(X, 8), ParameterError, "invalid half-span m=8 for n=16"),
-    "span-negative": (lambda: smoothed_estimate(X, -1),
+    "span-wide": (lambda: tuned_estimates(X, 8, ["smoothed"]),
+                  ParameterError, "invalid half-span m=8 for n=16"),
+    "span-negative": (lambda: tuned_estimates(X, -1, ["smoothed"]),
                       ParameterError, "invalid half-span m=-1 for n=16"),
-    "zero-truth": (lambda: rmise(smoothed_estimate(X, 2), np.zeros((9, 3, 3))),
+    "zero-truth": (lambda: rmise(tuned_estimates(X, 2, ["smoothed"])[0], np.zeros((9, 3, 3))),
                    ParameterError, "truth is identically zero"),
     "grid-size": (lambda: tuned_threshold_estimate(X, 2, LASSO, grid_size=0),
                   ParameterError, "grid size must be positive"),
@@ -87,10 +88,12 @@ CALLS = {
                         ParameterError, "replicates must be at least 1"),
     # series scaled until the window averages, the shrinkage weights or the
     # split risks overflow
-    "overflow-diagonal": (lambda: smoothed_estimate(TimeSeriesMatrix(1e154 * X.data), 2),
+    "overflow-diagonal": (lambda: tuned_estimates(TimeSeriesMatrix(1e154 * X.data), 2,
+                                                  ["smoothed"]),
                           NumericalError,
                           "non-finite spectral diagonal: the series is badly scaled"),
-    "overflow-shrinkage": (lambda: shrinkage_all(TimeSeriesMatrix(1e80 * X.data), 2),
+    "overflow-shrinkage": (lambda: tuned_estimates(TimeSeriesMatrix(1e80 * X.data), 2,
+                                                   ["shrinkage"]),
                            NumericalError,
                            "non-finite shrinkage weight: the series is badly scaled"),
     "overflow-risk": (lambda: tuned_threshold_estimate(TimeSeriesMatrix(1e78 * X.data), 2, LASSO),

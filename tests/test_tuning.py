@@ -7,6 +7,7 @@ from oracles import (
     assert_thresholded,
     averaged_periodogram,
     gathered_split_risks,
+    lambda_grid,
     periodogram_all,
     select_threshold,
     split_by_loop,
@@ -18,7 +19,6 @@ from specthresh import (
     FourierGrid,
     ParameterError,
     ThresholdOperator,
-    default_lambda_grid,
     default_span,
     split_frequencies,
     split_risk_curves,
@@ -26,7 +26,7 @@ from specthresh import (
     tuned_threshold_estimate,
 )
 from specthresh.dft import _dft
-from specthresh.estimator import smoothed_estimate, threshold_estimate
+from specthresh.estimator import threshold_estimate
 from specthresh.model import TimeSeriesMatrix
 from specthresh.tuning import (
     _check_grids,
@@ -283,19 +283,22 @@ class TestTuningConfig:
 class TestDefaultLambdaGrid:
     def test_equispaced_between_off_diagonal_moduli(self):
         f = np.array([[5.0, 0.2 + 0.0j, 0.5j], [0.2, 3.0, 1.0], [-0.5j, 1.0, 2.0]])
-        grid = default_lambda_grid(f, size=20)
-        assert len(grid) == 20
+        grids, single = _lambda_grids(f[None], 20)
+        grid = grids[0]
+        assert grids.shape == (1, 20) and not single[0]
         assert abs(grid[0] - 0.2) < 1e-14
         assert abs(grid[-1] - 1.0) < 1e-14
         steps = np.diff(grid)
         assert np.allclose(steps, steps[0], atol=1e-12)
 
     def test_single_channel_has_no_off_diagonal(self):
-        assert default_lambda_grid(np.array([[2.0 + 0.0j]])) == (0.0,)
+        grids, single = _lambda_grids(np.array([[[2.0 + 0.0j]]]), 20)
+        assert grids.tolist() == [[0.0]] and single.tolist() == [True]
 
     def test_constant_moduli_degenerate(self):
-        f = np.full((2, 2), 0.3 + 0.0j)
-        assert default_lambda_grid(f) == (0.3,)
+        # the one value is repeated across the row, which stands for (0.3,)
+        grids, single = _lambda_grids(np.full((1, 2, 2), 0.3 + 0.0j), 20)
+        assert grids.tolist() == [[0.3] * 20] and single.tolist() == [True]
 
 
 class TestTunedThresholdEstimate:
@@ -304,7 +307,7 @@ class TestTunedThresholdEstimate:
         x = TimeSeriesMatrix(rng.standard_normal((40, 4)) @ rng.standard_normal((4, 4)))
         lambdas = {}
         for j in range(21):
-            grid = default_lambda_grid(averaged_periodogram(x, 5, j))
+            grid = lambda_grid(averaged_periodogram(x, 5, j))
             lambdas[j] = grid[int(np.argmin(risk_by_threshold_loop(x, j, 5, grid, op, 2, 6, True)))]
         ref = threshold_estimate(x, 5, op, lambdas)
         est = tuned_threshold_estimate(x, 5, op, n_splits=2, seed=6)
@@ -377,12 +380,34 @@ class TestTunedThresholdEstimates:
         lasso.half[3][...] = 0.0
         assert np.array_equal(hard.half[3], ref.half[3])
 
+    def test_names_equal_their_operators(self, rng):
+        # a threshold method named by string (or its alias) runs as its
+        # operator with eta = 2, in the estimates and in the curves
+        x = TimeSeriesMatrix(rng.standard_normal((41, 5)) @ rng.standard_normal((5, 5)))
+        names = ["hard", "lasso", "alasso"]
+        got = tuned_estimates(x, 4, names, grid_size=6, seed=3)
+        want = tuned_estimates(x, 4, OPERATORS[:3], grid_size=6, seed=3)
+        assert [est.method for est in got] == ["hard", "lasso", "adaptive_lasso"]
+        for est, ref in zip(got, want, strict=True):
+            assert (est.eta, est.m) == (ref.eta, ref.m)
+            assert np.array_equal(est.lambdas, ref.lambdas)
+            assert np.array_equal(est.half, ref.half)
+        for a, b in zip(split_risk_curves(x, 4, names, 6, 1, 3),
+                        split_risk_curves(x, 4, OPERATORS[:3], 6, 1, 3)):
+            assert np.array_equal(a, b)
+
+    def test_unknown_method_name_rejected(self, rng):
+        x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
+        for methods in (["smoothed", "ridge"], [["lasso"]]):
+            with pytest.raises(ParameterError, match="unknown method"):
+                tuned_estimates(x, 4, methods)
+
     def test_rejects_no_operators(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
         with pytest.raises(ParameterError, match="no threshold operators given"):
             split_risk_curves(x, 4, [])
         with pytest.raises(ParameterError, match="not all threshold operators"):
-            split_risk_curves(x, 4, [OPERATORS[0], "lasso"])
+            split_risk_curves(x, 4, [OPERATORS[0], "smoothed"])
 
 
 def assert_curves_chose_lambdas(x, m, ops, grid_size, n_splits, seed):
@@ -417,7 +442,7 @@ class TestBatchedTuning:
         periodograms = periodogram_all(x)
         grids, _, ests = assert_curves_chose_lambdas(x, 4, OPERATORS, 6, n_splits, 5)
         for j in range(n // 2 + 1):
-            grid = default_lambda_grid(averaged_periodogram(x, 4, j, periodograms), 6)
+            grid = lambda_grid(averaged_periodogram(x, 4, j, periodograms), 6)
             assert len(grid) == (6 if p > 2 else 1)
             # a one-point grid is repeated across the row
             assert np.array_equal(grids[j], np.resize(grid, grids.shape[1]))
@@ -491,13 +516,13 @@ class TestBatchedTuning:
 
     def test_grid_rows_equal_default_lambda_grid(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((70, 4)) @ rng.standard_normal((4, 4)))
-        half = smoothed_estimate(x, 3).half
+        half = tuned_estimates(x, 3, ["smoothed"])[0].half
         half[5] = np.full((4, 4), 0.25)  # one row with equal moduli: grid (0.25,)
         grids, single = _lambda_grids(half, 20)
         for row, repeated, f_hat in zip(grids, single, half):
-            want = default_lambda_grid(f_hat, 20)
+            want = lambda_grid(f_hat, 20)
             assert tuple(row[:1] if repeated else row) == want
-        assert default_lambda_grid(half[5], 20) == (0.25,)
+        assert lambda_grid(half[5], 20) == (0.25,)
 
     def test_grid_checks_exempt_single_value_rows_from_increase(self):
         grids = np.array([[0.1, 0.2], [0.3, 0.3]])
