@@ -26,19 +26,16 @@ from .metrics import (
     support_scores,
 )
 from .model import (
-    AutocovSequence,
     TimeSeriesMatrix,
     VarmaModel,
     autocov,
     block_varma_model,
-    check_order_bias_bounds,
     l_n,
     omega_n,
     simulate,
     simulate_ensemble,
     stability_measure,
     true_spectral_density,
-    weak_sparsity_norm,
 )
 from .tuning import (
     default_span,

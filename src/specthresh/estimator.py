@@ -46,6 +46,8 @@ class ThresholdOperator:
     def __post_init__(self):
         if self.kind not in THRESHOLD_METHODS:
             raise ParameterError(f"unknown threshold operator {self.kind!r}")
+        if not np.isfinite(self.eta):
+            raise ParameterError("eta must be finite")
         if self.eta <= 0:
             raise ParameterError("eta must be positive")
 

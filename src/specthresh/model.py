@@ -58,11 +58,15 @@ class VarmaModel:
         cov = np.eye(p) if self.noise_cov is None else np.asarray(self.noise_cov, dtype=float)
         if cov.shape != (p, p):
             raise ModelError(f"noise_cov has shape {cov.shape}, expected ({p}, {p})")
+        if not np.all(np.isfinite(cov)):
+            raise ModelError("noise_cov contains non-finite entries")
         if not np.allclose(cov, cov.T, atol=1e-10):
             raise ModelError("noise_cov must be symmetric")
         if np.min(np.linalg.eigvalsh(cov)) < -1e-10 * max(1.0, np.trace(cov)):
             raise ModelError("noise_cov must be positive semidefinite")
         object.__setattr__(self, "noise_cov", cov)
+        if self.noise_df is not None and not np.isfinite(self.noise_df):
+            raise ModelError("noise_df must be finite")
         if self.noise_family not in NOISE_FAMILIES:
             raise ModelError(f"unknown noise_family {self.noise_family!r}")
         if self.noise_family == "student_t":
@@ -131,32 +135,6 @@ class TimeSeriesMatrix:
         """Subtract column means."""
         return TimeSeriesMatrix(self.data - self.data.mean(axis=0, keepdims=True),
                                 channel_names=self.channel_names)
-
-
-@dataclass(frozen=True)
-class AutocovSequence:
-    """Autocovariances Gamma(0..l_max); Gamma(-l) is Gamma(l) transposed."""
-
-    lags: np.ndarray  # (l_max + 1, p, p)
-
-    def __post_init__(self):
-        arr = np.asarray(self.lags, dtype=float)
-        if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-            raise ParameterError("lags must have shape (l_max + 1, p, p)")
-        object.__setattr__(self, "lags", arr)
-
-    @property
-    def l_max(self) -> int:
-        return self.lags.shape[0] - 1
-
-    @property
-    def p(self) -> int:
-        return self.lags.shape[1]
-
-    def gamma(self, lag: int) -> np.ndarray:
-        if abs(lag) > self.l_max:
-            raise ParameterError(f"lag {lag} exceeds l_max {self.l_max}")
-        return self.lags[lag] if lag >= 0 else self.lags[-lag].T
 
 
 def _standardized_noise(rng: np.random.Generator, model: VarmaModel, size) -> np.ndarray:
@@ -319,8 +297,9 @@ def tail_cap(model: VarmaModel) -> int:
     return max(model.ma_order, int(np.ceil(np.log(TAIL_TOL) / np.log(rho))) + 1)
 
 
-def autocov(model: VarmaModel, l_max: int) -> AutocovSequence:
-    """Autocovariances Gamma(0..l_max) via the truncated MA(infinity) series.
+def autocov(model: VarmaModel, l_max: int) -> np.ndarray:
+    """Autocovariances Gamma(0..l_max), an (l_max + 1, p, p) array, via the
+    truncated MA(infinity) series; Gamma(-l) is Gamma(l) transposed.
 
     Gamma(l) = sum_t Psi_t Sigma Psi_{t+l}^T; the geometric series is cut
     where the summand norm falls below double precision.
@@ -338,45 +317,49 @@ def autocov(model: VarmaModel, l_max: int) -> AutocovSequence:
         ]
         # Gamma(l) = Cov(X_t, X_{t-l}) = sum Psi_{t+l} Sigma Psi_t^T
         gammas = np.concatenate([gammas, np.stack(stacked).transpose(0, 2, 1)])
-    return AutocovSequence(gammas)
+    return gammas
 
 
-def omega_n(acov: AutocovSequence, n: int) -> float:
-    """Lag-weighted dependence sum max_rs sum_{|l|<=n} |l| |Gamma_rs(l)|."""
-    if acov.l_max < n:
-        raise ParameterError(f"need autocovariances up to lag {n}, have {acov.l_max}")
-    total = np.zeros((acov.p, acov.p))
+def _lag_array(gammas, n: int) -> np.ndarray:
+    """`gammas` as a float (l_max + 1, p, p) array, with n checked."""
+    arr = np.asarray(gammas, dtype=float)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise ParameterError("gammas must have shape (l_max + 1, p, p)")
+    if n < 0:
+        raise ParameterError("n must be nonnegative")
+    return arr
+
+
+def omega_n(gammas, n: int) -> float:
+    """Lag-weighted dependence sum max_rs sum_{|l|<=n} |l| |Gamma_rs(l)| of
+    the autocovariances Gamma(0..l_max) that `autocov` returns."""
+    gammas = _lag_array(gammas, n)
+    if len(gammas) <= n:
+        raise ParameterError(f"need autocovariances up to lag {n}, have {len(gammas) - 1}")
+    total = np.zeros(gammas.shape[1:])
     for l in range(1, n + 1):
-        g = acov.lags[l]
+        g = gammas[l]
         total += l * (np.abs(g) + np.abs(g.T))
     return float(total.max())
 
 
-def l_n(acov: AutocovSequence, n: int, tail_lag: Optional[int] = None) -> float:
-    """Tail sum max_rs sum_{|l|>n} |Gamma_rs(l)|, truncated at tail_lag.
+def l_n(gammas, n: int, tail_lag: Optional[int] = None) -> float:
+    """Tail sum max_rs sum_{|l|>n} |Gamma_rs(l)| of the autocovariances
+    Gamma(0..l_max), truncated at tail_lag.
 
     The truncation error is below the geometric tail of the model when the
     sequence was produced by `autocov` with the default cap.
     """
-    cap = acov.l_max if tail_lag is None else min(tail_lag, acov.l_max)
+    gammas = _lag_array(gammas, n)
+    l_max = len(gammas) - 1
+    cap = l_max if tail_lag is None else min(tail_lag, l_max)
     if cap <= n:
         return 0.0
-    total = np.zeros((acov.p, acov.p))
+    total = np.zeros(gammas.shape[1:])
     for l in range(n + 1, cap + 1):
-        g = acov.lags[l]
+        g = gammas[l]
         total += np.abs(g) + np.abs(g.T)
     return float(total.max())
-
-
-def weak_sparsity_norm(matrix: np.ndarray, q: float) -> float:
-    """Max over columns of sum_r |M_rs|^q; q = 0 counts nonzero entries."""
-    if not 0 <= q < 1:
-        raise ParameterError("q must lie in [0, 1)")
-    mat = np.asarray(matrix)
-    mod = np.abs(mat)
-    if q == 0:
-        return float(np.max(np.sum(mod > 0, axis=0)))
-    return float(np.max(np.sum(mod**q, axis=0)))
 
 
 def stability_measure(model: VarmaModel, grid_size: int = 512) -> float:
@@ -393,68 +376,6 @@ def stability_measure(model: VarmaModel, grid_size: int = 512) -> float:
     step = max(1, _BLOCK_ENTRIES // model.dim**2)
     return max(float(np.linalg.norm(_spectral_density(model, omegas[j:j + step]), 2, axis=(1, 2)).max())
                for j in range(0, grid_size, step))
-
-
-@dataclass(frozen=True)
-class OrderBiasReport:
-    """Computed dependence measures next to their closed-form bounds."""
-
-    n: int
-    omega_n: float
-    l_n: float
-    geometric_omega_bound: float
-    geometric_l_bound: float
-    companion_omega_bound: Optional[float]
-    companion_l_bound: Optional[float]
-    companion_skipped: bool
-    holds: bool
-
-
-def check_order_bias_bounds(model: VarmaModel, n: int, cond_limit: float = 1e8) -> OrderBiasReport:
-    """Verify the closed-form upper bounds on Omega_n and L_n.
-
-    The geometric bound uses the envelope sigma_X rho_X^|l| >= |Gamma(l)|_max
-    fitted from the computed autocovariances with rho_X the companion
-    spectral radius.  The companion bound (VAR with unit noise variance)
-    needs a diagonalizable companion matrix; it is skipped with a notice
-    when the eigenvector matrix is ill-conditioned.
-    """
-    cap = max(tail_cap(model), n + 1)
-    acov = autocov(model, cap)
-    om = omega_n(acov, n)
-    ln = l_n(acov, n)
-
-    rho = model.spectral_radius()
-    if rho == 0.0:
-        # finite MA: any rho in (0,1) works for the envelope; pick one that
-        # covers the finitely many nonzero lags.
-        rho = 0.5
-    maxabs = np.array([np.max(np.abs(g)) for g in acov.lags])
-    sigma_x = float(np.max(maxabs / rho ** np.arange(len(maxabs))))
-    geo_om = 2 * sigma_x * rho * (1 - (n + 1) * rho**n + n * rho ** (n + 1)) / (1 - rho) ** 2
-    geo_ln = 2 * sigma_x * rho ** (n + 1) / (1 - rho)
-
-    comp_om = comp_ln = None
-    skipped = True
-    if model.ar_order > 0 and model.ma_order == 0:
-        comp = model.companion_matrix()
-        lam_max = model.spectral_radius()
-        _, vecs = np.linalg.eig(comp)
-        cond = np.linalg.cond(vecs)
-        if np.isfinite(cond) and cond < cond_limit:
-            kappa2 = cond**2
-            denom = (1 - lam_max) ** 2 * (1 - lam_max**2)
-            # partial sum of l * lam^l, same series as the geometric bound
-            series = 1 - (n + 1) * lam_max**n + n * lam_max ** (n + 1)
-            comp_om = 2 * kappa2 * lam_max * series / denom
-            comp_ln = 2 * kappa2 * lam_max ** (n + 1) / ((1 - lam_max) * (1 - lam_max**2))
-            skipped = False
-
-    tol = 1e-9
-    holds = om <= geo_om + tol and ln <= geo_ln + tol
-    if not skipped:
-        holds = holds and om <= comp_om + tol and ln <= comp_ln + tol
-    return OrderBiasReport(n, om, ln, geo_om, geo_ln, comp_om, comp_ln, skipped, holds)
 
 
 def block_transition(p: int) -> np.ndarray:

@@ -390,10 +390,17 @@ def theoretical_threshold(
     """Theory-tracking threshold
     2 R |||f||| sqrt(log p / m) + 2 [ (m + 1/2pi)/n * Omega_n + L_n / 2pi ].
     """
-    if min(stability, omega_n, l_n, r_const) < 0:
+    inputs = (stability, omega_n, l_n, r_const)
+    if not np.all(np.isfinite(inputs)):
+        raise ParameterError("inputs must be finite")
+    if min(inputs) < 0:
         raise ParameterError("inputs must be nonnegative")
+    if n < 1:
+        raise ParameterError("n must be at least 1")
     if m < 1:
         raise ParameterError("m must be at least 1")
+    if p < 1:
+        raise ParameterError("p must be at least 1")
     variance_term = 2.0 * r_const * stability * np.sqrt(np.log(p) / m)
     bias_term = 2.0 * ((m + 1.0 / (2.0 * np.pi)) / n * omega_n + l_n / (2.0 * np.pi))
     return float(variance_term + bias_term)

@@ -16,9 +16,13 @@ grids must equal.  `gathered_split_risks` is the split risk the direct
 way: halves summed from gathered periodograms, every off-diagonal entry
 scored (`FullSplit`) and splits drawn one tie bit at a time
 (`split_by_loop`); the pass's curves must equal it up to roundoff, with
-the same argmins.
+the same argmins.  `check_order_bias_bounds` sets the dependence sums
+Omega_n and L_n of a model (`model.omega_n`, `model.l_n`) against their
+closed-form bounds, and `weak_sparsity_norm` is the column norm of the
+weak-sparsity class.
 """
 
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +30,7 @@ import numpy as np
 from specthresh import FourierGrid, NumericalError, ParameterError, ThresholdOperator, coherence
 from specthresh.dft import _dft, _periodograms
 from specthresh.estimator import _BLOCK_ROWS, _row_blocks, _sq_norms
-from specthresh.model import TimeSeriesMatrix, VarmaModel
+from specthresh.model import TimeSeriesMatrix, VarmaModel, autocov, l_n, omega_n, tail_cap
 from specthresh.tuning import (
     _check_grids,
     _freq_rng,
@@ -92,6 +96,79 @@ def spectral_density(model: VarmaModel, omega: float) -> np.ndarray:
     f = (h @ model.noise_cov @ h.conj().T) / (2.0 * np.pi)
     # symmetrize away roundoff
     return 0.5 * (f + f.conj().T)
+
+
+def weak_sparsity_norm(matrix: np.ndarray, q: float) -> float:
+    """Max over columns of sum_r |M_rs|^q; q = 0 counts nonzero entries."""
+    if not 0 <= q < 1:
+        raise ParameterError("q must lie in [0, 1)")
+    mat = np.asarray(matrix)
+    mod = np.abs(mat)
+    if q == 0:
+        return float(np.max(np.sum(mod > 0, axis=0)))
+    return float(np.max(np.sum(mod**q, axis=0)))
+
+
+@dataclass(frozen=True)
+class OrderBiasReport:
+    """Computed dependence measures next to their closed-form bounds."""
+
+    n: int
+    omega_n: float
+    l_n: float
+    geometric_omega_bound: float
+    geometric_l_bound: float
+    companion_omega_bound: Optional[float]
+    companion_l_bound: Optional[float]
+    companion_skipped: bool
+    holds: bool
+
+
+def check_order_bias_bounds(model: VarmaModel, n: int, cond_limit: float = 1e8) -> OrderBiasReport:
+    """Verify the closed-form upper bounds on Omega_n and L_n.
+
+    The geometric bound uses the envelope sigma_X rho_X^|l| >= |Gamma(l)|_max
+    fitted from the computed autocovariances with rho_X the companion
+    spectral radius.  The companion bound (VAR with unit noise variance)
+    needs a diagonalizable companion matrix; it is skipped with a notice
+    when the eigenvector matrix is ill-conditioned.
+    """
+    cap = max(tail_cap(model), n + 1)
+    acov = autocov(model, cap)
+    om = omega_n(acov, n)
+    ln = l_n(acov, n)
+
+    rho = model.spectral_radius()
+    if rho == 0.0:
+        # finite MA: any rho in (0,1) works for the envelope; pick one that
+        # covers the finitely many nonzero lags.
+        rho = 0.5
+    maxabs = np.array([np.max(np.abs(g)) for g in acov])
+    sigma_x = float(np.max(maxabs / rho ** np.arange(len(maxabs))))
+    geo_om = 2 * sigma_x * rho * (1 - (n + 1) * rho**n + n * rho ** (n + 1)) / (1 - rho) ** 2
+    geo_ln = 2 * sigma_x * rho ** (n + 1) / (1 - rho)
+
+    comp_om = comp_ln = None
+    skipped = True
+    if model.ar_order > 0 and model.ma_order == 0:
+        comp = model.companion_matrix()
+        lam_max = model.spectral_radius()
+        _, vecs = np.linalg.eig(comp)
+        cond = np.linalg.cond(vecs)
+        if np.isfinite(cond) and cond < cond_limit:
+            kappa2 = cond**2
+            denom = (1 - lam_max) ** 2 * (1 - lam_max**2)
+            # partial sum of l * lam^l, same series as the geometric bound
+            series = 1 - (n + 1) * lam_max**n + n * lam_max ** (n + 1)
+            comp_om = 2 * kappa2 * lam_max * series / denom
+            comp_ln = 2 * kappa2 * lam_max ** (n + 1) / ((1 - lam_max) * (1 - lam_max**2))
+            skipped = False
+
+    tol = 1e-9
+    holds = om <= geo_om + tol and ln <= geo_ln + tol
+    if not skipped:
+        holds = holds and om <= comp_om + tol and ln <= comp_ln + tol
+    return OrderBiasReport(n, om, ln, geo_om, geo_ln, comp_om, comp_ln, skipped, holds)
 
 
 def stacked_trig_matrix(grid: FourierGrid) -> np.ndarray:

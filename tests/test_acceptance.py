@@ -9,14 +9,19 @@ import json
 import numpy as np
 import pytest
 from conftest import periodogram_by_autocov_sum, record_acceptance
-from oracles import cos_sin_vectors, dft_matrix_norm_check, full_grid, periodogram
+from oracles import (
+    check_order_bias_bounds,
+    cos_sin_vectors,
+    dft_matrix_norm_check,
+    full_grid,
+    periodogram,
+)
 
 from specthresh import (
     FourierGrid,
     ThresholdOperator,
     VarmaModel,
     autocov,
-    check_order_bias_bounds,
     l_n,
     omega_n,
     true_spectral_density,

@@ -78,6 +78,20 @@ class TestSimulate:
         assert code == 3
         assert "bad model specification" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise, field", [
+        ({"family": "student_t", "df": float("nan")}, "noise_df"),
+        ({"family": "student_t", "df": float("inf")}, "noise_df"),
+        ({"cov": [[1.0, 0.0], [0.0, float("inf")]]}, "noise_cov"),
+    ], ids=["df-nan", "df-inf", "cov-inf"])
+    def test_non_finite_noise_exits_data(self, tmp_path, capsys, noise, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"p": 2, "noise": noise}))
+        out = tmp_path / "s.csv"
+        code = run("simulate", "--model", path, "--n", 32, "--out", out)
+        assert code == 3
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEstimate:
     @pytest.fixture
@@ -306,6 +320,21 @@ class TestEvaluate:
         code = run("evaluate", "--model", model_path, "--out", tmp_path / "r.csv", est_path)
         assert code == 3
         assert "estimate has p = 3, model has p = 6" in capsys.readouterr().err
+
+    def test_non_finite_noise_cov_exits_data(self, tmp_path, capsys, vma_model_file):
+        obj = json.loads(vma_model_file.read_text())
+        obj["noise"]["cov"][1][1] = float("inf")
+        model_path = tmp_path / "inf.json"
+        model_path.write_text(json.dumps(obj))
+        n = 16
+        half = np.tile(np.eye(3, dtype=complex), (n // 2 + 1, 1, 1))
+        est_path = tmp_path / "est.json"
+        write_estimate(SpectralEstimate(n=n, p=3, m=0, method="smoothed", half=half), est_path)
+        out = tmp_path / "r.csv"
+        code = run("evaluate", "--model", model_path, "--out", out, est_path)
+        assert code == 3
+        assert "noise_cov contains non-finite entries" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_model_file(self, tmp_path):
         code = run("evaluate", "--model", tmp_path / "none.json", "--out", tmp_path / "o",

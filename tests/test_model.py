@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from conftest import between_components, coupled_models, ma_autocov, sample_autocov
-from oracles import spectral_density
+from oracles import check_order_bias_bounds, spectral_density, weak_sparsity_norm
 
 from specthresh import (
     ModelError,
@@ -9,13 +9,11 @@ from specthresh import (
     VarmaModel,
     autocov,
     block_varma_model,
-    check_order_bias_bounds,
     l_n,
     omega_n,
     simulate,
     stability_measure,
     true_spectral_density,
-    weak_sparsity_norm,
 )
 from specthresh.model import _components, _spectral_density, block_transition, simulate_ensemble
 
@@ -79,10 +77,10 @@ class TestSimulate:
         model = block_varma_model(3, "vma")
         x = simulate(model, 200_000, seed=19)
         acov = autocov(model, 3)
-        scale = max(1.0, float(np.max(np.abs(acov.gamma(0)))))
+        scale = max(1.0, float(np.max(np.abs(acov[0]))))
         for lag in range(4):
             est = sample_autocov(x.data - x.data.mean(axis=0), lag)
-            assert np.max(np.abs(est - acov.gamma(lag))) < 0.05 * scale
+            assert np.max(np.abs(est - acov[lag])) < 0.05 * scale
 
 
 class TestTrueSpectralDensity:
@@ -131,32 +129,36 @@ class TestTrueSpectralDensity:
 class TestAutocov:
     def test_white_noise(self):
         acov = autocov(WHITE4, 3)
-        assert np.allclose(acov.gamma(0), np.eye(4), atol=1e-12)
+        assert np.allclose(acov[0], np.eye(4), atol=1e-12)
         for lag in (1, 2, 3):
-            assert np.allclose(acov.gamma(lag), 0.0, atol=1e-12)
+            assert np.allclose(acov[lag], 0.0, atol=1e-12)
 
     def test_ar1_closed_form(self):
         acov = autocov(AR1, 10)
         for lag in range(11):
-            assert abs(acov.gamma(lag)[0, 0] - (4 / 3) * 0.5**lag) < 1e-10
+            assert abs(acov[lag][0, 0] - (4 / 3) * 0.5**lag) < 1e-10
 
     def test_negative_lag_is_transpose(self):
+        # Gamma(-1) = Cov(X_t, X_{t+1}) = Sigma B^T for X_t = eps_t + B eps_{t-1}
         model = block_varma_model(3, "vma")
         acov = autocov(model, 2)
-        assert np.array_equal(acov.gamma(-1), acov.gamma(1).T)
+        assert np.allclose(acov[1].T, model.noise_cov @ model.ma_coeffs[0].T, atol=1e-12)
+        assert not np.allclose(acov[1], acov[1].T)
 
     def test_finite_ma_support(self):
         model = block_varma_model(3, "vma")
         acov = autocov(model, 5)
         for lag in range(2, 6):
-            assert np.allclose(acov.gamma(lag), 0.0, atol=1e-12)
+            assert np.allclose(acov[lag], 0.0, atol=1e-12)
         assert np.allclose(
-            acov.gamma(1), ma_autocov(model.ma_coeffs, model.noise_cov, 1), atol=1e-12
+            acov[1], ma_autocov(model.ma_coeffs, model.noise_cov, 1), atol=1e-12
         )
 
     def test_lag_out_of_range(self):
-        with pytest.raises(ParameterError):
-            autocov(WHITE4, 2).gamma(3)
+        acov = autocov(WHITE4, 2)
+        assert acov.shape == (3, 4, 4)
+        with pytest.raises(IndexError):
+            acov[3]
 
 
 class TestDependenceMeasures:

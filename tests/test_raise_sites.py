@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from specthresh import (
-    AutocovSequence,
     DataError,
     ModelError,
     NumericalError,
@@ -17,8 +16,11 @@ from specthresh import (
     VarmaModel,
     autocov,
     block_varma_model,
+    l_n,
+    omega_n,
     rmise,
     simulate,
+    theoretical_threshold,
     threshold_estimate,
     tuned_estimates,
     tuned_threshold_estimate,
@@ -58,20 +60,49 @@ CALLS = {
                  ParameterError, "data contains non-finite entries"),
     "channel-count": (lambda: TimeSeriesMatrix(np.zeros((4, 2)), channel_names=("a",)),
                       ParameterError, "channel_names length must match column count"),
-    "lags-shape": (lambda: AutocovSequence(np.zeros((2, 2, 3))),
-                   ParameterError, "lags must have shape (l_max + 1, p, p)"),
+    "cov-non-finite": (lambda: VarmaModel(dim=2, noise_cov=[[1.0, 0.0], [0.0, np.inf]]),
+                       ModelError, "noise_cov contains non-finite entries"),
+    "df-nan": (lambda: VarmaModel(dim=2, noise_family="student_t", noise_df=np.nan),
+               ModelError, "noise_df must be finite"),
+    "df-inf": (lambda: VarmaModel(dim=2, noise_family="student_t", noise_df=np.inf),
+               ModelError, "noise_df must be finite"),
     "simulate-n": (lambda: simulate(block_varma_model(3, "vma"), 1),
                    ParameterError, "n must be at least 2"),
     "simulate-burn-in": (lambda: simulate(block_varma_model(3, "vma"), 8, burn_in=-1),
                          ParameterError, "burn_in must be nonnegative"),
     "autocov-lag": (lambda: autocov(block_varma_model(3, "var"), -1),
                     ParameterError, "l_max must be nonnegative"),
+    "lags-shape": (lambda: omega_n(np.zeros((2, 2, 3)), 1),
+                   ParameterError, "gammas must have shape (l_max + 1, p, p)"),
+    "omega-n-lag": (lambda: omega_n(np.zeros((2, 3, 3)), -1),
+                    ParameterError, "n must be nonnegative"),
+    "l-n-lag": (lambda: l_n(np.zeros((2, 3, 3)), -1), ParameterError, "n must be nonnegative"),
+    "omega-n-lags-short": (lambda: omega_n(np.zeros((2, 3, 3)), 2),
+                           ParameterError, "need autocovariances up to lag 2, have 1"),
+    "theory-nan": (lambda: theoretical_threshold(np.nan, 0.0, 0.0, n=10, m=2, p=4),
+                   ParameterError, "inputs must be finite"),
+    "theory-inf": (lambda: theoretical_threshold(1.0, np.inf, 0.0, n=10, m=2, p=4),
+                   ParameterError, "inputs must be finite"),
+    "theory-negative": (lambda: theoretical_threshold(1.0, 0.0, -1.0, n=10, m=2, p=4),
+                        ParameterError, "inputs must be nonnegative"),
+    "theory-n": (lambda: theoretical_threshold(1.0, 0.0, 0.0, n=0, m=2, p=4),
+                 ParameterError, "n must be at least 1"),
+    "theory-m": (lambda: theoretical_threshold(1.0, 0.0, 0.0, n=10, m=0, p=4),
+                 ParameterError, "m must be at least 1"),
+    "theory-p": (lambda: theoretical_threshold(1.0, 0.0, 0.0, n=10, m=2, p=0),
+                 ParameterError, "p must be at least 1"),
     "block-p": (lambda: block_transition(4),
                 ParameterError, "block transition requires p divisible by 3"),
     "model-family": (lambda: block_varma_model(3, "arma"),
                      ParameterError, "unknown model family 'arma'"),
     "eta": (lambda: ThresholdOperator("adaptive_lasso", eta=0.0),
             ParameterError, "eta must be positive"),
+    "eta-nan": (lambda: ThresholdOperator("adaptive_lasso", eta=np.nan),
+                ParameterError, "eta must be finite"),
+    "eta-inf": (lambda: ThresholdOperator("adaptive_lasso", eta=np.inf),
+                ParameterError, "eta must be finite"),
+    "eta-minus-inf": (lambda: ThresholdOperator("adaptive_lasso", eta=-np.inf),
+                      ParameterError, "eta must be finite"),
     "span-wide": (lambda: tuned_estimates(X, 8, ["smoothed"]),
                   ParameterError, "invalid half-span m=8 for n=16"),
     "span-negative": (lambda: tuned_estimates(X, -1, ["smoothed"]),
