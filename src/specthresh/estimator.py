@@ -9,7 +9,12 @@ thresholds).
 
 from __future__ import annotations
 
+import collections
+import concurrent.futures
+import functools
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -176,6 +181,37 @@ def _operators(methods: Sequence) -> tuple:
     return ops
 
 
+def _lookahead_depth(ops: list, blocks: int) -> int:
+    """How many formed pass blocks `_estimate_blocks` keeps ahead of the one
+    it hands out: 1, so that a second thread tunes a block while the next is
+    formed, when the pass has threshold methods and more than one block, the
+    process may run on two CPUs or more and is not a pool worker (whose pool
+    already fills the CPUs); 0 otherwise, the serial order."""
+    if not ops or blocks < 2 or multiprocessing.parent_process() is not None:
+        return 0
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return int((cpus or 1) >= 2)
+
+
+def _lookahead(items, depth: int):
+    """The items of the iterator `items` in order, each handed out once
+    `depth` more have been taken from it, or once it has ended.  An error
+    taking an item is raised after the items taken before it are handed
+    out, where a plain iteration of `items` raises it."""
+    pending = collections.deque()
+    error = None
+    try:
+        for item in items:
+            pending.append(item)
+            if len(pending) > depth:
+                yield pending.popleft()
+    except Exception as exc:
+        error = exc
+    yield from pending
+    if error is not None:
+        raise error
+
+
 def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=None):
     """The estimate of each of `methods` (each a `_pass_method`) from one
     walk over the rows j = 0..floor(n/2), handed out as (k, rows, values,
@@ -202,6 +238,19 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
     bits on fewer rows.  Each method's rows are then formed and
     handed out one `_row_blocks` block at a time (operators keep the
     diagonal).
+
+    The window averages are formed one pass block ahead
+    (`_lookahead_depth`), in two buffers that alternate: one worker
+    thread, started for the pass and joined when the pass ends or is
+    abandoned, runs `thresholds` on block b while this thread forms block
+    b+1, and only then waits for block b's thresholds and forms and hands
+    out block b's rows.  The one worker takes the blocks in order, so
+    `thresholds` sees them in row order, and no row's value depends on
+    the thread.  Errors come in the serial order: an error forming block
+    b+1 is raised once block b is handed out, after any error of block
+    b's thresholds or shrinkage weights.  At depth 0 (no threshold
+    method, a single block, one CPU, or a pool worker) the pass is serial,
+    in one buffer.
     """
     methods = tuple(map(_pass_method, methods))
     n, p = x.n, x.p
@@ -213,63 +262,80 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
     d = _dft(x)
     n_rows, step = n // 2 + 1, _block_rows(p)
     size = step * (_BLOCK_ROWS // step)
-    f_hat = np.zeros((size, p, p), dtype=d.dtype)
     is_op = [isinstance(method, ThresholdOperator) for method in methods]
     ops = [method for method, op in zip(methods, is_op) if op]
+    depth = _lookahead_depth(ops, len(range(0, n_rows, size)))
+    buffers = [np.zeros((size, p, p), dtype=d.dtype) for _ in range(depth + 1)]
     diag = np.arange(p)
     # the DFT column of each walk position, and its periodogram's squared
     # norm (0 past the end, for the padded rows)
     cols = (np.arange(n_rows + 2 * m) - m + (n - 1) // 2) % n
     member_sq = np.zeros(n_rows + size + 2 * m)
     members = _periodograms(d, cols[:size + 2 * m])
-    for j0 in range(0, n_rows, size):
-        block = f_hat[:min(size, n_rows - j0)]
-        end = len(block) + 2 * m  # members[i] holds position j0 + i
-        carried = 2 * m if j0 else 0  # members[:carried] kept from the previous block
-        if j0:
-            # in steps of at most `size` positions, so that no step's source
-            # overlaps its destination and numpy copies in place
-            for lo in range(0, 2 * m, size):
-                hi = min(lo + size, 2 * m)
-                members[lo:hi] = members[size + lo:size + hi]
-            members[2 * m:end] = _periodograms(d, cols[j0 + 2 * m:j0 + end])
-        if shrink:
-            # einsum can give a one-matrix stack other bits, so take two
-            first = min(carried, end - 2)
-            member_sq[j0 + carried:j0 + end] = _sq_norms(members[first:end])[carried - first:]
-        block[...] = members[:len(block)]
-        # a badly scaled series can overflow the window averages and the
-        # shrinkage weights; both are checked below
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(1, 2 * m + 1):
-                block += members[i:i + len(block)]
-            block /= 2 * m + 1
-            block /= 2.0 * np.pi
-        if not np.isfinite(block.real[:, diag, diag]).all():
-            raise NumericalError("non-finite spectral diagonal: the series is badly scaled")
-        f_hat[len(block):] = 0.0
-        lambdas = np.full((len(methods), len(block)), np.nan)
-        if ops:
-            dft_rows = np.ascontiguousarray(d[:, cols[j0:j0 + end]].T)
-            lambdas[is_op] = thresholds(ops, dft_rows, range(j0, j0 + len(block)), block)
-        if shrink:
+
+    def formed(pool):
+        """(j0, buffer, window averages, thresholds) of each pass block, the
+        thresholds as a call that returns them."""
+        for b, j0 in enumerate(range(0, n_rows, size)):
+            f_hat = buffers[b % len(buffers)]
+            block = f_hat[:min(size, n_rows - j0)]
+            end = len(block) + 2 * m  # members[i] holds position j0 + i
+            carried = 2 * m if j0 else 0  # members[:carried] kept from the previous block
+            if j0:
+                # in steps of at most `size` positions, so that no step's source
+                # overlaps its destination and numpy copies in place
+                for lo in range(0, 2 * m, size):
+                    hi = min(lo + size, 2 * m)
+                    members[lo:hi] = members[size + lo:size + hi]
+                members[2 * m:end] = _periodograms(d, cols[j0 + 2 * m:j0 + end])
+            if shrink:
+                # einsum can give a one-matrix stack other bits, so take two
+                first = min(carried, end - 2)
+                member_sq[j0 + carried:j0 + end] = _sq_norms(members[first:end])[carried - first:]
+            block[...] = members[:len(block)]
+            # a badly scaled series can overflow the window averages and the
+            # shrinkage weights; both are checked below
             with np.errstate(over="ignore", invalid="ignore"):
-                rho, mu = _shrink_weights(f_hat, member_sq[j0:j0 + size + 2 * m], m)
-            if not (np.isfinite(rho).all() and np.isfinite(mu).all()):
-                raise NumericalError("non-finite shrinkage weight: the series is badly scaled")
-        for lo in range(0, len(block), step):
-            part = slice(lo, min(lo + step, len(block)))
-            z = block[part]
-            for k, (method, lam) in enumerate(zip(methods, lambdas[:, part])):
-                if isinstance(method, ThresholdOperator):
-                    values = method._apply(z, lam[:, None, None])
-                    values[:, diag, diag] = z[:, diag, diag]
-                elif method == "shrinkage":
-                    values = z * (1.0 - rho[part])[:, None, None]
-                    values.real[:, diag, diag] += (rho[part] * mu[part])[:, None]
-                else:
-                    values = z
-                yield k, slice(j0 + part.start, j0 + part.stop), values, lam
+                for i in range(1, 2 * m + 1):
+                    block += members[i:i + len(block)]
+                block /= 2 * m + 1
+                block /= 2.0 * np.pi
+            if not np.isfinite(block.real[:, diag, diag]).all():
+                raise NumericalError("non-finite spectral diagonal: the series is badly scaled")
+            f_hat[len(block):] = 0.0
+            tune = None
+            if ops:
+                dft_rows = np.ascontiguousarray(d[:, cols[j0:j0 + end]].T)
+                rows = range(j0, j0 + len(block))
+                tune = functools.partial(thresholds, ops, dft_rows, rows, block)
+                if depth:
+                    tune = pool.submit(tune).result
+            yield j0, f_hat, block, tune
+
+    # through the package, which imports its thread module only on first use
+    with concurrent.futures.ThreadPoolExecutor(max_workers=1) as pool:
+        for j0, f_hat, block, tune in _lookahead(formed(pool), depth):
+            lambdas = np.full((len(methods), len(block)), np.nan)
+            if ops:
+                lambdas[is_op] = tune()
+            if shrink:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    rho, mu = _shrink_weights(f_hat, member_sq[j0:j0 + size + 2 * m], m)
+                if not (np.isfinite(rho).all() and np.isfinite(mu).all()):
+                    raise NumericalError("non-finite shrinkage weight: the series is badly scaled")
+            for lo in range(0, len(block), step):
+                part = slice(lo, min(lo + step, len(block)))
+                z = block[part]
+                for k, (method, lam) in enumerate(zip(methods, lambdas[:, part])):
+                    if isinstance(method, ThresholdOperator):
+                        values = method._apply(z, lam[:, None, None])
+                        values[:, diag, diag] = z[:, diag, diag]
+                    elif method == "shrinkage":
+                        values = z * (1.0 - rho[part])[:, None, None]
+                        values.real[:, diag, diag] += (rho[part] * mu[part])[:, None]
+                    else:
+                        values = z
+                    yield k, slice(j0 + part.start, j0 + part.stop), values, lam
 
 
 def _estimates(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=None) -> list:

@@ -63,6 +63,19 @@ d(w_{j0-m})..d(w_{j0+rows-1+m}) for a block starting at j0.  Per block:
 thresholds.  The pass then thresholds the window averages one
 `_row_blocks` block at a time, one operator call per block, one
 threshold per row.
+
+The pass keeps one formed block ahead of the one it hands out: one
+worker thread, per pass, runs the split rule on block b while the pass
+forms block b+1, then the pass thresholds, shrinks and hands out block
+b.  A block's thresholds read only its DFT rows, its window averages and
+the streams `_freq_rng(seed, j)`, so they keep their bits on the worker;
+the one worker takes the blocks in order, so `split_risk_curves` gets
+its curves in row order.  The rule calls only private helpers, as
+perfbench's tracer keeps one span stack per process, and sets its own
+`np.errstate`, which does not cross threads.  Depth 0, the serial order,
+is taken when the pass has no threshold method or a single block, when
+the process may run on only one CPU, and in a pool worker
+(`estimator._lookahead_depth`).
 """
 
 from __future__ import annotations

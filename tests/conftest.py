@@ -22,7 +22,10 @@ def periodogram_by_autocov_sum(x: np.ndarray, omega: float) -> np.ndarray:
 
 
 def ma_autocov(ma_coeffs, sigma, lag: int) -> np.ndarray:
-    """Exact autocovariance of a finite MA model by convolution."""
+    """Exact autocovariance Gamma(lag) of a finite MA model by convolution;
+    Gamma(-l) = Gamma(l)^T."""
+    if lag < 0:
+        return ma_autocov(ma_coeffs, sigma, -lag).T
     p = sigma.shape[0]
     weights = [np.eye(p)] + [np.asarray(b) for b in ma_coeffs]
     out = np.zeros((p, p))

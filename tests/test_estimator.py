@@ -1,3 +1,7 @@
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -18,6 +22,7 @@ from oracles import (
 from specthresh import (
     DataError,
     FourierGrid,
+    NumericalError,
     ParameterError,
     SpectralEstimate,
     ThresholdOperator,
@@ -25,10 +30,11 @@ from specthresh import (
     coherence,
     estimator,
     threshold_estimate,
+    tuning,
 )
 from specthresh.estimator import _row_blocks, half_weights
 from specthresh.model import TimeSeriesMatrix
-from specthresh.tuning import default_span, tuned_estimates
+from specthresh.tuning import default_span, tuned_blocks, tuned_estimates
 
 
 def white_series(rng, n, p):
@@ -473,6 +479,117 @@ class TestStreamedPass:
         finally:
             tracemalloc.stop()
         assert peak < (16 + 2 * m + m) * p * p * 16
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    """A pass with threshold methods tunes on its second thread, whatever
+    the CPUs of the machine."""
+    monkeypatch.setattr(estimator, "_lookahead_depth", lambda ops, blocks: int(bool(ops)))
+
+
+def _overflowing(monkeypatch, module, name, fails):
+    """Make module.name return infinities on the calls for which
+    fails(*args) holds."""
+    original = getattr(module, name)
+
+    def patched(*args):
+        out = original(*args)
+        return np.full_like(out, np.inf) if fails(*args) else out
+
+    monkeypatch.setattr(module, name, patched)
+
+
+class TestPassThread:
+    # n = 200 at p = 6 walks 7 pass blocks of 16 rows
+
+    def test_depth_rule(self, monkeypatch):
+        ops = [ThresholdOperator("lasso")]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert estimator._lookahead_depth(ops, 7) == 1
+        assert estimator._lookahead_depth([], 7) == 0
+        assert estimator._lookahead_depth(ops, 1) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert estimator._lookahead_depth(ops, 7) == 0
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
+        assert estimator._lookahead_depth(ops, 7) == 0
+
+    def test_close_after_next_joins_the_thread(self, rng, threaded):
+        x = white_series(rng, 200, 6)
+        before = threading.active_count()
+        blocks = tuned_blocks(x, 4, ["smoothed", "lasso"])
+        next(blocks)
+        assert threading.active_count() == before + 1
+        blocks.close()
+        assert threading.active_count() == before
+
+    def test_consumer_error_leaves_no_thread(self, rng, threaded):
+        x = white_series(rng, 200, 6)
+        before = threading.active_count()
+        with pytest.raises(KeyError, match="consumer"):
+            for _, rows, _, _ in tuned_blocks(x, 4, ["hard", "lasso"]):
+                if rows.start >= 32:
+                    raise KeyError("consumer")
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_tuning_error_in_a_later_block(self, rng, monkeypatch, depth):
+        # block 2's split risks overflow: the split rule's error reaches the
+        # caller after blocks 0 and 1, from the thread as from the serial pass
+        _overflowing(monkeypatch, tuning, "_split_risks", lambda dft_rows, n, js, *_: js[0] == 32)
+        monkeypatch.setattr(estimator, "_lookahead_depth", lambda ops, blocks: depth)
+        x = white_series(rng, 200, 6)
+        before = threading.active_count()
+        seen = []
+        with pytest.raises(NumericalError) as err:
+            for k, rows, _, _ in tuned_blocks(x, 4, ["smoothed", "lasso"]):
+                seen.append((k, rows.start))
+        assert type(err.value) is NumericalError
+        assert str(err.value) == "non-finite split risk: the series is badly scaled"
+        assert seen == [(k, j0) for j0 in (0, 16) for k in (0, 1)]
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("tuning_fails", [False, True])
+    def test_errors_come_in_the_serial_order(self, rng, monkeypatch, threaded, tuning_fails):
+        # block 1's window averages overflow while block 0 is tuned: block 0's
+        # tuning error comes first, and else block 0 is handed out before
+        # block 1's error, as in the serial pass
+        periodogram_calls = []
+        _overflowing(monkeypatch, estimator, "_periodograms",
+                     lambda d, cols: periodogram_calls.append(cols) or len(periodogram_calls) == 2)
+        _overflowing(monkeypatch, tuning, "_split_risks", lambda *_: tuning_fails)
+        x = white_series(rng, 200, 6)
+        seen = []
+        with pytest.raises(NumericalError) as err:
+            for k, rows, _, _ in tuned_blocks(x, 4, ["smoothed", "lasso"]):
+                seen.append((k, rows.start))
+        if tuning_fails:
+            assert str(err.value) == "non-finite split risk: the series is badly scaled"
+            assert seen == []
+        else:
+            assert str(err.value) == "non-finite spectral diagonal: the series is badly scaled"
+            assert seen == [(0, 0), (1, 0)]
+
+    def test_repeated_passes_equal_the_stack_oracle(self, rng, threaded):
+        # 7 pass blocks in two alternating buffers: a block overwritten while
+        # it is tuned or handed out would move a value or a threshold
+        x = TimeSeriesMatrix(rng.standard_normal((200, 12)) @ rng.standard_normal((12, 12)))
+        ops = [ThresholdOperator(kind) for kind in ("hard", "lasso", "adaptive_lasso")]
+        methods = ["smoothed"] + ops + ["shrinkage"]
+        want = stack_estimates(x, 6, methods, stack_tuned_thresholds(x.n, 6, 6, 2, 5))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+        try:
+            got = [tuned_estimates(x, 6, methods, grid_size=6, n_splits=2, seed=5)
+                   for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for ests in got:
+            for est, (half, lambdas) in zip(ests, want):
+                assert np.array_equal(est.half.view(float), half.view(float))
+                if lambdas is not None:
+                    assert np.array_equal(est.lambdas, lambdas)
 
 
 class TestCoherence:

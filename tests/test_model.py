@@ -98,8 +98,7 @@ class TestTrueSpectralDensity:
         w = np.pi / 4
         oracle = np.zeros((3, 3), dtype=complex)
         for lag in (-1, 0, 1):
-            g = ma_autocov(model.ma_coeffs, model.noise_cov, abs(lag))
-            g = g if lag >= 0 else g.T
+            g = ma_autocov(model.ma_coeffs, model.noise_cov, lag)
             oracle += g * np.exp(-1j * lag * w)
         oracle /= 2 * np.pi
         assert np.max(np.abs(true_spectral_density(model, w) - oracle)) < 1e-10
@@ -153,6 +152,13 @@ class TestAutocov:
         assert np.allclose(
             acov[1], ma_autocov(model.ma_coeffs, model.noise_cov, 1), atol=1e-12
         )
+
+    def test_ma_oracle_negative_lag_is_transpose(self):
+        # the oracle's Gamma(-1) is Gamma(1)^T = Sigma B^T, not B + B^T
+        model = block_varma_model(3, "vma")
+        got = ma_autocov(model.ma_coeffs, model.noise_cov, -1)
+        assert np.allclose(got, autocov(model, 1)[1].T, atol=1e-12)
+        assert not np.allclose(got, got.T)
 
     def test_lag_out_of_range(self):
         acov = autocov(WHITE4, 2)
@@ -280,8 +286,7 @@ class TestMaDuality:
             w = rng.uniform(-np.pi, np.pi)
             oracle = np.zeros((p, p), dtype=complex)
             for lag in range(-q, q + 1):
-                g = ma_autocov(coeffs, model.noise_cov, abs(lag))
-                g = g if lag >= 0 else g.T
+                g = ma_autocov(coeffs, model.noise_cov, lag)
                 oracle += g * np.exp(-1j * lag * w)
             oracle /= 2 * np.pi
             assert np.max(np.abs(true_spectral_density(model, w) - oracle)) < 1e-10
