@@ -10,13 +10,11 @@ sample-splitting), and score both against the exact truth.
 import numpy as np
 
 from specthresh import (
-    ThresholdOperator,
     block_varma_model,
     default_span,
     rmise,
     simulate,
     tuned_estimates,
-    tuned_threshold_estimate,
 )
 from specthresh.bench import truth_spectra
 from specthresh.estimator import half_weights
@@ -31,8 +29,8 @@ print(f"simulated {x.n} observations of a {x.p}-dimensional VMA(1)")
 m = default_span(N, "ma_like")
 print(f"smoothing half-span m = {m}  (window of {2 * m + 1} periodograms)")
 
-smoothed, = tuned_estimates(x, m, ["smoothed"])
-lasso = tuned_threshold_estimate(x, m, ThresholdOperator("lasso"), seed=SEED)
+smoothed = tuned_estimates(x, m, ["smoothed"])[0]
+lasso = tuned_estimates(x, m, ["lasso"], seed=SEED)[0]
 
 # every spectrum is one array of its rows j = 0..N/2: the row at -j is the
 # conjugate of the row at j, so these rows hold the whole of F_n

@@ -10,12 +10,11 @@ inside the blocks.
 import numpy as np
 
 from specthresh import (
-    ThresholdOperator,
     aggregate_coherence_graph,
     block_varma_model,
     default_span,
     simulate,
-    tuned_threshold_estimate,
+    tuned_estimates,
 )
 
 P, N, SEED = 12, 400, 2
@@ -24,7 +23,7 @@ model = block_varma_model(P, "vma")
 x = simulate(model, N, seed=SEED)
 m = default_span(N, "ma_like")
 
-est = tuned_threshold_estimate(x, m, ThresholdOperator("adaptive_lasso"), seed=SEED)
+est = tuned_estimates(x, m, ["adaptive_lasso"], seed=SEED)[0]
 graph = aggregate_coherence_graph(est)
 
 # ground truth: channels r and s interact iff they share a 3x3 block

@@ -37,13 +37,6 @@ from .model import (
     stability_measure,
     true_spectral_density,
 )
-from .tuning import (
-    default_span,
-    split_frequencies,
-    split_risk_curves,
-    theoretical_threshold,
-    tuned_estimates,
-    tuned_threshold_estimate,
-)
+from .tuning import default_span, theoretical_threshold, tuned_estimates
 
 __version__ = "0.1.0"

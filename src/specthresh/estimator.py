@@ -13,8 +13,8 @@ import collections
 import concurrent.futures
 import functools
 import math
-import multiprocessing
 import os
+import sys
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -122,7 +122,10 @@ class SpectralEstimate:
 
     `half[j]` is the p x p estimate at Fourier index j = 0..floor(n/2), and
     `lambdas[j]` its threshold; the estimate at -j is conj(half[j]), with
-    threshold lambdas[j].
+    threshold lambdas[j].  A threshold estimate of `tuning.tuned_estimates`
+    carries the split-risk curves that chose its thresholds: row j's lambda
+    grid `grids[j]` (one array for the estimates of a pass) and its split
+    risk `risks[j]` at each grid value.  Other estimates have neither.
     """
 
     n: int
@@ -133,6 +136,8 @@ class SpectralEstimate:
     lambdas: Optional[np.ndarray] = None
     eta: Optional[float] = None
     channel_names: Optional[tuple] = None
+    grids: Optional[np.ndarray] = None
+    risks: Optional[np.ndarray] = None
 
     def min_eigenvalues(self) -> np.ndarray:
         """Smallest eigenvalue at each j = 0..floor(n/2), the same at -j
@@ -173,21 +178,15 @@ def _pass_method(method):
     return ThresholdOperator(name) if name in THRESHOLD_METHODS else name
 
 
-def _operators(methods: Sequence) -> tuple:
-    """The `ThresholdOperator` of each of `methods`, all threshold methods."""
-    ops = tuple(map(_pass_method, methods))
-    if not all(isinstance(op, ThresholdOperator) for op in ops):
-        raise ParameterError(f"not all threshold operators: {ops!r}")
-    return ops
-
-
 def _lookahead_depth(ops: list, blocks: int) -> int:
     """How many formed pass blocks `_estimate_blocks` keeps ahead of the one
     it hands out: 1, so that a second thread tunes a block while the next is
     formed, when the pass has threshold methods and more than one block, the
     process may run on two CPUs or more and is not a pool worker (whose pool
-    already fills the CPUs); 0 otherwise, the serial order."""
-    if not ops or blocks < 2 or multiprocessing.parent_process() is not None:
+    already fills the CPUs); 0 otherwise, the serial order.  A pool worker
+    has imported `multiprocessing`, so the package need not import it."""
+    mp = sys.modules.get("multiprocessing")
+    if not ops or blocks < 2 or (mp is not None and mp.parent_process() is not None):
         return 0
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return int((cpus or 1) >= 2)
@@ -365,7 +364,9 @@ def threshold_estimate(
     `lambdas[j]` is the threshold at j and at -j, for j = 0..floor(n/2).
     The off-diagonal entries are thresholded; the diagonal is kept.
     """
-    op, = _operators([op])
+    op = _pass_method(op)
+    if not isinstance(op, ThresholdOperator):
+        raise ParameterError(f"{op!r} is not a threshold method")
     for j in range(x.n // 2 + 1):
         if j not in lambdas:
             raise ParameterError(f"no threshold provided for frequency index {j}")

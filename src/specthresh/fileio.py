@@ -41,6 +41,17 @@ def _json_value(value, kind: type, name: str):
     return value
 
 
+def _numbers(value, name: str):
+    """`value` unless it is or nests a JSON boolean, which float() and numpy
+    would read as 1 or 0: then ValueError naming `name`."""
+    if type(value) is bool:
+        raise ValueError(f"{name} must hold numbers, got {value!r}")
+    if type(value) is list:
+        for item in value:
+            _numbers(item, name)
+    return value
+
+
 def _fmt(x: float) -> str:
     return _fmt_all((float(x),))[0]
 
@@ -105,11 +116,12 @@ def model_from_dict(obj: dict) -> VarmaModel:
         noise = obj.get("noise", {})
         return VarmaModel(
             dim=_json_value(obj["p"], int, "p"),
-            ar_coeffs=tuple(np.array(a, dtype=float) for a in obj.get("ar", [])),
-            ma_coeffs=tuple(np.array(b, dtype=float) for b in obj.get("ma", [])),
-            noise_cov=np.array(noise["cov"], dtype=float) if "cov" in noise else None,
+            ar_coeffs=tuple(np.array(_numbers(a, "ar"), dtype=float) for a in obj.get("ar", [])),
+            ma_coeffs=tuple(np.array(_numbers(b, "ma"), dtype=float) for b in obj.get("ma", [])),
+            noise_cov=(np.array(_numbers(noise["cov"], "cov"), dtype=float)
+                       if "cov" in noise else None),
             noise_family=noise.get("family", "gaussian"),
-            noise_df=noise.get("df"),
+            noise_df=_numbers(noise.get("df"), "df"),
         )
     except SpecthreshError:
         raise
@@ -258,12 +270,13 @@ def _matrices(entry, j: int, p: int):
     """The "re" and "im" matrices of an entry, parsed as np.array(value,
     dtype=float) parses the decoded lists; each must be p x p."""
     parts = []
-    for value in (entry["re"], entry["im"]):
+    for key in ("re", "im"):
+        value = entry[key]
         if type(value) is tuple:
             rows, cols, text = value
             part = np.array(text[1:].split(","), dtype=float).reshape(rows, cols)
         else:
-            part = np.array(value, dtype=float)
+            part = np.array(_numbers(value, key), dtype=float)
         if part.shape != (p, p):
             raise ValueError(f"matrix of shape {part.shape} at j = {j}, expected ({p}, {p})")
         parts.append(part)
@@ -335,7 +348,7 @@ def read_estimate(path) -> SpectralEstimate:
                 half, lam_half = np.empty((n // 2 + 1, p, p), dtype=complex), np.zeros(n // 2 + 1)
             half[j].real, half[j].imag = real, imag
             if has_lambda:
-                lam_half[j] = float(by_j[j]["lambda"])
+                lam_half[j] = float(_numbers(by_j[j]["lambda"], "lambda"))
         if not (np.isfinite(half).all() and np.isfinite(lam_half).all()):
             raise ValueError("non-finite matrix entry or threshold")
         if (lam_half < 0).any():
@@ -346,14 +359,14 @@ def read_estimate(path) -> SpectralEstimate:
                 real, imag = _matrices(entry, -j, p)
                 if not (np.array_equal(real, half[j].real) and np.array_equal(-imag, half[j].imag)):
                     raise ValueError("an entry at j < 0 is not the conjugate of the one at -j")
-            if has_lambda and float(entry["lambda"]) != lam_half[j]:
+            if has_lambda and float(_numbers(entry["lambda"], "lambda")) != lam_half[j]:
                 raise ValueError("an entry at j < 0 is not the conjugate of the one at -j")
         m, method = _json_value(obj["m"], int, "m"), obj["method"]
         if m < 0 or 2 * m + 1 > n:
             raise ValueError(f"span m = {m} for n = {n}")
         if method not in ALL_METHODS:
             raise ValueError(f"unknown method {method!r}")
-        eta = float(obj["eta"]) if "eta" in obj else None
+        eta = float(_numbers(obj["eta"], "eta")) if "eta" in obj else None
         if eta is not None and not (np.isfinite(eta) and eta > 0):
             raise ValueError(f"eta = {eta} is not finite and positive")
         if has_lambda != (method in THRESHOLD_METHODS):

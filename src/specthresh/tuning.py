@@ -59,8 +59,8 @@ d(w_{j0-m})..d(w_{j0+rows-1+m}) for a block starting at j0.  Per block:
 - the risks are one (operators, rows, grid size) array, and each row's
   threshold is the argmin of its own curve there.
 
-`split_risk_curves` returns those curves, the ones that chose the
-thresholds.  The pass then thresholds the window averages one
+`tuned_estimates` hands those curves out with the estimates whose
+thresholds they chose.  The pass then thresholds the window averages one
 `_row_blocks` block at a time, one operator call per block, one
 threshold per row.
 
@@ -69,7 +69,7 @@ worker thread, per pass, runs the split rule on block b while the pass
 forms block b+1, then the pass thresholds, shrinks and hands out block
 b.  A block's thresholds read only its DFT rows, its window averages and
 the streams `_freq_rng(seed, j)`, so they keep their bits on the worker;
-the one worker takes the blocks in order, so `split_risk_curves` gets
+the one worker takes the blocks in order, so `tuned_estimates` gets
 its curves in row order.  The rule calls only private helpers, as
 perfbench's tracer keeps one span stack per process, and sets its own
 `np.errstate`, which does not cross threads.  Depth 0, the serial order,
@@ -80,12 +80,12 @@ the process may run on only one CPU, and in a pool worker
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .estimator import SpectralEstimate, ThresholdOperator, _estimate_blocks, _estimates, _operators
+from .estimator import SpectralEstimate, ThresholdOperator, _estimate_blocks, _estimates
 from .model import TimeSeriesMatrix
 
 
@@ -93,28 +93,6 @@ def _freq_rng(seed: int, j: int) -> np.random.Generator:
     # Derived stream per frequency so parallel tuning order cannot matter.
     # Negative indices map to distinct nonnegative spawn keys.
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j % 2**32,)))
-
-
-def split_frequencies(
-    j: int, m: int, n: int, rng: Optional[np.random.Generator] = None, seed: int = 0
-) -> Tuple[list, list]:
-    """Random balanced split of the window {j-m, ..., j+m} into (J1, J2).
-
-    Indices are wrapped to canonical F_n representatives.  Whenever both k
-    and -k fall in the window they are placed in the same subset, since
-    I(w_{-k}) is the conjugate of I(w_k) and carries no extra information.
-    """
-    if 2 * m + 1 < 2:
-        raise ParameterError("window must contain at least 2 frequencies")
-    if 2 * m + 1 > n:
-        raise ParameterError(f"window 2m+1={2 * m + 1} exceeds n={n}")
-    if rng is None:
-        rng = _freq_rng(seed, j)
-    half = (n - 1) // 2
-    window = [(k + half) % n - half for k in range(j - m, j + m + 1)]
-    in_j1 = _draw_split(_window_units(j, m, n), 2 * m + 1, rng)
-    return (sorted(k for k, first in zip(window, in_j1) if first),
-            sorted(k for k, first in zip(window, in_j1) if not first))
 
 
 def _window_units(j: int, m: int, n: int) -> list:
@@ -314,21 +292,6 @@ def _lambda_grids(f_hat: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]
     return grids, single
 
 
-def tuned_threshold_estimate(
-    x: TimeSeriesMatrix,
-    m: int,
-    op: ThresholdOperator,
-    grid_size: int = 20,
-    n_splits: int = 1,
-    seed: int = 0,
-) -> SpectralEstimate:
-    """Full pipeline: per-frequency split tuning, then thresholding.
-
-    Thresholds are tuned for j >= 0 and mirrored to -j.
-    """
-    return tuned_estimates(x, m, (op,), grid_size, n_splits, seed)[0]
-
-
 def _split_rule(n: int, m: int, grid_size: int, n_splits: int, seed: int, curves=None):
     """The `thresholds` rule of `estimator._estimates` that tunes by split
     risk; it appends each block's (grids, risks) to the list `curves` when
@@ -359,10 +322,20 @@ def tuned_estimates(
     (`estimator._estimate_blocks`): each a name of `estimator.ALL_METHODS`
     or its alias ("alasso"), or a `ThresholdOperator`, for an eta other
     than 2.  Each threshold method's threshold at row j is the argmin of
-    its split-risk curve there (`split_risk_curves`), ties toward the
-    smaller one; split draws depend only on (seed, j), so each estimate
-    equals its own single-method call bit for bit."""
-    return _estimates(x, m, methods, _split_rule(x.n, m, grid_size, n_splits, seed))
+    its split-risk curve there, ties toward the smaller one; split draws
+    depend only on (seed, j), so each estimate equals its own
+    single-method call bit for bit.  The estimate carries that curve
+    (`SpectralEstimate.grids` and `.risks`, (floor(n/2)+1, G) arrays): G
+    is grid_size, or 1 with p = 1, whose grids are 0.0; a row whose
+    off-diagonal moduli are all equal repeats its one value."""
+    curves: list = []
+    ests = _estimates(x, m, methods, _split_rule(x.n, m, grid_size, n_splits, seed, curves))
+    if curves:
+        # the blocks' grids (rows, G) and risks (operators, rows, G), in row order
+        grids, risks = (np.concatenate(part, axis=-2) for part in zip(*curves))
+        for est, curve in zip([est for est in ests if est.lambdas is not None], risks):
+            est.grids, est.risks = grids, curve
+    return ests
 
 
 def tuned_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, grid_size: int = 20,
@@ -370,31 +343,6 @@ def tuned_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, grid_size: int 
     """The estimates of `tuned_estimates` as the pass hands them out, a block
     of rows at a time (`estimator._estimate_blocks`)."""
     return _estimate_blocks(x, m, methods, _split_rule(x.n, m, grid_size, n_splits, seed))
-
-
-def split_risk_curves(
-    x: TimeSeriesMatrix, m: int, ops: Sequence, grid_size: int = 20,
-    n_splits: int = 1, seed: int = 0,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The lambda grid and split risk curve of each row j = 0..floor(n/2)
-    and threshold method of `ops` (names or operators), from the estimation
-    pass that `tuned_estimates` runs.
-
-    Returns grids, a (floor(n/2)+1, G) array, and risks, a (len(ops),
-    floor(n/2)+1, G) array: risks[o, j, i] is the split risk of ops[o] at
-    grids[j, i], averaged over n_splits splits.  The tuned threshold of
-    row j is grids[j, argmin risks[o, j]].  G is grid_size, except with
-    p = 1, where every grid is one column of 0.0.  A row whose off-diagonal
-    moduli are all equal repeats its one value across the row.
-    """
-    ops = _operators(ops)
-    if not ops:
-        raise ParameterError("no threshold operators given")
-    curves: list = []
-    for _ in _estimate_blocks(x, m, ops, _split_rule(x.n, m, grid_size, n_splits, seed, curves)):
-        pass  # the estimates are dropped block by block
-    grids, risks = zip(*curves)
-    return np.concatenate(grids), np.concatenate(risks, axis=1)
 
 
 def theoretical_threshold(

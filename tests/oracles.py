@@ -10,7 +10,8 @@ one frequency of F_n at a time, the rows j < 0 built by conjugation.
 `stack_estimates` is the estimation pass on the whole (n, p, p)
 periodogram array (`periodogram_all`), which the streamed pass must equal
 bit for bit.  `select_threshold` is the split risk of one frequency, which
-the pass's curves (`tuning.split_risk_curves`) must equal bit for bit.
+the pass's curves (the `grids` and `risks` of `tuning.tuned_estimates`)
+must equal bit for bit, and `split_frequencies` one frequency's split.
 `lambda_grid` is one frequency's lambda grid, which each row of the pass's
 grids must equal.  `gathered_split_risks` is the split risk the direct
 way: halves summed from gathered periodograms, every off-diagonal entry
@@ -33,11 +34,13 @@ from specthresh.estimator import _BLOCK_ROWS, _row_blocks, _sq_norms
 from specthresh.model import TimeSeriesMatrix, VarmaModel, autocov, l_n, omega_n, tail_cap
 from specthresh.tuning import (
     _check_grids,
+    _draw_split,
     _freq_rng,
     _lambda_grids,
     _searchsorted_rows,
     _split_risks,
     _suffix_sums,
+    _window_units,
 )
 
 
@@ -463,6 +466,21 @@ def window_units(j: int, m: int, n: int) -> list:
             units.append((k,))
             seen.add(k)
     return units
+
+
+def split_frequencies(j: int, m: int, n: int, rng: Optional[np.random.Generator] = None,
+                      seed: int = 0) -> tuple:
+    """The split (J1, J2) of the window {j-m, ..., j+m} that the pass draws
+    for row j (`tuning._draw_split` over `tuning._window_units`), as sorted
+    lists of canonical F_n indices; from `rng`, or else from the row's own
+    stream `_freq_rng(seed, j)`.  For 2 <= 2m+1 <= n."""
+    if rng is None:
+        rng = _freq_rng(seed, j)
+    half = (n - 1) // 2
+    window = [(k + half) % n - half for k in range(j - m, j + m + 1)]
+    in_j1 = _draw_split(_window_units(j, m, n), 2 * m + 1, rng)
+    return (sorted(k for k, first in zip(window, in_j1) if first),
+            sorted(k for k, first in zip(window, in_j1) if not first))
 
 
 def split_by_loop(j: int, m: int, n: int, rng: np.random.Generator) -> tuple:

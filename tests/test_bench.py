@@ -18,7 +18,6 @@ from specthresh import (
     block_varma_model,
     simulate,
     true_spectral_density,
-    tuned_threshold_estimate,
 )
 from specthresh import (
     DataError,
@@ -273,7 +272,7 @@ class TestHalfSpectrumScoring:
     def test_equal_full_grid_metrics(self, rng, family, n):
         model = varma21(rng) if family == "varma21" else block_varma_model(6, family)
         truth = truth_spectra(model, n)
-        est = tuned_threshold_estimate(simulate(model, n, seed=4), 4, ThresholdOperator("lasso"))
+        est, = tuning.tuned_estimates(simulate(model, n, seed=4), 4, [ThresholdOperator("lasso")])
 
         want = rmise_loop(est, truth)
         assert abs(rmise(est, truth) - want) <= 1e-12 * want
@@ -374,9 +373,9 @@ class TestEstimateMethods:
         want = [*tuning.tuned_estimates(x, 4, ["smoothed"]),
                 *tuning.tuned_estimates(x, 4, ["shrinkage"])]
         for name in ("hard", "lasso", "adaptive_lasso"):
-            want.append(tuned_threshold_estimate(
-                x, 4, ThresholdOperator(name), grid_size=8, n_splits=n_splits, seed=3
-            ))
+            want += tuning.tuned_estimates(
+                x, 4, [ThresholdOperator(name)], grid_size=8, n_splits=n_splits, seed=3
+            )
         assert [est.method for est in got] == list(ALL_METHODS)
         for est, ref in zip(got, want, strict=True):
             assert (est.method, est.m, est.eta) == (ref.method, ref.m, ref.eta)

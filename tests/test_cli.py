@@ -10,7 +10,7 @@ from specthresh import (
     SpectralEstimate,
     ThresholdOperator,
     threshold_estimate,
-    tuned_threshold_estimate,
+    tuned_estimates,
 )
 from specthresh import bench as bench_mod
 from specthresh.bench import truth_spectra
@@ -70,7 +70,11 @@ class TestSimulate:
         {"p": 1, "ma": [[["a"]]]},
         {"p": 2.9},
         {"p": True},
-    ], ids=["top-level-list", "noise-list", "coefficient-string", "p-float", "p-bool"])
+        {"p": 1, "ma": [[[True]]]},
+        {"p": 1, "noise": {"cov": [[True]]}},
+        {"p": 1, "noise": {"df": True}},
+    ], ids=["top-level-list", "noise-list", "coefficient-string", "p-float", "p-bool",
+            "coefficient-bool", "cov-bool", "df-bool"])
     def test_malformed_model_exits_data(self, tmp_path, capsys, obj):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
@@ -181,8 +185,8 @@ class TestEstimate:
         out, ref = tmp_path / "lasso.json", tmp_path / "ref.json"
         assert run("estimate", "--series", series_file, "--method", "lasso", "--m", 4,
                    "--grid-size", 7, "--n-splits", 2, "--seed", 5, "--out", out) == 0
-        est = tuned_threshold_estimate(read_series(series_file), 4, ThresholdOperator("lasso"),
-                                       grid_size=7, n_splits=2, seed=5)
+        est, = tuned_estimates(read_series(series_file), 4, [ThresholdOperator("lasso")],
+                               grid_size=7, n_splits=2, seed=5)
         write_estimate(est, ref)
         assert out.read_bytes() == ref.read_bytes()
 
@@ -570,6 +574,23 @@ def _smoothed_with_eta(obj):
     obj.update(method="smoothed", eta="2")
 
 
+def _bool_lambdas(obj):
+    for entry in obj["frequencies"]:
+        entry["lambda"] = True
+
+
+def _bool_matrix(obj):
+    obj["frequencies"][27]["re"] = [[True, False, False]] * 3  # j = 12
+
+
+def _numbers_for_strings(obj):
+    # every float of the file as a JSON number in place of its string
+    for entry in obj["frequencies"]:
+        entry["lambda"] = float(entry["lambda"])
+        for part in ("re", "im"):
+            entry[part] = [[float(v) for v in row] for row in entry[part]]
+
+
 def _header(**fields):
     def mutate(obj):
         obj.update(fields)
@@ -616,6 +637,10 @@ class TestMalformedEstimateFile:
         (_smoothed_with_eta, "smoothed estimate with an eta"),
         (_header(method="adaptive_lasso"), "adaptive_lasso estimate without an eta"),
         (_negative_lambdas, "negative threshold"),
+        # JSON true and false are not numbers, though float() reads them as 1 and 0
+        (_bool_lambdas, "lambda must hold numbers, got True"),
+        (_bool_matrix, "re must hold numbers, got True"),
+        (_header(method="adaptive_lasso", eta=True), "eta must hold numbers, got True"),
     ], ids=["2x2-matrix", "header-p", "duplicated-j", "nan-entry", "missing-j",
             "not-conjugate-matrix", "not-conjugate-lambda", "re-one-ulp-off", "im-one-ulp-off",
             "negative-im-shape", "plus-signed-partner", "space-led-partner",
@@ -624,7 +649,8 @@ class TestMalformedEstimateFile:
             "eta-nan", "eta-negative", "m-negative", "m-too-wide", "n-float", "p-float",
             "m-float", "m-bool", "j-float", "smoothed-with-thresholds",
             "shrinkage-with-thresholds", "hard-without-thresholds", "eta-on-hard",
-            "eta-on-smoothed", "adaptive-lasso-without-eta", "lambda-negative"])
+            "eta-on-smoothed", "adaptive-lasso-without-eta", "lambda-negative",
+            "lambda-bool", "matrix-bool", "eta-bool"])
     def test_exits_data(self, tmp_path, rng, capsys, vma_model_file, mutate, message):
         n = 32
         x = TimeSeriesMatrix(rng.standard_normal((n, 3)))
@@ -647,4 +673,16 @@ class TestMalformedEstimateFile:
         path = tmp_path / "est.json"
         write_estimate(est, path)
         assert run("evaluate", "--model", vma_model_file, "--out", tmp_path / "r.csv", path) == 0
+        assert run("coherence", "--estimate", path, "--out", tmp_path / "g.csv") == 0
+
+    def test_json_numbers_read_as_their_strings(self, tmp_path, rng):
+        x = TimeSeriesMatrix(rng.standard_normal((32, 3)))
+        est = threshold_estimate(x, 3, ThresholdOperator("hard"), {j: 0.1 for j in range(17)})
+        path = tmp_path / "est.json"
+        write_estimate(est, path)
+        obj = json.loads(path.read_text())
+        _numbers_for_strings(obj)
+        path.write_text(json.dumps(obj))
+        got = read_estimate(path)
+        assert np.array_equal(got.half, est.half) and np.array_equal(got.lambdas, est.lambdas)
         assert run("coherence", "--estimate", path, "--out", tmp_path / "g.csv") == 0

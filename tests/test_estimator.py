@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -514,6 +515,15 @@ class TestPassThread:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(multiprocessing, "parent_process", lambda: object())
         assert estimator._lookahead_depth(ops, 7) == 0
+
+    def test_package_import_leaves_multiprocessing_out(self):
+        # the depth rule reads `multiprocessing` only once something else has
+        # imported it, as in a pool worker, so the package need not import it
+        src = os.path.dirname(os.path.dirname(estimator.__file__))
+        code = "import sys, specthresh; print('multiprocessing' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_close_after_next_joins_the_thread(self, rng, threaded):
         x = white_series(rng, 200, 6)

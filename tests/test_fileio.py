@@ -11,7 +11,6 @@ from specthresh import (
     FourierGrid,
     ThresholdOperator,
     threshold_estimate,
-    tuned_threshold_estimate,
 )
 from specthresh.estimator import ALL_METHODS
 from specthresh.fileio import (
@@ -124,7 +123,7 @@ class TestModelJson:
 class TestEstimateJson:
     def _estimate(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((16, 3)), channel_names=("u", "v", "w"))
-        return tuned_threshold_estimate(x, 2, ThresholdOperator("adaptive_lasso"), seed=1)
+        return tuned_estimates(x, 2, [ThresholdOperator("adaptive_lasso")], seed=1)[0]
 
     def test_round_trip(self, tmp_path, rng):
         est = self._estimate(rng)
@@ -148,6 +147,17 @@ class TestEstimateJson:
             return np.array_equal(a, b) and np.asarray(a).dtype == np.asarray(b).dtype
         return type(a) is type(b) and a == b
 
+    @classmethod
+    def _assert_read_back(cls, est, back, *where):
+        """Every field of `est` read back, but the split-risk curves, which
+        the file does not hold: those read back as None."""
+        for field in dataclasses.fields(est):
+            if field.name in ("grids", "risks"):
+                assert getattr(back, field.name) is None, (*where, field.name)
+            else:
+                assert cls._same(getattr(est, field.name), getattr(back, field.name)), (
+                    *where, field.name)
+
     @pytest.mark.parametrize("kind", ["tuned", "fixed"])
     def test_read_back_equals_every_field(self, tmp_path, rng, kind):
         if kind == "tuned":
@@ -157,19 +167,28 @@ class TestEstimateJson:
             est = threshold_estimate(x, 2, ThresholdOperator("hard"), {j: 0.15 for j in range(9)})
         path = tmp_path / "est.json"
         write_estimate(est, path)
-        back = read_estimate(path)
-        for field in dataclasses.fields(est):
-            assert self._same(getattr(est, field.name), getattr(back, field.name)), field.name
+        self._assert_read_back(est, read_estimate(path))
 
     def test_every_method_reads_back(self, tmp_path, rng):
         x = TimeSeriesMatrix(rng.standard_normal((17, 3)))
         for method, est in zip(ALL_METHODS, tuned_estimates(x, 2, ALL_METHODS, grid_size=5)):
             path = tmp_path / f"{method}.json"
             write_estimate(est, path)
-            back = read_estimate(path)
-            for field in dataclasses.fields(est):
-                assert self._same(getattr(est, field.name), getattr(back, field.name)), (
-                    method, field.name)
+            self._assert_read_back(est, read_estimate(path), method)
+
+    def test_curves_neither_written_nor_read(self, tmp_path, rng):
+        # a tuned estimate writes the bytes of the same estimate without its
+        # curves; a fixed-threshold estimate and a read estimate have none
+        est = self._estimate(rng)
+        assert est.grids is not None and est.risks is not None
+        with_curves, without = tmp_path / "curves.json", tmp_path / "plain.json"
+        write_estimate(est, with_curves)
+        write_estimate(dataclasses.replace(est, grids=None, risks=None), without)
+        assert with_curves.read_bytes() == without.read_bytes()
+        fixed = threshold_estimate(TimeSeriesMatrix(rng.standard_normal((16, 3))), 2, "lasso",
+                                   {j: 0.1 for j in range(9)})
+        for got in (fixed, read_estimate(with_curves)):
+            assert got.grids is None and got.risks is None
 
     def test_write_deterministic(self, tmp_path, rng):
         est = self._estimate(rng)

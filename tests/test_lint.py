@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from specthresh import cli, fileio, roc_points, threshold_estimate, tuned_threshold_estimate
+from specthresh import cli, fileio, roc_points, threshold_estimate
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "specthresh"
@@ -220,14 +220,12 @@ def test_private_imports_finds_private_names(source, want):
 
 
 def test_benchmark_bound_parameter_names():
-    """The benchmark's tracer binds parameters by name: x, op, grid_size and
-    n_splits of tuned_threshold_estimate, weighted_graph of roc_points, argv
-    of cli.main and path of every public fileio reader and writer (it calls
-    threshold_estimate(x, m, op, lambdas) positionally).  Renaming one breaks
-    its traced runs, or, for path, silently counts 0 bytes."""
+    """The benchmark's tracer binds parameters by name: weighted_graph of
+    roc_points, argv of cli.main and path of every public fileio reader and
+    writer (it calls threshold_estimate(x, m, op, lambdas) positionally).
+    Renaming one breaks its traced runs, or, for path, silently counts 0
+    bytes."""
     assert list(inspect.signature(threshold_estimate).parameters) == ["x", "m", "op", "lambdas"]
-    tuned = inspect.signature(tuned_threshold_estimate).parameters
-    assert {"x", "op", "grid_size", "n_splits"} <= set(tuned)
     assert "weighted_graph" in inspect.signature(roc_points).parameters
     assert "argv" in inspect.signature(cli.main).parameters
     file_io = [fn for name, fn in vars(fileio).items() if inspect.isfunction(fn)

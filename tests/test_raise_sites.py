@@ -23,11 +23,10 @@ from specthresh import (
     theoretical_threshold,
     threshold_estimate,
     tuned_estimates,
-    tuned_threshold_estimate,
 )
 from specthresh.bench import BenchmarkSpec
 from specthresh.estimator import canonical_method
-from specthresh.fileio import read_estimate, write_estimate
+from specthresh.fileio import model_from_dict, read_estimate, write_estimate
 from specthresh.model import block_transition
 
 X = TimeSeriesMatrix(np.random.default_rng(7).standard_normal((16, 3)))
@@ -109,11 +108,20 @@ CALLS = {
                       ParameterError, "invalid half-span m=-1 for n=16"),
     "zero-truth": (lambda: rmise(tuned_estimates(X, 2, ["smoothed"])[0], np.zeros((9, 3, 3))),
                    ParameterError, "truth is identically zero"),
-    "grid-size": (lambda: tuned_threshold_estimate(X, 2, LASSO, grid_size=0),
+    "grid-size": (lambda: tuned_estimates(X, 2, [LASSO], grid_size=0),
                   ParameterError, "grid size must be positive"),
-    "n-splits": (lambda: tuned_threshold_estimate(X, 2, LASSO, n_splits=0),
+    "n-splits": (lambda: tuned_estimates(X, 2, [LASSO], n_splits=0),
                  ParameterError, "n_splits must be at least 1"),
+    "threshold-method": (lambda: threshold_estimate(X, 2, "smoothed", {j: 0.1 for j in range(9)}),
+                         ParameterError, "'smoothed' is not a threshold method"),
     "method": (lambda: canonical_method("ridge"), ParameterError, "unknown method 'ridge'"),
+    # JSON true and false are not numbers, though float() reads them as 1 and 0
+    "ma-bool": (lambda: model_from_dict({"p": 1, "ma": [[[True]]]}),
+                DataError, "bad model specification: ma must hold numbers, got True"),
+    "cov-bool": (lambda: model_from_dict({"p": 1, "noise": {"cov": [[False]]}}),
+                 DataError, "bad model specification: cov must hold numbers, got False"),
+    "df-bool": (lambda: model_from_dict({"p": 1, "noise": {"df": True}}),
+                DataError, "bad model specification: df must hold numbers, got True"),
     "spec-family": (lambda: spec(family="arma"), ParameterError, "unknown family 'arma'"),
     "spec-replicates": (lambda: spec(replicates=0),
                         ParameterError, "replicates must be at least 1"),
@@ -127,7 +135,7 @@ CALLS = {
                                                    ["shrinkage"]),
                            NumericalError,
                            "non-finite shrinkage weight: the series is badly scaled"),
-    "overflow-risk": (lambda: tuned_threshold_estimate(TimeSeriesMatrix(1e78 * X.data), 2, LASSO),
+    "overflow-risk": (lambda: tuned_estimates(TimeSeriesMatrix(1e78 * X.data), 2, [LASSO]),
                       NumericalError,
                       "non-finite split risk: the series is badly scaled"),
 }
@@ -155,11 +163,27 @@ def _channel_count(obj):
     obj["channels"] = ["a", "b"]
 
 
+def _bool_lambda(obj):
+    obj["frequencies"][8]["lambda"] = True  # j = 1
+
+
+def _bool_eta(obj):
+    obj.update(method="adaptive_lasso", eta=True)
+
+
+def _bool_matrix(obj):
+    obj["frequencies"][10]["im"] = [[False] * 3] * 3  # j = 3
+
+
 @pytest.mark.parametrize("mutate, message", [
     (_ragged, "malformed estimate file (setting an array element with a sequence"),
     (_threshold_missing, "malformed estimate file (threshold missing or extra at j = 3)"),
     (_channel_count, "malformed estimate file (2 channel names for p = 3)"),
-], ids=["ragged-matrix", "threshold-missing", "channel-count"])
+    (_bool_lambda, "malformed estimate file (lambda must hold numbers, got True)"),
+    (_bool_eta, "malformed estimate file (eta must hold numbers, got True)"),
+    (_bool_matrix, "malformed estimate file (im must hold numbers, got False)"),
+], ids=["ragged-matrix", "threshold-missing", "channel-count", "lambda-bool", "eta-bool",
+        "matrix-bool"])
 def test_estimate_file_raises(tmp_path, mutate, message):
     path = tmp_path / "est.json"
     write_estimate(threshold_estimate(X, 2, LASSO, {j: 0.1 for j in range(9)}), path)

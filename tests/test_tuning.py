@@ -11,6 +11,7 @@ from oracles import (
     periodogram_all,
     select_threshold,
     split_by_loop,
+    split_frequencies,
     window_units,
     wrap,
 )
@@ -20,18 +21,17 @@ from specthresh import (
     ParameterError,
     ThresholdOperator,
     default_span,
-    split_frequencies,
-    split_risk_curves,
     theoretical_threshold,
-    tuned_threshold_estimate,
 )
+from specthresh import estimator
 from specthresh.dft import _dft
-from specthresh.estimator import threshold_estimate
+from specthresh.estimator import _estimates, threshold_estimate
 from specthresh.model import TimeSeriesMatrix
 from specthresh.tuning import (
     _check_grids,
     _freq_rng,
     _lambda_grids,
+    _split_rule,
     _window_units,
     tuned_estimates,
 )
@@ -116,9 +116,10 @@ class TestSplitFrequencies:
             assert sorted(j1 + j2) == [-1, 0, 1]
             assert ([-1, 1] == j1 or [-1, 1] == j2)
 
-    def test_single_element_window_rejected(self):
-        with pytest.raises(ParameterError):
-            split_frequencies(0, 0, 16)
+    def test_single_element_window_rejected(self, rng):
+        x = TimeSeriesMatrix(rng.standard_normal((16, 3)))
+        with pytest.raises(ParameterError, match="at least 2 frequencies"):
+            tuned_estimates(x, 0, ["lasso"])
 
     def test_plain_window_without_pairs(self):
         j1, j2 = split_frequencies(6, 1, 16, seed=3)
@@ -141,9 +142,10 @@ class TestSplitFrequencies:
                     if mirror in members and mirror != k:
                         assert mirror in j1
 
-    def test_window_larger_than_n_rejected(self):
-        with pytest.raises(ParameterError):
-            split_frequencies(0, 9, 16)
+    def test_window_larger_than_n_rejected(self, rng):
+        x = TimeSeriesMatrix(rng.standard_normal((16, 3)))
+        with pytest.raises(ParameterError, match="invalid half-span"):
+            tuned_estimates(x, 9, ["lasso"])
 
     def test_deterministic_per_seed(self):
         assert split_frequencies(4, 3, 32, seed=9) == split_frequencies(4, 3, 32, seed=9)
@@ -203,8 +205,9 @@ class TestSelectThreshold:
         op = ThresholdOperator("lasso")
         first = select_threshold(x, 2, 3, (0.0, 0.1, 0.2), op, n_splits=3, seed=7)
         assert np.array_equal(first, select_threshold(x, 2, 3, (0.0, 0.1, 0.2), op, n_splits=3, seed=7))
-        curves = [split_risk_curves(x, 3, [op], grid_size=4, n_splits=3, seed=7) for _ in range(2)]
-        assert all(np.array_equal(a, b) for a, b in zip(*curves))
+        ests = [tuned_estimates(x, 3, [op], grid_size=4, n_splits=3, seed=7)[0] for _ in range(2)]
+        assert np.array_equal(ests[0].grids, ests[1].grids)
+        assert np.array_equal(ests[0].risks, ests[1].risks)
 
     def test_chosen_in_grid_ties_toward_small(self):
         x = TimeSeriesMatrix(np.tile(np.arange(16.0)[:, None], (1, 2)))
@@ -235,7 +238,7 @@ class TestClosedFormRisk:
     @pytest.mark.parametrize("n_splits", [1, 3])
     def test_matches_threshold_loop(self, rng, op, preserve_diagonal, n_splits):
         x = self._series(rng)
-        grids, risks = split_risk_curves(x, 6, [op], grid_size=9, n_splits=n_splits, seed=11)
+        est, = tuned_estimates(x, 6, [op], grid_size=9, n_splits=n_splits, seed=11)
         for j in (0, 5, 24):
             # grid points exactly at entry moduli of the first split's f1
             f1, _ = split_halves(x, j, 6, _freq_rng(11, j))
@@ -243,7 +246,7 @@ class TestClosedFormRisk:
             grid = np.unique(np.concatenate([[0.0], moduli[::3], [2.0 * moduli[-1]]]))
             # the oracle on that grid, and the pass's own curve on its grid
             for lams, got in ((grid, select_threshold(x, j, 6, grid, op, n_splits, 11)),
-                              (grids[j], risks[0, j])):
+                              (est.grids[j], est.risks[j])):
                 ref = risk_by_threshold_loop(x, j, 6, lams, op, n_splits, 11, preserve_diagonal)
                 assert np.all(np.isfinite(got))
                 assert np.max(np.abs(got - ref) / ref) <= 1e-10
@@ -266,13 +269,13 @@ class TestTuningConfig:
         x = TimeSeriesMatrix(rng.standard_normal((32, 3)))
         op = ThresholdOperator("lasso")
         with pytest.raises(ParameterError, match="grid size must be positive"):
-            split_risk_curves(x, 2, [op], grid_size=0)
+            tuned_estimates(x, 2, [op], grid_size=0)
         with pytest.raises(ParameterError, match="strictly increasing"):
             _check_grids(np.array([[0.2, 0.1]]), np.zeros(1, dtype=bool))
         with pytest.raises(ParameterError, match="nonnegative"):
             _check_grids(np.array([[-0.1, 0.2]]), np.zeros(1, dtype=bool))
         with pytest.raises(ParameterError, match="n_splits must be at least 1"):
-            split_risk_curves(x, 2, [op], n_splits=0)
+            tuned_estimates(x, 2, [op], n_splits=0)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_rejects_non_finite_grid_values(self, bad):
@@ -310,13 +313,13 @@ class TestTunedThresholdEstimate:
             grid = lambda_grid(averaged_periodogram(x, 5, j))
             lambdas[j] = grid[int(np.argmin(risk_by_threshold_loop(x, j, 5, grid, op, 2, 6, True)))]
         ref = threshold_estimate(x, 5, op, lambdas)
-        est = tuned_threshold_estimate(x, 5, op, n_splits=2, seed=6)
+        est = tuned_estimates(x, 5, [op], n_splits=2, seed=6)[0]
         assert np.array_equal(est.lambdas, ref.lambdas)
         assert np.array_equal(est.half, ref.half)
 
     def test_pipeline_metadata(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
-        est = tuned_threshold_estimate(x, 4, ThresholdOperator("lasso"), seed=2)
+        est = tuned_estimates(x, 4, [ThresholdOperator("lasso")], seed=2)[0]
         assert est.method == "lasso"
         assert est.half.shape == (17, 4, 4)
         assert est.lambdas.shape == (17,)
@@ -326,7 +329,7 @@ class TestTunedThresholdEstimate:
         # values; a negative scale is a negative threshold
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
         op = ThresholdOperator("lasso")
-        base = tuned_threshold_estimate(x, 4, op, seed=2)
+        base = tuned_estimates(x, 4, [op], seed=2)[0]
         scaled = threshold_estimate(x, 4, op, {j: 0.5 * base.lambdas[j] for j in range(17)})
         assert np.all(np.abs(scaled.lambdas - 0.5 * base.lambdas) < 1e-14)
         for j in range(17):
@@ -338,8 +341,8 @@ class TestTunedThresholdEstimate:
     def test_reruns_identical(self, rng):
         data = rng.standard_normal((24, 3))
         op = ThresholdOperator("hard")
-        e1 = tuned_threshold_estimate(TimeSeriesMatrix(data), 3, op, seed=4)
-        e2 = tuned_threshold_estimate(TimeSeriesMatrix(data), 3, op, seed=4)
+        e1 = tuned_estimates(TimeSeriesMatrix(data), 3, [op], seed=4)[0]
+        e2 = tuned_estimates(TimeSeriesMatrix(data), 3, [op], seed=4)[0]
         assert np.array_equal(e1.lambdas, e2.lambdas)
         assert np.array_equal(e1.half, e2.half)
 
@@ -362,10 +365,12 @@ class TestTunedThresholdEstimates:
         assert len(ests) == len(OPERATORS)
         smoothed = [averaged_periodogram(x, 4, j) for j in range(n // 2 + 1)]
         for op, est in zip(OPERATORS, ests):
-            ref = tuned_threshold_estimate(x, 4, op, **kwargs)
+            ref = tuned_estimates(x, 4, [op], **kwargs)[0]
             assert (est.method, est.eta) == (ref.method, ref.eta)
             assert np.array_equal(est.lambdas, ref.lambdas)
             assert np.array_equal(est.half, ref.half)
+            assert np.array_equal(est.grids, ref.grids)
+            assert np.array_equal(est.risks, ref.risks)
             scaled = threshold_estimate(
                 x, 4, op, {j: lambda_scale * ref.lambdas[j] for j in range(n // 2 + 1)})
             for j, f in enumerate(smoothed):
@@ -376,7 +381,7 @@ class TestTunedThresholdEstimates:
     def test_operators_do_not_share_storage(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
         hard, lasso = tuned_estimates(x, 4, OPERATORS[:2], seed=1)
-        ref = tuned_threshold_estimate(x, 4, OPERATORS[0], seed=1)
+        ref = tuned_estimates(x, 4, OPERATORS[:1], seed=1)[0]
         lasso.half[3][...] = 0.0
         assert np.array_equal(hard.half[3], ref.half[3])
 
@@ -392,9 +397,8 @@ class TestTunedThresholdEstimates:
             assert (est.eta, est.m) == (ref.eta, ref.m)
             assert np.array_equal(est.lambdas, ref.lambdas)
             assert np.array_equal(est.half, ref.half)
-        for a, b in zip(split_risk_curves(x, 4, names, 6, 1, 3),
-                        split_risk_curves(x, 4, OPERATORS[:3], 6, 1, 3)):
-            assert np.array_equal(a, b)
+            assert np.array_equal(est.grids, ref.grids)
+            assert np.array_equal(est.risks, ref.risks)
 
     def test_unknown_method_name_rejected(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
@@ -403,23 +407,33 @@ class TestTunedThresholdEstimates:
                 tuned_estimates(x, 4, methods)
 
     def test_rejects_no_operators(self, rng):
+        # a fixed-threshold estimate needs a threshold method; a pass of no
+        # methods has no estimate
         x = TimeSeriesMatrix(rng.standard_normal((32, 4)))
-        with pytest.raises(ParameterError, match="no threshold operators given"):
-            split_risk_curves(x, 4, [])
-        with pytest.raises(ParameterError, match="not all threshold operators"):
-            split_risk_curves(x, 4, [OPERATORS[0], "smoothed"])
+        lambdas = {j: 0.1 for j in range(17)}
+        for method in ("smoothed", "shrinkage"):
+            with pytest.raises(ParameterError, match="is not a threshold method"):
+                threshold_estimate(x, 4, method, lambdas)
+        assert tuned_estimates(x, 4, []) == []
+
+
+def tuned_curves(x, m, ops, grid_size, n_splits, seed):
+    """The estimates of `ops` from one `tuned_estimates` pass, with their
+    grids (one array, shared) and their risks as one (ops, rows, G) array."""
+    ests = tuned_estimates(x, m, ops, grid_size, n_splits, seed)
+    assert all(est.grids is ests[0].grids for est in ests)
+    return ests[0].grids, np.stack([est.risks for est in ests]), ests
 
 
 def assert_curves_chose_lambdas(x, m, ops, grid_size, n_splits, seed):
-    """`split_risk_curves` has the documented shapes, each tuned lambda is
-    its row's argmin exactly, and each curve equals the one-frequency
+    """The estimates' curves have the documented shapes, each tuned lambda
+    is its row's argmin exactly, and each curve equals the one-frequency
     oracle on the row's grid bit for bit.  Returns (grids, risks,
     estimates)."""
     rows = x.n // 2 + 1
-    grids, risks = split_risk_curves(x, m, ops, grid_size, n_splits, seed)
+    grids, risks, ests = tuned_curves(x, m, ops, grid_size, n_splits, seed)
     width = grid_size if x.p > 1 else 1
     assert grids.shape == (rows, width) and risks.shape == (len(ops), rows, width)
-    ests = tuned_estimates(x, m, ops, grid_size, n_splits, seed)
     for o, (op, est) in enumerate(zip(ops, ests)):
         assert np.array_equal(est.lambdas, grids[np.arange(rows), risks[o].argmin(axis=1)])
         for j in range(rows):
@@ -482,7 +496,7 @@ class TestBatchedTuning:
     def _assert_curves_equal_gathered(x, m, n_splits):
         # halves from the DFT rows and risks over the upper triangle move the
         # curves by roundoff only, and no tuned lambda
-        grids, risks = split_risk_curves(x, m, OPERATORS, 6, n_splits, 5)
+        grids, risks, _ = tuned_curves(x, m, OPERATORS, 6, n_splits, 5)
         want = gathered_split_risks(periodogram_all(x), x.n, range(x.n // 2 + 1), grids, m,
                                     n_splits, 5, OPERATORS)
         assert np.allclose(risks, want, rtol=1e-12, atol=0)
@@ -493,20 +507,30 @@ class TestBatchedTuning:
         with pytest.raises(ParameterError, match="at least 2 frequencies"):
             tuned_estimates(x, 0, OPERATORS[:1])
 
-    def test_curves_keep_no_estimate(self, rng):
-        # the pass's estimates are dropped block by block: three operators'
-        # estimates would take three times `one`
-        n, p = 400, 48
+    def test_curves_keep_no_estimate(self, monkeypatch, rng):
+        # the curves add their own arrays to what the estimates hold, and no
+        # copy of an estimate: each operator's risks and the one shared grid
+        # array, plus the few Python objects that hold them.  The pass is
+        # serial, so that what it leaves behind does not depend on a thread.
+        monkeypatch.setattr(estimator, "_lookahead_depth", lambda ops, blocks: 0)
+        n, p, grid_size = 400, 48, 20
         x = TimeSeriesMatrix(rng.standard_normal((n, p)))
-        tracemalloc.start()
-        try:
-            grids, risks = split_risk_curves(x, 20, OPERATORS[:3])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        one = (n // 2 + 1) * p * p * 16
-        assert grids.shape == (n // 2 + 1, 20) and risks.shape == (3, n // 2 + 1, 20)
-        assert peak < 2 * one
+        ops, rows = OPERATORS[:3], n // 2 + 1
+
+        def held(run):
+            run()  # a first call's one-off allocations are not the curves'
+            tracemalloc.start()
+            try:
+                ests = run()
+                return tracemalloc.get_traced_memory()[0], ests
+            finally:
+                tracemalloc.stop()
+
+        plain, _ = held(lambda: _estimates(x, 20, ops, _split_rule(n, 20, grid_size, 1, 0)))
+        with_curves, ests = held(lambda: tuned_estimates(x, 20, ops, grid_size))
+        assert ests[0].grids.shape == (rows, grid_size)
+        assert [est.risks.shape for est in ests] == [(rows, grid_size)] * 3
+        assert with_curves - plain <= (len(ops) + 1) * rows * grid_size * 8 + 4096
 
     def test_constant_channel_curves(self, rng):
         data = rng.standard_normal((50, 4))
