@@ -37,17 +37,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _resolve_span(args, n: int) -> int:
-    if args.m is not None:
-        if 2 * args.m + 1 > n:
-            raise DataError(f"2m+1 = {2 * args.m + 1} exceeds n = {n}")
-        return args.m
-    return default_span(n, args.span_rule)
-
-
 def cmd_estimate(args) -> int:
     x = fileio.read_series(args.series)
-    m = _resolve_span(args, x.n)
+    # the pass rejects an m with 2m+1 > n
+    m = default_span(x.n, args.span_rule) if args.m is None else args.m
     if args.fixed_lambda is not None:
         lambdas = {j: args.fixed_lambda for j in range(0, x.n // 2 + 1)}
         est = estimator.threshold_estimate(x, m, args.method, lambdas)

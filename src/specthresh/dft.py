@@ -42,20 +42,20 @@ class FourierGrid:
         return 2.0 * np.pi * j / self.n
 
 
-def _dft(x: TimeSeriesMatrix) -> np.ndarray:
-    """The (p, n) DFT of the centered series: column grid.half + j holds
-    d(w_j)."""
+def _dft(x: TimeSeriesMatrix, m: int) -> np.ndarray:
+    """The DFT of the centered series along the estimation pass's walk, as a
+    C-contiguous (floor(n/2)+1+2m, p) array: row i holds d(w_{i-m}), so the
+    window {j-m, ..., j+m} of row j = 0..floor(n/2) is rows j..j+2m."""
     grid = FourierGrid(x.n)
     t = np.arange(grid.n)
     # columns e^{-i t w_j} / sqrt(n) are exactly C_j - i S_j
     phase = np.exp(-2j * np.pi * np.outer(t, grid.indices) / grid.n) / np.sqrt(grid.n)
-    return x.center().data.T @ phase
+    d = x.center().data.T @ phase  # column grid.half + j holds d(w_j)
+    walk = (np.arange(x.n // 2 + 1 + 2 * m) - m + grid.half) % grid.n
+    return np.ascontiguousarray(d[:, walk].T)
 
 
-def _periodograms(d: np.ndarray, cols) -> np.ndarray:
-    """The periodograms d d^H of the columns `cols` of the DFT `d`, as a
-    (len(cols), p, p) array in the order of `cols`."""
-    d = d[:, cols]
-    # C order keeps each I(w_j) contiguous, so window averages and
-    # split halves read whole matrices rather than strided columns
-    return np.einsum("pj,qj->jpq", d, d.conj(), order="C")
+def _periodograms(rows: np.ndarray) -> np.ndarray:
+    """The periodogram d d^H of each row d of a (k, p) array of DFT rows, as a
+    C-ordered (k, p, p) array, so each I(w) is contiguous."""
+    return np.einsum("jp,jq->jpq", rows, rows.conj(), order="C")

@@ -222,16 +222,17 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
     step) rows, step = `_block_rows(p)`: whole `_row_blocks` blocks, 16
     rows for p <= 64 and for p >= 182.  Position i = 0..floor(n/2)+2m of
     the walk holds I(w_{i-m}), so row j's window is positions j..j+2m;
-    each position's periodogram is formed once from the DFT, into a buffer
-    of size+2m matrices that keeps a block's last 2m positions for the
-    next, moved down at most `size` at a time so that numpy needs no
-    temporary copy of them.  Nothing else but those positions' squared
+    each position's periodogram is formed once from its row of the DFT
+    (`dft._dft`, in walk order), into a buffer of size+2m matrices that
+    keeps a block's last 2m positions for the next, moved down at most
+    `size` at a time so that numpy needs no temporary copy of them.  Nothing else but those positions' squared
     norms outlives a pass block.  Per block, the window members are added
     in order and divided by 2m+1, then by 2 pi, so row j is its window's
     `mean` over 2 pi bit for bit; `thresholds(ops, dft_rows, rows, f_hat)`
     gives the (operators, rows) thresholds, with dft_rows[i] =
-    d(w_{rows[0]-m+i}), the DFT rows of the block's windows (split-risk
-    tuning forms its half-window means from them, `tuning._split_risks`);
+    d(w_{rows[0]-m+i}), the DFT rows of the block's windows: a view of
+    the walk's rows, which nothing writes once formed (split-risk tuning
+    forms its half-window means from them, `tuning._split_risks`);
     shrinkage takes its row weights (`_shrink_weights`) over the block
     zero-padded to `size` rows, as numpy's row reductions can give other
     bits on fewer rows.  Each method's rows are then formed and
@@ -258,7 +259,7 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
     shrink = "shrinkage" in methods
     if shrink and m < 1:
         raise ParameterError("shrinkage needs a window of at least 2 periodograms")
-    d = _dft(x)
+    d = _dft(x, m)  # the walk's DFT rows: d[i] = d(w_{i-m})
     n_rows, step = n // 2 + 1, _block_rows(p)
     size = step * (_BLOCK_ROWS // step)
     is_op = [isinstance(method, ThresholdOperator) for method in methods]
@@ -266,11 +267,10 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
     depth = _lookahead_depth(ops, len(range(0, n_rows, size)))
     buffers = [np.zeros((size, p, p), dtype=d.dtype) for _ in range(depth + 1)]
     diag = np.arange(p)
-    # the DFT column of each walk position, and its periodogram's squared
-    # norm (0 past the end, for the padded rows)
-    cols = (np.arange(n_rows + 2 * m) - m + (n - 1) // 2) % n
+    # each walk position's periodogram's squared norm (0 past the end, for
+    # the padded rows)
     member_sq = np.zeros(n_rows + size + 2 * m)
-    members = _periodograms(d, cols[:size + 2 * m])
+    members = _periodograms(d[:size + 2 * m])
 
     def formed(pool):
         """(j0, buffer, window averages, thresholds) of each pass block, the
@@ -286,7 +286,7 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
                 for lo in range(0, 2 * m, size):
                     hi = min(lo + size, 2 * m)
                     members[lo:hi] = members[size + lo:size + hi]
-                members[2 * m:end] = _periodograms(d, cols[j0 + 2 * m:j0 + end])
+                members[2 * m:end] = _periodograms(d[j0 + 2 * m:j0 + end])
             if shrink:
                 # einsum can give a one-matrix stack other bits, so take two
                 first = min(carried, end - 2)
@@ -304,9 +304,8 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
             f_hat[len(block):] = 0.0
             tune = None
             if ops:
-                dft_rows = np.ascontiguousarray(d[:, cols[j0:j0 + end]].T)
                 rows = range(j0, j0 + len(block))
-                tune = functools.partial(thresholds, ops, dft_rows, rows, block)
+                tune = functools.partial(thresholds, ops, d[j0:j0 + end], rows, block)
                 if depth:
                     tune = pool.submit(tune).result
             yield j0, f_hat, block, tune

@@ -42,13 +42,26 @@ def _json_value(value, kind: type, name: str):
 
 
 def _numbers(value, name: str):
+    """`value` if it is a JSON number or a list nesting only JSON numbers,
+    else ValueError naming `name`: float() and numpy would read a JSON
+    boolean as 1 or 0, and a string such as "0.5" as a number."""
+    if type(value) is list:
+        for item in value:
+            _numbers(item, name)
+    elif type(value) not in (int, float):
+        raise ValueError(f"{name} must hold numbers, got {value!r}")
+    return value
+
+
+def _float_texts(value, name: str):
     """`value` unless it is or nests a JSON boolean, which float() and numpy
-    would read as 1 or 0: then ValueError naming `name`."""
+    would read as 1 or 0: then ValueError naming `name`.  An estimate file
+    holds its floats as strings, which float() and numpy parse."""
     if type(value) is bool:
         raise ValueError(f"{name} must hold numbers, got {value!r}")
     if type(value) is list:
         for item in value:
-            _numbers(item, name)
+            _float_texts(item, name)
     return value
 
 
@@ -121,7 +134,7 @@ def model_from_dict(obj: dict) -> VarmaModel:
             noise_cov=(np.array(_numbers(noise["cov"], "cov"), dtype=float)
                        if "cov" in noise else None),
             noise_family=noise.get("family", "gaussian"),
-            noise_df=_numbers(noise.get("df"), "df"),
+            noise_df=_numbers(noise["df"], "df") if "df" in noise else None,
         )
     except SpecthreshError:
         raise
@@ -276,7 +289,7 @@ def _matrices(entry, j: int, p: int):
             rows, cols, text = value
             part = np.array(text[1:].split(","), dtype=float).reshape(rows, cols)
         else:
-            part = np.array(_numbers(value, key), dtype=float)
+            part = np.array(_float_texts(value, key), dtype=float)
         if part.shape != (p, p):
             raise ValueError(f"matrix of shape {part.shape} at j = {j}, expected ({p}, {p})")
         parts.append(part)
@@ -348,7 +361,7 @@ def read_estimate(path) -> SpectralEstimate:
                 half, lam_half = np.empty((n // 2 + 1, p, p), dtype=complex), np.zeros(n // 2 + 1)
             half[j].real, half[j].imag = real, imag
             if has_lambda:
-                lam_half[j] = float(_numbers(by_j[j]["lambda"], "lambda"))
+                lam_half[j] = float(_float_texts(by_j[j]["lambda"], "lambda"))
         if not (np.isfinite(half).all() and np.isfinite(lam_half).all()):
             raise ValueError("non-finite matrix entry or threshold")
         if (lam_half < 0).any():
@@ -359,14 +372,14 @@ def read_estimate(path) -> SpectralEstimate:
                 real, imag = _matrices(entry, -j, p)
                 if not (np.array_equal(real, half[j].real) and np.array_equal(-imag, half[j].imag)):
                     raise ValueError("an entry at j < 0 is not the conjugate of the one at -j")
-            if has_lambda and float(_numbers(entry["lambda"], "lambda")) != lam_half[j]:
+            if has_lambda and float(_float_texts(entry["lambda"], "lambda")) != lam_half[j]:
                 raise ValueError("an entry at j < 0 is not the conjugate of the one at -j")
         m, method = _json_value(obj["m"], int, "m"), obj["method"]
         if m < 0 or 2 * m + 1 > n:
             raise ValueError(f"span m = {m} for n = {n}")
         if method not in ALL_METHODS:
             raise ValueError(f"unknown method {method!r}")
-        eta = float(_numbers(obj["eta"], "eta")) if "eta" in obj else None
+        eta = float(_float_texts(obj["eta"], "eta")) if "eta" in obj else None
         if eta is not None and not (np.isfinite(eta) and eta > 0):
             raise ValueError(f"eta = {eta} is not finite and positive")
         if has_lambda != (method in THRESHOLD_METHODS):

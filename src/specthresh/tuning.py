@@ -38,10 +38,13 @@ Block layout.  The estimation pass (`estimator._estimate_blocks`) walks the
 rows j = 0..floor(n/2) in blocks (16 rows for p <= 64) and asks the split
 rule (`_split_rule`) for each block's thresholds, from the block's window
 averages and the DFT rows of the block's windows,
-d(w_{j0-m})..d(w_{j0+rows-1+m}) for a block starting at j0.  Per block:
+d(w_{j0-m})..d(w_{j0+rows-1+m}) for a block starting at j0: a slice of
+the pass's walk-ordered DFT (`dft._dft`), which nothing writes.  Per block:
 
-- the lambda grids are one (rows, grid size) array, spaced by one
-  `np.linspace(lo, hi, size, axis=1)` call and validated at once;
+- the lambda grids are one (rows, grid size) array, spaced by
+  `np.linspace(lo, hi, size, axis=1)` (`_lambda_grids`); the rule trusts
+  the grids it builds, and a grid whose values repeat tunes like any
+  other;
 - each frequency draws its splits from its own stream `_freq_rng(seed, j)`,
   in the per-frequency order, so a row's splits never depend on its block.
   A split is the 0/1 column t_1 of the window offsets in J1
@@ -64,23 +67,17 @@ thresholds they chose.  The pass then thresholds the window averages one
 `_row_blocks` block at a time, one operator call per block, one
 threshold per row.
 
-The pass keeps one formed block ahead of the one it hands out: one
-worker thread, per pass, runs the split rule on block b while the pass
-forms block b+1, then the pass thresholds, shrinks and hands out block
-b.  A block's thresholds read only its DFT rows, its window averages and
-the streams `_freq_rng(seed, j)`, so they keep their bits on the worker;
-the one worker takes the blocks in order, so `tuned_estimates` gets
-its curves in row order.  The rule calls only private helpers, as
-perfbench's tracer keeps one span stack per process, and sets its own
-`np.errstate`, which does not cross threads.  Depth 0, the serial order,
-is taken when the pass has no threshold method or a single block, when
-the process may run on only one CPU, and in a pool worker
-(`estimator._lookahead_depth`).
+The split rule may run on the pass's worker thread, one block behind the
+window sums: `estimator._estimate_blocks` gives that order.  A block's
+thresholds read only its DFT rows, its window averages and the streams
+`_freq_rng(seed, j)`, so they keep their bits on either thread.  The rule
+calls only private helpers, as perfbench's tracer keeps one span stack
+per process, and sets its own `np.errstate`, which does not cross threads.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence
 
 import numpy as np
 
@@ -248,48 +245,30 @@ class _Split:
         return self.const[:, None] + 2.0 * (quad - 2.0 * t * lin + t * t * sq)
 
 
-def _check_grids(grids: np.ndarray, single: np.ndarray) -> None:
-    """Raise unless each row of a (rows, size) array of lambda grids is
-    finite, nonnegative and strictly increasing.
-
-    Rows flagged in `single` repeat one value and stand for that one-point
-    grid, so they are not checked for increase.
-    """
-    if not np.isfinite(grids).all():
-        raise ParameterError("thresholds must be finite")
-    if (grids < 0).any():
-        raise ParameterError("thresholds must be nonnegative")
-    if (np.diff(grids[~single], axis=1) <= 0).any():
-        raise ParameterError("lambda grid must be strictly increasing")
-
-
-def _lambda_grids(f_hat: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The lambda grid of each matrix of a (rows, p, p) stack: `size` values
-    equispaced between its smallest and largest off-diagonal modulus.
-
-    Returns a (rows, size) array and the mask of rows whose off-diagonal
-    moduli are all equal; such a row repeats its one value lo, and stands
-    for the grid (lo,).  With p = 1 every grid is (0.0,), one column.
+def _lambda_grids(f_hat: np.ndarray, size: int) -> np.ndarray:
+    """The lambda grid of each matrix of a (rows, p, p) stack, as a (rows,
+    size) array: `size` values equispaced between its smallest and largest
+    off-diagonal modulus, so a row whose moduli are all equal repeats its
+    one value.  With p = 1 every grid is (0.0,), one column.  The pass's
+    diagonals are finite and |f_rs| <= sqrt(f_rr f_ss), so every grid is.
     """
     if size < 1:
         raise ParameterError("grid size must be positive")
     rows, p = f_hat.shape[0], f_hat.shape[-1]
     if p < 2:
         # no off-diagonal entries: the threshold acts on nothing
-        return np.zeros((rows, 1)), np.ones(rows, dtype=bool)
+        return np.zeros((rows, 1))
     off = np.abs(f_hat[:, ~np.eye(p, dtype=bool)])
     lo, hi = off.min(axis=1), off.max(axis=1)
-    single = hi <= lo
-    grids = np.repeat(lo[:, None], size, axis=1)
+    grids = np.empty((rows, size))
     # np.linspace switches every row to another formula once one row has a
-    # zero step (hi - lo subnormal), so such rows are spaced on their own and
-    # every row equals its own 1-D linspace
-    with np.errstate(invalid="ignore"):  # inf - inf on a single row
-        zero_step = (hi - lo) / max(size - 1, 1) == 0
-    for group in (~single & zero_step, ~single & ~zero_step):
+    # zero step (equal moduli, or hi - lo subnormal), so such rows are spaced
+    # on their own and every row equals its own 1-D linspace
+    zero_step = (hi - lo) / max(size - 1, 1) == 0
+    for group in (zero_step, ~zero_step):
         if group.any():
             grids[group] = np.linspace(lo[group], hi[group], size, axis=1)
-    return grids, single
+    return grids
 
 
 def _split_rule(n: int, m: int, grid_size: int, n_splits: int, seed: int, curves=None):
@@ -299,8 +278,7 @@ def _split_rule(n: int, m: int, grid_size: int, n_splits: int, seed: int, curves
     def thresholds(ops, dft_rows, rows, f_hat):
         if n_splits < 1:
             raise ParameterError("n_splits must be at least 1")
-        grids, single = _lambda_grids(f_hat, grid_size)
-        _check_grids(grids, single)
+        grids = _lambda_grids(f_hat, grid_size)
         # a badly scaled series can overflow the risks; it is caught below
         with np.errstate(over="ignore", invalid="ignore"):
             risks = _split_risks(dft_rows, n, rows, grids, m, n_splits, seed, ops)

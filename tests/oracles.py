@@ -13,7 +13,8 @@ bit for bit.  `select_threshold` is the split risk of one frequency, which
 the pass's curves (the `grids` and `risks` of `tuning.tuned_estimates`)
 must equal bit for bit, and `split_frequencies` one frequency's split.
 `lambda_grid` is one frequency's lambda grid, which each row of the pass's
-grids must equal.  `gathered_split_risks` is the split risk the direct
+grids must equal, a one-point grid repeated across the row.  `dft_all` is
+the DFT in F_n order, read off the pass's walk-ordered rows.  `gathered_split_risks` is the split risk the direct
 way: halves summed from gathered periodograms, every off-diagonal entry
 scored (`FullSplit`) and splits drawn one tie bit at a time
 (`split_by_loop`); the pass's curves must equal it up to roundoff, with
@@ -33,7 +34,6 @@ from specthresh.dft import _dft, _periodograms
 from specthresh.estimator import _BLOCK_ROWS, _row_blocks, _sq_norms
 from specthresh.model import TimeSeriesMatrix, VarmaModel, autocov, l_n, omega_n, tail_cap
 from specthresh.tuning import (
-    _check_grids,
     _draw_split,
     _freq_rng,
     _lambda_grids,
@@ -191,11 +191,19 @@ def dft_matrix_norm_check(grid: FourierGrid) -> float:
     return float(np.linalg.norm(stacked_trig_matrix(grid), 2))
 
 
+def dft_all(x: TimeSeriesMatrix) -> np.ndarray:
+    """The DFT rows of the centered series at every j in F_n, as an (n, p)
+    array ordered like `FourierGrid(n).indices`: row [half + j] holds
+    d(w_j).  With m = half the pass's walk runs w_{-half}, ..., so its
+    first n rows are F_n in order."""
+    return _dft(x, (x.n - 1) // 2)[:x.n]
+
+
 def periodogram_all(x: TimeSeriesMatrix) -> np.ndarray:
     """Periodograms of the centered series at every j in F_n, as an
     (n, p, p) array ordered like `FourierGrid(n).indices`: entry
     [half + j] holds I(w_j)."""
-    return _periodograms(_dft(x), np.arange(x.n))
+    return _periodograms(dft_all(x))
 
 
 def lambda_grid(f_hat: np.ndarray, size: int = 20) -> tuple:
@@ -219,11 +227,10 @@ def select_threshold(
     2m+1 DFT rows of j's window and one one-row `_split_risks` call.
     The threshold it selects is grid[argmin], ties toward the smaller
     value."""
-    # d(w_{j-m})..d(w_{j+m}), at DFT columns (k + half) mod n
-    window = _dft(x)[:, (np.arange(j - m, j + m + 1) + (x.n - 1) // 2) % x.n].T
+    # d(w_{j-m})..d(w_{j+m}), at rows (k + half) mod n
+    window = dft_all(x)[(np.arange(j - m, j + m + 1) + (x.n - 1) // 2) % x.n]
     grids = np.array([grid], dtype=float)
-    return _split_risks(np.ascontiguousarray(window), x.n, [j], grids, m, n_splits, seed,
-                        (op,))[0, 0]
+    return _split_risks(window, x.n, [j], grids, m, n_splits, seed, (op,))[0, 0]
 
 
 def _window_indices(grid: FourierGrid, j: int, m: int) -> np.ndarray:
@@ -438,8 +445,7 @@ def stack_tuned_thresholds(n: int, m: int, grid_size: int, n_splits: int, seed: 
     with `gathered_split_risks` on the whole periodogram array."""
 
     def thresholds(ops, periodograms, rows, f_hat):
-        grids, single = _lambda_grids(f_hat, grid_size)
-        _check_grids(grids, single)
+        grids = _lambda_grids(f_hat, grid_size)
         risks = gathered_split_risks(periodograms, n, rows, grids, m, n_splits, seed, ops)
         return grids[np.arange(len(grids)), risks.argmin(axis=2)]
 

@@ -407,20 +407,22 @@ class TestEstimateMethods:
             tuning.tuned_estimates(x, 3, ["smoothed", ThresholdOperator("lasso")])
 
     def test_one_periodogram_pass(self, rng, monkeypatch):
-        # each walk position i = 0..n//2+2m, I(w_{i-m}), is formed once
-        cols = []
+        # each walk position i = 0..n//2+2m, I(w_{i-m}), is formed once, from
+        # the walk's DFT rows in order
+        rows = []
         real = estimator._periodograms
 
-        def counted(d, wanted):
-            cols.extend(np.asarray(wanted).tolist())
-            return real(d, wanted)
+        def counted(wanted):
+            rows.append(wanted.copy())
+            return real(wanted)
 
         monkeypatch.setattr(estimator, "_periodograms", counted)
         n, m = 40, 3
-        tuning.tuned_estimates(TimeSeriesMatrix(rng.standard_normal((n, 3))), m, ALL_METHODS,
-                               grid_size=6)
-        assert len(cols) == n // 2 + 1 + 2 * m
-        assert cols == [(i - m + (n - 1) // 2) % n for i in range(len(cols))]
+        x = TimeSeriesMatrix(rng.standard_normal((n, 3)))
+        tuning.tuned_estimates(x, m, ALL_METHODS, grid_size=6)
+        walk = estimator._dft(x, m)
+        assert walk.shape == (n // 2 + 1 + 2 * m, 3)
+        assert np.array_equal(np.concatenate(rows), walk)
 
     def test_estimates_do_not_share_storage(self, rng):
         x = TimeSeriesMatrix(rng.standard_normal((40, 3)))

@@ -73,14 +73,22 @@ class TestSimulate:
         {"p": 1, "ma": [[[True]]]},
         {"p": 1, "noise": {"cov": [[True]]}},
         {"p": 1, "noise": {"df": True}},
+        {"p": 1, "ar": [[["0.5"]]]},
+        {"p": 1, "ma": [[["0.5"]]]},
+        {"p": 1, "noise": {"cov": [["2"]]}},
+        {"p": 1, "noise": {"family": "student_t", "df": "7"}},
     ], ids=["top-level-list", "noise-list", "coefficient-string", "p-float", "p-bool",
-            "coefficient-bool", "cov-bool", "df-bool"])
+            "coefficient-bool", "cov-bool", "df-bool", "ar-number-string", "ma-number-string",
+            "cov-number-string", "df-number-string"])
     def test_malformed_model_exits_data(self, tmp_path, capsys, obj):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
-        code = run("simulate", "--model", path, "--n", 32, "--out", tmp_path / "s.csv")
+        out = tmp_path / "s.csv"
+        code = run("simulate", "--model", path, "--n", 32, "--out", out)
         assert code == 3
-        assert "bad model specification" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "bad model specification" in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("noise, field", [
         ({"family": "student_t", "df": float("nan")}, "noise_df"),
@@ -194,7 +202,20 @@ class TestEstimate:
         code = run("estimate", "--series", series_file, "--method", "smoothed", "--m", 40,
                    "--out", tmp_path / "o.json")
         assert code == 3
-        assert "exceeds" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: invalid half-span m=40 for n=64\n"
+
+    @pytest.mark.parametrize("method", ["hard", "lasso", "alasso"])
+    def test_channels_one_ulp_apart_tune(self, tmp_path, method):
+        # off-diagonal moduli a few ulps apart give lambda grids whose values
+        # repeat; such grids tune like any other
+        x0 = np.random.default_rng(0).standard_normal(64)
+        data = np.column_stack([x0, x0 * (1 + 2.0**-52), x0 * (1 - 2.0**-52)])
+        series, out, ref = tmp_path / "series.csv", tmp_path / "o.json", tmp_path / "ref.json"
+        write_series(TimeSeriesMatrix(data), series)
+        assert np.array_equal(read_series(series).data, data)
+        assert run("estimate", "--series", series, "--method", method, "--m", 4, "--out", out) == 0
+        write_estimate(tuned_estimates(read_series(series), 4, [method])[0], ref)
+        assert out.read_bytes() == ref.read_bytes()
 
     @pytest.mark.parametrize("method", ["smoothed", "shrinkage"])
     def test_lambda_with_baseline_method_usage_error(self, tmp_path, capsys, method):

@@ -359,7 +359,7 @@ class TestShrinkage:
         mat = gen.uniform(0.5, 3) * np.eye(3) + 1e-6 * (h + h.conj().T)
         stack = np.tile(mat, (16, 1, 1))
         x = white_series(rng, 16, 3)
-        monkeypatch.setattr(estimator, "_periodograms", lambda d, cols: stack[cols])
+        monkeypatch.setattr(estimator, "_periodograms", lambda rows: stack[:len(rows)])
         est, = tuned_estimates(x, 2, ["shrinkage"])
         smooth, = tuned_estimates(x, 2, ["smoothed"])
         off = ~np.eye(3, dtype=bool)
@@ -373,7 +373,7 @@ class TestShrinkage:
         # delta^2 = 0 exactly while beta^2 > 0: rho must be 0, not beta^2 / 0
         x = white_series(rng, 18, 2)
         stack = np.array([(k % 3 + 1.0) * np.eye(2) for k in range(18)], dtype=complex)
-        monkeypatch.setattr(estimator, "_periodograms", lambda d, cols: stack[cols])
+        monkeypatch.setattr(estimator, "_periodograms", lambda rows: stack[:len(rows)])
         est, = tuned_estimates(x, 2, ["shrinkage"])
         smooth, = tuned_estimates(x, 2, ["smoothed"])
         assert np.array_equal(est.half, smooth.half)
@@ -567,7 +567,7 @@ class TestPassThread:
         # block 1's error, as in the serial pass
         periodogram_calls = []
         _overflowing(monkeypatch, estimator, "_periodograms",
-                     lambda d, cols: periodogram_calls.append(cols) or len(periodogram_calls) == 2)
+                     lambda rows: periodogram_calls.append(rows) or len(periodogram_calls) == 2)
         _overflowing(monkeypatch, tuning, "_split_risks", lambda *_: tuning_fails)
         x = white_series(rng, 200, 6)
         seen = []

@@ -122,6 +122,15 @@ CALLS = {
                  DataError, "bad model specification: cov must hold numbers, got False"),
     "df-bool": (lambda: model_from_dict({"p": 1, "noise": {"df": True}}),
                 DataError, "bad model specification: df must hold numbers, got True"),
+    # nor are strings, though float() and numpy parse "0.5" as a number
+    "ar-string": (lambda: model_from_dict({"p": 1, "ar": [[["0.5"]]]}),
+                  DataError, "bad model specification: ar must hold numbers, got '0.5'"),
+    "ma-string": (lambda: model_from_dict({"p": 1, "ma": [[[0.1]], [["0.5"]]]}),
+                  DataError, "bad model specification: ma must hold numbers, got '0.5'"),
+    "cov-string": (lambda: model_from_dict({"p": 1, "noise": {"cov": [["2"]]}}),
+                   DataError, "bad model specification: cov must hold numbers, got '2'"),
+    "df-string": (lambda: model_from_dict({"p": 1, "noise": {"family": "student_t", "df": "7"}}),
+                  DataError, "bad model specification: df must hold numbers, got '7'"),
     "spec-family": (lambda: spec(family="arma"), ParameterError, "unknown family 'arma'"),
     "spec-replicates": (lambda: spec(replicates=0),
                         ParameterError, "replicates must be at least 1"),

@@ -6,6 +6,7 @@ from oracles import (
     apply_threshold,
     assert_thresholded,
     averaged_periodogram,
+    dft_all,
     gathered_split_risks,
     lambda_grid,
     periodogram_all,
@@ -18,17 +19,16 @@ from oracles import (
 
 from specthresh import (
     FourierGrid,
+    NumericalError,
     ParameterError,
     ThresholdOperator,
     default_span,
     theoretical_threshold,
 )
-from specthresh import estimator
-from specthresh.dft import _dft
+from specthresh import estimator, tuning
 from specthresh.estimator import _estimates, threshold_estimate
 from specthresh.model import TimeSeriesMatrix
 from specthresh.tuning import (
-    _check_grids,
     _freq_rng,
     _lambda_grids,
     _split_rule,
@@ -45,7 +45,7 @@ def split_halves(x, j, m, rng):
     besides the diagonal."""
     grid = FourierGrid(x.n)
     offsets = np.arange(j - m, j + m + 1)
-    window = np.ascontiguousarray(_dft(x)[:, (offsets + grid.half) % x.n].T)
+    window = dft_all(x)[(offsets + grid.half) % x.n]
     j1, _ = split_frequencies(j, m, x.n, rng=rng)
     in_j1 = np.isin([wrap(grid, k) for k in offsets], j1)
     take = np.array([in_j1, ~in_j1], dtype=float)
@@ -270,38 +270,38 @@ class TestTuningConfig:
         op = ThresholdOperator("lasso")
         with pytest.raises(ParameterError, match="grid size must be positive"):
             tuned_estimates(x, 2, [op], grid_size=0)
-        with pytest.raises(ParameterError, match="strictly increasing"):
-            _check_grids(np.array([[0.2, 0.1]]), np.zeros(1, dtype=bool))
-        with pytest.raises(ParameterError, match="nonnegative"):
-            _check_grids(np.array([[-0.1, 0.2]]), np.zeros(1, dtype=bool))
         with pytest.raises(ParameterError, match="n_splits must be at least 1"):
             tuned_estimates(x, 2, [op], n_splits=0)
 
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
-    def test_rejects_non_finite_grid_values(self, bad):
-        with pytest.raises(ParameterError, match="finite"):
-            _check_grids(np.array([[0.1, bad]]), np.zeros(1, dtype=bool))
+    def test_non_finite_window_averages_stop_before_the_grids(self, rng, monkeypatch):
+        # the pass's diagonal check keeps every grid finite: an overflowing
+        # series never reaches the split rule
+        def refuse(*args):
+            raise AssertionError("grids built")
+
+        monkeypatch.setattr(tuning, "_lambda_grids", refuse)
+        x = TimeSeriesMatrix(1e154 * rng.standard_normal((32, 3)))
+        with pytest.raises(NumericalError, match="non-finite spectral diagonal"):
+            tuned_estimates(x, 2, ["lasso"])
 
 
 class TestDefaultLambdaGrid:
     def test_equispaced_between_off_diagonal_moduli(self):
         f = np.array([[5.0, 0.2 + 0.0j, 0.5j], [0.2, 3.0, 1.0], [-0.5j, 1.0, 2.0]])
-        grids, single = _lambda_grids(f[None], 20)
+        grids = _lambda_grids(f[None], 20)
         grid = grids[0]
-        assert grids.shape == (1, 20) and not single[0]
+        assert grids.shape == (1, 20)
         assert abs(grid[0] - 0.2) < 1e-14
         assert abs(grid[-1] - 1.0) < 1e-14
         steps = np.diff(grid)
         assert np.allclose(steps, steps[0], atol=1e-12)
 
     def test_single_channel_has_no_off_diagonal(self):
-        grids, single = _lambda_grids(np.array([[[2.0 + 0.0j]]]), 20)
-        assert grids.tolist() == [[0.0]] and single.tolist() == [True]
+        assert _lambda_grids(np.array([[[2.0 + 0.0j]]]), 20).tolist() == [[0.0]]
 
     def test_constant_moduli_degenerate(self):
         # the one value is repeated across the row, which stands for (0.3,)
-        grids, single = _lambda_grids(np.full((1, 2, 2), 0.3 + 0.0j), 20)
-        assert grids.tolist() == [[0.3] * 20] and single.tolist() == [True]
+        assert _lambda_grids(np.full((1, 2, 2), 0.3 + 0.0j), 20).tolist() == [[0.3] * 20]
 
 
 class TestTunedThresholdEstimate:
@@ -542,19 +542,23 @@ class TestBatchedTuning:
         x = TimeSeriesMatrix(rng.standard_normal((70, 4)) @ rng.standard_normal((4, 4)))
         half = tuned_estimates(x, 3, ["smoothed"])[0].half
         half[5] = np.full((4, 4), 0.25)  # one row with equal moduli: grid (0.25,)
-        grids, single = _lambda_grids(half, 20)
-        for row, repeated, f_hat in zip(grids, single, half):
-            want = lambda_grid(f_hat, 20)
-            assert tuple(row[:1] if repeated else row) == want
+        grids = _lambda_grids(half, 20)
+        for row, f_hat in zip(grids, half):
+            assert np.array_equal(row, np.resize(lambda_grid(f_hat, 20), 20))
         assert lambda_grid(half[5], 20) == (0.25,)
 
-    def test_grid_checks_exempt_single_value_rows_from_increase(self):
-        grids = np.array([[0.1, 0.2], [0.3, 0.3]])
-        with pytest.raises(ParameterError, match="strictly increasing"):
-            _check_grids(grids, np.zeros(2, dtype=bool))
-        _check_grids(grids, np.array([False, True]))  # the one-point grid (0.3,)
-        with pytest.raises(ParameterError, match="finite"):
-            _check_grids(np.array([[0.1, np.inf], [0.3, 0.3]]), np.array([False, True]))
+    @pytest.mark.parametrize("method", ["hard", "lasso", "alasso"])
+    def test_repeated_grid_values_tune(self, method):
+        # three channels 1 ulp apart: off-diagonal moduli a few ulps apart
+        # give grids whose equispaced values round onto each other, which
+        # tune like any grid, to the first value of least risk
+        x0 = np.random.default_rng(0).standard_normal(64)
+        x = TimeSeriesMatrix(np.column_stack([x0, x0 * (1 + 2.0**-52), x0 * (1 - 2.0**-52)]))
+        est, = tuned_estimates(x, 4, [method], grid_size=20)
+        steps = np.diff(est.grids, axis=1)
+        assert (steps >= 0).all() and (steps == 0).any(axis=1).all()
+        first = est.grids[np.arange(len(est.grids)), est.risks.argmin(axis=1)]
+        assert np.array_equal(est.lambdas, first)
 
 
 class TestTheoreticalThreshold:
