@@ -284,6 +284,25 @@ class TestTuningConfig:
         with pytest.raises(NumericalError, match="non-finite spectral diagonal"):
             tuned_estimates(x, 2, ["lasso"])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_grid_values(self, rng, monkeypatch, bad):
+        # a non-finite DFT entry makes its channel's diagonal non-finite, so
+        # the pass stops before any grid could take a non-finite value
+        def refuse(*args):
+            raise AssertionError("grids built")
+
+        def spoiled_dft(x, m):
+            d = dft(x, m)
+            d[m + 3, 1] = bad
+            return d
+
+        dft = estimator._dft
+        monkeypatch.setattr(estimator, "_dft", spoiled_dft)
+        monkeypatch.setattr(tuning, "_lambda_grids", refuse)
+        x = TimeSeriesMatrix(rng.standard_normal((32, 3)))
+        with pytest.raises(NumericalError, match="non-finite spectral diagonal"):
+            tuned_estimates(x, 2, ["lasso"])
+
 
 class TestDefaultLambdaGrid:
     def test_equispaced_between_off_diagonal_moduli(self):
