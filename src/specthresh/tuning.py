@@ -48,13 +48,17 @@ the pass's walk-ordered DFT (`dft._dft`), which nothing writes.  Per block:
 - each frequency draws its splits from its own stream `_freq_rng(seed, j)`,
   in the per-frequency order, so a row's splits never depend on its block.
   A split is the 0/1 column t_1 of the window offsets in J1
-  (`_draw_split`), drawn one unit of the window at a time;
+  (`_draw_split`).  A row near j = 0 or floor(n/2), whose window holds
+  mirror pairs, draws it one unit of the window at a time; any other row
+  has one offset per unit and draws it in closed form, a permutation and
+  one batch of tie bits, which leave the stream as the loop leaves it;
 - each row's two half-window means are one batched `np.matmul` per split:
   half h of row r is (t_h W_r)^T conj(W_r) / (2 pi |J_h|), where W_r is
   a sliding (2m+1, p) view of the block's DFT rows, so no periodogram is
   gathered and no half is summed matrix by matrix.  numpy hands BLAS
   each row's product on its own, so a row's halves do not depend on its
-  block;
+  block.  The division scales the real and imaginary parts in real
+  arithmetic (`_scale_halves`), to the values of numpy's complex division;
 - the preparation and risk step work on (rows, p(p-1)/2) arrays: a
   row-wise sort and cumulative sums, C summed row by row (`_row_sums`),
   and a `np.searchsorted` per row.  A row equals the one-row split of its
@@ -77,7 +81,7 @@ per process, and sets its own `np.errstate`, which does not cross threads.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -92,10 +96,15 @@ def _freq_rng(seed: int, j: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(j % 2**32,)))
 
 
-def _window_units(j: int, m: int, n: int) -> list:
+def _window_units(j: int, m: int, n: int) -> Optional[list]:
     """The units of j's window {j-m, ..., j+m} that a split keeps together,
     as tuples of window offsets 0..2m: one offset, or the two offsets of a
-    mirror pair {k, -k} when both fall in the window; for 2m+1 <= n."""
+    mirror pair {k, -k} when both fall in the window; None when no mirror
+    pair does, so every unit is one offset; for 2m+1 <= n."""
+    # offsets i and i' are a pair when i + i' = 2(m-j) mod n, i != i': some
+    # sum in 1..4m-1 has that residue exactly when its least positive one does
+    if (2 * (m - j) - 1) % n + 1 >= 4 * m:
+        return None
     width = 2 * m + 1
     # offset i holds w_{j-m+i}, whose mirror w_{m-j-i} is at offset 2(m-j)-i mod n
     mirror = [(2 * (m - j) - i) % n for i in range(width)]
@@ -104,15 +113,24 @@ def _window_units(j: int, m: int, n: int) -> list:
             for i in range(width) if mirror[i] >= i]
 
 
-def _draw_split(units: list, width: int, rng: np.random.Generator) -> np.ndarray:
+def _draw_split(units: Optional[list], width: int, rng: np.random.Generator) -> np.ndarray:
     """Which of the `width` window offsets fall in J1, as a boolean array,
-    for a random balanced split of the window's `units` into (J1, J2).
+    for a random balanced split of the window's `units` into (J1, J2)
+    (`_window_units`; None when every unit is one offset).
 
     The units are taken in the order of `rng.permutation`; each goes to the
     smaller half, and a fair bit `rng.integers(2)` picks the half when both
-    are equally large.
+    are equally large.  With one offset per unit that bit falls at every
+    even step 2i, and unit order[2i + c_i] goes to J1: the window's m + 1
+    bits are one `rng.integers(2, size=m + 1)`, which numpy draws as it
+    draws them one at a time, and a bit c_m = 1 picks no offset.
     """
     in_j1 = np.zeros(width, dtype=bool)
+    if units is None:
+        order = rng.permutation(width)
+        picked = np.arange(0, width + 1, 2) + rng.integers(2, size=width // 2 + 1)
+        in_j1[order[picked[picked < width]]] = True
+        return in_j1
     order = rng.permutation(len(units))
     sizes = [0, 0]
     for idx in order:
@@ -126,6 +144,18 @@ def _draw_split(units: list, width: int, rng: np.random.Generator) -> np.ndarray
     return in_j1
 
 
+def _scale_halves(halves: np.ndarray, counts: np.ndarray) -> None:
+    """Turn each half-window sum of halves[h, r] into its mean on f's scale,
+    dividing it by 2 pi counts[h, r] in place.  numpy divides a complex
+    entry by a real c as (re + im*0) * (1/c), (im - re*0) * (1/c): for a
+    finite entry, the values of scaling its real and imaginary parts by 1/c
+    but for the sign of an exact zero, which no modulus or product of the
+    risk reads.  Dividing the parts by c rounds otherwise."""
+    parts = halves.view(np.float64)
+    parts *= (1.0 / counts)[..., None, None]
+    parts *= 1.0 / (2.0 * np.pi)
+
+
 def _split_risks(
     dft_rows: np.ndarray, n: int, js: Sequence[int], grids: np.ndarray, m: int,
     n_splits: int, seed: int, ops: Sequence[ThresholdOperator],
@@ -135,12 +165,15 @@ def _split_risks(
     consecutive js; dft_rows[i] holds d(w_{js[0]-m+i}).
 
     Frequency j draws its splits in order from its own stream
-    `_freq_rng(seed, j)`, so a row does not depend on the other rows.  A
-    half's mean is sum I(w_k) / (2 pi |J|), on f(w_j)'s scale whatever |J|.
-    With W the (2m+1, p) DFT rows of row r's window and t_h the 0/1 column
-    of the window offsets in half h, that sum is (t_h W)^T conj(W): every
-    row's half is one product in one batched `np.matmul` per split, whose
-    rows come out as they do on their own.  Each split is drawn, averaged
+    `_freq_rng(seed, j)`, so a row does not depend on the other rows.  Only
+    a row whose window holds mirror pairs builds its units
+    (`_window_units`); the others draw in closed form.  A half's mean is
+    sum I(w_k) / (2 pi |J|), on f(w_j)'s scale whatever |J|.  With W the
+    (2m+1, p) DFT rows of row r's window and t_h the 0/1 column of the
+    window offsets in half h, that sum is (t_h W)^T conj(W): every row's
+    half is one product in one batched `np.matmul` per split, whose rows
+    come out as they do on their own, and the division scales its real
+    and imaginary parts (`_scale_halves`).  Each split is drawn, averaged
     and prepared once, whatever the number of operators scored from it.
     """
     width = 2 * m + 1
@@ -161,8 +194,7 @@ def _split_risks(
             take[0, r] = _draw_split(units[r], width, rng)
         take[1] = 1.0 - take[0]
         np.matmul((take[..., None] * window).swapaxes(2, 3), window_conj, out=halves)
-        halves /= take.sum(axis=2)[..., None, None]
-        halves /= 2.0 * np.pi
+        _scale_halves(halves, take.sum(axis=2))
         split = _Split(*halves)
         for row, op in zip(risks, ops):
             row += split.risk(op, grids)

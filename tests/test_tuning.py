@@ -31,6 +31,7 @@ from specthresh.model import TimeSeriesMatrix
 from specthresh.tuning import (
     _freq_rng,
     _lambda_grids,
+    _scale_halves,
     _split_rule,
     _window_units,
     tuned_estimates,
@@ -160,7 +161,11 @@ class TestSplitFrequencies:
         for j, m, n in self._windows(64):
             half = (n - 1) // 2
             window = [(k + half) % n - half for k in range(j - m, j + m + 1)]
-            got = [tuple(window[i] for i in unit) for unit in _window_units(j, m, n)]
+            units = _window_units(j, m, n)
+            if units is None:
+                # no mirror pair in the window: one unit per offset, in window order
+                units = [(i,) for i in range(2 * m + 1)]
+            got = [tuple(window[i] for i in unit) for unit in units]
             assert got == window_units(j, m, n)
 
     def test_every_window_draws_like_the_loop(self):
@@ -170,6 +175,21 @@ class TestSplitFrequencies:
             assert split_frequencies(j, m, n, rng=got_rng) == split_by_loop(j, m, n, want_rng)
             # the same stream position: the next draws agree
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def test_consecutive_draws_follow_the_loop(self):
+        # an interior window draws its tie bits in one batch, which must leave
+        # the row's stream where the loop's one-at-a-time draws leave it, split
+        # after split: every window with n <= 64, and every row of the study
+        # cell (n=400, m=20)
+        study = [(j, 20, 400) for j in range(201)]
+        for i, (j, m, n) in enumerate(self._windows(64) + study):
+            n_splits = 3 if n == 400 else 1 + i % 3
+            got_rng, want_rng = _freq_rng(i % 50, j), _freq_rng(i % 50, j)
+            for split in range(n_splits):
+                where = f"j={j} m={m} n={n} split {split}, numpy {np.__version__}"
+                assert split_frequencies(j, m, n, rng=got_rng) == split_by_loop(
+                    j, m, n, want_rng), where
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state, where
 
 
 class TestSelectThreshold:
@@ -434,6 +454,54 @@ class TestTunedThresholdEstimates:
             with pytest.raises(ParameterError, match="is not a threshold method"):
                 threshold_estimate(x, 4, method, lambdas)
         assert tuned_estimates(x, 4, []) == []
+
+
+class TestHalfScaling:
+    """`tuning._scale_halves` scales the real and imaginary parts of the
+    half-window sums, which must give the values of numpy's complex division
+    by the counts and then by 2 pi."""
+
+    # zeros of both signs, subnormals, the smallest normal and the float maximum
+    SPECIAL = (0.0, -0.0, 5e-324, -2.5e-310, np.finfo(float).tiny, 1.0,
+               np.finfo(float).max, -0.999 * np.finfo(float).max)
+
+    @staticmethod
+    def _by_complex_division(halves, counts):
+        want = halves.copy()
+        want /= counts[..., None, None]
+        want /= 2.0 * np.pi
+        return want
+
+    def _cases(self, rng):
+        """Random halves over 20 decades, and halves whose entries pair every
+        special value as real part with every one as imaginary part."""
+        rows, p = 6, len(self.SPECIAL)
+        scale = 10.0 ** rng.integers(-10, 10, (2, rows, p, p))
+        random = (rng.standard_normal((2, rows, p, p))
+                  + 1j * rng.standard_normal((2, rows, p, p))) * scale
+        special = np.empty((2, rows, p, p), dtype=complex)
+        special.real = np.array(self.SPECIAL)[:, None]
+        special.imag = np.array(self.SPECIAL)[None, :]
+        counts = rng.integers(1, 42, (2, rows)).astype(float)
+        return [(random, counts), (special, counts)]
+
+    def test_equals_complex_division(self, rng):
+        for halves, counts in self._cases(rng):
+            want = self._by_complex_division(halves, counts)
+            got = halves.copy()
+            _scale_halves(got, counts)
+            # == also equates 0.0 and -0.0, the one difference allowed
+            assert (got.real == want.real).all()
+            assert (got.imag == want.imag).all()
+
+    def test_dividing_the_parts_rounds_otherwise(self, rng):
+        # so `parts /= counts` is no equal form of the scaling
+        halves, counts = self._cases(rng)[0]
+        divided = halves.copy()
+        parts = divided.view(np.float64)
+        parts /= counts[..., None, None]
+        parts /= 2.0 * np.pi
+        assert (divided != self._by_complex_division(halves, counts)).any()
 
 
 def tuned_curves(x, m, ops, grid_size, n_splits, seed):
