@@ -42,15 +42,29 @@ class FourierGrid:
         return 2.0 * np.pi * j / self.n
 
 
+def _dft_table(grid: FourierGrid) -> np.ndarray:
+    """The (n, n) table of columns e^{-i t w_j} / sqrt(n) = C_j - i S_j,
+    t = 0..n-1, column grid.half + j for j in F_n.  `np.exp` runs on the
+    columns j >= 0: column -j is column j's conjugate bit for bit (numpy's
+    sine is odd and its cosine even), but in row t = 0, whose arguments
+    are zeros of one sign and which is evaluated on its own."""
+    def table(t, j):
+        return np.exp(-2j * np.pi * np.outer(t, j) / grid.n) / np.sqrt(grid.n)
+
+    phase = np.empty((grid.n, grid.n), dtype=complex)
+    phase[:, grid.half:] = table(np.arange(grid.n), grid.indices[grid.half:])
+    phase[:, :grid.half] = phase[:, 2 * grid.half:grid.half:-1].conj()
+    phase[0] = table([0], grid.indices)
+    return phase
+
+
 def _dft(x: TimeSeriesMatrix, m: int) -> np.ndarray:
     """The DFT of the centered series along the estimation pass's walk, as a
     C-contiguous (floor(n/2)+1+2m, p) array: row i holds d(w_{i-m}), so the
-    window {j-m, ..., j+m} of row j = 0..floor(n/2) is rows j..j+2m."""
+    window {j-m, ..., j+m} of row j = 0..floor(n/2) is rows j..j+2m.  It
+    runs on the pass's main thread, before any block can be tuned."""
     grid = FourierGrid(x.n)
-    t = np.arange(grid.n)
-    # columns e^{-i t w_j} / sqrt(n) are exactly C_j - i S_j
-    phase = np.exp(-2j * np.pi * np.outer(t, grid.indices) / grid.n) / np.sqrt(grid.n)
-    d = x.center().data.T @ phase  # column grid.half + j holds d(w_j)
+    d = x.center().data.T @ _dft_table(grid)  # column grid.half + j holds d(w_j)
     walk = (np.arange(x.n // 2 + 1 + 2 * m) - m + grid.half) % grid.n
     return np.ascontiguousarray(d[:, walk].T)
 

@@ -63,10 +63,11 @@ class ThresholdOperator:
             raise ParameterError("entries must be finite")
         return self._apply(z, lam)
 
-    def _apply(self, z: np.ndarray, lam) -> np.ndarray:
+    def _apply(self, z: np.ndarray, lam, mod=None, phase=None) -> np.ndarray:
         """S(z) at thresholds lam that broadcast against the complex array z:
-        one float, or a (rows, 1, 1) array for a (rows, p, p) stack."""
-        mod = np.abs(z)
+        one float, or a (rows, 1, 1) array for a (rows, p, p) stack; `mod`
+        and `phase`, when given, are |z| and `_phase(z, mod)`."""
+        mod = np.abs(z) if mod is None else mod
         if self.kind == "hard":
             return np.where(mod >= lam, z, 0.0)
         if self.kind == "lasso":
@@ -80,9 +81,37 @@ class ThresholdOperator:
                     # penalty, and finite unless |z| is far below lam
                     penalty = np.where(np.isinf(t), lam * (lam / mod) ** self.eta, penalty)
             shrunk = np.maximum(mod - penalty, 0.0)
-        with np.errstate(invalid="ignore"):
-            phase = np.where(mod > 0, z / np.where(mod > 0, mod, 1.0), 0.0)
-        return phase * shrunk
+        return (_phase(z, mod) if phase is None else phase) * shrunk
+
+
+def _phase(z: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """z / |z|, and 0 where z = 0, for the complex array z and its modulus."""
+    if (mod > 0).all():  # no zero (or NaN) entry to mask
+        return _divide(z, mod)
+    with np.errstate(invalid="ignore"):
+        return np.where(mod > 0, _divide(z, np.where(mod > 0, mod, 1.0)), 0.0)
+
+
+def _divide(z: np.ndarray, c, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """z / c for a complex array z and positive reals c that broadcast
+    against it, into `out` (which may be z) or a new array.  numpy divides
+    by a real c as (re + im*0) * (1/c), (im - re*0) * (1/c): the float view
+    of z times 1/c, in a fraction of the time, but where a part is -0 or
+    not finite, so such a z (or a 0-d or non-contiguous one) goes to
+    `np.divide`.  Dividing the float view by c rounds otherwise."""
+    c = np.asarray(c, dtype=float)
+    if (z.ndim == 0 or not z.flags.c_contiguous or not (out is None or out.flags.c_contiguous)
+            or (z.view(np.int64) == np.iinfo(np.int64).min).any()  # the bits of -0.0
+            or not np.isfinite(z.view(np.float64)).all()):
+        return np.divide(z, c, out=out)
+    out = np.empty_like(z) if out is None else out
+    inv = 1.0 / c
+    if inv.ndim and inv.shape[-1] > 1:  # a divisor per entry: scale each part
+        np.multiply(z.real, inv, out=out.real)
+        np.multiply(z.imag, inv, out=out.imag)
+    else:
+        np.multiply(z.view(np.float64), inv, out=out.view(np.float64))
+    return out
 
 
 def _penalty_scale(lam: float, eta: float) -> float:
@@ -225,19 +254,20 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
     each position's periodogram is formed once from its row of the DFT
     (`dft._dft`, in walk order), into a buffer of size+2m matrices that
     keeps a block's last 2m positions for the next, moved down at most
-    `size` at a time so that numpy needs no temporary copy of them.  Nothing else but those positions' squared
-    norms outlives a pass block.  Per block, the window members are added
-    in order and divided by 2m+1, then by 2 pi, so row j is its window's
-    `mean` over 2 pi bit for bit; `thresholds(ops, dft_rows, rows, f_hat)`
+    `size` at a time so that numpy needs no temporary copy of them.
+    Nothing else but those positions' squared norms outlives a pass block.
+    Per block, the window members are added in order and divided by 2m+1,
+    then by 2 pi (`_divide`), so row j is its window's `mean` over 2 pi
+    bit for bit; `thresholds(ops, dft_rows, rows, f_hat)`
     gives the (operators, rows) thresholds, with dft_rows[i] =
     d(w_{rows[0]-m+i}), the DFT rows of the block's windows: a view of
     the walk's rows, which nothing writes once formed (split-risk tuning
     forms its half-window means from them, `tuning._split_risks`);
     shrinkage takes its row weights (`_shrink_weights`) over the block
     zero-padded to `size` rows, as numpy's row reductions can give other
-    bits on fewer rows.  Each method's rows are then formed and
-    handed out one `_row_blocks` block at a time (operators keep the
-    diagonal).
+    bits on fewer rows.  Each method's rows are then formed and handed
+    out one `_row_blocks` block at a time; the operators keep the diagonal
+    and share the block's |z| and z / |z| (`_phase`).
 
     The window averages are formed one pass block ahead
     (`_lookahead_depth`), in two buffers that alternate: one worker
@@ -246,11 +276,12 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
     b+1, and only then waits for block b's thresholds and forms and hands
     out block b's rows.  The one worker takes the blocks in order, so
     `thresholds` sees them in row order, and no row's value depends on
-    the thread.  Errors come in the serial order: an error forming block
-    b+1 is raised once block b is handed out, after any error of block
-    b's thresholds or shrinkage weights.  At depth 0 (no threshold
-    method, a single block, one CPU, or a pool worker) the pass is serial,
-    in one buffer.
+    the thread.  With one BLAS thread this thread is the critical path:
+    the worker tunes a block in less time than this one spends on one.
+    Errors come in the serial order: an error forming block b+1 is raised
+    once block b is handed out, after any error of block b's thresholds
+    or shrinkage weights.  At depth 0 (no threshold method, a single
+    block, one CPU, or a pool worker) the pass is serial, in one buffer.
     """
     methods = tuple(map(_pass_method, methods))
     n, p = x.n, x.p
@@ -264,6 +295,7 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
     size = step * (_BLOCK_ROWS // step)
     is_op = [isinstance(method, ThresholdOperator) for method in methods]
     ops = [method for method, op in zip(methods, is_op) if op]
+    needs_phase = any(op.kind != "hard" for op in ops)  # the lasso kinds read z / |z|
     depth = _lookahead_depth(ops, len(range(0, n_rows, size)))
     buffers = [np.zeros((size, p, p), dtype=d.dtype) for _ in range(depth + 1)]
     diag = np.arange(p)
@@ -297,8 +329,8 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
             with np.errstate(over="ignore", invalid="ignore"):
                 for i in range(1, 2 * m + 1):
                     block += members[i:i + len(block)]
-                block /= 2 * m + 1
-                block /= 2.0 * np.pi
+                _divide(block, 2 * m + 1, out=block)
+                _divide(block, 2.0 * np.pi, out=block)
             if not np.isfinite(block.real[:, diag, diag]).all():
                 raise NumericalError("non-finite spectral diagonal: the series is badly scaled")
             f_hat[len(block):] = 0.0
@@ -324,9 +356,11 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
             for lo in range(0, len(block), step):
                 part = slice(lo, min(lo + step, len(block)))
                 z = block[part]
+                mod = np.abs(z) if ops else None
+                phase = _phase(z, mod) if needs_phase else None
                 for k, (method, lam) in enumerate(zip(methods, lambdas[:, part])):
                     if isinstance(method, ThresholdOperator):
-                        values = method._apply(z, lam[:, None, None])
+                        values = method._apply(z, lam[:, None, None], mod, phase)
                         values[:, diag, diag] = z[:, diag, diag]
                     elif method == "shrinkage":
                         values = z * (1.0 - rho[part])[:, None, None]

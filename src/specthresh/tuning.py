@@ -27,12 +27,10 @@ entries above the diagonal, and only those are kept.  After one sort of
 a, every sum is a suffix sum, and `np.searchsorted` finds each grid
 value's suffix.
 
-The work per split is in two parts.  The preparation (`_Split`) does not
-depend on the operator: the gather of the upper triangle, the sort of a,
-z1, z2, b, |f2|^2 and C.  The risk step (`_Split.risk`) is per operator:
-its suffix sums and `np.searchsorted`.  `tuned_estimates` walks the
-frequencies once for several operators, drawing and preparing each split
-once and running only the risk step per operator.
+Each split is drawn and prepared once (`_Split`: the gather of the upper
+triangle, the sort of a, z1, z2, b, |f2|^2 and C), and its risk step
+(`_Split.risks`) scores every operator in one call, the lasso and
+adaptive lasso sharing their `np.searchsorted` and a^2 - 2ab sums.
 
 Block layout.  The estimation pass (`estimator._estimate_blocks`) walks the
 rows j = 0..floor(n/2) in blocks (16 rows for p <= 64) and asks the split
@@ -57,8 +55,8 @@ the pass's walk-ordered DFT (`dft._dft`), which nothing writes.  Per block:
   a sliding (2m+1, p) view of the block's DFT rows, so no periodogram is
   gathered and no half is summed matrix by matrix.  numpy hands BLAS
   each row's product on its own, so a row's halves do not depend on its
-  block.  The division scales the real and imaginary parts in real
-  arithmetic (`_scale_halves`), to the values of numpy's complex division;
+  block.  The division by 2 pi |J_h| runs in real arithmetic
+  (`estimator._divide`), with the bits of numpy's complex division;
 - the preparation and risk step work on (rows, p(p-1)/2) arrays: a
   row-wise sort and cumulative sums, C summed row by row (`_row_sums`),
   and a `np.searchsorted` per row.  A row equals the one-row split of its
@@ -69,10 +67,11 @@ the pass's walk-ordered DFT (`dft._dft`), which nothing writes.  Per block:
 `tuned_estimates` hands those curves out with the estimates whose
 thresholds they chose.  The pass then thresholds the window averages one
 `_row_blocks` block at a time, one operator call per block, one
-threshold per row.
+threshold per row, from one modulus and phase per block.
 
 The split rule may run on the pass's worker thread, one block behind the
-window sums: `estimator._estimate_blocks` gives that order.  A block's
+window sums: `estimator._estimate_blocks` gives that order, and its main
+thread, not this rule, is the pass's critical path.  A block's
 thresholds read only its DFT rows, its window averages and the streams
 `_freq_rng(seed, j)`, so they keep their bits on either thread.  The rule
 calls only private helpers, as perfbench's tracer keeps one span stack
@@ -86,7 +85,7 @@ from typing import Iterator, List, Optional, Sequence
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .estimator import SpectralEstimate, ThresholdOperator, _estimate_blocks, _estimates
+from .estimator import SpectralEstimate, ThresholdOperator, _divide, _estimate_blocks, _estimates
 from .model import TimeSeriesMatrix
 
 
@@ -144,18 +143,6 @@ def _draw_split(units: Optional[list], width: int, rng: np.random.Generator) -> 
     return in_j1
 
 
-def _scale_halves(halves: np.ndarray, counts: np.ndarray) -> None:
-    """Turn each half-window sum of halves[h, r] into its mean on f's scale,
-    dividing it by 2 pi counts[h, r] in place.  numpy divides a complex
-    entry by a real c as (re + im*0) * (1/c), (im - re*0) * (1/c): for a
-    finite entry, the values of scaling its real and imaginary parts by 1/c
-    but for the sign of an exact zero, which no modulus or product of the
-    risk reads.  Dividing the parts by c rounds otherwise."""
-    parts = halves.view(np.float64)
-    parts *= (1.0 / counts)[..., None, None]
-    parts *= 1.0 / (2.0 * np.pi)
-
-
 def _split_risks(
     dft_rows: np.ndarray, n: int, js: Sequence[int], grids: np.ndarray, m: int,
     n_splits: int, seed: int, ops: Sequence[ThresholdOperator],
@@ -172,9 +159,8 @@ def _split_risks(
     (2m+1, p) DFT rows of row r's window and t_h the 0/1 column of the
     window offsets in half h, that sum is (t_h W)^T conj(W): every row's
     half is one product in one batched `np.matmul` per split, whose rows
-    come out as they do on their own, and the division scales its real
-    and imaginary parts (`_scale_halves`).  Each split is drawn, averaged
-    and prepared once, whatever the number of operators scored from it.
+    come out as they do on their own, divided in real arithmetic
+    (`estimator._divide`).
     """
     width = 2 * m + 1
     if width < 2:
@@ -194,10 +180,9 @@ def _split_risks(
             take[0, r] = _draw_split(units[r], width, rng)
         take[1] = 1.0 - take[0]
         np.matmul((take[..., None] * window).swapaxes(2, 3), window_conj, out=halves)
-        _scale_halves(halves, take.sum(axis=2))
-        split = _Split(*halves)
-        for row, op in zip(risks, ops):
-            row += split.risk(op, grids)
+        _divide(halves, take.sum(axis=2)[..., None, None], out=halves)
+        _divide(halves, 2.0 * np.pi, out=halves)
+        risks += _Split(*halves).risks(ops, grids)
     risks /= n_splits
     return risks
 
@@ -230,7 +215,7 @@ class _Split:
     twice their sum, the risk of the Hermitian halves with those upper
     triangles.  Holds each row's upper
     entries sorted by a = |f1| (z1, z2 and |f2|^2 in the same order), b and
-    the constant C, as (rows, p(p-1)/2) arrays; `risk` adds one operator's
+    the constant C, as (rows, p(p-1)/2) arrays; `risks` adds the operators'
     suffix sums.  Sorts, sums and cumulative sums run along each row on
     its own, so row r equals a one-row split of row r bit for bit.
     """
@@ -252,29 +237,36 @@ class _Split:
         self.b = np.zeros_like(self.a)
         self.b[nz] = (np.conj(self.z1[nz] / self.a[nz]) * self.z2[nz]).real
 
-    def risk(self, op: ThresholdOperator, lam: np.ndarray) -> np.ndarray:
-        """||S_l(f1) - f2||_F^2, with S_l the operator at l on the
+    def risks(self, ops: Sequence[ThresholdOperator], lam: np.ndarray) -> np.ndarray:
+        """||S_l(f1) - f2||_F^2, with S_l each operator of `ops` at l on the
         off-diagonal entries, at every l of each row of the (rows, grid
-        size) array lam, for the same row of f1 and f2."""
+        size) array lam, for the same row of f1 and f2, as a (len(ops),
+        rows, grid size) array.  Lasso and adaptive lasso share the suffixes."""
         a = self.a
-        if op.kind == "hard":
-            kept = _suffix_sums(np.abs(self.z1 - self.z2) ** 2 - self.f2_sq)
-            idx = _searchsorted_rows(a, lam, "left")
-            return self.const[:, None] + 2.0 * np.take_along_axis(kept, idx, axis=1)
-        # lasso is the eta = 0 case of the adaptive-lasso formula
-        eta = op.eta if op.kind == "adaptive_lasso" else 0.0
-        weight = np.zeros_like(a)
-        weight[self.nonzero] = a[self.nonzero] ** -eta
-        idx = _searchsorted_rows(a, lam, "right")
-        quad = np.take_along_axis(_suffix_sums(a * a - 2.0 * a * self.b), idx, axis=1)
-        lin = np.take_along_axis(_suffix_sums(weight * (a - self.b)), idx, axis=1)
-        sq = np.take_along_axis(_suffix_sums(weight * weight), idx, axis=1)
-        # t only matters where some entry survives; elsewhere a huge lam could
-        # overflow t and turn t * 0 into NaN
-        live = idx < a.shape[1]
-        t = np.zeros_like(lam)
-        t[live] = lam[live] ** (eta + 1.0)
-        return self.const[:, None] + 2.0 * (quad - 2.0 * t * lin + t * t * sq)
+        out = np.empty((len(ops),) + lam.shape)
+        idx = None
+        for risk, op in zip(out, ops):
+            if op.kind == "hard":
+                kept = _suffix_sums(np.abs(self.z1 - self.z2) ** 2 - self.f2_sq)
+                left = _searchsorted_rows(a, lam, "left")
+                risk[...] = self.const[:, None] + 2.0 * np.take_along_axis(kept, left, axis=1)
+                continue
+            if idx is None:
+                idx = _searchsorted_rows(a, lam, "right")
+                quad = np.take_along_axis(_suffix_sums(a * a - 2.0 * a * self.b), idx, axis=1)
+                # t only matters where some entry survives; elsewhere a huge lam
+                # could overflow t and turn t * 0 into NaN
+                live = idx < a.shape[1]
+            # lasso is the eta = 0 case of the adaptive-lasso formula
+            eta = op.eta if op.kind == "adaptive_lasso" else 0.0
+            weight = np.zeros_like(a)
+            weight[self.nonzero] = a[self.nonzero] ** -eta
+            lin = np.take_along_axis(_suffix_sums(weight * (a - self.b)), idx, axis=1)
+            sq = np.take_along_axis(_suffix_sums(weight * weight), idx, axis=1)
+            t = np.zeros_like(lam)
+            t[live] = lam[live] ** (eta + 1.0)
+            risk[...] = self.const[:, None] + 2.0 * (quad - 2.0 * t * lin + t * t * sq)
+        return out
 
 
 def _lambda_grids(f_hat: np.ndarray, size: int) -> np.ndarray:

@@ -16,7 +16,10 @@ Groups:
   120, 192};
 - cli: the files of a command-line pass simulate -> estimate (each method,
   tuned, and hard with a fixed lambda) -> evaluate -> coherence, at VMA
-  p in {12, 48, 66}.
+  p in {12, 48, 66};
+- alasso-eta: the estimate and thresholds of the adaptive lasso at eta 0.5
+  and 1 from one tuned pass, at the sizes, seeds and n_splits of
+  estimates (the other groups run eta 2 alone).
 
 The sizes run pass blocks of 16, 15, 14 and 9 rows.  The script is not a
 test module: pytest does not collect it.  It takes a few minutes on two
@@ -47,10 +50,11 @@ def hash_files(digest, directory: Path) -> None:
             digest.update(path.read_bytes())
 
 
-def estimates(st) -> str:
+def estimates(st, methods=None) -> str:
     digest = hashlib.sha256()
-    methods = [st.ThresholdOperator(name) if name in st.estimator.THRESHOLD_METHODS else name
-               for name in ALL_METHODS]
+    if methods is None:
+        methods = [st.ThresholdOperator(name) if name in st.estimator.THRESHOLD_METHODS else name
+                   for name in ALL_METHODS]
     for family, p, n in ESTIMATE_SIZES:
         model = st.block_varma_model(p, family)
         m = st.default_span(n, "ma_like" if family == "vma" else "ar_like")
@@ -121,6 +125,8 @@ def main() -> None:
         for jobs in (1, 2):
             print(f"bench-jobs{jobs} {bench_files(st, jobs, work)}", flush=True)
         print(f"cli {cli_files(st, work)}", flush=True)
+    etas = [st.ThresholdOperator("adaptive_lasso", eta) for eta in (0.5, 1.0)]
+    print(f"alasso-eta {estimates(st, etas)}", flush=True)
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ from conftest import periodogram_by_autocov_sum
 from oracles import cos_sin_vectors, dft_matrix_norm_check, periodogram, periodogram_all, wrap
 
 from specthresh import FourierGrid
+from specthresh.dft import _dft_table
 from specthresh.errors import ParameterError
 from specthresh.model import TimeSeriesMatrix
 
@@ -145,3 +146,31 @@ class TestNormCheck:
     def test_size_limit(self):
         with pytest.raises(ParameterError):
             dft_matrix_norm_check(FourierGrid(1024))
+
+
+def dense_table(grid: FourierGrid, cols: slice = slice(None)) -> np.ndarray:
+    """Columns `cols` of the DFT table with every exponential evaluated."""
+    t = np.arange(grid.n)
+    return np.exp(-2j * np.pi * np.outer(t, grid.indices[cols]) / grid.n) / np.sqrt(grid.n)
+
+
+class TestDftTable:
+    """`dft._dft_table` mirrors the columns j < 0 from the columns j > 0; the
+    table must equal the dense one bit for bit, zero signs included."""
+
+    def test_mirrored_equals_dense(self):
+        for n in [*range(2, 301), 400, 401, 1000]:
+            table = _dft_table(FourierGrid(n))
+            want = dense_table(FourierGrid(n))
+            assert (table.view(np.int64) == want.view(np.int64)).all(), \
+                f"n={n}, numpy {np.__version__}"
+
+    def test_mirrored_equals_dense_long_series(self):
+        # compared a column block at a time, so the dense table is never whole
+        grid = FourierGrid(4000)
+        table = _dft_table(grid)
+        for lo in range(0, grid.n, 500):
+            cols = slice(lo, lo + 500)
+            want = dense_table(grid, cols)
+            assert (table[:, cols].view(np.int64) == want.view(np.int64)).all(), \
+                f"columns {lo}.., numpy {np.__version__}"

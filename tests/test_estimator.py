@@ -33,7 +33,7 @@ from specthresh import (
     threshold_estimate,
     tuning,
 )
-from specthresh.estimator import _row_blocks, half_weights
+from specthresh.estimator import _divide, _estimates, _phase, _row_blocks, half_weights
 from specthresh.model import TimeSeriesMatrix
 from specthresh.tuning import default_span, tuned_blocks, tuned_estimates
 
@@ -226,6 +226,138 @@ class TestBatchedThresholding:
         lambdas[17] = bad
         with pytest.raises(ParameterError, match=message):
             threshold_estimate(x, 3, ThresholdOperator("lasso"), lambdas)
+
+
+def assert_same_bits(got, want, where=""):
+    """got and want hold the same bits, so zero signs count."""
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got.view(np.int64) == want.view(np.int64)).all(), f"{where} numpy {np.__version__}"
+
+
+def part_pairs(parts) -> np.ndarray:
+    """The complex entries pairing every value of `parts` as real part with
+    every one as imaginary part, as a (len, len) array."""
+    z = np.empty((len(parts), len(parts)), dtype=complex)
+    z.real = np.array(parts)[:, None]
+    z.imag = np.array(parts)[None, :]
+    return z
+
+
+class TestRealDivision:
+    """`estimator._divide` divides a complex array by positive reals with
+    the bits of `np.divide`, zero signs included."""
+
+    TINY, BIG = np.finfo(float).tiny, np.finfo(float).max
+    # zeros of both signs, subnormals, the smallest normal, the float maximum
+    FINITE = (0.0, -0.0, 5e-324, -2.5e-310, TINY, -TINY, 1.0, -1.5, BIG, -BIG)
+    PARTS = FINITE + (np.inf, -np.inf)
+    DIVISORS = (5e-324, TINY, 0.3, 1.0, 41.0, 2.0 * np.pi, 1e300, BIG)
+
+    def cases(self, rng):
+        """Stacks of every pair of special parts: of all of them, and of
+        those with no inf, no -0 or neither (the product's case); and random
+        entries over 40 decades."""
+        no_negative_zero = [v for v in self.PARTS if not (v == 0 and np.signbit(v))]
+        special = [part_pairs(parts)[None] for parts in (
+            self.PARTS, self.FINITE, no_negative_zero, no_negative_zero[:len(self.FINITE) - 1])]
+        shape = (4, 6, 6)
+        random = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+            * 10.0 ** rng.integers(-20, 20, shape)
+        return special + [random]
+
+    def assert_divides(self, z, c):
+        # a subnormal divisor overflows 1/c in both forms
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.divide(z, c)
+            assert_same_bits(_divide(z, c), want, f"divisor shape {np.shape(c)},")
+            inplace = z.copy()
+            assert _divide(inplace, c, out=inplace) is inplace
+            assert_same_bits(inplace, want, f"in place, divisor shape {np.shape(c)},")
+
+    @pytest.mark.parametrize("c", DIVISORS)
+    def test_scalar_divisor(self, rng, c):
+        for z in self.cases(rng):
+            self.assert_divides(z, c)
+            self.assert_divides(z, int(c) if c == int(c) else c)
+
+    def test_row_divisors(self, rng):
+        for z in self.cases(rng):
+            self.assert_divides(z, rng.choice(self.DIVISORS, (len(z), 1, 1)))
+
+    def test_entry_divisors(self, rng):
+        for z in self.cases(rng):
+            self.assert_divides(z, rng.choice(self.DIVISORS, z.shape))
+
+    def test_zero_d_and_non_contiguous_input(self, rng):
+        for z in part_pairs(self.PARTS).ravel():
+            self.assert_divides(np.array(z), 3.0)
+        z = self.cases(rng)[-1]
+        self.assert_divides(z[:, ::2], 3.0)
+        self.assert_divides(z.transpose(0, 2, 1), rng.choice(self.DIVISORS, z.shape))
+
+    def test_the_product_alone_differs_at_negative_zeros(self):
+        # so the fallback to np.divide for a -0 part is needed: the product of
+        # the float view keeps -0 where numpy's division gives +0
+        z = part_pairs(self.FINITE)
+        product = (z.view(np.float64) * (1.0 / 3.0)).view(complex)
+        differs = product.view(np.int64) != np.divide(z, 3.0).view(np.int64)
+        assert differs.any()
+        assert (np.signbit(z.view(np.float64)) & (z.view(np.float64) == 0))[differs].all()
+
+
+class TestSharedParts:
+    """The pass forms |z| and z / |z| once per block for all its operators
+    (`ThresholdOperator._apply` with `mod` and `phase`); each operator's rows
+    must equal the operator applied to the row alone, zero signs included."""
+
+    OPS = [ThresholdOperator("hard"), ThresholdOperator("lasso")] \
+        + [ThresholdOperator("adaptive_lasso", eta) for eta in (0.5, 1.0, 2.0)]
+
+    @staticmethod
+    def stack(rng, negative_zeros):
+        """Rows with zero entries, a real row and random rows, and per-row
+        thresholds, some equal to an entry's modulus.  A block holding a -0
+        part is divided by `np.divide` (`estimator._divide`), so its zeros
+        take either sign or +0 alone."""
+        z = rng.standard_normal((5, 4, 4)) + 1j * rng.standard_normal((5, 4, 4))
+        z = z + z.conj().swapaxes(1, 2)
+        zero = -0.0 if negative_zeros else 0.0
+        z[0, 0, 1:] = [0.0, complex(zero, 0.0), complex(0.0, zero)]
+        z[1, 2, 3] = complex(zero, zero)
+        z[2] = z[2].real  # imaginary parts +0
+        z[2].imag[1:3] = zero
+        lam = np.array([0.0, np.abs(z[1, 0, 2]), np.abs(z[2, 1, 3]), 0.7, np.abs(z[4, 3, 0])])
+        return z, lam
+
+    @pytest.mark.parametrize("negative_zeros", [True, False])
+    @pytest.mark.parametrize("op", OPS, ids=lambda op: f"{op.kind}-{op.eta}")
+    def test_rows_equal_the_operator_alone(self, rng, op, negative_zeros):
+        z, lam = self.stack(rng, negative_zeros)
+        mod = np.abs(z)
+        got = op._apply(z, lam[:, None, None], mod, _phase(z, mod))
+        for r, (row, value) in enumerate(zip(z, lam)):
+            assert_same_bits(got[r], op(row, value), f"{op} row {r},")
+
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_pass_rows_equal_the_operator_alone(self, rng, m):
+        # one pass over every operator; a constant channel gives zero entries,
+        # and at m = 0 row 0 is real
+        n = 64
+        data = rng.standard_normal((n, 5))
+        data[:, 2] = 1.5
+        x = TimeSeriesMatrix(data)
+        f_hat = _estimates(x, m, ["smoothed"])[0].half
+        lam = np.abs(f_hat[:, 0, 1])  # |z| = lambda at entry (0, 1)
+        lam[::3] = 0.5 * np.abs(f_hat[::3, 3, 4])
+        ests = _estimates(x, m, self.OPS,
+                          lambda ops, dft_rows, rows, block: np.tile(lam[rows], (len(ops), 1)))
+        diag = np.arange(x.p)
+        for op, est in zip(self.OPS, ests):
+            for j, (row, value) in enumerate(zip(f_hat, lam)):
+                want = op(row, value)
+                want[diag, diag] = row[diag, diag]
+                assert_same_bits(est.half[j], want, f"{op} row {j},")
 
 
 class TestHalfWeights:

@@ -26,12 +26,12 @@ from specthresh import (
     theoretical_threshold,
 )
 from specthresh import estimator, tuning
-from specthresh.estimator import _estimates, threshold_estimate
+from specthresh.estimator import _divide, _estimates, threshold_estimate
 from specthresh.model import TimeSeriesMatrix
 from specthresh.tuning import (
     _freq_rng,
+    _Split,
     _lambda_grids,
-    _scale_halves,
     _split_rule,
     _window_units,
     tuned_estimates,
@@ -272,6 +272,27 @@ class TestClosedFormRisk:
                 assert np.max(np.abs(got - ref) / ref) <= 1e-10
                 assert int(np.argmin(got)) == int(np.argmin(ref))
 
+    def test_all_operators_at_once_equal_one_split_each(self, rng):
+        # the lasso and adaptive-lasso risks share their suffixes and a^2 - 2ab
+        # sums; each operator's curve must equal a fresh split's, in any order
+        x = self._series(rng)
+        halves = [split_halves(x, j, 6, _freq_rng(11, j)) for j in (0, 5, 17, 24)]
+        f1, f2 = (np.stack(half) for half in zip(*halves))
+        grids = _lambda_grids(f1, 9)
+        # grid points exactly at entry moduli, and one above every entry
+        grids[:, 1:4] = np.sort(np.abs(f1[:, 0, 1:4]), axis=1)
+        grids[:, -1] = 2.0 * np.abs(f1).max()
+        ops = [ThresholdOperator("adaptive_lasso", 0.5), ThresholdOperator("lasso"),
+               ThresholdOperator("hard"), ThresholdOperator("adaptive_lasso", 1.0),
+               ThresholdOperator("adaptive_lasso")]
+        for order in (ops, ops[::-1]):
+            got = _Split(f1.copy(), f2.copy()).risks(order, grids)
+            assert got.shape == (len(order),) + grids.shape
+            for op, risk in zip(order, got):
+                alone = _Split(f1.copy(), f2.copy()).risks([op], grids)[0]
+                assert (risk.view(np.int64) == alone.view(np.int64)).all(), \
+                    f"{op}, numpy {np.__version__}"
+
     @pytest.mark.parametrize("op", OPERATORS[:3], ids=lambda op: op.kind)
     def test_equal_risks_tie_toward_smaller_lambda(self, rng, op):
         x = self._series(rng)
@@ -457,9 +478,10 @@ class TestTunedThresholdEstimates:
 
 
 class TestHalfScaling:
-    """`tuning._scale_halves` scales the real and imaginary parts of the
-    half-window sums, which must give the values of numpy's complex division
-    by the counts and then by 2 pi."""
+    """`tuning._split_risks` turns the half-window sums into means by the
+    real-arithmetic division `estimator._divide`, by the counts and then by
+    2 pi, which must give the bits of numpy's complex division, zero signs
+    included."""
 
     # zeros of both signs, subnormals, the smallest normal and the float maximum
     SPECIAL = (0.0, -0.0, 5e-324, -2.5e-310, np.finfo(float).tiny, 1.0,
@@ -489,10 +511,9 @@ class TestHalfScaling:
         for halves, counts in self._cases(rng):
             want = self._by_complex_division(halves, counts)
             got = halves.copy()
-            _scale_halves(got, counts)
-            # == also equates 0.0 and -0.0, the one difference allowed
-            assert (got.real == want.real).all()
-            assert (got.imag == want.imag).all()
+            _divide(got, counts[..., None, None], out=got)
+            _divide(got, 2.0 * np.pi, out=got)
+            assert (got.view(np.int64) == want.view(np.int64)).all(), f"numpy {np.__version__}"
 
     def test_dividing_the_parts_rounds_otherwise(self, rng):
         # so `parts /= counts` is no equal form of the scaling
