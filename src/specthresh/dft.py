@@ -69,7 +69,8 @@ def _dft(x: TimeSeriesMatrix, m: int) -> np.ndarray:
     return np.ascontiguousarray(d[:, walk].T)
 
 
-def _periodograms(rows: np.ndarray) -> np.ndarray:
+def _periodograms(rows: np.ndarray, out=None) -> np.ndarray:
     """The periodogram d d^H of each row d of a (k, p) array of DFT rows, as a
-    C-ordered (k, p, p) array, so each I(w) is contiguous."""
-    return np.einsum("jp,jq->jpq", rows, rows.conj(), order="C")
+    C-ordered (k, p, p) array, so each I(w) is contiguous; into `out` when
+    given."""
+    return np.einsum("jp,jq->jpq", rows, rows.conj(), out=out, order="C")

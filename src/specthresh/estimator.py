@@ -27,6 +27,7 @@ from .model import TimeSeriesMatrix
 THRESHOLD_METHODS = ("hard", "lasso", "adaptive_lasso")
 ALL_METHODS = ("smoothed", "shrinkage") + THRESHOLD_METHODS
 METHOD_ALIASES = {"alasso": "adaptive_lasso"}
+_TINY = np.finfo(float).tiny  # below it a modulus is subnormal, and 1/|z| overflows
 
 
 def canonical_method(name: str) -> str:
@@ -76,20 +77,27 @@ class ThresholdOperator:
             t = np.reshape([_penalty_scale(v, self.eta) for v in np.ravel(lam).tolist()], np.shape(lam))
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 penalty = np.where(mod > 0, t * mod ** (-self.eta), np.inf)
-                if np.isinf(t).any():
-                    # lam^(eta+1) overflowed: lam (lam/|z|)^eta is the same
-                    # penalty, and finite unless |z| is far below lam
-                    penalty = np.where(np.isinf(t), lam * (lam / mod) ** self.eta, penalty)
+                # lam^(eta+1) overflowed, or |z|^(-eta) may (|z| subnormal): lam
+                # (lam/|z|)^eta is the same penalty, finite unless |z| << lam
+                other = np.isinf(t) | ((mod > 0) & (mod < _TINY))
+                if other.any():
+                    penalty = np.where(other, lam * (lam / mod) ** self.eta, penalty)
             shrunk = np.maximum(mod - penalty, 0.0)
         return (_phase(z, mod) if phase is None else phase) * shrunk
 
 
 def _phase(z: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """z / |z|, and 0 where z = 0, for the complex array z and its modulus."""
-    if (mod > 0).all():  # no zero (or NaN) entry to mask
+    """z / |z|, and 0 where z = 0, for the complex array z and its modulus;
+    a z of subnormal |z|, whose 1/|z| overflows, is scaled by 2^600 first."""
+    normal = mod >= _TINY
+    if normal.all():  # no zero, subnormal (or NaN) entry to mask
         return _divide(z, mod)
     with np.errstate(invalid="ignore"):
-        return np.where(mod > 0, _divide(z, np.where(mod > 0, mod, 1.0)), 0.0)
+        phase = np.where(normal, _divide(z, np.where(normal, mod, 1.0)), 0.0)
+    small = (mod > 0) & ~normal
+    scaled = np.ldexp(z[small].view(float), 600).view(complex)
+    phase[small] = _divide(scaled, np.abs(scaled))
+    return phase
 
 
 def _divide(z: np.ndarray, c, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -318,7 +326,7 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
                 for lo in range(0, 2 * m, size):
                     hi = min(lo + size, 2 * m)
                     members[lo:hi] = members[size + lo:size + hi]
-                members[2 * m:end] = _periodograms(d[j0 + 2 * m:j0 + end])
+                _periodograms(d[j0 + 2 * m:j0 + end], out=members[2 * m:end])
             if shrink:
                 # einsum can give a one-matrix stack other bits, so take two
                 first = min(carried, end - 2)

@@ -3,11 +3,11 @@ report CSV.  Writers produce identical bytes for identical objects
 (stable key order, fixed float formatting).
 
 Every float the package writes is formatted by `_fmt_all`, 17 significant
-digits.  The estimate file lists every j in F_n, but its writer formats
-only the rows j >= 0 and each distinct value of a block of rows once; its
-reader keeps each matrix's strings as one text while decoding, and parses
-a row j < 0 only when its strings differ from its partner's.  The bytes
-are those json.dump would write."""
+digits.  The estimate file lists every j in F_n as j = 0, 1, -1, 2, -2, ...;
+its writer holds one block of rows j >= 0 at a time and formats each
+distinct value of it once, and its reader keeps each matrix's strings as
+one text while decoding, and parses a row j < 0 only when its strings
+differ from its partner's.  The bytes are those json.dump would write."""
 
 from __future__ import annotations
 
@@ -190,27 +190,26 @@ def _matrix_text(strings: np.ndarray) -> str:
     return "[" + ", ".join("[" + ", ".join(row) + "]" for row in strings.tolist()) + "]"
 
 
-def _entry_text(j: int, real: np.ndarray, imag: np.ndarray, omega: str, lam) -> str:
-    """One frequency entry, from its matrices of quoted strings, as
-    json.dumps(entry, sort_keys=True) lays it out."""
+def _entry_text(j: int, real: str, imag: np.ndarray, grid: FourierGrid, lam) -> str:
+    """One frequency entry, from the text of its "re" matrix (`_matrix_text`)
+    and its "im" matrix of quoted strings, as json.dumps(entry,
+    sort_keys=True) lays it out."""
     lam = "" if lam is None else f', "lambda": "{lam}"'
-    return (f'{{"im": {_matrix_text(imag)}, "j": {j}{lam}, "omega": "{omega}", '
-            f'"re": {_matrix_text(real)}}}')
+    return (f'{{"im": {_matrix_text(imag)}, "j": {j}{lam}, "omega": "{_fmt(grid.frequency(j))}", '
+            f'"re": {real}}}')
 
 
 def write_estimate(est: SpectralEstimate, path) -> None:
-    """Write the text json.dump(obj, sort_keys=True) would write for the
-    schema-v1 object of `est`, each float a string as `_fmt` gives it.
+    """Write the schema-v1 object of `est` as the text json.dump(obj,
+    sort_keys=True) would write, each float a string as `_fmt` gives it,
+    but with the entries in the order j = 0, 1, -1, 2, -2, ...
 
-    The file lists every j in F_n in order, and row -j is conj(half[j]).  So
-    only the rows j >= 0 are formatted, a block of rows at a time, and each
-    distinct float of a block once; row -j takes row j's "re" strings and
-    its "im" strings with the signs flipped.  Entries are laid out as
-    json.dumps(entry, sort_keys=True) would; the header still goes through
-    json.dumps, which escapes the channel names.  The rows j < 0 come first,
-    -j running down from grid.half, so the blocks are formatted from the top
-    row down; each row -j is written at once, and each block's table and
-    codes are kept for the rows j >= 0 that follow.
+    Row -j is conj(half[j]), so the rows j >= 0 are walked once, a block of
+    rows at a time, and each distinct float of a block is formatted once;
+    entry j is followed by its partner -j (when -j is in F_n), which shares
+    its "re" text and takes its "im" strings with the signs flipped.  A
+    write holds one block's texts.  The header goes through json.dumps,
+    which escapes the channel names.
     """
     obj = {
         "schema_version": SCHEMA_VERSION,
@@ -228,32 +227,22 @@ def write_estimate(est: SpectralEstimate, path) -> None:
     head, _, tail = json.dumps(obj, sort_keys=True).partition('"frequencies": null')
     grid = FourierGrid(est.n)
     rows = len(est.half)
-    omegas = _fmt_all(grid.frequency(j) for j in grid.indices.tolist())
     lams = [None] * rows if est.lambdas is None else _fmt_all(est.lambdas.tolist())
     step = max(1, _BLOCK_ENTRIES // est.p ** 2)
-    blocks = []  # (first row, quoted texts, codes), top block first
     with open(path, "w") as fh:
         fh.write(head + '"frequencies": [')
-        sep = ""
-        for top in range(rows, 0, -step):
-            lo = max(0, top - step)
-            # the (re, im) pairs of rows lo..top-1 as floats, (rows, p, 2p)
+        for lo in range(0, rows, step):
+            # the (re, im) pairs of rows lo..lo+step-1 as floats, (rows, p, 2p)
             texts, codes = _fmt_distinct(
-                np.ascontiguousarray(est.half[lo:top], dtype=complex).view(float))
+                np.ascontiguousarray(est.half[lo:lo + step], dtype=complex).view(float))
             quoted = np.array([f'"{t}"' for t in texts], dtype=object)
             flipped = np.array([f'"{_negated(t)}"' for t in texts], dtype=object)
-            codes = codes.astype(np.min_scalar_type(len(texts)))
-            blocks.append((lo, quoted, codes))
-            for j in range(min(top - 1, grid.half), max(lo, 1) - 1, -1):
-                row = codes[j - lo]
-                fh.write(sep + _entry_text(-j, quoted[row[:, 0::2]], flipped[row[:, 1::2]],
-                                           omegas[grid.half - j], lams[j]))
-                sep = ", "
-        for lo, quoted, codes in reversed(blocks):
             for j, row in enumerate(codes, start=lo):
-                fh.write(sep + _entry_text(j, quoted[row[:, 0::2]], quoted[row[:, 1::2]],
-                                           omegas[grid.half + j], lams[j]))
-                sep = ", "
+                real = _matrix_text(quoted[row[:, 0::2]])
+                entry = _entry_text(j, real, quoted[row[:, 1::2]], grid, lams[j])
+                fh.write(f", {entry}" if j else entry)
+                if 0 < j <= grid.half:
+                    fh.write(", " + _entry_text(-j, real, flipped[row[:, 1::2]], grid, lams[j]))
         fh.write("]" + tail + "\n")
 
 

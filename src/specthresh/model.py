@@ -343,20 +343,19 @@ def omega_n(gammas, n: int) -> float:
     return float(total.max())
 
 
-def l_n(gammas, n: int, tail_lag: Optional[int] = None) -> float:
+def l_n(gammas, n: int) -> float:
     """Tail sum max_rs sum_{|l|>n} |Gamma_rs(l)| of the autocovariances
-    Gamma(0..l_max), truncated at tail_lag.
+    Gamma(0..l_max), summed to the last lag l_max given.
 
     The truncation error is below the geometric tail of the model when the
     sequence was produced by `autocov` with the default cap.
     """
     gammas = _lag_array(gammas, n)
     l_max = len(gammas) - 1
-    cap = l_max if tail_lag is None else min(tail_lag, l_max)
-    if cap <= n:
+    if l_max <= n:
         return 0.0
     total = np.zeros(gammas.shape[1:])
-    for l in range(n + 1, cap + 1):
+    for l in range(n + 1, l_max + 1):
         g = gammas[l]
         total += np.abs(g) + np.abs(g.T)
     return float(total.max())

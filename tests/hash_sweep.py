@@ -17,6 +17,9 @@ Groups:
 - cli: the files of a command-line pass simulate -> estimate (each method,
   tuned, and hard with a fixed lambda) -> evaluate -> coherence, at VMA
   p in {12, 48, 66};
+- cli-entries: the same files, but each JSON file decoded, an estimate's
+  "frequencies" sorted by j, and dumped again with sorted keys: the files'
+  content whatever the order of their entries;
 - alasso-eta: the estimate and thresholds of the adaptive lasso at eta 0.5
   and 1 from one tuned pass, at the sizes, seeds and n_splits of
   estimates (the other groups run eta 2 alone).
@@ -29,6 +32,7 @@ cores.
 import argparse
 import hashlib
 import importlib
+import json
 import os
 import sys
 import tempfile
@@ -42,12 +46,23 @@ BENCH_SIZES = [("vma", p, 160) for p in (12, 48, 66, 96)] + [("var", p, 160) for
 CLI_SIZES = [("vma", p, 200) for p in (12, 48, 66)]
 
 
-def hash_files(digest, directory: Path) -> None:
-    """Add the name and bytes of every file under `directory`, in name order."""
+def hash_files(digest, directory: Path, entries=None) -> None:
+    """Add the name and bytes of every file under `directory`, in name order.
+    With `entries`, a second digest, add to it each JSON file decoded, its
+    "frequencies" (if any) sorted by j and dumped with sorted keys, and
+    every other file's bytes."""
     for path in sorted(directory.rglob("*")):
         if path.is_file():
-            digest.update(str(path.relative_to(directory)).encode() + b"\0")
-            digest.update(path.read_bytes())
+            name = str(path.relative_to(directory)).encode() + b"\0"
+            data = path.read_bytes()
+            digest.update(name + data)
+            if entries is not None:
+                if path.suffix == ".json":
+                    obj = json.loads(data)
+                    if "frequencies" in obj:
+                        obj["frequencies"].sort(key=lambda entry: entry["j"])
+                    data = json.dumps(obj, sort_keys=True).encode()
+                entries.update(name + data)
 
 
 def estimates(st, methods=None) -> str:
@@ -82,8 +97,9 @@ def bench_files(st, jobs: int, work: Path) -> str:
     return digest.hexdigest()
 
 
-def cli_files(st, work: Path) -> str:
-    digest = hashlib.sha256()
+def cli_files(st, work: Path) -> tuple:
+    """The digests of the cli and cli-entries groups."""
+    digest, entries = hashlib.sha256(), hashlib.sha256()
     for family, p, n in CLI_SIZES:
         out = work / f"cli-{family}-{p}"
         out.mkdir()
@@ -105,8 +121,8 @@ def cli_files(st, work: Path) -> str:
             code = st.cli.main([str(arg) for arg in argv])
             if code != 0:
                 raise SystemExit(f"specthresh {argv[0]} exited {code}")
-        hash_files(digest, out)
-    return digest.hexdigest()
+        hash_files(digest, out, entries)
+    return digest.hexdigest(), entries.hexdigest()
 
 
 def main() -> None:
@@ -124,7 +140,9 @@ def main() -> None:
         print(f"estimates {estimates(st)}", flush=True)
         for jobs in (1, 2):
             print(f"bench-jobs{jobs} {bench_files(st, jobs, work)}", flush=True)
-        print(f"cli {cli_files(st, work)}", flush=True)
+        cli, cli_entries = cli_files(st, work)
+        print(f"cli {cli}", flush=True)
+        print(f"cli-entries {cli_entries}", flush=True)
     etas = [st.ThresholdOperator("adaptive_lasso", eta) for eta in (0.5, 1.0)]
     print(f"alasso-eta {estimates(st, etas)}", flush=True)
 

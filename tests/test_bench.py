@@ -412,9 +412,9 @@ class TestEstimateMethods:
         rows = []
         real = estimator._periodograms
 
-        def counted(wanted):
+        def counted(wanted, out=None):
             rows.append(wanted.copy())
-            return real(wanted)
+            return real(wanted, out=out)
 
         monkeypatch.setattr(estimator, "_periodograms", counted)
         n, m = 40, 3

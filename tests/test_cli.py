@@ -517,8 +517,13 @@ class TestCoherence:
         assert np.allclose(graphs[1], graphs[0], rtol=0, atol=1e-12)
 
 
+def _entry(obj, j):
+    """The entry of frequency index j."""
+    return next(entry for entry in obj["frequencies"] if entry["j"] == j)
+
+
 def _bad_matrix_size(obj):
-    entry = obj["frequencies"][5]
+    entry = _entry(obj, -10)
     entry["re"] = [row[:2] for row in entry["re"][:2]]
     entry["im"] = [row[:2] for row in entry["im"][:2]]
 
@@ -528,55 +533,56 @@ def _header_p(obj):
 
 
 def _duplicated_j(obj):
-    obj["frequencies"][20] = obj["frequencies"][21]
+    entries = obj["frequencies"]
+    entries[entries.index(_entry(obj, 5))] = _entry(obj, 6)
 
 
 def _nan_entry(obj):
-    obj["frequencies"][18]["re"][0][1] = "nan"
+    _entry(obj, 3)["re"][0][1] = "nan"
 
 
 def _missing_j(obj):
-    del obj["frequencies"][20]
+    obj["frequencies"].remove(_entry(obj, 5))
 
 
 def _not_conjugate_matrix(obj):
-    entry = obj["frequencies"][3]  # j = -12
+    entry = _entry(obj, -12)
     entry["im"][0][1] = repr(float(entry["im"][0][1]) + 1e-3)
 
 
 def _not_conjugate_lambda(obj):
-    entry = obj["frequencies"][3]
+    entry = _entry(obj, -12)
     entry["lambda"] = repr(float(entry["lambda"]) + 1e-3)
 
 
 def _one_ulp_off(part):
     def mutate(obj):
-        entry = obj["frequencies"][3]  # j = -12
+        entry = _entry(obj, -12)
         entry[part][0][1] = repr(float(np.nextafter(float(entry[part][0][1]), np.inf)))
     return mutate
 
 
 def _negative_im_shape(obj):
-    entry = obj["frequencies"][3]  # j = -12; "re" still matches j = 12
+    entry = _entry(obj, -12)  # "re" still matches j = 12
     entry["im"] = entry["im"] + entry["im"][:1]
 
 
 def _flipped_by_text(partner, mirror):
     # strings a sign flip of the text pairs, of which only `partner` parses
     def mutate(obj):
-        obj["frequencies"][27]["im"][0][1] = partner  # j = 12
-        obj["frequencies"][3]["im"][0][1] = mirror  # j = -12
+        _entry(obj, 12)["im"][0][1] = partner
+        _entry(obj, -12)["im"][0][1] = mirror
     return mutate
 
 
-def _comma_in_string(k):
+def _comma_in_string(j):
     def mutate(obj):
-        obj["frequencies"][k]["re"][0][1] = "1,5"
+        _entry(obj, j)["re"][0][1] = "1,5"
     return mutate
 
 
 def _float_j(obj):
-    entry = obj["frequencies"][5]  # j = -10
+    entry = _entry(obj, -10)
     entry["j"] = float(entry["j"])
 
 
@@ -601,7 +607,7 @@ def _bool_lambdas(obj):
 
 
 def _bool_matrix(obj):
-    obj["frequencies"][27]["re"] = [[True, False, False]] * 3  # j = 12
+    _entry(obj, 12)["re"] = [[True, False, False]] * 3
 
 
 def _numbers_for_strings(obj):
@@ -634,8 +640,8 @@ class TestMalformedEstimateFile:
         (_negative_im_shape, "shape (4, 3) at j = -12"),
         (_flipped_by_text("+0.25", "-+0.25"), "'-+0.25'"),
         (_flipped_by_text(" 0.25", "- 0.25"), "'- 0.25'"),
-        (_comma_in_string(27), "'1,5'"),
-        (_comma_in_string(3), "'1,5'"),
+        (_comma_in_string(12), "'1,5'"),
+        (_comma_in_string(-12), "'1,5'"),
         (lambda obj: [obj], "expected a JSON object"),
         # one letter per channel would pass the count check for p = 3
         (_header(channels="abc"), "channels must be a list of strings"),
@@ -680,7 +686,7 @@ class TestMalformedEstimateFile:
         path = tmp_path / "est.json"
         write_estimate(est, path)
         obj = json.loads(path.read_text())
-        assert [obj["frequencies"][k]["j"] for k in (3, 5)] == [-12, -10]
+        assert sorted(entry["j"] for entry in obj["frequencies"]) == list(range(-15, 17))
         obj = mutate(obj) or obj
         path.write_text(json.dumps(obj))
         for argv in (("evaluate", "--model", vma_model_file, "--out", tmp_path / "r.csv", path),

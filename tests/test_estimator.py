@@ -172,6 +172,27 @@ class TestThresholdOperators:
         assert np.all(np.abs(out - z) <= lam + 1e-12 * np.abs(z))
         assert np.abs(out[np.abs(z) >= 1e3 * lam]).min() > 0
 
+    @pytest.mark.parametrize("kind, eta", [("hard", 2.0), ("lasso", 2.0), ("adaptive_lasso", 0.5),
+                                           ("adaptive_lasso", 1.0), ("adaptive_lasso", 2.0)])
+    def test_conditions_at_subnormal_modulus(self, kind, eta, rng):
+        # 1/|z| and |z|^(-eta) overflow below the smallest normal float; the
+        # conditions hold to the spacing of the subnormals, with no NaN (the
+        # boundary |z| = lambda is left to the other tests)
+        op = ThresholdOperator(kind, eta)
+        ulp = np.nextafter(0.0, 1.0)
+        z = (rng.standard_normal(200) + 1j * rng.standard_normal(200)) * 2.0 ** rng.uniform(
+            -1070, -1026, 200)
+        z = np.append(z, [ulp, -1j * ulp, 3e-310 + 1e-310j])
+        mod = np.abs(z)
+        assert mod.max() < np.finfo(float).tiny
+        for lam in (0.0, 1e-320, 1e-315, 1e-311, 1e-309, 1e-300):
+            out = op(z, lam)
+            assert np.isfinite(out).all()
+            assert np.all(np.abs(out) <= mod + 2 * ulp)
+            assert not out[mod < lam].any()
+            assert np.all(np.abs(out - z) <= lam + 2 * ulp)
+        assert op(np.array([[1.0, ulp], [ulp, 1.0]]), 0.0)[0, 1] == ulp
+
     @pytest.mark.parametrize("kind", ["hard", "lasso", "adaptive_lasso"])
     def test_generalized_thresholding_conditions(self, kind, rng):
         op = ThresholdOperator(kind)
@@ -599,9 +620,9 @@ class TestStreamedPass:
         # p = 96 walks pass blocks of 14 rows, so with 2m > 14 the 2m
         # positions a block carries to the next overlap their new place;
         # moved in one step they would be copied to a temporary of 2m
-        # matrices first.  Besides its buffer of 14+2m periodograms, the pass
-        # holds the window averages, a block's new periodograms and the DFT:
-        # less than m more
+        # matrices first.  Besides its buffer of 14+2m periodograms, into
+        # which a block's new periodograms are formed, the pass holds the
+        # window averages and the DFT: less than m more
         n, p, m = 200, 96, 60
         x = white_series(rng, n, p)
         tracemalloc.start()
@@ -623,12 +644,15 @@ def threaded(monkeypatch):
 
 def _overflowing(monkeypatch, module, name, fails):
     """Make module.name return infinities on the calls for which
-    fails(*args) holds."""
+    fails(*args) holds, filled into what it returns, so that they also
+    reach an `out` array it was given."""
     original = getattr(module, name)
 
-    def patched(*args):
-        out = original(*args)
-        return np.full_like(out, np.inf) if fails(*args) else out
+    def patched(*args, **kwargs):
+        out = original(*args, **kwargs)
+        if fails(*args):
+            out[...] = np.inf
+        return out
 
     monkeypatch.setattr(module, name, patched)
 

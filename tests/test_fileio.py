@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from specthresh.fileio import (
     write_report_csv,
     write_series,
 )
-from specthresh.model import TimeSeriesMatrix, VarmaModel, block_varma_model
+from specthresh.model import TimeSeriesMatrix, VarmaModel, block_varma_model, simulate
 from specthresh.tuning import tuned_estimates
 
 
@@ -206,7 +207,8 @@ class TestEstimateJson:
          for method in ALL_METHODS for n in (16, 17) for p in (1, 3)])
     def test_bytes_match_streamed_json(self, tmp_path, rng, method, n, p, channels,
                                        negative_zeros):
-        # the bytes json.dump writes for the estimate, each float as _fmt
+        # the bytes json.dump writes for the estimate, each float as _fmt, with
+        # the entries in the order j = 0, 1, -1, 2, -2, ...
         x = TimeSeriesMatrix(rng.standard_normal((n, p)), channel_names=channels)
         est, = tuned_estimates(x, 2, [method], grid_size=5)
         if negative_zeros:
@@ -214,17 +216,19 @@ class TestEstimateJson:
             est.half[0, 1, 1] = complex(est.half[0, 1, 1].real, -0.0)
             est.half[3, 0, 2] = complex(-0.0, -0.0)
             est.half[3, 2, 0] = complex(0.0, 0.0)
-        freqs = []
+        by_j = {}
         for j, mat in full_grid(est.half, est.n).items():
-            entry = {
+            by_j[j] = {
                 "j": j,
                 "omega": _fmt(FourierGrid(est.n).frequency(j)),
                 "re": [[_fmt(v) for v in row] for row in mat.real],
                 "im": [[_fmt(v) for v in row] for row in mat.imag],
             }
             if est.lambdas is not None:
-                entry["lambda"] = _fmt(est.lambdas[abs(j)])
-            freqs.append(entry)
+                by_j[j]["lambda"] = _fmt(est.lambdas[abs(j)])
+        order = sorted(by_j, key=lambda j: (abs(j), j < 0))
+        assert order[:5] == [0, 1, -1, 2, -2] and len(order) == n
+        freqs = [by_j[j] for j in order]
         obj = {
             "schema_version": "1", "n": est.n, "p": est.p, "m": est.m, "method": est.method,
             "frequencies": freqs,
@@ -283,6 +287,20 @@ class TestEstimateJson:
         np.random.default_rng(3).shuffle(obj["frequencies"])
         back = self._reread(tmp_path, obj)
         assert np.array_equal(back.half, est.half) and np.array_equal(back.lambdas, est.lambdas)
+
+    def test_write_holds_one_block(self, tmp_path):
+        # a dense p = 48, n = 400 estimate writes 45 MB; formatting every row's
+        # texts before writing any would hold tens of MB of them
+        x = simulate(block_varma_model(48, "vma"), 400, seed=3)
+        est, = tuned_estimates(x, 20, ["smoothed"])
+        tracemalloc.start()
+        try:
+            write_estimate(est, tmp_path / "est.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "est.json").stat().st_size > 40e6
+        assert peak < 8e6
 
     def test_truncated_file(self, tmp_path, rng):
         est = self._estimate(rng)

@@ -159,13 +159,18 @@ def test_call_raises(name):
     assert str(err.value) == message
 
 
+def _entry(obj, j):
+    """The entry of frequency index j."""
+    return next(entry for entry in obj["frequencies"] if entry["j"] == j)
+
+
 def _ragged(obj):
-    entry = obj["frequencies"][8]  # j = 1
+    entry = _entry(obj, 1)
     entry["re"][0] = entry["re"][0][:2]
 
 
 def _threshold_missing(obj):
-    del obj["frequencies"][10]["lambda"]  # j = 3
+    del _entry(obj, 3)["lambda"]
 
 
 def _channel_count(obj):
@@ -173,7 +178,7 @@ def _channel_count(obj):
 
 
 def _bool_lambda(obj):
-    obj["frequencies"][8]["lambda"] = True  # j = 1
+    _entry(obj, 1)["lambda"] = True
 
 
 def _bool_eta(obj):
@@ -181,7 +186,7 @@ def _bool_eta(obj):
 
 
 def _bool_matrix(obj):
-    obj["frequencies"][10]["im"] = [[False] * 3] * 3  # j = 3
+    _entry(obj, 3)["im"] = [[False] * 3] * 3
 
 
 @pytest.mark.parametrize("mutate, message", [
@@ -197,7 +202,7 @@ def test_estimate_file_raises(tmp_path, mutate, message):
     path = tmp_path / "est.json"
     write_estimate(threshold_estimate(X, 2, LASSO, {j: 0.1 for j in range(9)}), path)
     obj = json.loads(path.read_text())
-    assert [obj["frequencies"][k]["j"] for k in (8, 10)] == [1, 3]
+    assert sorted(entry["j"] for entry in obj["frequencies"]) == list(range(-7, 9))
     mutate(obj)
     path.write_text(json.dumps(obj))
     with pytest.raises(DataError) as err:
