@@ -77,9 +77,10 @@ class ThresholdOperator:
             t = np.reshape([_penalty_scale(v, self.eta) for v in np.ravel(lam).tolist()], np.shape(lam))
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 penalty = np.where(mod > 0, t * mod ** (-self.eta), np.inf)
-                # lam^(eta+1) overflowed, or |z|^(-eta) may (|z| subnormal): lam
+                # lam^(eta+1) overflowed, lost bits or is 0 (0 |z|^(-eta) may be
+                # 0 inf), or |z|^(-eta) may overflow (|z| subnormal): lam
                 # (lam/|z|)^eta is the same penalty, finite unless |z| << lam
-                other = np.isinf(t) | ((mod > 0) & (mod < _TINY))
+                other = (mod > 0) & ~((t >= _TINY) & (t < np.inf) & (mod >= _TINY))
                 if other.any():
                     penalty = np.where(other, lam * (lam / mod) ** self.eta, penalty)
             shrunk = np.maximum(mod - penalty, 0.0)
@@ -125,8 +126,8 @@ def _divide(z: np.ndarray, c, out: Optional[np.ndarray] = None) -> np.ndarray:
 def _penalty_scale(lam: float, eta: float) -> float:
     """lam^(eta+1) by Python's float power, so that a row thresholded in a
     batch equals the operator applied to it alone (numpy's array power can
-    differ in the last bit); inf where the power overflows, for which
-    `ThresholdOperator._apply` forms the penalty another way."""
+    differ in the last bit); inf where the power overflows.  Where it is not
+    a normal float, `ThresholdOperator._apply` forms the penalty another way."""
     try:
         return lam ** (eta + 1)
     except OverflowError:
@@ -264,9 +265,9 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
     keeps a block's last 2m positions for the next, moved down at most
     `size` at a time so that numpy needs no temporary copy of them.
     Nothing else but those positions' squared norms outlives a pass block.
-    Per block, the window members are added in order and divided by 2m+1,
-    then by 2 pi (`_divide`), so row j is its window's `mean` over 2 pi
-    bit for bit; `thresholds(ops, dft_rows, rows, f_hat)`
+    Per `_block_rows` group of a block's rows, the window members are added
+    in order and divided by 2m+1, then by 2 pi (`_divide`), so row j is its
+    window's `mean` over 2 pi bit for bit; `thresholds(ops, dft_rows, rows, f_hat)`
     gives the (operators, rows) thresholds, with dft_rows[i] =
     d(w_{rows[0]-m+i}), the DFT rows of the block's windows: a view of
     the walk's rows, which nothing writes once formed (split-risk tuning
@@ -331,14 +332,17 @@ def _estimate_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, thresholds=
                 # einsum can give a one-matrix stack other bits, so take two
                 first = min(carried, end - 2)
                 member_sq[j0 + carried:j0 + end] = _sq_norms(members[first:end])[carried - first:]
-            block[...] = members[:len(block)]
             # a badly scaled series can overflow the window averages and the
             # shrinkage weights; both are checked below
             with np.errstate(over="ignore", invalid="ignore"):
-                for i in range(1, 2 * m + 1):
-                    block += members[i:i + len(block)]
-                _divide(block, 2 * m + 1, out=block)
-                _divide(block, 2.0 * np.pi, out=block)
+                # one `_block_rows` group at a time, whose sums stay in cache
+                for lo in range(0, len(block), step):
+                    group = block[lo:lo + step]
+                    group[...] = members[lo:lo + len(group)]
+                    for i in range(1, 2 * m + 1):
+                        group += members[lo + i:lo + i + len(group)]
+                    _divide(group, 2 * m + 1, out=group)
+                    _divide(group, 2.0 * np.pi, out=group)
             if not np.isfinite(block.real[:, diag, diag]).all():
                 raise NumericalError("non-finite spectral diagonal: the series is badly scaled")
             f_hat[len(block):] = 0.0

@@ -6,14 +6,14 @@ Every float the package writes is formatted by `_fmt_all`, 17 significant
 digits.  The estimate file lists every j in F_n as j = 0, 1, -1, 2, -2, ...;
 its writer holds one block of rows j >= 0 at a time and formats each
 distinct value of it once, and its reader keeps each matrix's strings as
-one text while decoding, and parses a row j < 0 only when its strings
-differ from its partner's.  The bytes are those json.dump would write."""
+one text while decoding and parses those texts with numpy's C float parser
+(`np.loadtxt`), one call per half.  The bytes are those json.dump would
+write."""
 
 from __future__ import annotations
 
 import csv
 import json
-import re
 from typing import Sequence
 
 import numpy as np
@@ -162,9 +162,6 @@ def read_model(path) -> VarmaModel:
 # matrix entries of est.half formatted together: one table of distinct values
 # per block of rows, whose temporaries stay small (3 rows, 110 kB at p = 48)
 _BLOCK_ENTRIES = 1 << 13
-# in a partner's "im" text (see _mirrors): a string led by something other
-# than "-", a digit or "." -- "+1" or " 1" -- whose sign its text cannot flip
-_UNFLIPPABLE = r",[^-0-9.]"
 
 
 def _fmt_distinct(values: np.ndarray):
@@ -268,38 +265,31 @@ def _compact(obj: dict) -> dict:
     return obj
 
 
-def _matrices(entry, j: int, p: int):
-    """The "re" and "im" matrices of an entry, parsed as np.array(value,
-    dtype=float) parses the decoded lists; each must be p x p."""
-    parts = []
-    for key in ("re", "im"):
-        value = entry[key]
+def _parsed(matrices: list, p: int) -> np.ndarray:
+    """The (j, key, value) `matrices` of estimate entries as one (len, p, p)
+    float array.  Each must be p x p, checked (naming j) before any text is
+    parsed; `_compact`'s texts then go through one np.loadtxt call, numpy's
+    C float parser, past their empty first field, and a matrix left as a
+    list through np.array(value, dtype=float)."""
+    texts, lists = [], {}
+    for i, (j, key, value) in enumerate(matrices):
         if type(value) is tuple:
-            rows, cols, text = value
-            part = np.array(text[1:].split(","), dtype=float).reshape(rows, cols)
+            texts.append(value[2])
         else:
-            part = np.array(_float_texts(value, key), dtype=float)
-        if part.shape != (p, p):
-            raise ValueError(f"matrix of shape {part.shape} at j = {j}, expected ({p}, {p})")
-        parts.append(part)
-    return parts
-
-
-def _mirrors(entry, partner) -> bool:
-    """Whether the j < 0 `entry` holds exactly the values of conj(`partner`),
-    told from the text without parsing it: the same "re" strings, and "im"
-    strings that are partner's, each with its leading "-" dropped or added.
-
-    partner has parsed as floats, so none of its strings holds a NUL, and
-    one led by "-", a digit or "." negates by its text.  False sends the
-    entry to the full parse and numeric check.
-    """
-    real, imag, other = entry["re"], entry["im"], partner["im"]
-    if not all(type(v) is tuple for v in (real, imag, other)):
-        return False
-    if real != partner["re"] or imag[:2] != other[:2] or re.search(_UNFLIPPABLE, other[2]):
-        return False
-    return imag[2] == other[2].replace(",-", ",\0").replace(",", ",-").replace(",-\0", ",")
+            lists[i] = np.array(_float_texts(value, key), dtype=float)
+        shape = lists[i].shape if i in lists else value[:2]
+        if shape != (p, p):
+            raise ValueError(f"matrix of shape {shape} at j = {j}, expected ({p}, {p})")
+    parsed = np.empty(0)
+    if texts:  # np.loadtxt warns on no input
+        parsed = np.loadtxt(texts, delimiter=",", comments=None, usecols=range(1, p * p + 1))
+    parsed = parsed.reshape(len(texts), p, p)
+    if not lists:
+        return parsed
+    out = np.empty((len(matrices), p, p))
+    out[[i for i in range(len(matrices)) if i not in lists]] = parsed
+    out[list(lists)] = list(lists.values())
+    return out
 
 
 def read_estimate(path) -> SpectralEstimate:
@@ -307,11 +297,15 @@ def read_estimate(path) -> SpectralEstimate:
 
     The file lists every j in F_n once, in any order.  While it is decoded,
     each matrix of strings becomes one text (`_compact`), which bounds the
-    memory a read holds.  The entries j >= 0 are parsed into the rows; each
-    j < 0 matrix and threshold must be exactly the conjugate of its j > 0
-    partner's.  A j < 0 entry whose strings mirror its partner's
-    (`_mirrors`) holds those values and is not parsed; any other is parsed
-    and compared by value.  The header must give
+    memory a read holds.  One np.loadtxt call (`_parsed`) parses the "re"
+    and "im" matrices of the entries j >= 0 into the rows, and one the "im"
+    of the entries j < 0, which must be -imag(half[j]) by value; a j < 0
+    "re" whose text is not its partner's is parsed and must be half[j].real.
+    So each j < 0 matrix and threshold is exactly the conjugate of its
+    partner's.  A string parses as numpy's parser reads it: an optionally
+    signed ASCII decimal float, "inf", "infinity" or "nan" in any case,
+    with optional surrounding whitespace; not "", "1_0" or digits that are
+    not ASCII, which float() reads.  The header must give
     n, p and m as JSON integers and name one of the methods, a span m with
     2m+1 <= n, a finite positive eta (on adaptive_lasso, and only there) and
     a list of p channel names (when given).  Every entry carries a
@@ -343,26 +337,27 @@ def read_estimate(path) -> SpectralEstimate:
             if ("lambda" in entry) != has_lambda:
                 raise ValueError(f"threshold missing or extra at j = {j}")
             by_j[j] = entry
-        half = lam_half = None
-        for j in range(n // 2 + 1):
-            real, imag = _matrices(by_j[j], j, p)
-            if half is None:  # allocated once the header's p is confirmed
-                half, lam_half = np.empty((n // 2 + 1, p, p), dtype=complex), np.zeros(n // 2 + 1)
-            half[j].real, half[j].imag = real, imag
-            if has_lambda:
-                lam_half[j] = float(_float_texts(by_j[j]["lambda"], "lambda"))
+        rows, neg = n // 2 + 1, range(1, grid.half + 1)
+        parts = _parsed([(j, key, by_j[j][key]) for j in range(rows) for key in ("re", "im")], p)
+        half = np.empty((rows, p, p), dtype=complex)
+        half.real, half.imag = parts[0::2], parts[1::2]
+        del parts
+        lam_half = np.array([float(_float_texts(by_j[j]["lambda"], "lambda")) if has_lambda else 0.0
+                             for j in range(rows)])
         if not (np.isfinite(half).all() and np.isfinite(lam_half).all()):
             raise ValueError("non-finite matrix entry or threshold")
         if (lam_half < 0).any():
             raise ValueError("negative threshold")
-        for j in range(1, grid.half + 1):
-            entry, partner = by_j[-j], by_j[j]
-            if not _mirrors(entry, partner):
-                real, imag = _matrices(entry, -j, p)
-                if not (np.array_equal(real, half[j].real) and np.array_equal(-imag, half[j].imag)):
-                    raise ValueError("an entry at j < 0 is not the conjugate of the one at -j")
-            if has_lambda and float(_float_texts(entry["lambda"], "lambda")) != lam_half[j]:
-                raise ValueError("an entry at j < 0 is not the conjugate of the one at -j")
+        imag = _parsed([(-j, "im", by_j[-j]["im"]) for j in neg], p)
+        conjugate = np.array_equal(np.negative(imag, out=imag), half[1:grid.half + 1].imag)
+        for j in neg:
+            entry = by_j[-j]
+            if entry["re"] != by_j[j]["re"]:
+                conjugate &= np.array_equal(_parsed([(-j, "re", entry["re"])], p)[0], half[j].real)
+            if has_lambda:
+                conjugate &= float(_float_texts(entry["lambda"], "lambda")) == lam_half[j]
+        if not conjugate:
+            raise ValueError("an entry at j < 0 is not the conjugate of the one at -j")
         m, method = _json_value(obj["m"], int, "m"), obj["method"]
         if m < 0 or 2 * m + 1 > n:
             raise ValueError(f"span m = {m} for n = {n}")

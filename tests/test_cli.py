@@ -694,6 +694,29 @@ class TestMalformedEstimateFile:
             assert run(*argv) == 3
             assert message in capsys.readouterr().err
 
+    # strings that float() reads but numpy's C parser does not, and the
+    # empty string, the whole matrix [[""]] at p = 1; numpy's messages are
+    # matched only on the quoted string, which they have in every version
+    @pytest.mark.parametrize("text", ["1_0", "١", ""], ids=["underscore", "arabic-one", "empty"])
+    @pytest.mark.parametrize("j, part", [(12, "re"), (12, "im"), (-12, "re"), (-12, "im")])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_strings_numpy_does_not_parse(self, tmp_path, rng, capsys, recwarn, p, j, part, text):
+        n = 32
+        x = TimeSeriesMatrix(rng.standard_normal((n, p)))
+        est = threshold_estimate(x, 3, ThresholdOperator("hard"), {k: 0.01 for k in range(17)})
+        path, model = tmp_path / "est.json", tmp_path / "model.json"
+        write_estimate(est, path)
+        write_model(VarmaModel(dim=p), model)
+        obj = json.loads(path.read_text())
+        _entry(obj, j)[part][0][p - 1] = text
+        path.write_text(json.dumps(obj))
+        for argv in (("evaluate", "--model", model, "--out", tmp_path / "r.csv", path),
+                     ("coherence", "--estimate", path, "--out", tmp_path / "g.csv")):
+            assert run(*argv) == 3
+            err = capsys.readouterr().err
+            assert repr(text) in err and "Traceback" not in err and "Warning" not in err
+        assert not recwarn.list
+
     def test_unmodified_file_reads(self, tmp_path, rng, vma_model_file):
         x = TimeSeriesMatrix(rng.standard_normal((32, 3)))
         est = threshold_estimate(x, 3, ThresholdOperator("hard"), {j: 0.1 for j in range(17)})

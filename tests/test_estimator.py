@@ -33,6 +33,7 @@ from specthresh import (
     threshold_estimate,
     tuning,
 )
+from specthresh.dft import _dft, _periodograms
 from specthresh.estimator import _divide, _estimates, _phase, _row_blocks, half_weights
 from specthresh.model import TimeSeriesMatrix
 from specthresh.tuning import default_span, tuned_blocks, tuned_estimates
@@ -92,6 +93,21 @@ class TestAveragedPeriodogram:
             assert half.shape == (n // 2 + 1, 4, 4)
             for j in range(n // 2 + 1):
                 assert np.array_equal(half[j], averaged_periodogram(x, m, j, periodograms=periodograms))
+
+    @pytest.mark.parametrize("p", [96, 192])
+    def test_window_sums_in_row_groups_keep_bits(self, rng, p):
+        # the pass sums a block's windows one `_block_rows` group at a time
+        # (7 rows at p = 96, 1 at p = 192); every entry keeps its order of
+        # additions, so its bits are those of whole-block window sums
+        n, m = 40, 3
+        x = white_series(rng, n, p)
+        members = _periodograms(_dft(x, m))
+        rows = n // 2 + 1
+        sums = members[:rows].copy()
+        for i in range(1, 2 * m + 1):
+            sums += members[i:i + rows]
+        want = np.divide(np.divide(sums, 2 * m + 1), 2.0 * np.pi)
+        assert_same_bits(tuned_estimates(x, m, ["smoothed"])[0].half, want)
 
     def test_invalid_span(self, rng):
         x = white_series(rng, 10, 2)
@@ -171,6 +187,27 @@ class TestThresholdOperators:
         assert not out[np.abs(z) <= lam].any()
         assert np.all(np.abs(out - z) <= lam + 1e-12 * np.abs(z))
         assert np.abs(out[np.abs(z) >= 1e3 * lam]).min() > 0
+
+    @pytest.mark.parametrize("eta", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("lam", [1e-120, 1e-200])
+    def test_adaptive_lasso_conditions_at_tiny_lambda(self, lam, eta, rng):
+        # lam^(eta+1) underflows to 0, or to a subnormal with lost bits, at
+        # normal |z| near lam: conditions (1)-(3) must hold there as they do
+        # for the same entries scaled by 1/lam (the boundary |z| = lam is
+        # left to the other tests); at lam = 0, where |z|^(-eta) can
+        # overflow, every entry is kept
+        op = ThresholdOperator("adaptive_lasso", eta)
+        z = lam * 10.0 ** rng.uniform(-3, 3, 400) * np.exp(1j * rng.uniform(0, 2 * np.pi, 400))
+        z = np.append(z, [0.5 * lam, 2.0 * lam, 0.0])
+        mod = np.abs(z)
+        out = op(z, lam)
+        assert np.isfinite(out).all()
+        assert np.all(np.abs(out) <= mod * (1 + 1e-12))
+        assert not out[mod <= lam].any()
+        assert np.all(np.abs(out - z) <= lam + 1e-12 * mod)
+        assert np.abs(out[mod >= 2 * lam]).min() > 0
+        assert np.allclose(out, lam * op(z / lam, 1.0), rtol=1e-12, atol=0)
+        assert np.allclose(op(z, 0.0), z, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("kind, eta", [("hard", 2.0), ("lasso", 2.0), ("adaptive_lasso", 0.5),
                                            ("adaptive_lasso", 1.0), ("adaptive_lasso", 2.0)])

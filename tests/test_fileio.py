@@ -10,6 +10,7 @@ from oracles import full_grid
 from specthresh import (
     DataError,
     FourierGrid,
+    SpectralEstimate,
     ThresholdOperator,
     threshold_estimate,
 )
@@ -136,6 +137,28 @@ class TestEstimateJson:
         assert back.channel_names == est.channel_names
         assert np.array_equal(back.lambdas, est.lambdas)
         assert np.array_equal(back.half, est.half)
+
+    @pytest.mark.parametrize("n", [16, 17])
+    def test_round_trip_keeps_every_bit(self, tmp_path, rng, n):
+        # zeros of both signs, subnormals, the float maximum and values 1 ulp
+        # apart, as real and imaginary parts of rows j >= 0 (so their
+        # negations at j < 0) and as thresholds, read back to the bit
+        ulp, tiny, big = np.nextafter(0.0, 1.0), np.finfo(float).tiny, np.finfo(float).max
+        specials = [0.0, -0.0, ulp, -ulp, tiny - ulp, -tiny, big, -big, np.nextafter(-big, 0.0),
+                    1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0)]
+        rows, p = n // 2 + 1, 4
+        parts = rng.standard_normal((rows, p, 2 * p))
+        parts.flat[:2 * len(specials)] = specials + specials[::-1]
+        rest = parts.flat[2 * len(specials):]
+        parts.flat[2 * len(specials):] = np.where(rng.random(len(rest)) < 0.5, rest,
+                                                  rng.choice(specials, len(rest)))
+        lambdas = np.array(([0.0, -0.0, ulp, tiny - ulp, big, 1.0, np.nextafter(1.0, 2.0)] * 2)[:rows])
+        est = SpectralEstimate(n, p, 2, "hard", parts.view(complex), lambdas=lambdas)
+        path = tmp_path / "est.json"
+        write_estimate(est, path)
+        back = read_estimate(path)
+        assert np.array_equal(back.half.view(np.int64), est.half.view(np.int64))
+        assert np.array_equal(back.lambdas.view(np.int64), est.lambdas.view(np.int64))
 
     @staticmethod
     def _same(a, b) -> bool:
