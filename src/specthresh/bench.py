@@ -230,13 +230,16 @@ def run_benchmark(spec: BenchmarkSpec, out_dir, jobs: int = 1, log=None) -> List
     return cells
 
 
-# ROC points formatted together, so the tables stay small (64 kB of floats)
+# ROC points formatted together, so the tables stay small (64 kB of floats);
+# a curve holds only its corners, so one block usually covers it
 _ROC_BLOCK = 4096
 
 
 def _write_roc_csv(cell: CellResult, method: str, out_dir) -> None:
-    """One line (replicate, fpr, tpr) per ROC point; each distinct float of
-    a block of `_ROC_BLOCK` points is formatted once."""
+    """One line (replicate, fpr, tpr) per ROC point: the corners of each
+    replicate's curve (`metrics.roc_points`), joined by straight lines.
+    Each distinct float of a block of `_ROC_BLOCK` points is formatted
+    once."""
     path = os.path.join(out_dir, f"roc_p{cell.p}_n{cell.n}_{method}.csv")
     with open(path, "w", newline="") as fh:
         fh.write("replicate,fpr,tpr\n")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -265,12 +265,37 @@ def _compact(obj: dict) -> dict:
     return obj
 
 
+def _loadtxt(texts: list, width: int) -> np.ndarray:
+    return np.loadtxt(texts, delimiter=",", comments=None, usecols=range(1, width + 1))
+
+
+def _unparsed(matrices: list, p: int) -> Optional[ValueError]:
+    """An error naming the first string of the texts of `matrices` that
+    numpy's parser rejects, with its j, key and entry [r][s] (numpy's own
+    message counts rows and columns of the list of texts).  Found by
+    parsing one text, then one string, at a time: for the error path only."""
+    for j, key, value in matrices:
+        if type(value) is not tuple:
+            continue
+        try:
+            _loadtxt([value[2]], p * p)
+        except ValueError:
+            for k, text in enumerate(value[2].split(",")[1:]):
+                try:
+                    _loadtxt(["," + text], 1)
+                except ValueError:
+                    return ValueError(
+                        f"could not parse {text!r} at j = {j}, {key}[{k // p}][{k % p}]")
+    return None
+
+
 def _parsed(matrices: list, p: int) -> np.ndarray:
     """The (j, key, value) `matrices` of estimate entries as one (len, p, p)
     float array.  Each must be p x p, checked (naming j) before any text is
     parsed; `_compact`'s texts then go through one np.loadtxt call, numpy's
-    C float parser, past their empty first field, and a matrix left as a
-    list through np.array(value, dtype=float)."""
+    C float parser, past their empty first field (a string it rejects is
+    named by `_unparsed`), and a matrix left as a list through
+    np.array(value, dtype=float)."""
     texts, lists = [], {}
     for i, (j, key, value) in enumerate(matrices):
         if type(value) is tuple:
@@ -282,7 +307,10 @@ def _parsed(matrices: list, p: int) -> np.ndarray:
             raise ValueError(f"matrix of shape {shape} at j = {j}, expected ({p}, {p})")
     parsed = np.empty(0)
     if texts:  # np.loadtxt warns on no input
-        parsed = np.loadtxt(texts, delimiter=",", comments=None, usecols=range(1, p * p + 1))
+        try:
+            parsed = _loadtxt(texts, p * p)
+        except ValueError as exc:
+            raise _unparsed(matrices, p) or exc from None
     parsed = parsed.reshape(len(texts), p, p)
     if not lists:
         return parsed

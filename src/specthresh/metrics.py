@@ -139,7 +139,9 @@ class _Truth:
 
 @dataclass
 class RocCurve:
-    points: np.ndarray  # (k, 2) float rows (fpr, tpr), sorted by fpr
+    # (k, 2) float rows (fpr, tpr), sorted by fpr: the corners of the
+    # piecewise linear curve, its first and last point included
+    points: np.ndarray
     auc: float
 
 
@@ -151,7 +153,10 @@ def roc_points(weighted_graph: np.ndarray, truth_support: np.ndarray) -> RocCurv
     every cut's counts: the edges predicted at cut c are a prefix of the
     sorted scores, ending at the last score equal to c.  Both rates never
     decrease along the cuts, so the points come sorted, and a point equal
-    to its predecessor is dropped.
+    to its predecessor is dropped.  The AUC is the trapezoid sum over that
+    whole curve.  The curve returned keeps only its corners: a point is
+    dropped when it lies on the segment between its neighbours, decided
+    exactly on the cut counts, so the piecewise linear curve is unchanged.
     """
     g = np.asarray(weighted_graph, dtype=float)
     if not np.allclose(g, g.T, atol=1e-10):
@@ -166,14 +171,22 @@ def roc_points(weighted_graph: np.ndarray, truth_support: np.ndarray) -> RocCurv
     ranked = scores[order]
     # the last position of each distinct score closes that cut's prefix
     last = np.append(ranked[1:] != ranked[:-1], True)[: ranked.size]
-    tp = np.cumsum(labels[order])[last]
-    fp = np.cumsum(~labels[order])[last]
-    points = np.zeros((tp.size + 2, 2))
-    points[1:-1, 0] = fp / n_neg if n_neg else 0.0
-    points[1:-1, 1] = tp / n_pos if n_pos else 1.0
-    points[-1] = 1.0
-    points = points[np.append(True, (points[1:] != points[:-1]).any(axis=1))]
-    return RocCurve(points, float(np.trapezoid(points[:, 1], points[:, 0])))
+    # (fp, tp) counts of (0, 0), every cut and (1, 1); the last row scales
+    # them to rates.  An empty class counts one unit on its axis, which
+    # keeps the rate conventions: with no negatives (or no edges) every cut
+    # is at fpr 0, with no positives every cut is at tpr 1.
+    counts = np.zeros((last.sum() + 2, 2), dtype=np.int64)
+    counts[1:-1, 0] = np.cumsum(~labels[order])[last] if n_neg else 0
+    counts[1:-1, 1] = np.cumsum(labels[order])[last] if n_pos else 1
+    counts[-1] = max(n_neg, 1), max(n_pos, 1)
+    counts = counts[np.append(True, (counts[1:] != counts[:-1]).any(axis=1))]
+    points = counts / counts[-1]  # fp / n_neg and tp / n_pos, or 0 and 1
+    auc = float(np.trapezoid(points[:, 1], points[:, 0]))
+    # both counts never decrease, so a point whose two steps are parallel
+    # (cross product 0) lies on the segment between its neighbours
+    step = np.diff(counts, axis=0)
+    bend = step[:-1, 0] * step[1:, 1] != step[:-1, 1] * step[1:, 0]
+    return RocCurve(points[np.concatenate(([True], bend, [True]))], auc)
 
 
 def replicate_summary(reports: Sequence[EvaluationReport]) -> EvaluationReport:

@@ -14,6 +14,9 @@ Groups:
 - bench-jobs1, bench-jobs2: the files `run_benchmark` writes, with one and
   two worker processes, at VMA p in {12, 48, 66, 96} and VAR p in {81,
   120, 192};
+- bench-reports: only the report tables `rmise.csv` and `support.csv` of
+  both bench groups, AUC included: the same line shows that the reported
+  numbers kept their bytes when a change moves only the ROC point files;
 - cli: the files of a command-line pass simulate -> estimate (each method,
   tuned, and hard with a fixed lambda) -> evaluate -> coherence, at VMA
   p in {12, 48, 66};
@@ -84,7 +87,8 @@ def estimates(st, methods=None) -> str:
     return digest.hexdigest()
 
 
-def bench_files(st, jobs: int, work: Path) -> str:
+def bench_files(st, jobs: int, work: Path, reports) -> str:
+    """The digest of a bench group; add its report tables to `reports`."""
     digest = hashlib.sha256()
     for family, p, n in BENCH_SIZES:
         spec = st.bench.BenchmarkSpec(family=family, p_list=(p,), n_list=(n,),
@@ -94,6 +98,8 @@ def bench_files(st, jobs: int, work: Path) -> str:
         if len(cells) != 1:
             raise SystemExit(f"bench cell {family} p={p} n={n} failed")
         hash_files(digest, out)
+        for name in ("rmise.csv", "support.csv"):
+            reports.update(f"{out.name}/{name}".encode() + b"\0" + (out / name).read_bytes())
     return digest.hexdigest()
 
 
@@ -138,8 +144,10 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         print(f"estimates {estimates(st)}", flush=True)
+        reports = hashlib.sha256()
         for jobs in (1, 2):
-            print(f"bench-jobs{jobs} {bench_files(st, jobs, work)}", flush=True)
+            print(f"bench-jobs{jobs} {bench_files(st, jobs, work, reports)}", flush=True)
+        print(f"bench-reports {reports.hexdigest()}", flush=True)
         cli, cli_entries = cli_files(st, work)
         print(f"cli {cli}", flush=True)
         print(f"cli-entries {cli_entries}", flush=True)

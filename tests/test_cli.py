@@ -695,8 +695,8 @@ class TestMalformedEstimateFile:
             assert message in capsys.readouterr().err
 
     # strings that float() reads but numpy's C parser does not, and the
-    # empty string, the whole matrix [[""]] at p = 1; numpy's messages are
-    # matched only on the quoted string, which they have in every version
+    # empty string, the whole matrix [[""]] at p = 1; the message names the
+    # string, its j, key and entry, not a place in numpy's list of texts
     @pytest.mark.parametrize("text", ["1_0", "١", ""], ids=["underscore", "arabic-one", "empty"])
     @pytest.mark.parametrize("j, part", [(12, "re"), (12, "im"), (-12, "re"), (-12, "im")])
     @pytest.mark.parametrize("p", [1, 3])
@@ -715,6 +715,7 @@ class TestMalformedEstimateFile:
             assert run(*argv) == 3
             err = capsys.readouterr().err
             assert repr(text) in err and "Traceback" not in err and "Warning" not in err
+            assert f"at j = {j}, {part}[0][{p - 1}]" in err
         assert not recwarn.list
 
     def test_unmodified_file_reads(self, tmp_path, rng, vma_model_file):

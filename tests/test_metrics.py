@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from oracles import rmise_loop, support_loop
@@ -148,23 +150,55 @@ class TestManyFrequencies:
 
 
 def roc_by_cut_sweep(weighted_graph, truth_support):
-    """Quadratic oracle: one full mask per unique cut, descending."""
+    """Quadratic oracle: one full mask per unique cut, descending.  Returns
+    the whole curve, with every point, and its points as exact fractions
+    of the cut counts."""
     iu = np.triu_indices(weighted_graph.shape[0], k=1)
     scores = weighted_graph[iu]
     labels = np.asarray(truth_support, dtype=bool)[iu]
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
-    points = [(0.0, 0.0)]
+    exact = [(Fraction(0), Fraction(0))]
     for cut in np.unique(scores)[::-1]:
         pred = scores >= cut
-        tpr = float(np.sum(pred & labels)) / n_pos if n_pos else 1.0
-        fpr = float(np.sum(pred & ~labels)) / n_neg if n_neg else 0.0
-        points.append((fpr, tpr))
-    points.append((1.0, 1.0))
-    points = sorted(set(points))
-    xs = np.array([pt[0] for pt in points])
-    ys = np.array([pt[1] for pt in points])
-    return RocCurve(np.array(points), float(np.trapezoid(ys, xs)))
+        tpr = Fraction(int(np.sum(pred & labels)), n_pos) if n_pos else Fraction(1)
+        fpr = Fraction(int(np.sum(pred & ~labels)), n_neg) if n_neg else Fraction(0)
+        exact.append((fpr, tpr))
+    exact.append((Fraction(1), Fraction(1)))
+    exact = sorted(set(exact))
+    points = as_floats(exact)
+    return RocCurve(points, float(np.trapezoid(points[:, 1], points[:, 0]))), exact
+
+
+def collinear(a, b, c):
+    """b on the line through a and c, in exact arithmetic."""
+    return (b[0] - a[0]) * (c[1] - b[1]) == (b[1] - a[1]) * (c[0] - b[0])
+
+
+def corners(exact):
+    """The points of a monotone curve that are not on the segment between
+    the last point kept and the next one, walking from the first."""
+    kept = list(exact[:2])
+    for point in exact[2:]:
+        if collinear(kept[-2], kept[-1], point):
+            kept.pop()
+        kept.append(point)
+    return kept
+
+
+def as_floats(exact):
+    return np.array([(float(x), float(y)) for x, y in exact])
+
+
+def ranked_graph(labels):
+    """A weighted graph whose p(p-1)/2 edges, in descending score order,
+    carry `labels` (True: a true edge); the scores are distinct."""
+    p = next(p for p in range(2, 100) if p * (p - 1) // 2 == len(labels))
+    iu = np.triu_indices(p, k=1)
+    w, truth = np.zeros((p, p)), np.zeros((p, p), dtype=bool)
+    w[iu] = np.arange(len(labels), 0, -1, dtype=float)
+    truth[iu] = labels
+    return w + w.T, truth | truth.T
 
 
 class TestRocPoints:
@@ -179,9 +213,92 @@ class TestRocPoints:
         truth = rng.uniform(0, 1, (p, p)) < density
         truth = truth | truth.T
         curve = roc_points(w, truth)
-        ref = roc_by_cut_sweep(w, truth)
+        ref, exact = roc_by_cut_sweep(w, truth)
         assert curve.points.dtype == float
+        assert np.array_equal(curve.points, as_floats(corners(exact)))
+        # the AUC is the trapezoid sum over the whole curve, bit for bit
+        assert curve.auc == ref.auc
+
+    @pytest.mark.parametrize("p", [5, 12, 30])
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_dropped_points_lie_between_kept_neighbours(self, rng, p, tied):
+        w = rng.uniform(0, 1, (p, p))
+        if tied:
+            w = np.round(6 * w) / 6
+        w = w + w.T
+        truth = rng.uniform(0, 1, (p, p)) < 0.3
+        truth = truth | truth.T
+        points = roc_points(w, truth).points
+        _, exact = roc_by_cut_sweep(w, truth)
+        floats = as_floats(exact)
+        kept = [k for k, row in enumerate(floats) if (points == row).all(axis=1).any()]
+        assert len(kept) == len(points) and np.array_equal(floats[kept], points)
+        assert kept[0] == 0 and kept[-1] == len(exact) - 1
+        assert len(kept) < len(exact)
+        for a, b in zip(kept, kept[1:]):
+            for k in range(a + 1, b):
+                assert collinear(exact[a], exact[k], exact[b])
+                assert exact[a] < exact[k] < exact[b]
+        # and no kept point lies on the segment of its kept neighbours
+        for a, b, c in zip(kept, kept[1:], kept[2:]):
+            assert not collinear(exact[a], exact[b], exact[c])
+
+    def test_no_edges(self):
+        curve = roc_points(np.ones((1, 1)), np.ones((1, 1), dtype=bool))
+        assert np.array_equal(curve.points, [(0.0, 0.0), (1.0, 1.0)])
+        assert curve.auc == 0.5
+
+    def test_no_true_edges(self):
+        # the first cut jumps to tpr 1, the rest run along it
+        w, truth = ranked_graph([False] * 10)
+        curve = roc_points(w, truth)
+        assert np.array_equal(curve.points, [(0.0, 0.0), (0.1, 1.0), (1.0, 1.0)])
+        assert curve.auc == roc_by_cut_sweep(w, truth)[0].auc
+
+    def test_no_false_edges(self):
+        w, truth = ranked_graph([True] * 10)
+        curve = roc_points(w, truth)
+        assert np.array_equal(curve.points, [(0.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+        assert curve.auc == 1.0
+
+    def test_all_scores_tied(self):
+        truth = np.zeros((5, 5), dtype=bool)
+        truth[0, 1] = truth[1, 0] = True
+        curve = roc_points(np.full((5, 5), 0.5), truth)
+        assert np.array_equal(curve.points, [(0.0, 0.0), (1.0, 1.0)])
+        assert curve.auc == 0.5
+
+    def test_alternating_labels_keep_every_point(self):
+        w, truth = ranked_graph([True, False] * 5)
+        curve = roc_points(w, truth)
+        ref, _ = roc_by_cut_sweep(w, truth)
+        assert len(ref.points) == 11
         assert np.array_equal(curve.points, ref.points)
+        assert curve.auc == ref.auc
+
+    def test_long_runs_keep_their_ends(self):
+        # 4 true, 6 false, 3 true, 2 false edges in descending score order
+        w, truth = ranked_graph([True] * 4 + [False] * 6 + [True] * 3 + [False] * 2)
+        curve = roc_points(w, truth)
+        ref, _ = roc_by_cut_sweep(w, truth)
+        assert len(ref.points) == 16
+        want = [(0, 0), (0, 4 / 7), (6 / 8, 4 / 7), (6 / 8, 1), (1, 1)]
+        assert np.array_equal(curve.points, want)
+        assert curve.auc == ref.auc
+
+    def test_dense_graph_keeps_only_its_corners(self, rng):
+        # p = 192 as in the wide benchmark cells: 18,336 distinct scores,
+        # true edges within 3 x 3 blocks and scored higher on average
+        p = 192
+        block = np.arange(p) // 3
+        truth = block[:, None] == block[None, :]
+        np.fill_diagonal(truth, False)
+        w = rng.uniform(0, 1, (p, p)) + 0.5 * truth
+        w = np.triu(w, 1) + np.triu(w, 1).T
+        curve = roc_points(w, truth)
+        ref, exact = roc_by_cut_sweep(w, truth)
+        assert len(exact) == p * (p - 1) // 2 + 1
+        assert len(curve.points) == len(corners(exact)) < len(exact) / 10
         assert curve.auc == ref.auc
 
     def test_oracle_weights_give_unit_auc(self):
