@@ -14,7 +14,6 @@ from .estimator import (
     SpectralEstimate,
     ThresholdOperator,
     aggregate_coherence_graph,
-    coherence,
     threshold_estimate,
 )
 from .metrics import (
@@ -28,15 +27,10 @@ from .metrics import (
 from .model import (
     TimeSeriesMatrix,
     VarmaModel,
-    autocov,
     block_varma_model,
-    l_n,
-    omega_n,
     simulate,
     simulate_ensemble,
-    stability_measure,
-    true_spectral_density,
 )
-from .tuning import default_span, theoretical_threshold, tuned_estimates
+from .tuning import default_span, tuned_estimates
 
 __version__ = "0.1.0"

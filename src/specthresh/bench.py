@@ -230,21 +230,14 @@ def run_benchmark(spec: BenchmarkSpec, out_dir, jobs: int = 1, log=None) -> List
     return cells
 
 
-# ROC points formatted together, so the tables stay small (64 kB of floats);
-# a curve holds only its corners, so one block usually covers it
-_ROC_BLOCK = 4096
-
-
 def _write_roc_csv(cell: CellResult, method: str, out_dir) -> None:
     """One line (replicate, fpr, tpr) per ROC point: the corners of each
     replicate's curve (`metrics.roc_points`), joined by straight lines.
-    Each distinct float of a block of `_ROC_BLOCK` points is formatted
-    once."""
+    Each distinct float of a curve is formatted once."""
     path = os.path.join(out_dir, f"roc_p{cell.p}_n{cell.n}_{method}.csv")
     with open(path, "w", newline="") as fh:
         fh.write("replicate,fpr,tpr\n")
         for r, curve in enumerate(cell.rocs[method]):
-            for k in range(0, len(curve.points), _ROC_BLOCK):
-                texts, codes = _fmt_distinct(curve.points[k:k + _ROC_BLOCK])
-                texts = np.array(texts, dtype=object)[codes].tolist()
-                fh.writelines(f"{r},{fpr},{tpr}\n" for fpr, tpr in texts)
+            texts, codes = _fmt_distinct(curve.points)
+            texts = np.array(texts, dtype=object)[codes].tolist()
+            fh.writelines(f"{r},{fpr},{tpr}\n" for fpr, tpr in texts)

@@ -469,14 +469,6 @@ def _shrink_weights(f_hat: np.ndarray, member_sq: np.ndarray, m: int) -> tuple:
 _TAU_FLOOR = 1e-12
 
 
-def coherence(matrix: np.ndarray) -> np.ndarray:
-    """Coherence g_rs = f_rs / sqrt(f_rr f_ss); unit diagonal."""
-    scale = _channel_scales(np.asarray(matrix)[None])[0]
-    g = matrix * np.outer(scale, scale)
-    g[np.diag_indices_from(g)] = 1.0
-    return g
-
-
 def _channel_scales(f: np.ndarray) -> np.ndarray:
     """1 / sqrt(f_rr) of each matrix of a (rows, p, p) stack, as a (rows, p)
     array.  Raises for the first channel, in row order, whose diagonal is at

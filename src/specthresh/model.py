@@ -2,8 +2,7 @@
 
 A model is specified by AR coefficients A_1..A_d, MA coefficients B_1..B_q,
 a noise covariance and a noise family.  The module simulates sample paths
-and computes exact spectral densities, autocovariances and the
-dependence measures that drive smoothing-bias bounds.
+and computes exact spectral densities on a grid of frequencies.
 """
 
 from __future__ import annotations
@@ -16,10 +15,6 @@ import numpy as np
 from .errors import ModelError, NumericalError, ParameterError
 
 NOISE_FAMILIES = ("gaussian", "student_t", "laplace")
-
-# Truncation level for geometric tails: lags beyond the point where
-# radius**L < TAIL_TOL contribute below double precision.
-TAIL_TOL = 1e-12
 
 
 def _as_square_matrices(mats, p, name):
@@ -204,15 +199,6 @@ def simulate(model: VarmaModel, n: int, burn_in: Optional[int] = None, seed=0) -
     return TimeSeriesMatrix(path)
 
 
-def true_spectral_density(model: VarmaModel, omega: float) -> np.ndarray:
-    """Population spectral density f(omega), a p x p Hermitian PSD matrix.
-
-    f(w) = (1/2pi) A^{-1}(e^{-iw}) B(e^{-iw}) Sigma B'(e^{-iw}) A^{-1}'(e^{-iw})
-    with A(z) = I - sum A_l z^l and B(z) = I + sum B_l z^l.
-    """
-    return _spectral_density(model, np.array([omega], dtype=float))[0]
-
-
 # Matrix entries per block of frequencies: 14 frequencies of a dense p = 192
 # model, so each complex temporary stays near 8 MB.
 _BLOCK_ENTRIES = 1 << 19
@@ -243,7 +229,11 @@ def _stacked_poly(coeffs: Sequence, sub: tuple, z: np.ndarray, sign: float) -> n
 
 
 def _spectral_density(model: VarmaModel, omegas: np.ndarray) -> np.ndarray:
-    """`true_spectral_density` at each of `omegas`, a (len(omegas), p, p) array.
+    """Population spectral density f at each of `omegas`, a (len(omegas),
+    p, p) array of Hermitian PSD matrices:
+
+    f(w) = (1/2pi) A^{-1}(e^{-iw}) B(e^{-iw}) Sigma B'(e^{-iw}) A^{-1}'(e^{-iw})
+    with A(z) = I - sum A_l z^l and B(z) = I + sum B_l z^l.
 
     f is block-diagonal over `_components`: the entries between two
     components are exact zeros, and all components of one size are solved
@@ -274,107 +264,6 @@ def _spectral_density(model: VarmaModel, omegas: np.ndarray) -> np.ndarray:
             f = (h @ model.noise_cov[sub] @ h.conj().swapaxes(-1, -2)) / (2.0 * np.pi)
             out[j0:j0 + len(w), sub[0], sub[1]] = 0.5 * (f + f.conj().swapaxes(-1, -2))
     return out
-
-
-def ma_infinity_weights(model: VarmaModel, l_max: int) -> np.ndarray:
-    """MA(infinity) weights Psi_0..Psi_{l_max} of the VARMA recursion."""
-    p, d, q = model.dim, model.ar_order, model.ma_order
-    psi = np.zeros((l_max + 1, p, p))
-    psi[0] = np.eye(p)
-    for l in range(1, l_max + 1):
-        acc = model.ma_coeffs[l - 1].copy() if l <= q else np.zeros((p, p))
-        for k in range(1, min(l, d) + 1):
-            acc += model.ar_coeffs[k - 1] @ psi[l - k]
-        psi[l] = acc
-    return psi
-
-
-def tail_cap(model: VarmaModel) -> int:
-    """Smallest lag L with radius**L below the geometric-tail tolerance."""
-    rho = model.spectral_radius()
-    if rho == 0.0:
-        return model.ma_order
-    return max(model.ma_order, int(np.ceil(np.log(TAIL_TOL) / np.log(rho))) + 1)
-
-
-def autocov(model: VarmaModel, l_max: int) -> np.ndarray:
-    """Autocovariances Gamma(0..l_max), an (l_max + 1, p, p) array, via the
-    truncated MA(infinity) series; Gamma(-l) is Gamma(l) transposed.
-
-    Gamma(l) = sum_t Psi_t Sigma Psi_{t+l}^T; the geometric series is cut
-    where the summand norm falls below double precision.
-    """
-    if l_max < 0:
-        raise ParameterError("l_max must be nonnegative")
-    cap = max(tail_cap(model), l_max)
-    psi = ma_infinity_weights(model, cap + l_max)
-    psi_sigma = psi @ model.noise_cov
-    gammas = np.einsum("tij,tkj->ik", psi_sigma[: cap + 1], psi[: cap + 1])[None]
-    if l_max > 0:
-        stacked = [
-            np.einsum("tij,tkj->ik", psi_sigma[: cap + 1], psi[l : cap + 1 + l])
-            for l in range(1, l_max + 1)
-        ]
-        # Gamma(l) = Cov(X_t, X_{t-l}) = sum Psi_{t+l} Sigma Psi_t^T
-        gammas = np.concatenate([gammas, np.stack(stacked).transpose(0, 2, 1)])
-    return gammas
-
-
-def _lag_array(gammas, n: int) -> np.ndarray:
-    """`gammas` as a float (l_max + 1, p, p) array, with n checked."""
-    arr = np.asarray(gammas, dtype=float)
-    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
-        raise ParameterError("gammas must have shape (l_max + 1, p, p)")
-    if n < 0:
-        raise ParameterError("n must be nonnegative")
-    return arr
-
-
-def omega_n(gammas, n: int) -> float:
-    """Lag-weighted dependence sum max_rs sum_{|l|<=n} |l| |Gamma_rs(l)| of
-    the autocovariances Gamma(0..l_max) that `autocov` returns."""
-    gammas = _lag_array(gammas, n)
-    if len(gammas) <= n:
-        raise ParameterError(f"need autocovariances up to lag {n}, have {len(gammas) - 1}")
-    total = np.zeros(gammas.shape[1:])
-    for l in range(1, n + 1):
-        g = gammas[l]
-        total += l * (np.abs(g) + np.abs(g.T))
-    return float(total.max())
-
-
-def l_n(gammas, n: int) -> float:
-    """Tail sum max_rs sum_{|l|>n} |Gamma_rs(l)| of the autocovariances
-    Gamma(0..l_max), summed to the last lag l_max given.
-
-    The truncation error is below the geometric tail of the model when the
-    sequence was produced by `autocov` with the default cap.
-    """
-    gammas = _lag_array(gammas, n)
-    l_max = len(gammas) - 1
-    if l_max <= n:
-        return 0.0
-    total = np.zeros(gammas.shape[1:])
-    for l in range(n + 1, l_max + 1):
-        g = gammas[l]
-        total += np.abs(g) + np.abs(g.T)
-    return float(total.max())
-
-
-def stability_measure(model: VarmaModel, grid_size: int = 512) -> float:
-    """Grid approximation of ess sup over omega of the spectral norm of f.
-
-    The spectral density of a VARMA model is continuous, so the max over an
-    equispaced grid on [-pi, pi] converges as the grid is refined; the
-    approximation error is O(Lipschitz / grid_size).
-    """
-    if grid_size < 8:
-        raise ParameterError("grid_size must be at least 8")
-    omegas = np.linspace(-np.pi, np.pi, grid_size, endpoint=False)
-    # a block of frequencies at a time, so f is never held at every omega
-    step = max(1, _BLOCK_ENTRIES // model.dim**2)
-    return max(float(np.linalg.norm(_spectral_density(model, omegas[j:j + step]), 2, axis=(1, 2)).max())
-               for j in range(0, grid_size, step))
 
 
 def block_transition(p: int) -> np.ndarray:

@@ -347,28 +347,6 @@ def tuned_blocks(x: TimeSeriesMatrix, m: int, methods: Sequence, grid_size: int 
     return _estimate_blocks(x, m, methods, _split_rule(x.n, m, grid_size, n_splits, seed))
 
 
-def theoretical_threshold(
-    stability: float, omega_n: float, l_n: float, n: int, m: int, p: int, r_const: float = 1.0
-) -> float:
-    """Theory-tracking threshold
-    2 R |||f||| sqrt(log p / m) + 2 [ (m + 1/2pi)/n * Omega_n + L_n / 2pi ].
-    """
-    inputs = (stability, omega_n, l_n, r_const)
-    if not np.all(np.isfinite(inputs)):
-        raise ParameterError("inputs must be finite")
-    if min(inputs) < 0:
-        raise ParameterError("inputs must be nonnegative")
-    if n < 1:
-        raise ParameterError("n must be at least 1")
-    if m < 1:
-        raise ParameterError("m must be at least 1")
-    if p < 1:
-        raise ParameterError("p must be at least 1")
-    variance_term = 2.0 * r_const * stability * np.sqrt(np.log(p) / m)
-    bias_term = 2.0 * ((m + 1.0 / (2.0 * np.pi)) / n * omega_n + l_n / (2.0 * np.pi))
-    return float(variance_term + bias_term)
-
-
 def default_span(n: int, family: str) -> int:
     """Smoothing half-span: round(sqrt(n)) for MA-like dependence,
     round(2/3 sqrt(n)) for the more persistent AR-like case."""

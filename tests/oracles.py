@@ -18,10 +18,15 @@ the DFT in F_n order, read off the pass's walk-ordered rows.  `gathered_split_ri
 way: halves summed from gathered periodograms, every off-diagonal entry
 scored (`FullSplit`) and splits drawn one tie bit at a time
 (`split_by_loop`); the pass's curves must equal it up to roundoff, with
-the same argmins.  `check_order_bias_bounds` sets the dependence sums
-Omega_n and L_n of a model (`model.omega_n`, `model.l_n`) against their
-closed-form bounds, and `weak_sparsity_norm` is the column norm of the
-weak-sparsity class.
+the same argmins.  `coherence` is one frequency's coherence matrix.
+
+The quantities that the paper uses only inside its proofs live here too,
+since no estimator evaluates them: a model's autocovariances (`autocov`),
+its dependence sums Omega_n and L_n (`omega_n`, `l_n`), the stability norm
+|||f||| (`stability_measure`) and the theory-tracking threshold
+(`theoretical_threshold`).  `check_order_bias_bounds` sets Omega_n and L_n
+against their closed-form bounds, and `weak_sparsity_norm` is the column
+norm of the weak-sparsity class.
 """
 
 from dataclasses import dataclass
@@ -29,10 +34,10 @@ from typing import Optional
 
 import numpy as np
 
-from specthresh import FourierGrid, NumericalError, ParameterError, ThresholdOperator, coherence
+from specthresh import FourierGrid, NumericalError, ParameterError, ThresholdOperator
 from specthresh.dft import _dft, _periodograms
-from specthresh.estimator import _BLOCK_ROWS, _row_blocks, _sq_norms
-from specthresh.model import TimeSeriesMatrix, VarmaModel, autocov, l_n, omega_n, tail_cap
+from specthresh.estimator import _BLOCK_ROWS, _channel_scales, _row_blocks, _sq_norms
+from specthresh.model import _BLOCK_ENTRIES, TimeSeriesMatrix, VarmaModel, _spectral_density
 from specthresh.tuning import (
     _draw_split,
     _freq_rng,
@@ -110,6 +115,134 @@ def weak_sparsity_norm(matrix: np.ndarray, q: float) -> float:
     if q == 0:
         return float(np.max(np.sum(mod > 0, axis=0)))
     return float(np.max(np.sum(mod**q, axis=0)))
+
+
+# Truncation level for geometric tails: lags beyond the point where
+# radius**L < TAIL_TOL contribute below double precision.
+TAIL_TOL = 1e-12
+
+
+def ma_infinity_weights(model: VarmaModel, l_max: int) -> np.ndarray:
+    """MA(infinity) weights Psi_0..Psi_{l_max} of the VARMA recursion."""
+    p, d, q = model.dim, model.ar_order, model.ma_order
+    psi = np.zeros((l_max + 1, p, p))
+    psi[0] = np.eye(p)
+    for l in range(1, l_max + 1):
+        acc = model.ma_coeffs[l - 1].copy() if l <= q else np.zeros((p, p))
+        for k in range(1, min(l, d) + 1):
+            acc += model.ar_coeffs[k - 1] @ psi[l - k]
+        psi[l] = acc
+    return psi
+
+
+def tail_cap(model: VarmaModel) -> int:
+    """Smallest lag L with radius**L below the geometric-tail tolerance."""
+    rho = model.spectral_radius()
+    if rho == 0.0:
+        return model.ma_order
+    return max(model.ma_order, int(np.ceil(np.log(TAIL_TOL) / np.log(rho))) + 1)
+
+
+def autocov(model: VarmaModel, l_max: int) -> np.ndarray:
+    """Autocovariances Gamma(0..l_max), an (l_max + 1, p, p) array, via the
+    truncated MA(infinity) series; Gamma(-l) is Gamma(l) transposed.
+
+    Gamma(l) = sum_t Psi_t Sigma Psi_{t+l}^T; the geometric series is cut
+    where the summand norm falls below double precision.
+    """
+    if l_max < 0:
+        raise ParameterError("l_max must be nonnegative")
+    cap = max(tail_cap(model), l_max)
+    psi = ma_infinity_weights(model, cap + l_max)
+    psi_sigma = psi @ model.noise_cov
+    gammas = np.einsum("tij,tkj->ik", psi_sigma[: cap + 1], psi[: cap + 1])[None]
+    if l_max > 0:
+        stacked = [
+            np.einsum("tij,tkj->ik", psi_sigma[: cap + 1], psi[l : cap + 1 + l])
+            for l in range(1, l_max + 1)
+        ]
+        # Gamma(l) = Cov(X_t, X_{t-l}) = sum Psi_{t+l} Sigma Psi_t^T
+        gammas = np.concatenate([gammas, np.stack(stacked).transpose(0, 2, 1)])
+    return gammas
+
+
+def _lag_array(gammas, n: int) -> np.ndarray:
+    """`gammas` as a float (l_max + 1, p, p) array, with n checked."""
+    arr = np.asarray(gammas, dtype=float)
+    if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
+        raise ParameterError("gammas must have shape (l_max + 1, p, p)")
+    if n < 0:
+        raise ParameterError("n must be nonnegative")
+    return arr
+
+
+def omega_n(gammas, n: int) -> float:
+    """Lag-weighted dependence sum max_rs sum_{|l|<=n} |l| |Gamma_rs(l)| of
+    the autocovariances Gamma(0..l_max) that `autocov` returns."""
+    gammas = _lag_array(gammas, n)
+    if len(gammas) <= n:
+        raise ParameterError(f"need autocovariances up to lag {n}, have {len(gammas) - 1}")
+    total = np.zeros(gammas.shape[1:])
+    for l in range(1, n + 1):
+        g = gammas[l]
+        total += l * (np.abs(g) + np.abs(g.T))
+    return float(total.max())
+
+
+def l_n(gammas, n: int) -> float:
+    """Tail sum max_rs sum_{|l|>n} |Gamma_rs(l)| of the autocovariances
+    Gamma(0..l_max), summed to the last lag l_max given.
+
+    The truncation error is below the geometric tail of the model when the
+    sequence was produced by `autocov` with the default cap.
+    """
+    gammas = _lag_array(gammas, n)
+    l_max = len(gammas) - 1
+    if l_max <= n:
+        return 0.0
+    total = np.zeros(gammas.shape[1:])
+    for l in range(n + 1, l_max + 1):
+        g = gammas[l]
+        total += np.abs(g) + np.abs(g.T)
+    return float(total.max())
+
+
+def stability_measure(model: VarmaModel, grid_size: int = 512) -> float:
+    """Grid approximation of ess sup over omega of the spectral norm of f.
+
+    The spectral density of a VARMA model is continuous, so the max over an
+    equispaced grid on [-pi, pi] converges as the grid is refined; the
+    approximation error is O(Lipschitz / grid_size).
+    """
+    if grid_size < 8:
+        raise ParameterError("grid_size must be at least 8")
+    omegas = np.linspace(-np.pi, np.pi, grid_size, endpoint=False)
+    # a block of frequencies at a time, so f is never held at every omega
+    step = max(1, _BLOCK_ENTRIES // model.dim**2)
+    return max(float(np.linalg.norm(_spectral_density(model, omegas[j:j + step]), 2, axis=(1, 2)).max())
+               for j in range(0, grid_size, step))
+
+
+def theoretical_threshold(
+    stability: float, omega_n: float, l_n: float, n: int, m: int, p: int, r_const: float = 1.0
+) -> float:
+    """Theory-tracking threshold
+    2 R |||f||| sqrt(log p / m) + 2 [ (m + 1/2pi)/n * Omega_n + L_n / 2pi ].
+    """
+    inputs = (stability, omega_n, l_n, r_const)
+    if not np.all(np.isfinite(inputs)):
+        raise ParameterError("inputs must be finite")
+    if min(inputs) < 0:
+        raise ParameterError("inputs must be nonnegative")
+    if n < 1:
+        raise ParameterError("n must be at least 1")
+    if m < 1:
+        raise ParameterError("m must be at least 1")
+    if p < 1:
+        raise ParameterError("p must be at least 1")
+    variance_term = 2.0 * r_const * stability * np.sqrt(np.log(p) / m)
+    bias_term = 2.0 * ((m + 1.0 / (2.0 * np.pi)) / n * omega_n + l_n / (2.0 * np.pi))
+    return float(variance_term + bias_term)
 
 
 @dataclass(frozen=True)
@@ -360,6 +493,14 @@ def support_loop(est, truth: np.ndarray, include_diagonal: bool) -> np.ndarray:
         f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
         per.append((precision, recall, f1))
     return np.array(per).mean(axis=0)
+
+
+def coherence(matrix: np.ndarray) -> np.ndarray:
+    """Coherence g_rs = f_rs / sqrt(f_rr f_ss); unit diagonal."""
+    scale = _channel_scales(np.asarray(matrix)[None])[0]
+    g = matrix * np.outer(scale, scale)
+    g[np.diag_indices_from(g)] = 1.0
+    return g
 
 
 def coherence_graph_loop(est) -> np.ndarray:

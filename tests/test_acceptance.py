@@ -10,26 +10,26 @@ import numpy as np
 import pytest
 from conftest import periodogram_by_autocov_sum, record_acceptance
 from oracles import (
+    autocov,
     check_order_bias_bounds,
     cos_sin_vectors,
     dft_matrix_norm_check,
     full_grid,
+    l_n,
+    omega_n,
     periodogram,
+    tail_cap,
 )
 
 from specthresh import (
     FourierGrid,
     ThresholdOperator,
     VarmaModel,
-    autocov,
-    l_n,
-    omega_n,
-    true_spectral_density,
     tuned_estimates,
 )
 from specthresh.bench import BenchmarkSpec, run_cell
 from specthresh.cli import main as cli_main
-from specthresh.model import TimeSeriesMatrix, simulate_ensemble, tail_cap
+from specthresh.model import TimeSeriesMatrix, _spectral_density, simulate_ensemble
 
 
 def random_var1(rng, p_max=8, radius_range=(0.3, 0.9)):
@@ -162,7 +162,7 @@ class TestBiasBound:
         margins = []
         for model_idx in range(50):
             model = random_var1(rng)
-            truth = true_spectral_density(model, grid.frequency(j))
+            truth = _spectral_density(model, np.array([grid.frequency(j)]))[0]
             cap = max(tail_cap(model), n + 1)
             acov = autocov(model, cap)
             bound = (m + 1 / (2 * np.pi)) / n * omega_n(acov, n) + l_n(acov, n) / (2 * np.pi)

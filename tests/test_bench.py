@@ -17,7 +17,6 @@ from specthresh import (
     VarmaModel,
     block_varma_model,
     simulate,
-    true_spectral_density,
 )
 from specthresh import (
     DataError,
@@ -37,7 +36,7 @@ from specthresh.bench import BenchmarkSpec, CellResult, run_benchmark, run_cell,
 from specthresh.estimator import ALL_METHODS, THRESHOLD_METHODS
 from specthresh.fileio import _fmt
 from specthresh.metrics import RocCurve, _Truth
-from specthresh.model import _components
+from specthresh.model import _components, _spectral_density
 
 
 def varma21(rng):
@@ -103,7 +102,7 @@ class TestTruthSpectra:
         # singular value of one to the smallest of the other, 5e12, trips it
         assert [c.tolist() for c in _components(NEAR_SINGULAR)] == [[[0], [1]]]
         messages = []
-        for call in (lambda: true_spectral_density(NEAR_SINGULAR, 0.0),
+        for call in (lambda: _spectral_density(NEAR_SINGULAR, np.array([0.0]))[0],
                      lambda: truth_spectra(NEAR_SINGULAR, 32),
                      lambda: spectral_density(NEAR_SINGULAR, 0.0)):
             with pytest.raises(NumericalError) as err:

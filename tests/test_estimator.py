@@ -11,6 +11,7 @@ from oracles import (
     apply_threshold,
     assert_thresholded,
     averaged_periodogram,
+    coherence,
     coherence_graph_loop,
     coherence_threshold,
     periodogram,
@@ -28,7 +29,6 @@ from specthresh import (
     SpectralEstimate,
     ThresholdOperator,
     aggregate_coherence_graph,
-    coherence,
     estimator,
     threshold_estimate,
     tuning,

@@ -13,8 +13,9 @@ from specthresh import cli, fileio, roc_points, threshold_estimate
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "specthresh"
 PERFBENCH = ROOT / "perfbench"
-# the code that may read a name the package defines
-READERS = ("src", "tests", "demos", "perfbench")
+# the code that may read a name the package defines (not tests, and not the
+# re-exports of the package's __init__.py)
+READERS = ("src", "demos", "perfbench")
 
 
 def unused_imports(source: str) -> list:
@@ -79,10 +80,14 @@ def read_names(source: str) -> set:
 
 
 def test_no_unread_module_names():
+    """Every name a module of the package defines is read by the package, a
+    demo or the benchmark: a formula that only tests read lives in
+    tests/oracles.py."""
     reads = set()
     for folder in READERS:
         for path in (ROOT / folder).rglob("*.py"):
-            reads |= read_names(path.read_text())
+            if path != PACKAGE / "__init__.py":
+                reads |= read_names(path.read_text())
     unread = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
               for name in defined_names(path.read_text()) if name not in reads]
     assert unread == []

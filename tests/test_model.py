@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 from conftest import between_components, coupled_models, ma_autocov, sample_autocov
-from oracles import check_order_bias_bounds, spectral_density, weak_sparsity_norm
-
-from specthresh import (
-    ModelError,
-    ParameterError,
-    VarmaModel,
+from oracles import (
     autocov,
-    block_varma_model,
+    check_order_bias_bounds,
     l_n,
     omega_n,
-    simulate,
+    spectral_density,
     stability_measure,
-    true_spectral_density,
+    weak_sparsity_norm,
 )
+
+from specthresh import ModelError, ParameterError, VarmaModel, block_varma_model, simulate
 from specthresh.model import _components, _spectral_density, block_transition, simulate_ensemble
 
 AR1 = VarmaModel(dim=1, ar_coeffs=(np.array([[0.5]]),))
@@ -86,11 +83,11 @@ class TestSimulate:
 class TestTrueSpectralDensity:
     def test_white_noise_flat(self):
         for w in (-np.pi, -1.0, 0.0, 0.7, np.pi):
-            f = true_spectral_density(WHITE4, w)
+            f = _spectral_density(WHITE4, np.array([w]))[0]
             assert np.allclose(f, np.eye(4) / (2 * np.pi), atol=1e-14)
 
     def test_ar1_at_zero(self):
-        f = true_spectral_density(AR1, 0.0)
+        f = _spectral_density(AR1, np.array([0.0]))[0]
         assert abs(f[0, 0] - 2 / np.pi) < 1e-12
 
     def test_vma_matches_autocov_sum(self):
@@ -101,13 +98,13 @@ class TestTrueSpectralDensity:
             g = ma_autocov(model.ma_coeffs, model.noise_cov, lag)
             oracle += g * np.exp(-1j * lag * w)
         oracle /= 2 * np.pi
-        assert np.max(np.abs(true_spectral_density(model, w) - oracle)) < 1e-10
+        assert np.max(np.abs(_spectral_density(model, np.array([w]))[0] - oracle)) < 1e-10
 
     def test_hermitian_psd_for_random_models(self, rng):
         for _ in range(5):
             model = random_stable_var1(rng)
             w = rng.uniform(-np.pi, np.pi)
-            f = true_spectral_density(model, w)
+            f = _spectral_density(model, np.array([w]))[0]
             assert np.max(np.abs(f - f.conj().T)) < 1e-10
             assert np.min(np.linalg.eigvalsh(f)) >= -1e-10
 
@@ -120,7 +117,7 @@ class TestTrueSpectralDensity:
             [c for c in comps if len(c) == s] for s in sizes]
         between = between_components(model.dim, comps)
         for w in (-np.pi, -2.0, 0.0, 0.3, 1.7, np.pi):
-            f, want = true_spectral_density(model, w), spectral_density(model, w)
+            f, want = _spectral_density(model, np.array([w]))[0], spectral_density(model, w)
             assert np.linalg.norm(f - want) <= 1e-12 * np.linalg.norm(want)
             assert np.all(f[between] == 0)
 
@@ -289,4 +286,4 @@ class TestMaDuality:
                 g = ma_autocov(coeffs, model.noise_cov, lag)
                 oracle += g * np.exp(-1j * lag * w)
             oracle /= 2 * np.pi
-            assert np.max(np.abs(true_spectral_density(model, w) - oracle)) < 1e-10
+            assert np.max(np.abs(_spectral_density(model, np.array([w]))[0] - oracle)) < 1e-10

@@ -1,10 +1,12 @@
 """One case per error the package raises for a bad argument or input, with
-its exception type and exact message."""
+its exception type and exact message; and one per argument error of the
+theory formulas in tests/oracles.py, which the package no longer holds."""
 
 import json
 
 import numpy as np
 import pytest
+from oracles import autocov, l_n, omega_n, theoretical_threshold
 
 from specthresh import (
     DataError,
@@ -14,13 +16,9 @@ from specthresh import (
     ThresholdOperator,
     TimeSeriesMatrix,
     VarmaModel,
-    autocov,
     block_varma_model,
-    l_n,
-    omega_n,
     rmise,
     simulate,
-    theoretical_threshold,
     threshold_estimate,
     tuned_estimates,
 )
@@ -69,27 +67,6 @@ CALLS = {
                    ParameterError, "n must be at least 2"),
     "simulate-burn-in": (lambda: simulate(block_varma_model(3, "vma"), 8, burn_in=-1),
                          ParameterError, "burn_in must be nonnegative"),
-    "autocov-lag": (lambda: autocov(block_varma_model(3, "var"), -1),
-                    ParameterError, "l_max must be nonnegative"),
-    "lags-shape": (lambda: omega_n(np.zeros((2, 2, 3)), 1),
-                   ParameterError, "gammas must have shape (l_max + 1, p, p)"),
-    "omega-n-lag": (lambda: omega_n(np.zeros((2, 3, 3)), -1),
-                    ParameterError, "n must be nonnegative"),
-    "l-n-lag": (lambda: l_n(np.zeros((2, 3, 3)), -1), ParameterError, "n must be nonnegative"),
-    "omega-n-lags-short": (lambda: omega_n(np.zeros((2, 3, 3)), 2),
-                           ParameterError, "need autocovariances up to lag 2, have 1"),
-    "theory-nan": (lambda: theoretical_threshold(np.nan, 0.0, 0.0, n=10, m=2, p=4),
-                   ParameterError, "inputs must be finite"),
-    "theory-inf": (lambda: theoretical_threshold(1.0, np.inf, 0.0, n=10, m=2, p=4),
-                   ParameterError, "inputs must be finite"),
-    "theory-negative": (lambda: theoretical_threshold(1.0, 0.0, -1.0, n=10, m=2, p=4),
-                        ParameterError, "inputs must be nonnegative"),
-    "theory-n": (lambda: theoretical_threshold(1.0, 0.0, 0.0, n=0, m=2, p=4),
-                 ParameterError, "n must be at least 1"),
-    "theory-m": (lambda: theoretical_threshold(1.0, 0.0, 0.0, n=10, m=0, p=4),
-                 ParameterError, "m must be at least 1"),
-    "theory-p": (lambda: theoretical_threshold(1.0, 0.0, 0.0, n=10, m=2, p=0),
-                 ParameterError, "p must be at least 1"),
     "block-p": (lambda: block_transition(4),
                 ParameterError, "block transition requires p divisible by 3"),
     "model-family": (lambda: block_varma_model(3, "arma"),
@@ -150,9 +127,38 @@ CALLS = {
 }
 
 
-@pytest.mark.parametrize("name", CALLS)
+# the theory formulas of tests/oracles.py check their arguments as the package does
+ORACLE_CALLS = {
+    "autocov-lag": (lambda: autocov(block_varma_model(3, "var"), -1),
+                    ParameterError, "l_max must be nonnegative"),
+    "lags-shape": (lambda: omega_n(np.zeros((2, 2, 3)), 1),
+                   ParameterError, "gammas must have shape (l_max + 1, p, p)"),
+    "omega-n-lag": (lambda: omega_n(np.zeros((2, 3, 3)), -1),
+                    ParameterError, "n must be nonnegative"),
+    "l-n-lag": (lambda: l_n(np.zeros((2, 3, 3)), -1), ParameterError, "n must be nonnegative"),
+    "omega-n-lags-short": (lambda: omega_n(np.zeros((2, 3, 3)), 2),
+                           ParameterError, "need autocovariances up to lag 2, have 1"),
+    "theory-nan": (lambda: theoretical_threshold(np.nan, 0.0, 0.0, n=10, m=2, p=4),
+                   ParameterError, "inputs must be finite"),
+    "theory-inf": (lambda: theoretical_threshold(1.0, np.inf, 0.0, n=10, m=2, p=4),
+                   ParameterError, "inputs must be finite"),
+    "theory-negative": (lambda: theoretical_threshold(1.0, 0.0, -1.0, n=10, m=2, p=4),
+                        ParameterError, "inputs must be nonnegative"),
+    "theory-n": (lambda: theoretical_threshold(1.0, 0.0, 0.0, n=0, m=2, p=4),
+                 ParameterError, "n must be at least 1"),
+    "theory-m": (lambda: theoretical_threshold(1.0, 0.0, 0.0, n=10, m=0, p=4),
+                 ParameterError, "m must be at least 1"),
+    "theory-p": (lambda: theoretical_threshold(1.0, 0.0, 0.0, n=10, m=2, p=0),
+                 ParameterError, "p must be at least 1"),
+}
+
+
+CASES = {**CALLS, **ORACLE_CALLS}
+
+
+@pytest.mark.parametrize("name", CASES)
 def test_call_raises(name):
-    call, kind, message = CALLS[name]
+    call, kind, message = CASES[name]
     with pytest.raises(kind) as err:
         call()
     assert type(err.value) is kind

@@ -13,6 +13,7 @@ from oracles import (
     select_threshold,
     split_by_loop,
     split_frequencies,
+    theoretical_threshold,
     window_units,
     wrap,
 )
@@ -23,7 +24,6 @@ from specthresh import (
     ParameterError,
     ThresholdOperator,
     default_span,
-    theoretical_threshold,
 )
 from specthresh import estimator, tuning
 from specthresh.estimator import _divide, _estimates, threshold_estimate
