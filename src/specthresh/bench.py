@@ -17,7 +17,7 @@ from .errors import DataError, ParameterError, SpecthreshError
 from .estimator import THRESHOLD_METHODS, canonical_method
 from .fileio import _fmt_distinct, _json_value, report_rows, write_report_csv
 from .metrics import EvaluationReport, RocCurve, _Truth, replicate_summary, roc_points
-from .model import VarmaModel, _spectral_density, block_varma_model, simulate
+from .model import VarmaModel, _spectral_blocks, _spectral_density, block_varma_model, simulate
 from .tuning import default_span, tuned_blocks
 
 
@@ -93,10 +93,14 @@ class BenchmarkSpec:
             raise DataError(f"bad benchmark spec: {exc}") from None
 
 
+def _half_omegas(n: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(n // 2 + 1) / n
+
+
 def truth_spectra(model: VarmaModel, n: int) -> np.ndarray:
     """Population spectral density f(omega_j) for j = 0..floor(n/2), as a
-    (n//2+1, p, p) array; f(omega_{-j}) is the conjugate of row j."""
-    return _spectral_density(model, 2.0 * np.pi * np.arange(n // 2 + 1) / n)
+    dense (n//2+1, p, p) array; f(omega_{-j}) is the conjugate of row j."""
+    return _spectral_density(model, _half_omegas(n))
 
 
 def _replicate_seed(master: int, cell_index: int, replicate: int) -> np.random.SeedSequence:
@@ -122,7 +126,7 @@ def run_replicate(
     x = simulate(model, n, seed=seed)
     names = spec.methods
     sq_errors, sums = [0.0] * len(names), np.zeros((len(names), p, p))
-    counts = np.empty((len(names), len(truth.half), 2))
+    counts = np.empty((len(names), len(truth.weights), 2))
     for k, rows, values, _ in tuned_blocks(x, m, names, spec.grid_size, spec.n_splits,
                                            int(seed.generate_state(1)[0])):
         sq_errors[k] += truth.sq_error(rows, values)
@@ -182,12 +186,12 @@ class CellResult:
 def run_cell(spec: BenchmarkSpec, cell_index: int, p: int, n: int, jobs: int = 1) -> CellResult:
     """Summaries and ROC curves of `spec.replicates` replicates of one cell.
 
-    The truth and what the scores take of it alone (`metrics._Truth`) are
-    computed in this process first; with jobs > 1 the replicates then run in
-    one pool, whose workers inherit them without a copy per task.
+    The truth's blocks (no dense truth) and what the scores take of them
+    alone (`metrics._Truth`) are made here first; with jobs > 1 one pool's
+    workers then inherit them, with no copy per task, and run the replicates.
     """
     support = any(name in THRESHOLD_METHODS for name in spec.methods)
-    truth = _Truth(truth_spectra(block_varma_model(p, spec.family), n), n,
+    truth = _Truth(_spectral_blocks(block_varma_model(p, spec.family), _half_omegas(n)), n,
                    spec.include_diagonal, support)
     tasks = [(spec, cell_index, p, n, r) for r in range(spec.replicates)]
     replicate = functools.partial(run_replicate, truth=truth)

@@ -79,34 +79,45 @@ def support_scores(
 
 
 class _Truth:
-    """What the scores take of the truth `half` (f(w_j), j = 0..floor(n/2))
-    alone, made once per truth: row weights, rmise's denominator, the true
+    """What the scores take of the truth (f(w_j), j = 0..floor(n/2)) alone,
+    made once per truth: row weights, rmise's denominator, the true
     coherence graph (`graph`: edge (r, s), r != s, is true when f_rs is
     nonzero at some frequency) and, with `support`, each row's true support
     on the pairs counted (`mask`).  A truth entry counts as nonzero when its
     modulus exceeds 1e-12 times the largest truth modulus.  Its methods are
     the fold kernels of the scores, each given one `_row_blocks` block of an
-    estimate's rows, and their finishers."""
+    estimate's rows, and their finishers.  It holds the truth as its blocks
+    (`model._spectral_blocks`); a dense array is one block of plain slices."""
 
-    def __init__(self, half: np.ndarray, n: int, include_diagonal: bool = False,
-                 support: bool = False):
-        self.half, self.weights = half, half_weights(n)
-        self.sq = sum(float(self.weights[rows] @ _sq_norms(f)) for rows, f in _row_blocks(half))
-        self.mask = ~np.eye(half.shape[-1], dtype=bool) | include_diagonal
+    def __init__(self, blocks, n: int, include_diagonal: bool = False, support: bool = False):
+        if isinstance(blocks, np.ndarray):
+            blocks = [((slice(None), slice(None)), blocks)]
+        self.blocks, self.weights = blocks, half_weights(n)
+        p = sum(f[0, ..., 0].size for _, f in blocks)  # a column of each block's matrices
+        zero = np.broadcast_to(0j, (n // 2 + 1, p, p))  # ||f||^2 is the error of a zero estimate
+        self.sq = sum(self.sq_error(rows, z) for rows, z in _row_blocks(zero))
+        self.mask = ~np.eye(p, dtype=bool) | include_diagonal
         # each entry's largest modulus over the rows; row -j, the conjugate
         # of row j, has the same moduli
-        peak = functools.reduce(np.maximum, map(np.abs, half))
+        peak = np.zeros((p, p))
+        for (r, c), f in blocks:
+            peak[r, c] = functools.reduce(np.maximum, map(np.abs, f))
         zero_tol = 1e-12 * float(np.max(peak))
         self.graph = peak > zero_tol
         np.fill_diagonal(self.graph, False)
         if support:
-            self.support = np.concatenate(
-                [(np.abs(f) > zero_tol) & self.mask for _, f in _row_blocks(half)])
+            self.support = np.zeros((n // 2 + 1, p, p), dtype=bool)
+            for (r, c), f in blocks:
+                for rows, part in _row_blocks(f):
+                    self.support[rows, r, c] = (np.abs(part) > zero_tol) & self.mask[r, c]
             self.n_true = self.support.sum(axis=(1, 2))
 
     def sq_error(self, rows: slice, f_hat: np.ndarray) -> float:
         """sum_j w_j ||f_hat(w_j) - f(w_j)||_F^2 over the rows of a block."""
-        return float(self.weights[rows] @ _sq_norms(f_hat - self.half[rows]))
+        diff = np.array(f_hat, dtype=complex)
+        for (r, c), f in self.blocks:
+            diff[:, r, c] -= f[rows]  # f_hat - f bit for bit, as x - 0.0 = x
+        return float(self.weights[rows] @ _sq_norms(diff))
 
     def rmise(self, sq_error: float) -> float:
         if self.sq == 0:

@@ -228,23 +228,23 @@ def _stacked_poly(coeffs: Sequence, sub: tuple, z: np.ndarray, sign: float) -> n
     return out
 
 
-def _spectral_density(model: VarmaModel, omegas: np.ndarray) -> np.ndarray:
-    """Population spectral density f at each of `omegas`, a (len(omegas),
-    p, p) array of Hermitian PSD matrices:
+def _spectral_blocks(model: VarmaModel, omegas: np.ndarray) -> list:
+    """Population spectral density f at each of `omegas`, as its diagonal
+    blocks: one ((rows, cols) index pair, (len(omegas), k, s, s) array
+    f[:, rows, cols]) per size s of `_components`, whose k components of
+    that size are solved as one stacked problem; every entry between two
+    components is an exact zero.  Each f(w) is Hermitian PSD:
 
     f(w) = (1/2pi) A^{-1}(e^{-iw}) B(e^{-iw}) Sigma B'(e^{-iw}) A^{-1}'(e^{-iw})
     with A(z) = I - sum A_l z^l and B(z) = I + sum B_l z^l.
 
-    f is block-diagonal over `_components`: the entries between two
-    components are exact zeros, and all components of one size are solved
-    as one stacked problem.  Per block of frequencies, one batched SVD per
-    size guards the condition number of the whole A(e^{-iw}), the largest
-    singular value of any component over the smallest, and one batched
-    solve per size gives A^{-1} B.
+    Per block of frequencies, one batched SVD per size guards the condition
+    number of the whole A(e^{-iw}), the largest singular value of any
+    component over the smallest, and one batched solve per size gives A^{-1} B.
     """
-    out = np.zeros((len(omegas), model.dim, model.dim), dtype=complex)
     comps = _components(model)
     blocks = [(rows[:, :, None], rows[:, None, :]) for rows in comps]
+    out = [np.empty((len(omegas),) + rows.shape + rows.shape[1:], dtype=complex) for rows in comps]
     step = max(1, _BLOCK_ENTRIES // sum(rows.size * rows.shape[1] for rows in comps))
     for j0 in range(0, len(omegas), step):
         w = omegas[j0:j0 + step]
@@ -260,9 +260,18 @@ def _spectral_density(model: VarmaModel, omegas: np.ndarray) -> np.ndarray:
             if bad.size:
                 raise NumericalError(f"AR polynomial nearly singular at omega={float(w[bad[0]])}")
             hs = [np.linalg.solve(a, h) for a, h in zip(ars, hs)]
-        for sub, h in zip(blocks, hs):
+            del ars  # let A go before the temporaries of f are made
+        for sub, h, o in zip(blocks, hs, out):
             f = (h @ model.noise_cov[sub] @ h.conj().swapaxes(-1, -2)) / (2.0 * np.pi)
-            out[j0:j0 + len(w), sub[0], sub[1]] = 0.5 * (f + f.conj().swapaxes(-1, -2))
+            o[j0:j0 + len(w)] = 0.5 * (f + f.conj().swapaxes(-1, -2))
+    return list(zip(blocks, out))
+
+
+def _spectral_density(model: VarmaModel, omegas: np.ndarray) -> np.ndarray:
+    """`_spectral_blocks` scattered into a dense (len(omegas), p, p) array."""
+    out = np.zeros((len(omegas), model.dim, model.dim), dtype=complex)
+    for (rows, cols), f in _spectral_blocks(model, omegas):
+        out[:, rows, cols] = f
     return out
 
 

@@ -36,7 +36,7 @@ from specthresh.bench import BenchmarkSpec, CellResult, run_benchmark, run_cell,
 from specthresh.estimator import ALL_METHODS, THRESHOLD_METHODS
 from specthresh.fileio import _fmt
 from specthresh.metrics import RocCurve, _Truth
-from specthresh.model import _components, _spectral_density
+from specthresh.model import _components, _spectral_blocks, _spectral_density
 
 
 def varma21(rng):
@@ -262,6 +262,82 @@ class TestTruthGraphSupport:
         assert sorted(zip(*np.nonzero(np.triu(got)))) == [(0, 1), (2, 3), (4, 5)]
 
 
+def as_int64(x: float) -> int:
+    return int(np.float64(x).view(np.int64))
+
+
+def truth_models():
+    """(name, model): the coupled models, block VAR and VMA at p = 3 and 9."""
+    models = [(name, model) for name, (model, _) in coupled_models().items()]
+    return models + [(f"{family}{p}", block_varma_model(p, family))
+                     for family in ("var", "vma") for p in (3, 9)]
+
+
+class TestTruthBlocks:
+    """A `_Truth` made from the truth's diagonal blocks equals the one made
+    from the dense truth, bit for bit."""
+
+    @pytest.mark.parametrize("name, model", truth_models(),
+                             ids=[name for name, _ in truth_models()])
+    @pytest.mark.parametrize("n", [33, 40])
+    @pytest.mark.parametrize("include_diagonal", [True, False])
+    def test_equals_dense_truth(self, rng, name, model, n, include_diagonal):
+        blocks = _spectral_blocks(model, bench._half_omegas(n))
+        dense = truth_spectra(model, n)
+        got, want = (_Truth(t, n, include_diagonal, support=True) for t in (blocks, dense))
+        weights = estimator.half_weights(n)
+        # oracle: the dense formulas, summed in `_row_blocks` order
+        sq = sum(float(weights[rows] @ estimator._sq_norms(f))
+                 for rows, f in estimator._row_blocks(dense))
+        assert as_int64(got.sq) == as_int64(want.sq) == as_int64(sq)
+        for attr in ("graph", "support", "n_true"):
+            assert np.array_equal(getattr(got, attr), getattr(want, attr)), attr
+        p = model.dim
+        shape = dense.shape
+        f_hat = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        f_hat[:, :p // 2] = dense[:, :p // 2]  # exact zero differences too
+        for rows, block in estimator._row_blocks(f_hat):
+            error = float(weights[rows] @ estimator._sq_norms(block - dense[rows]))
+            assert as_int64(got.sq_error(rows, block)) == as_int64(want.sq_error(rows, block)) \
+                == as_int64(error)
+
+    def test_blocks_scatter_to_the_dense_truth(self):
+        for _, model in truth_models():
+            dense = truth_spectra(model, 40)
+            seen = np.zeros(dense.shape[1:], dtype=int)
+            for (r, c), f in _spectral_blocks(model, bench._half_omegas(40)):
+                assert np.array_equal(dense[:, r, c], f)
+                seen[r, c] += 1
+            assert seen.max() == 1  # no entry in two blocks
+            assert not dense[:, seen == 0].any()  # every other entry is an exact zero
+
+    def test_cell_truth_holds_no_dense_truth(self, monkeypatch):
+        # block VAR p = 192, n = 200: a dense truth takes 59.6 MB, its
+        # diagonal blocks 0.9 MB.  The bound was fixed before measuring.
+        class Stop(Exception):
+            pass
+
+        def stop(fn, tasks, jobs):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            raise Stop
+
+        def cell_truth(p):
+            spec = BenchmarkSpec(family="var", p_list=(p,), n_list=(200,),
+                                 methods=("smoothed", "shrinkage"), replicates=2)
+            with pytest.raises(Stop):
+                run_cell(spec, 0, p, 200, jobs=2)
+
+        monkeypatch.setattr(bench, "_mapped", stop)
+        peaks = []
+        cell_truth(3)  # imports what numpy's first linear algebra calls import
+        tracemalloc.start()
+        try:
+            cell_truth(192)
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] < 6e6
+
+
 class TestHalfSpectrumScoring:
     """The metrics score the j >= 0 rows with conjugate-symmetry weights; the
     results must equal the metrics over all of F_n, one frequency at a time."""
@@ -323,7 +399,8 @@ class TestHalfSpectrumScoring:
 
     def test_replicate_holds_no_whole_estimate(self):
         # at p = 96, n = 200 one estimate takes 14.9 MB and the pass's buffer
-        # of 16+2m periodograms 6.5 MB; the two estimates are never built
+        # of 16+2m periodograms 6.5 MB; the two estimates are never built.
+        # The allowance is one estimate's size, as large as a dense truth.
         p, n = 96, 200
         spec = BenchmarkSpec(family="vma", p_list=(p,), n_list=(n,),
                              methods=("smoothed", "shrinkage"), replicates=1)
@@ -334,7 +411,7 @@ class TestHalfSpectrumScoring:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < truth.half.nbytes + (16 + 2 * default_span(n, "ma_like")) * p * p * 16
+        assert peak < (n // 2 + 1) * p * p * 16 + (16 + 2 * default_span(n, "ma_like")) * p * p * 16
 
 
 class TestBenchmarkSpec:

@@ -79,18 +79,105 @@ def read_names(source: str) -> set:
     return out
 
 
+MODULES = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+
+
+def module_reads(source: str, module=None, exports=None) -> set:
+    """(m, x) of each read of a name x of the package module m, counted only
+    when it is read off m: as a bare name inside m itself (`module`), by
+    `from .m import x` or `from specthresh.m import x`, as `a.x` of a name
+    `a` bound to m (`from . import m as a`, `from specthresh import m`,
+    `import specthresh.m as a`, or `specthresh.m.x`), and as `specthresh.x`
+    or by `from specthresh import x` when x is re-exported from m
+    (`exports`: name -> m, the imports of `__init__.py`)."""
+    exports = exports or {}
+    tree = ast.parse(source)
+    out, bound = set(), {}  # bound: name -> its module, or "" for the package
+
+    def off_package(name):
+        if name in exports:
+            out.add((exports[name], name))
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            # the package module imported from: "" for the package itself
+            # (`from . import`, `from specthresh import`), None for another
+            if node.level == 1:
+                origin = node.module or ""
+            else:
+                package, _, origin = (node.module or "").partition(".")
+                origin = origin if package == "specthresh" else None
+            if origin:
+                out.update((origin, alias.name) for alias in node.names)
+            elif origin == "":
+                for alias in node.names:
+                    if alias.name in MODULES:
+                        bound[alias.asname or alias.name] = alias.name
+                    else:
+                        off_package(alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, sub = alias.name.partition(".")
+                if package == "specthresh":  # `import specthresh.m` binds the package
+                    bound[alias.asname or package] = sub if alias.asname else ""
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and module:
+            out.add((module, node.id))
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        owner = node.value
+        if isinstance(owner, ast.Name) and owner.id in bound:
+            if bound[owner.id]:
+                out.add((bound[owner.id], node.attr))
+            else:
+                off_package(node.attr)
+        elif isinstance(owner, ast.Attribute) and isinstance(owner.value, ast.Name) \
+                and bound.get(owner.value.id) == "" and owner.attr in MODULES:
+            out.add((owner.attr, node.attr))
+    return out
+
+
 def test_no_unread_module_names():
-    """Every name a module of the package defines is read by the package, a
-    demo or the benchmark: a formula that only tests read lives in
-    tests/oracles.py."""
+    """Every name a module of the package defines is read off that module
+    (`module_reads`) by the package, a demo or the benchmark: a formula
+    that only tests read lives in tests/oracles.py.  A read of the same name
+    off another object (`numpy.__version__`) does not count.  Dunder names
+    (`__version__`) are exempt: they are module metadata, read by tools and
+    users, not by code."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exports = {alias.name: node.module for node in init.body if isinstance(node, ast.ImportFrom)
+               for alias in node.names}
     reads = set()
     for folder in READERS:
         for path in (ROOT / folder).rglob("*.py"):
             if path != PACKAGE / "__init__.py":
-                reads |= read_names(path.read_text())
+                module = path.stem if path.parent == PACKAGE else None
+                reads |= module_reads(path.read_text(), module, exports)
     unread = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
-              for name in defined_names(path.read_text()) if name not in reads]
+              for name in defined_names(path.read_text())
+              if not (name.startswith("__") and name.endswith("__"))
+              and (path.stem, name) not in reads]
     assert unread == []
+
+
+@pytest.mark.parametrize("source, module, want", [
+    ("from .model import simulate, _x\nimport os\n", "bench",
+     {("model", "simulate"), ("model", "_x")}),
+    ("from specthresh.bench import truth_spectra\n", None, {("bench", "truth_spectra")}),
+    ("from . import bench as b\nb.run_cell()\nb\n", "cli",
+     {("bench", "run_cell"), ("cli", "b")}),
+    ("from specthresh import bench, simulate\nbench.run_benchmark\n", None,
+     {("bench", "run_benchmark"), ("model", "simulate")}),
+    ("import specthresh\nspecthresh.simulate()\nspecthresh.bench.run_cell\nspecthresh.gone\n", None,
+     {("model", "simulate"), ("bench", "run_cell")}),
+    ("import specthresh.bench as sb\nsb.run_cell\n", None, {("bench", "run_cell")}),
+    ("import specthresh.bench\nspecthresh.bench.run_cell\n", None, {("bench", "run_cell")}),
+    # a bare name, or the same name off another module, is no read outside m
+    ("import numpy\nnumpy.__version__\nsimulate(x)\nx.run_cell\n", None, set()),
+    ("X = 1\ndef f():\n    return X + g()\n", "model", {("model", "X"), ("model", "g")}),
+])
+def test_module_reads_counts_reads_off_the_defining_module(source, module, want):
+    assert module_reads(source, module, {"simulate": "model"}) == want
 
 
 def test_no_module_builds_the_periodogram_stack():
